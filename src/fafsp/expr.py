@@ -12,7 +12,8 @@ Grammar (whitespace-insensitive):
 
 NUMBER is a decimal with optional fraction and exponent. Accessors are the
 fixed feature names below; anything else is rejected. Programs are pure,
-loop-free and evaluate in one vectorized pass over all candidate arcs.
+loop-free and evaluate in one vectorized pass over all candidate arcs; each
+is compiled once, when it is built, into a tree of closures.
 
 Protected operators keep every program evaluable: x/0 -> 0, log(x<=0) -> 0,
 sqrt(x<0) -> 0. Overflow to non-finite values is *not* masked here; the rule
@@ -21,9 +22,10 @@ engine rejects rules whose final scores are non-finite.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 
@@ -110,6 +112,14 @@ Node = Union[Num, Acc, Neg, Bin, Cmp, Call]
 class Program:
     root: Node
     n_nodes: int
+    #: root compiled once into a closure tree over a column mapping
+    fn: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", _compile(self.root))
+
+    def __reduce__(self):               # closures do not pickle; recompile instead
+        return Program, (self.root, self.n_nodes)
 
 
 _TOKEN_RE = re.compile(r"""
@@ -293,9 +303,65 @@ def to_source(program: Program) -> str:
 
 
 # -- vectorized evaluation ---------------------------------------------------
+#
+# Each node compiles to a closure taking the column mapping. Constants stay
+# Python floats and broadcast, which gives the same values as full columns.
 
 _CMP_FN = {"<": np.less, "<=": np.less_equal, ">": np.greater,
            ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}
+
+
+def _divide(left, right):
+    zero = right == 0.0
+    return np.where(zero, 0.0, left / np.where(zero, 1.0, right))
+
+
+def _sqrt(x):
+    return np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0)))
+
+
+def _log(x):
+    bad = x <= 0.0
+    return np.where(bad, 0.0, np.log(np.where(bad, 1.0, x)))
+
+
+_UNARY = {"abs": np.abs, "sqrt": _sqrt, "exp": np.exp, "log": _log}
+_FOLD = {"min": np.minimum, "max": np.maximum}
+
+
+def _compile(node: Node) -> Callable:
+    if isinstance(node, Num):
+        value = node.value
+        return lambda c: value
+    if isinstance(node, Acc):
+        name = node.name
+        return lambda c: c[name]
+    if isinstance(node, Neg):
+        f = _compile(node.operand)
+        return lambda c: -f(c)
+    if isinstance(node, (Bin, Cmp)):
+        f, g = _compile(node.left), _compile(node.right)
+        if node.op == "+":
+            return lambda c: f(c) + g(c)
+        if node.op == "-":
+            return lambda c: f(c) - g(c)
+        if node.op == "*":
+            return lambda c: f(c) * g(c)
+        if node.op == "/":
+            return lambda c: _divide(f(c), g(c))
+        cmp = _CMP_FN[node.op]
+        return lambda c: cmp(f(c), g(c))
+    if isinstance(node, Call):
+        fs = [_compile(a) for a in node.args]
+        if node.name == "if":
+            cond, then, other = fs
+            return lambda c: np.where(cond(c), then(c), other(c))
+        if node.name in _FOLD:
+            fold = _FOLD[node.name]
+            return lambda c: functools.reduce(fold, [f(c) for f in fs])
+        op, (f,) = _UNARY[node.name], fs
+        return lambda c: op(f(c))
+    raise TypeError(node)
 
 
 def evaluate(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
@@ -306,45 +372,8 @@ def evaluate(program: Program, columns: dict[str, np.ndarray], n: int) -> np.nda
     non-finite results (e.g. exp overflow) are passed through for the
     caller to reject.
     """
-    def ev(node: Node) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.full(n, node.value)
-        if isinstance(node, Acc):
-            return columns[node.name]
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Bin):
-            left, right = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return np.where(right == 0.0, 0.0, left / np.where(right == 0.0, 1.0, right))
-        if isinstance(node, Call):
-            if node.name == "if":
-                cond = node.args[0]
-                assert isinstance(cond, Cmp)
-                mask = _CMP_FN[cond.op](ev(cond.left), ev(cond.right))
-                return np.where(mask, ev(node.args[1]), ev(node.args[2]))
-            args = [ev(a) for a in node.args]
-            if node.name == "min":
-                return np.minimum.reduce(args)
-            if node.name == "max":
-                return np.maximum.reduce(args)
-            if node.name == "abs":
-                return np.abs(args[0])
-            if node.name == "sqrt":
-                x = args[0]
-                return np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0)))
-            if node.name == "exp":
-                return np.exp(args[0])
-            if node.name == "log":
-                x = args[0]
-                return np.where(x <= 0.0, 0.0, np.log(np.where(x <= 0.0, 1.0, x)))
-        raise TypeError(node)
-
     with np.errstate(all="ignore"):
-        result = ev(program.root)
+        result = program.fn(columns)
+    if np.ndim(result) == 0:            # the program reads no column
+        return np.full(n, float(result))
     return np.asarray(result, dtype=float)

@@ -12,6 +12,7 @@ matrix whose first row is the virtual "nothing processed yet" predecessor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
@@ -140,6 +141,9 @@ def check_instance(inst: Instance) -> list[str]:
     # orders -> products -> jobs must partition the job set
     seen: dict[int, tuple[int, int]] = {}
     for o in inst.orders:
+        for name, value in (("arrival", o.arrival), ("due", o.due)):
+            if not math.isfinite(value):
+                out.append(f"order {o.id}: {name} {value} is not finite")
         if o.arrival < 0:
             out.append(f"order {o.id}: arrival < 0")
         if o.due < o.arrival:

@@ -1,10 +1,14 @@
 """Event-driven dispatching environment.
 
 Decision epochs open at time zero and whenever a job completes or an order
-arrives. Within an epoch, feasible (job, machine) arcs are ranked by the
-active rule and applied one at a time, with features refreshed after every
-application; when no feasible arc remains the clock jumps to the next event.
-Completions are processed before arrivals that share the same timestamp.
+arrives. Within an epoch the clock is fixed, so the feasible (job, machine)
+arcs can only shrink: they are enumerated once per epoch, by masking the
+instance's flat array of (job, eligible machine) pairs, and after each
+dispatch the job's arcs, and the machine's if it became busy, are masked
+out. The active rule ranks the remaining arcs with features read from the
+current state; when no feasible arc remains the clock jumps to the next
+event. Completions are processed before arrivals that share the same
+timestamp.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -53,12 +57,6 @@ class Schedule:
     n_jobs: int
     n_orders: int
 
-    def assignment(self, job: int) -> ArcRecord:
-        for a in self.arcs:
-            if a.job == job:
-                return a
-        raise KeyError(job)
-
 
 def total_tardiness(sched: Schedule) -> float:
     """Sum of order tardiness; raises on schedules that are not complete."""
@@ -96,6 +94,10 @@ class _Tables:
             self.job_order[job.id] = job.order_id
             self.mean_et[job.id] = pts.mean()
             self.pred_count[job.id] = len(job.predecessors)
+
+        # every (job, eligible machine) pair, sorted by job and then machine
+        self.arc_job = np.repeat(np.arange(J, dtype=np.int64), [len(ms) for ms in self.elig])
+        self.arc_mach = np.concatenate(self.elig)
 
         N = len(inst.orders)
         self.N = N
@@ -177,17 +179,14 @@ class SimState:
                 self.m_queue[self.t.elig[j]] += 1
 
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        jobs_out, machs_out = [], []
-        for j in np.flatnonzero(self.status == READY):
-            ms = self.t.elig[j]
-            idle = ms[self.m_idle[ms] <= self.clock]
-            if len(idle):
-                jobs_out.append(np.full(len(idle), j, dtype=np.int64))
-                machs_out.append(idle)
-        if not jobs_out:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(jobs_out), np.concatenate(machs_out)
+        """Feasible arcs now (ready job, idle qualified machine), ordered by
+        (job, machine), as parallel job and machine arrays."""
+        t = self.t
+        ready = self.status == READY
+        if not np.count_nonzero(ready):     # about half the epochs of a dynamic rollout
+            return t.arc_job[:0], t.arc_mach[:0]
+        ok = ready[t.arc_job] & (self.m_idle <= self.clock)[t.arc_mach]
+        return t.arc_job[ok], t.arc_mach[ok]
 
     def clone(self) -> "SimState":
         """Independent copy (used by the exhaustive-search oracle)."""
@@ -212,8 +211,10 @@ class FeatureView:
     qualified machines, owning order's arrival and due time. Machine
     features: last-idle time, count of ready jobs qualified there, cumulative
     busy minutes. Order-level: unfinished job count and estimated unfinished
-    work. ``arc_columns`` gathers everything per candidate (job, machine) arc
-    under the accessor names the rule language uses.
+    work. ``arc_columns`` maps every accessor name of the rule language to
+    its per-arc column for the candidate (job, machine) arcs; a column is
+    gathered from the state only when it is first read, so a rule pays for
+    the features it uses and no others.
     """
 
     def __init__(self, state: SimState):
@@ -264,31 +265,49 @@ class FeatureView:
     def work_rem(self, job: int) -> float:
         return float(self._s.order_work_rem[self._s.t.job_order[job]])
 
-    def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        s, t = self._s, self._s.t
-        jobs = np.asarray(jobs, dtype=np.int64)
-        machines = np.asarray(machines, dtype=np.int64)
-        orders = t.job_order[jobs]
-        now = np.full(len(jobs), self.now)
-        due = t.job_due[jobs]
-        arrival = t.job_arrival[jobs]
-        work_rem = s.order_work_rem[orders]
-        return {
-            "due": due,
-            "arrival": arrival,
-            "now": now,
-            "slack": due - now - work_rem,
-            "wait": now - arrival,
-            "et": s.et[jobs],
-            "n_mach": t.n_mach[jobs],
-            "ops_rem": s.order_ops_rem[orders].astype(float),
-            "work_rem": work_rem,
-            "pt": t.ptmat[jobs, machines],
-            "setup": t.setup[s.m_last[machines] + 1, jobs],
-            "avail": s.m_idle[machines],
-            "queue": s.m_queue[machines].astype(float),
-            "util": s.m_busy[machines],
-        }
+    def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> ArcColumns:
+        return ArcColumns(self._s, self.now, np.asarray(jobs, dtype=np.int64),
+                          np.asarray(machines, dtype=np.int64))
+
+
+class ArcColumns(dict):
+    """Accessor name -> per-arc column, gathered from the state on first read.
+
+    Indexing works for every accessor name; iteration, ``len`` and ``in``
+    see only the columns read so far. Columns not yet read reflect the state
+    at the time of the read, so read them before the state next changes.
+    """
+
+    __slots__ = ("s", "t", "now", "jobs", "machs")
+
+    def __init__(self, state: SimState, now: float, jobs: np.ndarray, machs: np.ndarray):
+        super().__init__()
+        self.s, self.t, self.now, self.jobs, self.machs = state, state.t, now, jobs, machs
+
+    def __missing__(self, name: str) -> np.ndarray:
+        gather = _GATHER.get(name)
+        if gather is None:
+            raise KeyError(name)
+        col = self[name] = gather(self)
+        return col
+
+
+_GATHER = {
+    "due": lambda c: c.t.job_due[c.jobs],
+    "arrival": lambda c: c.t.job_arrival[c.jobs],
+    "now": lambda c: np.full(len(c.jobs), c.now),
+    "slack": lambda c: c["due"] - c["now"] - c["work_rem"],
+    "wait": lambda c: c["now"] - c["arrival"],
+    "et": lambda c: c.s.et[c.jobs],
+    "n_mach": lambda c: c.t.n_mach[c.jobs],
+    "ops_rem": lambda c: c.s.order_ops_rem[c.t.job_order[c.jobs]].astype(float),
+    "work_rem": lambda c: c.s.order_work_rem[c.t.job_order[c.jobs]],
+    "pt": lambda c: c.t.ptmat[c.jobs, c.machs],
+    "setup": lambda c: c.t.setup[c.s.m_last[c.machs] + 1, c.jobs],
+    "avail": lambda c: c.s.m_idle[c.machs],
+    "queue": lambda c: c.s.m_queue[c.machs].astype(float),
+    "util": lambda c: c.s.m_busy[c.machs],
+}
 
 
 def init_sim(inst: Instance) -> SimState:
@@ -389,15 +408,17 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
     from .rules import rank_arc_arrays
 
     state = SimState(inst)
-    t = state.t
-    while state.done_count < t.J:
+    while state.done_count < state.t.J:
         jobs, machs = state._arc_arrays()
-        if len(jobs):
-            fv = FeatureView(state)
-            k = rank_arc_arrays(rule, fv, jobs, machs)
-            apply_arc(state, (jobs[k], machs[k]))
-        else:
-            _advance(state)
+        while len(jobs):
+            k = rank_arc_arrays(rule, FeatureView(state), jobs, machs)
+            j, m = int(jobs[k]), int(machs[k])
+            apply_arc(state, (j, m))
+            keep = jobs != j
+            if state.m_idle[m] > state.clock:   # a zero-length dispatch leaves m idle
+                keep &= machs != m
+            jobs, machs = jobs[keep], machs[keep]
+        _advance(state)
     return extract_schedule(state)
 
 

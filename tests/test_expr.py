@@ -1,10 +1,15 @@
 """Expression language: grammar, printer fixpoint, protected evaluation."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fafsp.expr import (ACCESSORS, Acc, Bin, Num, NodeLimitExceeded,
-                        ParseError, UnknownAccessor, evaluate, parse, to_source)
+from fafsp.expr import (ACCESSORS, Acc, Bin, Call, Cmp, Neg, Num,
+                        NodeLimitExceeded, ParseError, UnknownAccessor,
+                        evaluate, parse, to_source)
 
 
 def test_single_accessor():
@@ -130,3 +135,81 @@ def test_number_formats():
 def test_every_accessor_parses():
     for name in ACCESSORS:
         assert parse(name).root == Acc(name)
+
+
+def _tree_walk(node, columns, n):
+    """Reference interpreter: walks the AST on every call."""
+    def ev(node):
+        if isinstance(node, Num):
+            return np.full(n, node.value)
+        if isinstance(node, Acc):
+            return columns[node.name]
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Bin):
+            left, right = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return np.where(right == 0.0, 0.0, left / np.where(right == 0.0, 1.0, right))
+        assert isinstance(node, Call)
+        if node.name == "if":
+            cond = node.args[0]
+            assert isinstance(cond, Cmp)
+            mask = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+                    ">=": np.greater_equal, "==": np.equal,
+                    "!=": np.not_equal}[cond.op](ev(cond.left), ev(cond.right))
+            return np.where(mask, ev(node.args[1]), ev(node.args[2]))
+        args = [ev(a) for a in node.args]
+        x = args[0]
+        return {"min": lambda: np.minimum.reduce(args),
+                "max": lambda: np.maximum.reduce(args),
+                "abs": lambda: np.abs(x),
+                "sqrt": lambda: np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0))),
+                "exp": lambda: np.exp(x),
+                "log": lambda: np.where(x <= 0.0, 0.0, np.log(np.where(x <= 0.0, 1.0, x))),
+                }[node.name]()
+
+    with np.errstate(all="ignore"):
+        return ev(node)
+
+
+def _sources(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        children.map(lambda x: f"-({x})"),
+        st.tuples(st.sampled_from(["abs", "sqrt", "exp", "log"]), children).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"),
+        st.tuples(children, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+                  children, children, children).map(
+            lambda t: f"if({t[0]} {t[1]} {t[2]}, {t[3]}, {t[4]})"))
+
+
+programs = st.recursive(st.sampled_from(sorted(ACCESSORS) + ["0", "1", "2.5", "700"]),
+                        _sources, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=programs, seed=st.integers(0, 2**32 - 1))
+def test_compiled_evaluation_matches_tree_walk(src, seed):
+    n = 5
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.choice([0.0, -0.0, -2.0, 0.5, 3.0, 700.0], size=n) for name in ACCESSORS}
+    prog = parse(src)
+    got = evaluate(prog, cols, n)
+    assert got.shape == (n,) and got.dtype == float
+    assert np.array_equal(got, _tree_walk(prog.root, cols, n), equal_nan=True)
+
+
+def test_program_pickles_and_still_evaluates():
+    prog = parse("max(due, 2) / pt")
+    again = pickle.loads(pickle.dumps(prog))
+    assert again == prog
+    cols = {"due": np.array([1.0, 6.0]), "pt": np.array([2.0, 0.0])}
+    assert evaluate(again, cols, 2).tolist() == [1.0, 0.0]

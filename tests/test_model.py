@@ -1,6 +1,7 @@
 """Data model: invariants, the instance file format and its round trips."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from fafsp.model import (InstanceFormatError, Stage, check_instance,
                          instance_from_doc, instance_to_doc, instances_equal,
                          load_instance, save_instance)
 from fafsp.generator import ScenarioConfig, generate_instance
+from fafsp.sim import SimState
 
 from helpers import make_instance, minimal_instance
 
@@ -41,6 +43,17 @@ def test_nonzero_virtual_setup_row_is_reported():
 def test_due_before_arrival_is_reported():
     inst = make_instance("pa", [(5.0, 4.0, [([{0: 1.0}], {1: 1.0})])])
     assert any("due" in v and "before arrival" in v for v in check_instance(inst))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["arrival", "due"])
+def test_non_finite_order_time_rejected(field, value):
+    # a NaN arrival would stall the clock and a NaN due break the ranking,
+    # so the instance is refused before any rollout starts
+    inst = minimal_instance(**{field: value})
+    assert any(f"{field} {value} is not finite" in v for v in check_instance(inst))
+    with pytest.raises(ValueError, match="is not finite"):
+        SimState(inst)
 
 
 def test_assembly_without_kit_rejected_on_load():

@@ -1,13 +1,17 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import RuleSpec
-from fafsp.sim import (BLOCKED, READY, DeadlockError, InfeasibleArcError,
-                       advance_clock, apply_arc, compute_features,
-                       feasible_arcs, init_sim, run_dispatch,
-                       schedule_from_text, schedule_to_text, total_tardiness)
+from fafsp.rules import RuleSpec, rank_arcs
+from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
+                       InfeasibleArcError, SimState, advance_clock, apply_arc,
+                       compute_features, extract_schedule, feasible_arcs,
+                       init_sim, run_dispatch, schedule_from_text,
+                       schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance
@@ -231,3 +235,99 @@ def test_schedule_text_round_trip():
     again = schedule_from_text(schedule_to_text(sched))
     assert again.arcs == sched.arcs
     assert again.ft == sched.ft and again.tt == sched.tt
+
+
+def test_arc_columns_gather_every_accessor_on_first_read():
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=2, mu=1.0,
+                                            n_init=3, seed=8))
+    state = init_sim(inst)
+    jobs, machs = state._arc_arrays()
+    cols = FeatureView(state).arc_columns(jobs, machs)
+    assert len(cols) == 0
+    for name in ACCESSORS:
+        assert cols[name].shape == (len(jobs),) and cols[name].dtype == float
+    assert set(cols) == set(ACCESSORS)
+    with pytest.raises(KeyError):
+        cols["deadline"]
+
+
+# -- the per-epoch kernel against re-enumeration after every arc ---------------
+
+KERNEL_RULES = (RuleSpec.builtin("MWKR+EET"),
+                RuleSpec.expression("slack + 0.5*pt*queue - 0.1*util + ops_rem"
+                                    " + if(wait > et, setup, n_mach)"))
+
+
+def _python_arcs(inst, state):
+    """Feasible arcs from the instance data, by a plain loop."""
+    return [(j.id, m) for j in sorted(inst.jobs, key=lambda j: j.id)
+            if state.status[j.id] == READY
+            for m in sorted(j.eligible) if state.m_idle[m] <= state.clock]
+
+
+def _reference_dispatch(inst, rule):
+    """Rollout that enumerates the arcs afresh before every decision."""
+    state = SimState(inst)
+    while state.done_count < state.t.J:
+        arcs = feasible_arcs(state)
+        assert arcs == _python_arcs(inst, state)
+        if arcs:
+            apply_arc(state, rank_arcs(rule, FeatureView(state), arcs))
+        else:
+            advance_clock(state)
+    return extract_schedule(state)
+
+
+@st.composite
+def hand_built_instances(draw):
+    """Small instances whose processing times and setups are often zero, so
+    some dispatches take no time and leave their machine idle."""
+    n_proc, n_asm = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    times = st.sampled_from([0.0, 0.0, 1.0, 2.5])
+
+    def eligible(machines):
+        ms = draw(st.lists(st.sampled_from(machines), min_size=1, unique=True))
+        return {m: draw(times) for m in ms}
+
+    orders = []
+    for _ in range(draw(st.integers(1, 3))):
+        arrival = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5]))
+        due = arrival + draw(st.sampled_from([0.0, 1.0, 4.0]))
+        products = [([eligible(range(n_proc)) for _ in range(draw(st.integers(1, 3)))],
+                     eligible(range(n_proc, n_proc + n_asm)))
+                    for _ in range(draw(st.integers(1, 2)))]
+        orders.append((arrival, due, products))
+    n_jobs = sum(len(kit) + 1 for _, _, products in orders for kit, _ in products)
+    setup = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0]),
+                          min_size=n_jobs * n_jobs, max_size=n_jobs * n_jobs))
+    matrix = [[0.0] * n_jobs] + [setup[i:i + n_jobs] for i in range(0, len(setup), n_jobs)]
+    return make_instance("p" * n_proc + "a" * n_asm, orders, setup=matrix)
+
+
+generated_instances = st.builds(
+    lambda m1, m2, phi, alpha, mu, n_init, seed: generate_instance(ScenarioConfig(
+        m1=m1, m2=m2, phi=phi, alpha=alpha, mu=mu, n_init=n_init, seed=seed)),
+    m1=st.integers(1, 2), m2=st.integers(1, 4), phi=st.sampled_from([0.5, 0.8, 1.0]),
+    alpha=st.integers(1, 4), mu=st.sampled_from([1.0, 2.0, 4.0]),
+    n_init=st.integers(0, 2), seed=st.integers(0, 10_000))
+
+# job 0 takes no time on machine 0, so job 2 still starts there at time 0,
+# in the same epoch and before job 0's completion releases assembly job 1
+ZERO_LENGTH = make_instance("pa", [(0.0, 5.0, [([{0: 0.0}], {1: 0.0})]),
+                                   (0.0, 9.0, [([{0: 3.0}], {1: 1.0})])])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances))
+@example(inst=ZERO_LENGTH)
+def test_epoch_kernel_matches_reenumeration(inst):
+    for rule in KERNEL_RULES:
+        got = schedule_to_text(run_dispatch(inst, rule))
+        assert got == schedule_to_text(_reference_dispatch(inst, rule))
+
+
+def test_zero_length_dispatch_leaves_machine_idle():
+    sched = run_dispatch(ZERO_LENGTH, EDD)
+    assert [(a.job, a.machine, a.st, a.ct) for a in sched.arcs] == [
+        (0, 0, 0.0, 0.0), (2, 0, 0.0, 3.0), (1, 1, 0.0, 0.0), (3, 1, 3.0, 4.0)]
+    assert validate_schedule(ZERO_LENGTH, sched) == []
