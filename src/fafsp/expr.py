@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive):
 NUMBER is a decimal with optional fraction and exponent. Accessors are the
 fixed feature names below; anything else is rejected. Programs are pure,
 loop-free and evaluate in one vectorized pass over all candidate arcs; each
-is compiled once, when it is built, into a tree of closures.
+is compiled once, when it is built, into one straight-line Python function.
 
 Protected operators keep every program evaluable: x/0 -> 0, log(x<=0) -> 0,
 sqrt(x<0) -> 0. Overflow to non-finite values is *not* masked here; the rule
@@ -22,7 +22,6 @@ engine rejects rules whose final scores are non-finite.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -30,6 +29,9 @@ from typing import Callable, Union
 import numpy as np
 
 MAX_NODES = 512
+#: deepest nesting of parentheses, unary minus and calls the parser accepts;
+#: it recurses once per level, so deeper text would exhaust the Python stack
+MAX_DEPTH = 100
 
 FUNCTIONS = {"min": (2, None), "abs": (1, 1), "sqrt": (1, 1),
              "max": (2, None), "exp": (1, 1), "log": (1, 1), "if": (3, 3)}
@@ -112,13 +114,17 @@ Node = Union[Num, Acc, Neg, Bin, Cmp, Call]
 class Program:
     root: Node
     n_nodes: int
-    #: root compiled once into a closure tree over a column mapping
+    #: root compiled once into a straight-line function of a column mapping
     fn: Callable = field(init=False, repr=False, compare=False)
+    #: accessor names the program reads
+    reads: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fn", _compile(self.root))
+        fn, reads = _compile(self.root)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "reads", reads)
 
-    def __reduce__(self):               # closures do not pickle; recompile instead
+    def __reduce__(self):               # generated code does not pickle; recompile
         return Program, (self.root, self.n_nodes)
 
 
@@ -154,6 +160,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.nodes = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -176,6 +183,12 @@ class _Parser:
             raise NodeLimitExceeded(f"program exceeds {MAX_NODES} AST nodes")
         return node
 
+    def enter(self, pos: int) -> None:
+        """One nesting level deeper; the caller leaves with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
@@ -191,9 +204,13 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "-":
             self.take()
-            return self.count(Neg(self.unary()))
+            self.enter(pos)
+            node = self.count(Neg(self.unary()))
+            self.depth -= 1
+            return node
         return self.primary()
 
     def primary(self) -> Node:
@@ -203,13 +220,18 @@ class _Parser:
             return self.count(Num(float(text)))
         if kind == "lpar":
             self.take()
+            self.enter(pos)
             node = self.expr()
             self.expect("rpar", ")")
+            self.depth -= 1
             return node
         if kind == "name":
             self.take()
             if text in FUNCTIONS:
-                return self.call(text, pos)
+                self.enter(pos)
+                node = self.call(text, pos)
+                self.depth -= 1
+                return node
             if text in ACCESSORS:
                 return self.count(Acc(text))
             raise UnknownAccessor(text, pos)
@@ -249,7 +271,7 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse an expression into a Program or raise ParseError / UnknownAccessor /
-    NodeLimitExceeded."""
+    NodeLimitExceeded. Text nested more than MAX_DEPTH levels is a ParseError."""
     p = _Parser(_tokenize(source))
     root = p.expr()
     kind, text, pos = p.peek()
@@ -304,12 +326,12 @@ def to_source(program: Program) -> str:
 
 # -- vectorized evaluation ---------------------------------------------------
 #
-# Each node compiles to a closure taking the column mapping. Constants stay
-# Python floats and broadcast, which gives the same values as full columns.
-
-_CMP_FN = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-           ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}
-
+# Each program compiles to one straight-line function of the column mapping:
+# one local per node, every accessor read once, the same numpy operations in
+# the same order as a walk of the tree. Constants stay Python floats and
+# broadcast, which gives the same values as full columns. The generated text
+# holds only names the generator makes and the operator names below;
+# constants reach the function through its namespace, never as text.
 
 def _divide(left, right):
     zero = right == 0.0
@@ -325,43 +347,61 @@ def _log(x):
     return np.where(bad, 0.0, np.log(np.where(bad, 1.0, x)))
 
 
-_UNARY = {"abs": np.abs, "sqrt": _sqrt, "exp": np.exp, "log": _log}
-_FOLD = {"min": np.minimum, "max": np.maximum}
+_OPS = {"_lt": np.less, "_le": np.less_equal, "_gt": np.greater,
+        "_ge": np.greater_equal, "_eq": np.equal, "_ne": np.not_equal,
+        "_div": _divide, "_abs": np.abs, "_sqrt": _sqrt, "_exp": np.exp,
+        "_log": _log, "_min": np.minimum, "_max": np.maximum, "_if": np.where}
+#: comparison, division and function names -> generated operator names
+_OP_NAME = {"<": "_lt", "<=": "_le", ">": "_gt", ">=": "_ge", "==": "_eq",
+            "!=": "_ne", "/": "_div", **{f: "_" + f for f in FUNCTIONS}}
 
 
-def _compile(node: Node) -> Callable:
-    if isinstance(node, Num):
-        value = node.value
-        return lambda c: value
-    if isinstance(node, Acc):
-        name = node.name
-        return lambda c: c[name]
-    if isinstance(node, Neg):
-        f = _compile(node.operand)
-        return lambda c: -f(c)
-    if isinstance(node, (Bin, Cmp)):
-        f, g = _compile(node.left), _compile(node.right)
-        if node.op == "+":
-            return lambda c: f(c) + g(c)
-        if node.op == "-":
-            return lambda c: f(c) - g(c)
-        if node.op == "*":
-            return lambda c: f(c) * g(c)
-        if node.op == "/":
-            return lambda c: _divide(f(c), g(c))
-        cmp = _CMP_FN[node.op]
-        return lambda c: cmp(f(c), g(c))
-    if isinstance(node, Call):
-        fs = [_compile(a) for a in node.args]
-        if node.name == "if":
-            cond, then, other = fs
-            return lambda c: np.where(cond(c), then(c), other(c))
-        if node.name in _FOLD:
-            fold = _FOLD[node.name]
-            return lambda c: functools.reduce(fold, [f(c) for f in fs])
-        op, (f,) = _UNARY[node.name], fs
-        return lambda c: op(f(c))
-    raise TypeError(node)
+def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
+    """(function of the column mapping, accessors it reads)."""
+    namespace = dict(_OPS)
+    lines: list[str] = []
+    reads: dict[str, str] = {}
+
+    def local(text: str) -> str:
+        name = f"v{len(lines)}"
+        lines.append(f"    {name} = {text}")
+        return name
+
+    def emit(node: Node) -> str:
+        if isinstance(node, Num):
+            name = f"k{len(namespace)}"
+            namespace[name] = node.value
+            return name
+        if isinstance(node, Acc):
+            if node.name not in ACCESSORS:
+                raise UnknownAccessor(node.name, 0)
+            if node.name not in reads:
+                reads[node.name] = local(f"c[{node.name!r}]")
+            return reads[node.name]
+        if isinstance(node, Neg):
+            return local(f"-{emit(node.operand)}")
+        if isinstance(node, Bin) and node.op in ("+", "-", "*"):
+            left = emit(node.left)
+            return local(f"{left} {node.op} {emit(node.right)}")
+        if isinstance(node, (Bin, Cmp)):
+            op = _OP_NAME[node.op]
+            left = emit(node.left)
+            return local(f"{op}({left}, {emit(node.right)})")
+        if isinstance(node, Call):
+            op = _OP_NAME[node.name]
+            args = [emit(a) for a in node.args]
+            if node.name in ("min", "max"):         # left fold over the arguments
+                acc = args[0]
+                for a in args[1:]:
+                    acc = local(f"{op}({acc}, {a})")
+                return acc
+            return local(f"{op}({', '.join(args)})")
+        raise TypeError(node)
+
+    result = emit(root)
+    source = "def program(c):\n" + "\n".join(lines) + f"\n    return {result}\n"
+    exec(compile(source, "<fafsp.expr program>", "exec"), namespace)
+    return namespace["program"], frozenset(reads)
 
 
 def evaluate(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:

@@ -201,8 +201,12 @@ def check_instance(inst: Instance) -> list[str]:
     else:
         if np.any(inst.setup[0] != 0):
             out.append("setup: virtual row not all zero")
-        if np.any(inst.setup < 0) or not np.all(np.isfinite(inst.setup)):
+        if np.any(inst.setup < 0):
             out.append("setup < 0")
+        bad = np.argwhere(~np.isfinite(inst.setup))
+        if len(bad):
+            i, j = bad[0]
+            out.append(f"setup[{i}, {j}] = {inst.setup[i, j]} is not finite")
 
     return out
 

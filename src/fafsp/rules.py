@@ -1,12 +1,12 @@
 """Dispatching-rule interface: nine classical builtins plus expression rules.
 
-Builtins pair a job-selection metric with a machine-assignment metric and
-rank arcs by the lexicographic (job score, machine score) composite; EDD by
-itself uses earliest-end-time machine assignment. Expression rules are
-programs in the closed language of :mod:`fafsp.expr`, evaluated vectorized
-over all candidate arcs. Lower score dispatches first; remaining ties break
-on (job id, machine id), so ranking is a total order and rollouts are
-reproducible.
+Builtins pair a job-selection metric with a machine-assignment metric, each
+a program of :mod:`fafsp.expr`, and rank arcs by the lexicographic (job
+score, machine score) composite; EDD by itself uses earliest-end-time
+machine assignment. Expression rules are single programs. Every program is
+evaluated vectorized over all candidate arcs. Lower score dispatches first;
+remaining ties break on (job id, machine id), so ranking is a total order
+and rollouts are reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +32,22 @@ BUILTIN_IDS = ("EDD",
 SCALE = 1_000_000
 
 
+#: job-selection and machine-assignment metrics, as expression text
+_JOB_TEXT = {"EDD": "due", "FIFO": "arrival", "MOPNR": "-ops_rem",
+             "LWKR": "work_rem", "MWKR": "-work_rem"}
+_MACHINE_TEXT = {"SPT": "pt", "EET": "max(avail, now) + setup + pt"}  # EET: earliest end time
+
+
+def _builtin_texts(rule_id: str) -> tuple[str, str]:
+    select, _, assign = rule_id.partition("+")
+    return _JOB_TEXT[select], _MACHINE_TEXT[assign or "EET"]
+
+
+#: builtin id -> (job program, machine program), ranked lexicographically
+BUILTINS = {rid: tuple(expr.parse(text) for text in _builtin_texts(rid))
+            for rid in BUILTIN_IDS}
+
+
 class RuleInvalid(RuntimeError):
     """An expression produced a non-finite priority for some arc."""
 
@@ -42,6 +58,14 @@ class RuleSpec:
     name: str
     source: str | None = None
     program: Program | None = None
+
+    @property
+    def reads(self) -> frozenset[str]:
+        """Accessor names the rule reads."""
+        if self.kind == "builtin":
+            job, machine = BUILTINS[self.name]
+            return job.reads | machine.reads
+        return self.program.reads
 
     @staticmethod
     def builtin(rule_id: str) -> "RuleSpec":
@@ -60,41 +84,14 @@ def parse_rule(source: str) -> Program:
     return expr.parse(source)
 
 
-def _job_score(rule_id: str, c: dict[str, np.ndarray]) -> np.ndarray:
-    sel = rule_id.split("+")[0]
-    if sel == "EDD":
-        return c["due"]
-    if sel == "FIFO":
-        return c["arrival"]
-    if sel == "MOPNR":
-        return -c["ops_rem"]
-    if sel == "LWKR":
-        return c["work_rem"]
-    if sel == "MWKR":
-        return -c["work_rem"]
-    raise ValueError(rule_id)
-
-
-def _machine_score(rule_id: str, c: dict[str, np.ndarray]) -> np.ndarray:
-    assign = rule_id.split("+")[1] if "+" in rule_id else "EET"
-    if assign == "SPT":
-        return c["pt"]
-    # EET: earliest end time if dispatched now
-    return np.maximum(c["avail"], c["now"]) + c["setup"] + c["pt"]
-
-
-def _argmin_cascade(keys: Sequence[np.ndarray]) -> int:
-    idx = np.arange(len(keys[0]))
-    for key in keys:
-        sub = key[idx]
-        idx = idx[sub == sub.min()]
-        if len(idx) == 1:
-            break
-    return int(idx[0])
-
-
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
-    """Index of the dispatched arc among the candidates (vectorized path)."""
+    """Index of the dispatched arc among the candidates (vectorized path).
+
+    The arcs must be in (job, machine) order. ``argmin`` returns the first
+    of tied arcs, which is then the one with the smallest (job id, machine
+    id): an expression ranks by its score, a builtin by the machine key
+    among the arcs tied on the job key.
+    """
     n = len(jobs)
     if n == 0:
         raise ValueError("no arcs to rank")
@@ -102,21 +99,22 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
         return 0
     cols = fv.arc_columns(jobs, machs)
     if rule.kind == "builtin":
-        keys = [_job_score(rule.name, cols), _machine_score(rule.name, cols)]
-    else:
-        scores = expr.evaluate(rule.program, cols, n)
-        bad = ~np.isfinite(scores)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
-                              f"for arc (job {jobs[k]}, machine {machs[k]})")
-        keys = [scores]
-    keys.extend((jobs, machs))
-    return _argmin_cascade(keys)
+        job, machine = BUILTINS[rule.name]
+        job_key = job.fn(cols)
+        ties = np.flatnonzero(job_key == job_key.min())
+        return int(ties[machine.fn(cols)[ties].argmin()])
+    scores = expr.evaluate(rule.program, cols, n)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = int(finite.argmin())                # the first non-finite score
+        raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
+                          f"for arc (job {jobs[k]}, machine {machs[k]})")
+    return int(scores.argmin())
 
 
 def rank_arcs(rule: RuleSpec, fv, arcs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Best arc under the rule: argmin by (score, job id, machine id)."""
+    arcs = sorted(arcs)
     jobs = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=len(arcs))
     machs = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
     k = rank_arc_arrays(rule, fv, jobs, machs)
@@ -133,8 +131,8 @@ def eval_priority(rule: RuleSpec, fv, arc: tuple[int, int]):
     machs = np.array([arc[1]], dtype=np.int64)
     cols = fv.arc_columns(jobs, machs)
     if rule.kind == "builtin":
-        return (float(_job_score(rule.name, cols)[0]),
-                float(_machine_score(rule.name, cols)[0]))
+        job, machine = BUILTINS[rule.name]
+        return (float(job.fn(cols)[0]), float(machine.fn(cols)[0]))
     score = float(expr.evaluate(rule.program, cols, 1)[0])
     if not math.isfinite(score):
         raise RuleInvalid(f"rule {rule.name!r}: non-finite score for arc {arc}")
@@ -146,11 +144,8 @@ def builtin_source(rule_id: str) -> str:
     job score is scaled by SCALE so it dominates the machine score."""
     if rule_id not in BUILTIN_IDS:
         raise ValueError(f"unknown builtin rule {rule_id!r}")
-    job = {"EDD": "due", "FIFO": "arrival", "MOPNR": "-ops_rem",
-           "LWKR": "work_rem", "MWKR": "-work_rem"}[rule_id.split("+")[0]]
-    assign = rule_id.split("+")[1] if "+" in rule_id else "EET"
-    mach = "pt" if assign == "SPT" else "max(avail, now) + setup + pt"
-    return f"{job}*{SCALE} + {mach}"
+    job, machine = _builtin_texts(rule_id)
+    return f"{job}*{SCALE} + {machine}"
 
 
 _SMOKE: list | None = None

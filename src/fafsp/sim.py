@@ -5,10 +5,10 @@ arrives. Within an epoch the clock is fixed, so the feasible (job, machine)
 arcs can only shrink: they are enumerated once per epoch, by masking the
 instance's flat array of (job, eligible machine) pairs, and after each
 dispatch the job's arcs, and the machine's if it became busy, are masked
-out. The active rule ranks the remaining arcs with features read from the
-current state; when no feasible arc remains the clock jumps to the next
-event. Completions are processed before arrivals that share the same
-timestamp.
+out. The active rule ranks the remaining arcs with the columns it reads,
+gathered from the current state in one call; when no feasible arc remains
+the clock jumps to the next event. Completions are processed before
+arrivals that share the same timestamp.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -17,10 +17,11 @@ clock. Rollouts are deterministic: same instance and rule, same schedule.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -211,15 +212,20 @@ class FeatureView:
     qualified machines, owning order's arrival and due time. Machine
     features: last-idle time, count of ready jobs qualified there, cumulative
     busy minutes. Order-level: unfinished job count and estimated unfinished
-    work. ``arc_columns`` maps every accessor name of the rule language to
-    its per-arc column for the candidate (job, machine) arcs; a column is
-    gathered from the state only when it is first read, so a rule pays for
-    the features it uses and no others.
+    work.
+
+    ``arc_columns`` maps accessor names of the rule language to per-arc
+    columns for the candidate (job, machine) arcs. Bound to a rule's read
+    set (``reads``), it returns a plain dict of those columns and the ones
+    they derive from, gathered in one call. Unbound, it returns an
+    ``ArcColumns`` mapping that serves every accessor and gathers a column
+    only when it is first read.
     """
 
-    def __init__(self, state: SimState):
+    def __init__(self, state: SimState, reads: Iterable[str] | None = None):
         self._s = state
         self.now = state.clock
+        self._gather = None if reads is None else _gatherer(frozenset(reads))
 
     @property
     def status(self) -> np.ndarray:
@@ -265,7 +271,9 @@ class FeatureView:
     def work_rem(self, job: int) -> float:
         return float(self._s.order_work_rem[self._s.t.job_order[job]])
 
-    def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> ArcColumns:
+    def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
+        if self._gather is not None:
+            return self._gather(self._s, self.now, jobs, machines)
         return ArcColumns(self._s, self.now, np.asarray(jobs, dtype=np.int64),
                           np.asarray(machines, dtype=np.int64))
 
@@ -278,36 +286,70 @@ class ArcColumns(dict):
     at the time of the read, so read them before the state next changes.
     """
 
-    __slots__ = ("s", "t", "now", "jobs", "machs")
+    __slots__ = ("s", "now", "jobs", "machs")
 
     def __init__(self, state: SimState, now: float, jobs: np.ndarray, machs: np.ndarray):
         super().__init__()
-        self.s, self.t, self.now, self.jobs, self.machs = state, state.t, now, jobs, machs
+        self.s, self.now, self.jobs, self.machs = state, now, jobs, machs
 
     def __missing__(self, name: str) -> np.ndarray:
-        gather = _GATHER.get(name)
-        if gather is None:
-            raise KeyError(name)
-        col = self[name] = gather(self)
-        return col
+        for key, col in _gatherer(frozenset((name,)))(
+                self.s, self.now, self.jobs, self.machs).items():
+            self.setdefault(key, col)
+        return self[name]
 
 
-_GATHER = {
-    "due": lambda c: c.t.job_due[c.jobs],
-    "arrival": lambda c: c.t.job_arrival[c.jobs],
-    "now": lambda c: np.full(len(c.jobs), c.now),
-    "slack": lambda c: c["due"] - c["now"] - c["work_rem"],
-    "wait": lambda c: c["now"] - c["arrival"],
-    "et": lambda c: c.s.et[c.jobs],
-    "n_mach": lambda c: c.t.n_mach[c.jobs],
-    "ops_rem": lambda c: c.s.order_ops_rem[c.t.job_order[c.jobs]].astype(float),
-    "work_rem": lambda c: c.s.order_work_rem[c.t.job_order[c.jobs]],
-    "pt": lambda c: c.t.ptmat[c.jobs, c.machs],
-    "setup": lambda c: c.t.setup[c.s.m_last[c.machs] + 1, c.jobs],
-    "avail": lambda c: c.s.m_idle[c.machs],
-    "queue": lambda c: c.s.m_queue[c.machs].astype(float),
-    "util": lambda c: c.s.m_busy[c.machs],
+#: accessor -> (accessors it is derived from, its per-arc column as a function
+#: of the state, the clock, the arc arrays jobs and machs, and the columns
+#: gathered so far). The one definition of every column.
+_COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "due": ((), lambda s, clock, jobs, machs, c: s.t.job_due[jobs]),
+    "arrival": ((), lambda s, clock, jobs, machs, c: s.t.job_arrival[jobs]),
+    "now": ((), lambda s, clock, jobs, machs, c: np.full(len(jobs), clock)),
+    "slack": (("due", "now", "work_rem"),
+              lambda s, clock, jobs, machs, c: c["due"] - c["now"] - c["work_rem"]),
+    "wait": (("now", "arrival"), lambda s, clock, jobs, machs, c: c["now"] - c["arrival"]),
+    "et": ((), lambda s, clock, jobs, machs, c: s.et[jobs]),
+    "n_mach": ((), lambda s, clock, jobs, machs, c: s.t.n_mach[jobs]),
+    "ops_rem": ((), lambda s, clock, jobs, machs, c:
+                s.order_ops_rem[s.t.job_order[jobs]].astype(float)),
+    "work_rem": ((), lambda s, clock, jobs, machs, c: s.order_work_rem[s.t.job_order[jobs]]),
+    "pt": ((), lambda s, clock, jobs, machs, c: s.t.ptmat[jobs, machs]),
+    "setup": ((), lambda s, clock, jobs, machs, c: s.t.setup[s.m_last[machs] + 1, jobs]),
+    "avail": ((), lambda s, clock, jobs, machs, c: s.m_idle[machs]),
+    "queue": ((), lambda s, clock, jobs, machs, c: s.m_queue[machs].astype(float)),
+    "util": ((), lambda s, clock, jobs, machs, c: s.m_busy[machs]),
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _gatherer(names: frozenset[str]) -> Callable:
+    """Function (state, clock, jobs, machs) -> {accessor: column} over the
+    named accessors and those they derive from."""
+    unknown = names - _COLUMNS.keys()
+    if unknown:
+        raise KeyError(sorted(unknown)[0])
+    order: dict[str, Callable] = {}
+
+    def visit(name: str) -> None:
+        if name not in order:
+            bases, fn = _COLUMNS[name]
+            for base in bases:
+                visit(base)
+            order[name] = fn
+
+    for name in _COLUMNS:
+        if name in names:
+            visit(name)
+    steps = tuple(order.items())
+
+    def gather(s: SimState, clock: float, jobs: np.ndarray, machs: np.ndarray) -> dict:
+        cols: dict[str, np.ndarray] = {}
+        for name, fn in steps:
+            cols[name] = fn(s, clock, jobs, machs, cols)
+        return cols
+
+    return gather
 
 
 def init_sim(inst: Instance) -> SimState:
@@ -329,10 +371,17 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     """Dispatch a feasible arc: charge setup, occupy the machine, enqueue the
     completion. Mutates and returns the state."""
     j, m = int(arc[0]), int(arc[1])
-    t = state.t
-    if (state.status[j] != READY or np.isnan(t.ptmat[j, m])
+    if (state.status[j] != READY or np.isnan(state.t.ptmat[j, m])
             or state.m_idle[m] > state.clock):
         raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
+    _dispatch(state, j, m)
+    return state
+
+
+def _dispatch(state: SimState, j: int, m: int) -> float:
+    """State update of dispatching the feasible arc (j, m); returns its
+    completion time."""
+    t = state.t
     setup = float(t.setup[state.m_last[m] + 1, j])
     pt = float(t.ptmat[j, m])
     st = state.clock
@@ -349,7 +398,7 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     state.job_mach[j] = m
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
     state._push(ct, _COMPLETION, j)
-    return state
+    return ct
 
 
 def advance_clock(state: SimState) -> SimState:
@@ -408,14 +457,18 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
     from .rules import rank_arc_arrays
 
     state = SimState(inst)
+    fv = FeatureView(state, rule.reads)
+    status, m_idle = state.status, state.m_idle
     while state.done_count < state.t.J:
         jobs, machs = state._arc_arrays()
+        clock = fv.now = state.clock
         while len(jobs):
-            k = rank_arc_arrays(rule, FeatureView(state), jobs, machs)
+            k = rank_arc_arrays(rule, fv, jobs, machs)
             j, m = int(jobs[k]), int(machs[k])
-            apply_arc(state, (j, m))
+            if status[j] != READY or m_idle[m] > clock:
+                raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
             keep = jobs != j
-            if state.m_idle[m] > state.clock:   # a zero-length dispatch leaves m idle
+            if _dispatch(state, j, m) > clock:  # a zero-length dispatch leaves m idle
                 keep &= machs != m
             jobs, machs = jobs[keep], machs[keep]
         _advance(state)
@@ -423,15 +476,17 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
 
 
 def replay_arcs(inst: Instance, arcs: Iterable[tuple[int, int]]) -> Schedule:
-    """Re-run a recorded arc sequence through the normal transition function."""
+    """Re-run a recorded arc sequence through the normal transition function.
+
+    Before each arc the clock advances until the arc is feasible; an arc
+    that never becomes feasible ends in DeadlockError."""
     state = SimState(inst)
+    t = state.t
     for j, m in arcs:
-        while True:
-            jobs, machs = state._arc_arrays()
-            if ((jobs == j) & (machs == m)).any():
-                apply_arc(state, (j, m))
-                break
+        eligible = 0 <= j < t.J and 0 <= m < t.M and not np.isnan(t.ptmat[j, m])
+        while not (eligible and state.status[j] == READY and state.m_idle[m] <= state.clock):
             _advance(state)
+        apply_arc(state, (j, m))
     while state.done_count < state.t.J:
         _advance(state)
     return extract_schedule(state)

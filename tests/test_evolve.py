@@ -243,6 +243,21 @@ def test_invalid_candidates_retried_then_copied():
         evaluate_fitness(RuleSpec.expression("due + pt"), insts))
 
 
+def test_deeply_nested_reply_does_not_abort_run():
+    # such a reply used to escape the parser as RecursionError and end the run
+    insts = training_instances()
+    deep = "(" * 300 + "due" + ")" * 300
+    strategies = (Strategy("C2", 2, False),)
+    cfg = EvolutionConfig(generations=1, population=2, retry_budget=3,
+                          strategies=strategies, seed=5)
+    responses = [CRIT] + [gen_response("due + pt")] * 2       # init
+    responses += [gen_response(deep), gen_response("due + 2*pt")]  # slot 1
+    responses += [gen_response(deep)] * 3                     # slot 2 exhausts
+    result = run_evolution(cfg, ScriptedTransport(responses), insts)
+    assert [i.operator for i in result.population] == ["C2", "Copy"]
+    assert result.population[0].source == "due + 2*pt"
+
+
 def test_malformed_critique_gets_one_fresh_evaluator_call():
     insts = training_instances()
     strategies = (Strategy("M1", 1, True),)

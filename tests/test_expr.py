@@ -1,14 +1,15 @@
 """Expression language: grammar, printer fixpoint, protected evaluation."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fafsp.expr import (ACCESSORS, Acc, Bin, Call, Cmp, Neg, Num,
-                        NodeLimitExceeded, ParseError, UnknownAccessor,
+from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
+                        Neg, Num, NodeLimitExceeded, ParseError, UnknownAccessor,
                         evaluate, parse, to_source)
 
 
@@ -213,3 +214,73 @@ def test_program_pickles_and_still_evaluates():
     assert again == prog
     cols = {"due": np.array([1.0, 6.0]), "pt": np.array([2.0, 0.0])}
     assert evaluate(again, cols, 2).tolist() == [1.0, 0.0]
+
+
+# -- straight-line programs against the tree walk ------------------------------
+
+# constants that overflow on parsing (1e999 is inf) or on the first product
+EXTREME = ["0", "1", "2.5", "700", "1e308", "1e999", "0.0"]
+extreme_programs = st.recursive(st.sampled_from(sorted(ACCESSORS) + EXTREME),
+                                _sources, max_leaves=12)
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want, equal_nan=True) and \
+        np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=extreme_programs, seed=st.integers(0, 2**32 - 1))
+def test_generated_program_matches_tree_walk_bit_for_bit(src, seed):
+    n = 6
+    rng = np.random.default_rng(seed)
+    values = [0.0, -0.0, -2.0, 0.5, 3.0, 700.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    cols = {name: rng.choice(values, size=n) for name in ACCESSORS}
+    prog = parse(src)
+    got = evaluate(prog, cols, n)
+    assert got.shape == (n,) and got.dtype == float
+    assert _same_bits(got, _tree_walk(prog.root, cols, n))
+    assert prog.reads == set(re.findall(r"[a-z_]+", src)) & set(ACCESSORS)
+
+
+def test_chain_at_the_node_limit_matches_tree_walk():
+    names = sorted(ACCESSORS)
+    terms = ["-due"] + [(f"0.5*{names[i % 14]}" if i % 2 else f"{names[i % 14]}/queue")
+                        if i < 56 else names[i % 14] for i in range(199)]
+    prog = parse(" - ".join(terms))
+    assert prog.n_nodes == MAX_NODES
+    rng = np.random.default_rng(3)
+    cols = {name: rng.normal(size=4) * 1e300 for name in ACCESSORS}
+    cols["queue"][0] = 0.0
+    got = evaluate(prog, cols, 4)
+    assert _same_bits(got, _tree_walk(prog.root, cols, 4))
+    assert prog.reads == set(ACCESSORS)
+
+
+def test_constants_never_reach_generated_text():
+    # repr(1e999) is 'inf', which would be a NameError in generated source
+    prog = parse("1e999 + due - -0.0")
+    out = evaluate(prog, {"due": np.array([1.0, -2.0])}, 2)
+    assert out.tolist() == [np.inf, np.inf]
+    assert evaluate(parse("-0.0"), {}, 1)[0] == 0.0
+    assert np.signbit(evaluate(parse("-0.0"), {}, 1)[0])
+
+
+# -- nesting bound --------------------------------------------------------------
+
+@pytest.mark.parametrize("src", [
+    "(" * 300 + "due" + ")" * 300,
+    "-" * 300 + "due",
+    "abs(" * 300 + "due" + ")" * 300,
+    "(" * (MAX_DEPTH + 1) + "due" + ")" * (MAX_DEPTH + 1),
+])
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse(src)
+
+
+def test_nesting_at_the_bound_parses():
+    assert parse("(" * MAX_DEPTH + "due" + ")" * MAX_DEPTH).root == Acc("due")
+    assert parse("-" * MAX_DEPTH + "due").n_nodes == MAX_DEPTH + 1
+    deep_if = "if(0 < " * MAX_DEPTH + "due" + ", 1, 2)" * MAX_DEPTH
+    assert parse(deep_if).reads == {"due"}

@@ -34,6 +34,17 @@ def test_negative_setup_is_reported():
     assert any("setup < 0" in v for v in check_instance(inst))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_setup_is_reported_as_such(value):
+    inst = minimal_instance()
+    inst.setup[1, 1] = value
+    violations = check_instance(inst)
+    assert f"setup[1, 1] = {value} is not finite" in violations
+    assert "setup < 0" not in violations
+    with pytest.raises(ValueError, match="is not finite"):
+        SimState(inst)
+
+
 def test_nonzero_virtual_setup_row_is_reported():
     inst = minimal_instance()
     inst.setup[0, 0] = 1.0

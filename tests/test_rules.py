@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fafsp.expr import NodeLimitExceeded, ParseError
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import (BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source,
-                         eval_priority, load_rule_file, parse_rule, rank_arcs,
-                         save_rule_file, validate_rule)
+                         eval_priority, load_rule_file, parse_rule, rank_arc_arrays,
+                         rank_arcs, save_rule_file, validate_rule)
 from fafsp.sim import compute_features, feasible_arcs, init_sim, run_dispatch
 
 from helpers import make_instance
@@ -168,3 +170,49 @@ def test_eval_priority_builtin_composite():
                    "setup": [0.5], "pt": [3.0]})
     score = eval_priority(RuleSpec.builtin("EDD"), fv, (0, 0))
     assert score == (15.0, 2.0 + 0.5 + 3.0)
+
+
+def test_validate_rule_rejects_deep_nesting():
+    assert validate_rule("(" * 300 + "due" + ")" * 300) is False
+    assert validate_rule("-" * 300 + "due") is False
+
+
+# -- argmin by arc order against the old cascade -----------------------------------
+
+def _argmin_cascade(keys):
+    """Reference: filter to the minimum of each key in turn, first survivor."""
+    idx = np.arange(len(keys[0]))
+    for key in keys:
+        sub = key[idx]
+        idx = idx[sub == sub.min()]
+        if len(idx) == 1:
+            break
+    return int(idx[0])
+
+
+# few distinct values, so ties on every key are common
+tie_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, -3.5])
+
+
+@st.composite
+def ranked_arcs(draw):
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                                min_size=2, max_size=20)))
+    n = len(pairs)
+    jobs = np.array([p[0] for p in pairs], dtype=np.int64)
+    machs = np.array([p[1] for p in pairs], dtype=np.int64)
+    job_key = np.array(draw(st.lists(tie_values, min_size=n, max_size=n)))
+    mach_key = np.array(draw(st.lists(tie_values, min_size=n, max_size=n)))
+    return jobs, machs, job_key, mach_key
+
+
+@settings(max_examples=300, deadline=None)
+@given(arcs=ranked_arcs())
+def test_argmin_by_arc_order_matches_cascade(arcs):
+    jobs, machs, job_key, mach_key = arcs
+    # EDD ranks by due, then by max(avail, now) + setup + pt, which is pt here
+    fv = FakeView({"due": job_key, "pt": mach_key})
+    k = rank_arc_arrays(RuleSpec.builtin("EDD"), fv, jobs, machs)
+    assert k == _argmin_cascade([job_key, mach_key, jobs, machs])
+    k = rank_arc_arrays(RuleSpec.expression("due"), fv, jobs, machs)
+    assert k == _argmin_cascade([job_key, jobs, machs])

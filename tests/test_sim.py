@@ -1,5 +1,6 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from fafsp.rules import RuleSpec, rank_arcs
 from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
                        InfeasibleArcError, SimState, advance_clock, apply_arc,
                        compute_features, extract_schedule, feasible_arcs,
-                       init_sim, run_dispatch, schedule_from_text,
+                       init_sim, replay_arcs, run_dispatch, schedule_from_text,
                        schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
@@ -331,3 +332,53 @@ def test_zero_length_dispatch_leaves_machine_idle():
     assert [(a.job, a.machine, a.st, a.ct) for a in sched.arcs] == [
         (0, 0, 0.0, 0.0), (2, 0, 0.0, 3.0), (1, 1, 0.0, 0.0), (3, 1, 3.0, 4.0)]
     assert validate_schedule(ZERO_LENGTH, sched) == []
+
+
+# -- one-call gathers against the lazy mapping -----------------------------------
+
+BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=generated_instances, steps=st.integers(0, 60),
+       reads=st.sets(st.sampled_from(sorted(ACCESSORS))))
+def test_bound_gather_equals_lazy_mapping(inst, steps, reads):
+    state = SimState(inst)
+    for _ in range(steps):                  # walk to a random mid-rollout state
+        if state.done_count == state.t.J:
+            break
+        arcs = feasible_arcs(state)
+        if arcs:
+            apply_arc(state, rank_arcs(EDD, FeatureView(state), arcs))
+        else:
+            advance_clock(state)
+    jobs, machs = state._arc_arrays()
+    bound = FeatureView(state, reads).arc_columns(jobs, machs)
+    lazy = FeatureView(state).arc_columns(jobs, machs)
+    assert type(bound) is dict
+    assert set(bound) == reads.union(*(BASES.get(name, set()) for name in reads))
+    for name, col in bound.items():
+        assert col.dtype == lazy[name].dtype == float
+        assert np.array_equal(col, lazy[name])
+
+
+def test_unknown_read_is_rejected():
+    with pytest.raises(KeyError):
+        FeatureView(SimState(minimal_instance()), {"due", "deadline"})
+
+
+# -- replay without re-enumeration ----------------------------------------------
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances))
+@example(inst=ZERO_LENGTH)
+def test_replay_reproduces_rollout(inst):
+    sched = run_dispatch(inst, KERNEL_RULES[1])
+    again = replay_arcs(inst, [(a.job, a.machine) for a in sched.arcs])
+    assert schedule_to_text(again) == schedule_to_text(sched)
+
+
+@pytest.mark.parametrize("arc", [(0, 1), (5, 0), (-1, 0), (0, 7)])
+def test_replay_of_an_arc_that_never_becomes_feasible_deadlocks(arc):
+    with pytest.raises(DeadlockError):
+        replay_arcs(minimal_instance(), [arc])
