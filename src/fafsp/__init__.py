@@ -15,8 +15,8 @@ from .llm import (Critique, LiveTransport, PromptBundle, RecordingTransport,
                   extract_critique, extract_individual,
                   render_evaluator_prompt, render_generator_prompt)
 from .evolve import (EvolutionConfig, EvolutionResult, RuleIndividual,
-                     evaluate_fitness, hybrid_evaluate, init_population,
-                     run_evolution, summarize_features, tournament_select)
+                     evaluate_fitness, init_population, run_evolution,
+                     summarize_features, tournament_select)
 from .bench import BenchReport, compute_ari, default_grid, export_traces, run_benchmark
 
 __version__ = "0.1.0"

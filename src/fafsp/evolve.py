@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .llm import (Critique, MissingBlock, MissingSection,
+from .llm import (PARENT_COUNT, Critique, MissingBlock, MissingSection,
                   MultipleBlocks, ParentRule, PromptBundle, complete,
                   extract_critique, extract_individual, render_evaluator_prompt,
                   render_generator_prompt, request_digest)
@@ -84,6 +84,13 @@ class EvolutionConfig:
             raise ValueError("tournament_k and retry_budget must be >= 1")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
+        for s in self.strategies:
+            if s.operator not in PARENT_COUNT:
+                raise ValueError(f"unknown operator {s.operator!r}; "
+                                 f"choose from {sorted(PARENT_COUNT)}")
+            if s.parents != PARENT_COUNT[s.operator]:
+                raise ValueError(f"operator {s.operator} takes {PARENT_COUNT[s.operator]} "
+                                 f"parent(s), not {s.parents}")
 
 
 def config_from_doc(doc: dict) -> EvolutionConfig:
@@ -236,27 +243,6 @@ def _critique_of(run: _Run, candidate: RuleIndividual,
         return None
 
 
-def hybrid_evaluate(candidate: RuleIndividual, population: Sequence[RuleIndividual],
-                    transport, features: str | None = None,
-                    temperature: float = 0.3) -> Critique | None:
-    """Fitness-plus-expert assessment: render the evaluator prompt with the
-    population extremes, call the expert, attach the parsed critique.
-    Malformed responses leave the candidate without a critique."""
-    best = min(population, key=lambda r: r.fitness)
-    worst = max(population, key=lambda r: r.fitness)
-    bundle = PromptBundle(role="Evaluator", operator="Eval",
-                          features=features or "", parents=(candidate.as_parent(),),
-                          temperature=temperature, best=best.as_parent(),
-                          worst=worst.as_parent())
-    response = complete(render_evaluator_prompt(bundle), temperature, transport, "Eval")
-    try:
-        critique = extract_critique(response)
-    except MissingSection:
-        return None
-    candidate.critique = critique
-    return critique
-
-
 def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
                         critique: Critique | None, temperature: float,
                         generation: int) -> RuleIndividual | None:
@@ -348,17 +334,6 @@ def init_population(cfg: EvolutionConfig, transport,
     run = _Run(cfg, transport, _resolve_instances(cfg, instances))
     _init_population(run)
     return run.population, run.u0
-
-
-def evolve_generation(population: list[RuleIndividual], cfg: EvolutionConfig,
-                      transport, instances: Sequence[Instance] | None = None,
-                      u0: float | None = None, generation: int = 1
-                      ) -> list[RuleIndividual]:
-    """One generational replacement of an existing population."""
-    run = _Run(cfg, transport, _resolve_instances(cfg, instances))
-    run.population = list(population)
-    run.u0 = u0 if u0 is not None else (cfg.u0 if cfg.u0 is not None else cfg.u_low)
-    return _evolve_generation(run, generation)
 
 
 @dataclass

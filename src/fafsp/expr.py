@@ -328,23 +328,33 @@ def to_source(program: Program) -> str:
 #
 # Each program compiles to one straight-line function of the column mapping:
 # one local per node, every accessor read once, the same numpy operations in
-# the same order as a walk of the tree. Constants stay Python floats and
-# broadcast, which gives the same values as full columns. The generated text
-# holds only names the generator makes and the operator names below;
-# constants reach the function through its namespace, never as text.
+# the same order as a walk of the tree. Constants are read-only 0-d float64
+# arrays and broadcast, which gives the same values as full columns; numpy
+# takes a slower path for a Python float operand (a weak scalar) than for an
+# array. The generated text holds only names the generator makes and the
+# operator names below; constants reach the function through its namespace,
+# never as text.
+
+def _constant(value: float) -> np.ndarray:
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+_ZERO, _ONE = _constant(0.0), _constant(1.0)
+
 
 def _divide(left, right):
-    zero = right == 0.0
-    return np.where(zero, 0.0, left / np.where(zero, 1.0, right))
+    zero = right == _ZERO
+    return np.where(zero, _ZERO, left / np.where(zero, _ONE, right))
 
 
 def _sqrt(x):
-    return np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0)))
+    return np.sqrt(np.maximum(x, _ZERO))    # x < 0 -> +0; NaN passes through
 
 
 def _log(x):
-    bad = x <= 0.0
-    return np.where(bad, 0.0, np.log(np.where(bad, 1.0, x)))
+    return np.log(np.where(x <= _ZERO, _ONE, x))    # log(1) is +0
 
 
 _OPS = {"_lt": np.less, "_le": np.less_equal, "_gt": np.greater,
@@ -370,7 +380,7 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
     def emit(node: Node) -> str:
         if isinstance(node, Num):
             name = f"k{len(namespace)}"
-            namespace[name] = node.value
+            namespace[name] = _constant(node.value)
             return name
         if isinstance(node, Acc):
             if node.name not in ACCESSORS:

@@ -185,7 +185,10 @@ def request_digest(prompt: str, temperature: float) -> str:
 
 
 class LiveTransport:
-    """Plain chat-completion client with bounded exponential-backoff retries."""
+    """Plain chat-completion client with bounded exponential-backoff retries.
+
+    Connection errors, HTTP 429 and 5xx are retried; any other 4xx and a
+    reply without text content fail at once with TransportError."""
 
     def __init__(self, base_url: str, api_key: str, model: str,
                  max_attempts: int = 3, backoff: float = 1.0, timeout: float = 120.0):
@@ -218,14 +221,27 @@ class LiveTransport:
                     self.base_url + "/chat/completions",
                     headers={"Authorization": f"Bearer {self.api_key}"},
                     json=body, timeout=self.timeout)
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                    continue
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
             except requests.RequestException as e:
                 last_error = e
+                continue
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                continue
+            if resp.status_code >= 400:
+                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            return _message_content(resp)
         raise TransportError(f"request failed after {self.max_attempts} attempts: {last_error}")
+
+
+def _message_content(resp) -> str:
+    """Text of a chat-completion reply; TransportError if it has none."""
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as e:   # bad JSON or shape
+        raise TransportError(f"malformed chat-completion reply: {e!r}") from None
+    if not isinstance(content, str):
+        raise TransportError(f"reply content is {type(content).__name__}, not text")
+    return content
 
 
 class ScriptedTransport:

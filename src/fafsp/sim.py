@@ -153,10 +153,7 @@ class SimState:
         self.m_last = np.full(t.M, -1, dtype=np.int64)
         self.m_busy = np.zeros(t.M)
         self.m_queue = np.zeros(t.M, dtype=np.int64)
-        self.job_st = np.full(t.J, np.nan)
         self.job_ct = np.full(t.J, np.nan)
-        self.job_setup = np.full(t.J, np.nan)
-        self.job_mach = np.full(t.J, -1, dtype=np.int64)
         self.done_count = 0
         self.arc_log: list[ArcRecord] = []
         self.events: list[tuple[float, int, int, int]] = []
@@ -195,8 +192,7 @@ class SimState:
         other.inst, other.t, other.clock = self.inst, self.t, self.clock
         for name in ("status", "et", "pred_remaining", "order_ops_rem",
                      "order_work_rem", "order_asm_rem", "order_ft", "order_tt",
-                     "m_idle", "m_last", "m_busy", "m_queue",
-                     "job_st", "job_ct", "job_setup", "job_mach"):
+                     "m_idle", "m_last", "m_busy", "m_queue", "job_ct"):
             setattr(other, name, getattr(self, name).copy())
         other.done_count = self.done_count
         other.arc_log = list(self.arc_log)
@@ -394,8 +390,7 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     state.m_idle[m] = ct
     state.m_last[m] = j
     state.m_busy[m] += pt
-    state.job_st[j], state.job_ct[j], state.job_setup[j] = st, ct, setup
-    state.job_mach[j] = m
+    state.job_ct[j] = ct
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
     state._push(ct, _COMPLETION, j)
     return ct

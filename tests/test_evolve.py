@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
-                          Strategy, config_from_doc, evaluate_fitness,
-                          hybrid_evaluate, init_population, run_evolution,
+                          Strategy, _critique_of, _Run, config_from_doc,
+                          evaluate_fitness, init_population, run_evolution,
                           summarize_features, tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import Critique, RecordingTransport, ReplayTransport, ScriptedTransport
@@ -135,26 +135,33 @@ def test_tournament_returns_j_parents_with_replacement():
     assert len(parents) == 3
 
 
-# -- hybrid evaluation -----------------------------------------------------------
+# -- evaluator critique ------------------------------------------------------------
 
 
-def test_hybrid_evaluate_attaches_critique():
+def _critique_run(responses):
+    t = Capture(responses)
+    return _Run(EvolutionConfig(), t, [minimal_instance()]), t
+
+
+def test_critique_of_parses_the_evaluator_reply():
     pop = _pop([5.0, 3.0])
-    c = hybrid_evaluate(pop[0], pop, ScriptedTransport([CRIT]), features="f")
+    run, t = _critique_run([CRIT])
+    c = _critique_of(run, pop[0], pop, generation=1)
     assert isinstance(c, Critique)
-    assert pop[0].critique is c
+    assert t.calls == [("Eval", run.u0)]
+    assert [e["operator"] for e in run.journal] == ["Eval"]
 
 
-def test_hybrid_evaluate_single_member_population():
+def test_critique_of_single_member_population():
     pop = _pop([5.0])
-    c = hybrid_evaluate(pop[0], pop, ScriptedTransport([CRIT]), features="f")
-    assert c is not None
+    run, _ = _critique_run([CRIT])
+    assert _critique_of(run, pop[0], pop, generation=1) is not None
 
 
-def test_hybrid_evaluate_malformed_keeps_fitness():
+def test_critique_of_malformed_reply_keeps_fitness():
     pop = _pop([5.0, 3.0])
-    c = hybrid_evaluate(pop[0], pop, ScriptedTransport([BAD_CRIT]), features="f")
-    assert c is None
+    run, _ = _critique_run([BAD_CRIT])
+    assert _critique_of(run, pop[0], pop, generation=1) is None
     assert pop[0].fitness == 5.0
     assert pop[0].critique is None
 
@@ -358,6 +365,25 @@ def test_config_round_trip_and_validation():
         config_from_doc({"population": 1})
     with pytest.raises(ValueError):
         config_from_doc({"u_low": 2.0, "u_up": 1.0})
+
+
+@pytest.mark.parametrize("strategy", [
+    Strategy("C1", 1, True),            # C1 takes two parents
+    Strategy("M2", 2, False),           # M2 takes one
+    Strategy("X9", 1, False),           # no such operator
+])
+def test_strategy_disagreeing_with_operator_table_rejected_before_any_call(strategy):
+    cfg = EvolutionConfig(generations=1, population=2, strategies=(strategy,))
+    with pytest.raises(ValueError):
+        cfg.validate()
+    t = Capture([])
+    with pytest.raises(ValueError):
+        run_evolution(cfg, t, training_instances())
+    assert t.calls == []
+    doc = {"strategies": [{"operator": strategy.operator, "parents": strategy.parents,
+                           "critique": strategy.critique}]}
+    with pytest.raises(ValueError):
+        config_from_doc(doc)
 
 
 def test_default_strategy_table():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
@@ -231,10 +231,16 @@ def _same_bits(got, want):
 
 @settings(max_examples=300, deadline=None)
 @given(src=extreme_programs, seed=st.integers(0, 2**32 - 1))
+@example(src="sqrt(0 - 0)", seed=0)     # constant-only programs
+@example(src="log(1)", seed=0)
+@example(src="0/0", seed=0)
+@example(src="1e999 - 1e999", seed=0)
+@example(src="sqrt(due) + log(due) + pt/due + sqrt(-due) + log(-due)", seed=1)
 def test_generated_program_matches_tree_walk_bit_for_bit(src, seed):
     n = 6
     rng = np.random.default_rng(seed)
-    values = [0.0, -0.0, -2.0, 0.5, 3.0, 700.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    values = [0.0, -0.0, -2.0, 0.5, 3.0, 700.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+              5e-324, -5e-324, 1e-310, -1e-310]       # the last four are subnormal
     cols = {name: rng.choice(values, size=n) for name in ACCESSORS}
     prog = parse(src)
     got = evaluate(prog, cols, n)

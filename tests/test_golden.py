@@ -31,9 +31,14 @@ WIDE = " + ".join([
     "0.61*due", "0.67*pt", "0.71*slack", "0.73*queue", "0.79*work_rem",
     "0.83*setup", "0.89*et", "0.97*wait"])
 
+# divides by zero and takes sqrt/log of non-positive values on every arc,
+# so its schedule pins the protected operators' exact results
+PROTECTED = "due / (queue - queue) + log(0 - slack) + sqrt(0 - wait) + 0.5*pt"
+
 RULES = {**{rid: RuleSpec.builtin(rid) for rid in BUILTIN_IDS},
          "wide": RuleSpec.expression(WIDE, name="wide"),
-         "small": RuleSpec.expression("due - now + 2*pt + setup + 0.2*queue*pt")}
+         "small": RuleSpec.expression("due - now + 2*pt + setup + 0.2*queue*pt"),
+         "protected": RuleSpec.expression(PROTECTED, name="protected")}
 
 
 def golden_digests() -> dict[str, str]:

@@ -223,6 +223,61 @@ def test_live_transport_exhausts_retries(monkeypatch):
         t.send("p", 0.4)
 
 
+class StubResponse:
+    """requests.Response stand-in: a status code and a JSON body (or a
+    decode error)."""
+
+    def __init__(self, status, body):
+        self.status_code = status
+        self.text = "stub"
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
+
+
+def _stub_transport(monkeypatch, status, body):
+    import requests
+
+    calls = []
+
+    def fake_post(url, headers=None, json=None, timeout=None):
+        calls.append(url)
+        return StubResponse(status, body)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    return LiveTransport("http://example.test/v1", "key", "model", backoff=0), calls
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_live_transport_client_error_is_final(monkeypatch, status):
+    t, calls = _stub_transport(monkeypatch, status, {})
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        t.send("p", 0.4)
+    assert len(calls) == 1
+
+
+def test_live_transport_retries_rate_limit(monkeypatch):
+    t, calls = _stub_transport(monkeypatch, 429, {})
+    with pytest.raises(TransportError, match="3 attempts"):
+        t.send("p", 0.4)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("body", [
+    {}, {"choices": []}, {"choices": None}, {"choices": [None]},
+    {"choices": [{"message": {}}]}, {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 7}}]}, [], ValueError("not JSON"),
+])
+def test_live_transport_reply_without_text_is_a_transport_error(monkeypatch, body):
+    t, calls = _stub_transport(monkeypatch, 200, body)
+    with pytest.raises(TransportError):
+        t.send("p", 0.4)
+    assert len(calls) == 1
+
+
 def test_live_transport_from_env_requires_vars(monkeypatch):
     for var in ("FAFSP_LLM_BASE_URL", "FAFSP_LLM_API_KEY", "FAFSP_LLM_MODEL"):
         monkeypatch.delenv(var, raising=False)
