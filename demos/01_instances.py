@@ -35,10 +35,11 @@ print("hand-built instance violations:", check_instance(inst))
 
 # -- 2. the file format round-trips byte-identically ----------------------------
 
-tmp = Path(tempfile.mkdtemp())
-save_instance(inst, tmp / "a.json")
-save_instance(load_instance(tmp / "a.json"), tmp / "b.json")
-print("canonical save is stable:", (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes())
+with tempfile.TemporaryDirectory() as tmp:
+    a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
+    save_instance(inst, a)
+    save_instance(load_instance(a), b)
+    print("canonical save is stable:", a.read_bytes() == b.read_bytes())
 
 # -- 3. scenario-driven generation ----------------------------------------------
 # 3 assembly lines, 6 processing machines, half the machines qualified per job,

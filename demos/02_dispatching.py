@@ -5,10 +5,11 @@ arrival it ranks all feasible (job, machine) pairs with the active rule and
 dispatches until nothing is feasible, then jumps to the next event.
 """
 
+import numpy as np
+
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import BUILTIN_IDS, RuleSpec
-from fafsp.sim import (compute_features, feasible_arcs, init_sim, run_dispatch,
-                       total_tardiness)
+from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch, total_tardiness
 from fafsp.validator import validate_schedule
 
 inst = generate_instance(ScenarioConfig(m1=2, m2=4, phi=0.6, alpha=8, mu=2.0,
@@ -17,13 +18,15 @@ print(f"instance: {len(inst.orders)} orders, {inst.num_jobs} jobs\n")
 
 # -- 1. what the first decision epoch looks like --------------------------------
 
-state = init_sim(inst)
+# a rule sees one column per accessor, with one entry per feasible arc
+state = SimState(inst)
 arcs = feasible_arcs(state)
-fv = compute_features(state)
+jobs, machs = np.array(arcs).T
+cols = FeatureView(state).arc_columns(jobs, machs)
 print(f"at t=0 there are {len(arcs)} feasible arcs; first five: {arcs[:5]}")
 j, m = arcs[0]
-print(f"arc (job {j}, machine {m}): pt={fv.pt(j, m):.2f}, setup={fv.setup(j, m):.2f}, "
-      f"order work remaining={fv.work_rem(j):.2f}\n")
+print(f"arc (job {j}, machine {m}): pt={cols['pt'][0]:.2f}, setup={cols['setup'][0]:.2f}, "
+      f"order work remaining={cols['work_rem'][0]:.2f}\n")
 
 # -- 2. all nine classical rules on the same instance ----------------------------
 

@@ -42,8 +42,8 @@ def scripted_expert(prompt, temperature, operator):
 
 # -- 2. record a full run ----------------------------------------------------------
 
-tmp = Path(tempfile.mkdtemp())
-cassette = tmp / "cassette.jsonl"
+tmp = tempfile.TemporaryDirectory()
+cassette = Path(tmp.name) / "cassette.jsonl"
 cfg = EvolutionConfig(generations=3, population=4, seed=17)
 recorded = run_evolution(cfg, RecordingTransport(ScriptedTransport(scripted_expert),
                                                  cassette), instances)
@@ -63,6 +63,7 @@ r2 = run_evolution(cfg, ReplayTransport(cassette), instances)
 same = (json.dumps(r1.journal, sort_keys=True) == json.dumps(r2.journal, sort_keys=True)
         and r1.best.source == r2.best.source)
 print(f"\ntwo replays bit-identical: {same}")
+tmp.cleanup()
 
 # -- 4. the convergence trace --------------------------------------------------------
 

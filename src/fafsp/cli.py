@@ -107,6 +107,9 @@ def _cmd_evolve(args) -> int:
     print(f"u0: {result.u0!r}")
     print(f"best fitness: {result.best.fitness!r}")
     print(f"outputs in {out}")
+    if result.error is not None:
+        print(f"transport error: {result.error}", file=sys.stderr)
+        return EXIT_TRANSPORT
     return EXIT_OK
 
 

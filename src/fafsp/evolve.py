@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+import os
+import sys
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .llm import (PARENT_COUNT, Critique, MissingBlock, MissingSection,
-                  MultipleBlocks, ParentRule, PromptBundle, complete,
-                  extract_critique, extract_individual, render_evaluator_prompt,
-                  render_generator_prompt, request_digest)
+from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
+                  MissingSection, MultipleBlocks, ParentRule, PromptBundle,
+                  TransportError, extract_critique, extract_individual,
+                  render_evaluator_prompt, render_generator_prompt, request_digest)
 from .model import Instance, Stage, load_instance
 from .generator import order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
@@ -74,32 +77,68 @@ class EvolutionConfig:
     strategies: tuple[Strategy, ...] = DEFAULT_STRATEGIES
 
     def validate(self) -> None:
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
+        for name, (integer, low) in _NUMERIC.items():
+            value = getattr(self, name)
+            if value is None and name in ("sample_budget", "u0", "mu"):
+                continue
+            if not _is_number(value, integer) or low is not None and value < low:
+                kind = "an integer" if integer else "a finite number"
+                raise ValueError(f"{name} must be {kind}{'' if low is None else f' >= {low}'}"
+                                 f", not {value!r}")
         if not self.u_low < self.u_up:
             raise ValueError("need u_low < u_up")
-        if self.tournament_k < 1 or self.retry_budget < 1:
-            raise ValueError("tournament_k and retry_budget must be >= 1")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
+        if not all(isinstance(p, (str, os.PathLike)) for p in self.training_instances):
+            raise ValueError("training_instances must be file paths")
         for s in self.strategies:
-            if s.operator not in PARENT_COUNT:
-                raise ValueError(f"unknown operator {s.operator!r}; "
-                                 f"choose from {sorted(PARENT_COUNT)}")
-            if s.parents != PARENT_COUNT[s.operator]:
+            if not (isinstance(s, Strategy) and isinstance(s.operator, str)
+                    and s.operator in PARENT_COUNT):
+                raise ValueError(f"unknown strategy {s!r}; operators are {sorted(PARENT_COUNT)}")
+            if not _is_number(s.parents, True) or s.parents != PARENT_COUNT[s.operator]:
                 raise ValueError(f"operator {s.operator} takes {PARENT_COUNT[s.operator]} "
-                                 f"parent(s), not {s.parents}")
+                                 f"parent(s), not {s.parents!r}")
+            uses = CRITIQUE_REQUIRED[s.operator]     # C2 and M2 prompts drop a critique
+            if not isinstance(s.critique, bool) or s.critique and not uses:
+                raise ValueError(f"critique of {s.operator} must be "
+                                 f"{'true or false' if uses else 'false'}, not {s.critique!r}")
+
+
+#: numeric config field -> (integer?, smallest value or None)
+_NUMERIC = {"generations": (True, 0), "population": (True, 2), "tournament_k": (True, 1),
+            "retry_budget": (True, 1), "sample_budget": (True, None), "seed": (True, None),
+            "u_low": (False, None), "u_up": (False, None), "u0": (False, None),
+            "mu": (False, None)}
+
+
+def _is_number(v, integer: bool) -> bool:
+    """An integer, or else a real that is finite as a float; not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
+        return False
+    return integer or abs(v) <= sys.float_info.max      # exact, so a huge int fails
 
 
 def config_from_doc(doc: dict) -> EvolutionConfig:
+    """Config from a parsed JSON object; ValueError, naming the key, on an
+    unknown key or a value of the wrong shape or type."""
+    if not isinstance(doc, dict):
+        raise ValueError("an evolution config must be a JSON object")
+    known = [f.name for f in fields(EvolutionConfig)]
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown evolution config key {key!r}; choose from {known}")
     doc = dict(doc)
+    for key in ("strategies", "training_instances"):
+        if key in doc:
+            if not isinstance(doc[key], list):
+                raise ValueError(f"{key} must be a list, not {doc[key]!r}")
+            doc[key] = tuple(doc[key])
+    keys = {"operator", "parents", "critique"}
+    for s in doc.get("strategies", ()):
+        if not isinstance(s, dict) or s.keys() != keys:
+            raise ValueError(f"a strategy needs exactly the keys {sorted(keys)}, got {s!r}")
     if "strategies" in doc:
-        doc["strategies"] = tuple(Strategy(s["operator"], s["parents"], s["critique"])
-                                  for s in doc["strategies"])
-    if "training_instances" in doc:
-        doc["training_instances"] = tuple(doc["training_instances"])
+        doc["strategies"] = tuple(Strategy(**s) for s in doc["strategies"])
     cfg = EvolutionConfig(**doc)
     cfg.validate()
     return cfg
@@ -209,7 +248,7 @@ class _Run:
     def call(self, prompt: str, temperature: float, operator: str, generation: int) -> tuple[str, dict]:
         if self.cfg.sample_budget is not None and self.samples >= self.cfg.sample_budget:
             raise _BudgetExhausted
-        response = complete(prompt, temperature, self.transport, operator)
+        response = self.transport.send(prompt, temperature, operator)
         self.samples += 1
         digest = request_digest(prompt, temperature)
         entry = {"generation": generation, "operator": operator,
@@ -327,15 +366,6 @@ def _evolve_generation(run: _Run, generation: int) -> list[RuleIndividual]:
     return offspring
 
 
-def init_population(cfg: EvolutionConfig, transport,
-                    instances: Sequence[Instance] | None = None
-                    ) -> tuple[list[RuleIndividual], float]:
-    """Elite-guided initial population and the selected evolution temperature."""
-    run = _Run(cfg, transport, _resolve_instances(cfg, instances))
-    _init_population(run)
-    return run.population, run.u0
-
-
 @dataclass
 class EvolutionResult:
     best: RuleIndividual
@@ -347,6 +377,7 @@ class EvolutionResult:
     journal: list[dict]
     transcripts: list[dict]
     per_instance: list[float]      # incumbent's tardiness on each training instance
+    error: str | None = None        # the TransportError that cut the run short
 
 
 def _resolve_instances(cfg: EvolutionConfig,
@@ -359,16 +390,20 @@ def _resolve_instances(cfg: EvolutionConfig,
 def run_evolution(cfg: EvolutionConfig, transport,
                   instances: Sequence[Instance] | None = None) -> EvolutionResult:
     """Full run: initialization plus up to ``generations`` rounds, stopping
-    early when the LLM sample budget runs out (mid-generation results that
-    were already admitted are kept; the population stays whole)."""
+    early when the LLM sample budget runs out or the transport fails. What
+    was already admitted is kept, and a generation cut short leaves the
+    previous population whole; a transport failure's text is in ``error``."""
     run = _Run(cfg, transport, _resolve_instances(cfg, instances))
+    error = None
     try:
         _init_population(run)
         for g in range(1, cfg.generations + 1):
             _evolve_generation(run, g)
     except _BudgetExhausted:
         pass
+    except TransportError as e:
+        error = str(e)
     best = run.incumbent if run.incumbent is not None else run.elite
     per_instance = [total_tardiness(run_dispatch(x, best.spec)) for x in run.instances]
     return EvolutionResult(best, run.elite, run.population, run.u0, run.samples,
-                           run.history, run.journal, run.transcripts, per_instance)
+                           run.history, run.journal, run.transcripts, per_instance, error)

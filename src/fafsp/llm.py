@@ -247,21 +247,15 @@ def _message_content(resp) -> str:
 class ScriptedTransport:
     """Deterministic canned responses for offline runs and tests."""
 
-    def __init__(self, responses: Sequence[str] | Callable[[str, float, str], str],
-                 cycle: bool = False):
+    def __init__(self, responses: Sequence[str] | Callable[[str, float, str], str]):
         self._fn = responses if callable(responses) else None
         self._queue = None if callable(responses) else deque(responses)
-        self._all = None if callable(responses) else list(responses)
-        self.cycle = cycle
 
     def send(self, prompt: str, temperature: float, operator: str = "") -> str:
         if self._fn is not None:
             return self._fn(prompt, temperature, operator)
         if not self._queue:
-            if self.cycle and self._all:
-                self._queue = deque(self._all)
-            else:
-                raise TransportError("scripted transport ran out of responses")
+            raise TransportError("scripted transport ran out of responses")
         return self._queue.popleft()
 
 
@@ -284,40 +278,20 @@ class RecordingTransport:
 
 
 class ReplayTransport:
-    """Serves recorded responses by digest; consumes one record per request.
+    """Serves recorded responses by digest; consumes one record per request."""
 
-    strict=False falls back to consuming records in file order when a digest
-    has no unconsumed match, which tolerates small prompt drift.
-    """
-
-    def __init__(self, cassette_path, strict: bool = True):
+    def __init__(self, cassette_path):
         self.records = load_cassette(cassette_path)
-        self.strict = strict
         self._by_digest: dict[str, deque[int]] = {}
         for i, rec in enumerate(self.records):
             self._by_digest.setdefault(rec["digest"], deque()).append(i)
-        self._consumed = [False] * len(self.records)
 
     def send(self, prompt: str, temperature: float, operator: str = "") -> str:
         digest = request_digest(prompt, temperature)
         queue = self._by_digest.get(digest)
-        while queue:
-            i = queue.popleft()
-            if not self._consumed[i]:
-                self._consumed[i] = True
-                return self.records[i]["response"]
-        if self.strict:
+        if not queue:
             raise ReplayMiss(digest)
-        for i, used in enumerate(self._consumed):
-            if not used:
-                self._consumed[i] = True
-                return self.records[i]["response"]
-        raise ReplayMiss(digest)
-
-
-def complete(prompt: str, temperature: float, transport, operator: str = "") -> str:
-    """Send one request through the chosen transport and return the raw text."""
-    return transport.send(prompt, temperature, operator)
+        return self.records[queue.popleft()]["response"]
 
 
 def load_cassette(path) -> list[dict]:

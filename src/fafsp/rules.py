@@ -11,14 +11,13 @@ and rollouts are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import expr
-from .expr import ParseError, Program
+from .expr import Program
 
 BUILTIN_IDS = ("EDD",
                "FIFO+SPT", "FIFO+EET",
@@ -78,12 +77,6 @@ class RuleSpec:
         return RuleSpec("expression", name, source, expr.parse(source))
 
 
-def parse_rule(source: str) -> Program:
-    """Parse expression text; raises ParseError / UnknownAccessor /
-    NodeLimitExceeded on bad input."""
-    return expr.parse(source)
-
-
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
     """Index of the dispatched arc among the candidates (vectorized path).
 
@@ -119,24 +112,6 @@ def rank_arcs(rule: RuleSpec, fv, arcs: Sequence[tuple[int, int]]) -> tuple[int,
     machs = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
     k = rank_arc_arrays(rule, fv, jobs, machs)
     return (int(jobs[k]), int(machs[k]))
-
-
-def eval_priority(rule: RuleSpec, fv, arc: tuple[int, int]):
-    """Priority of one arc; lower dispatches first.
-
-    Builtins return the (job score, machine score) composite, expressions a
-    float. Non-finite expression results raise RuleInvalid.
-    """
-    jobs = np.array([arc[0]], dtype=np.int64)
-    machs = np.array([arc[1]], dtype=np.int64)
-    cols = fv.arc_columns(jobs, machs)
-    if rule.kind == "builtin":
-        job, machine = BUILTINS[rule.name]
-        return (float(job.fn(cols)[0]), float(machine.fn(cols)[0]))
-    score = float(expr.evaluate(rule.program, cols, 1)[0])
-    if not math.isfinite(score):
-        raise RuleInvalid(f"rule {rule.name!r}: non-finite score for arc {arc}")
-    return score
 
 
 def builtin_source(rule_id: str) -> str:

@@ -202,97 +202,21 @@ class SimState:
 
 
 class FeatureView:
-    """Read view of the nine feature groups plus the derived arc columns.
+    """Per-arc columns of the rule language's accessors (``expr.ACCESSORS``).
 
-    Job features: status flags, estimated/realized processing time, number of
-    qualified machines, owning order's arrival and due time. Machine
-    features: last-idle time, count of ready jobs qualified there, cumulative
-    busy minutes. Order-level: unfinished job count and estimated unfinished
-    work.
-
-    ``arc_columns`` maps accessor names of the rule language to per-arc
-    columns for the candidate (job, machine) arcs. Bound to a rule's read
-    set (``reads``), it returns a plain dict of those columns and the ones
-    they derive from, gathered in one call. Unbound, it returns an
-    ``ArcColumns`` mapping that serves every accessor and gathers a column
-    only when it is first read.
+    ``arc_columns`` maps accessor names to per-arc columns for the candidate
+    (job, machine) arcs, gathered in one call: bound to a rule's read set
+    (``reads``), those columns and the ones they derive from; unbound, every
+    accessor.
     """
 
     def __init__(self, state: SimState, reads: Iterable[str] | None = None):
         self._s = state
         self.now = state.clock
-        self._gather = None if reads is None else _gatherer(frozenset(reads))
-
-    @property
-    def status(self) -> np.ndarray:
-        return self._s.status
-
-    @property
-    def et(self) -> np.ndarray:
-        return self._s.et
-
-    @property
-    def n_mach(self) -> np.ndarray:
-        return self._s.t.n_mach
-
-    @property
-    def job_arrival(self) -> np.ndarray:
-        return self._s.t.job_arrival
-
-    @property
-    def job_due(self) -> np.ndarray:
-        return self._s.t.job_due
-
-    @property
-    def machine_idle_at(self) -> np.ndarray:
-        return self._s.m_idle
-
-    @property
-    def machine_queue(self) -> np.ndarray:
-        return self._s.m_queue
-
-    @property
-    def machine_busy(self) -> np.ndarray:
-        return self._s.m_busy
-
-    def pt(self, job: int, machine: int) -> float:
-        return float(self._s.t.ptmat[job, machine])
-
-    def setup(self, job: int, machine: int) -> float:
-        return float(self._s.t.setup[self._s.m_last[machine] + 1, job])
-
-    def ops_rem(self, job: int) -> int:
-        return int(self._s.order_ops_rem[self._s.t.job_order[job]])
-
-    def work_rem(self, job: int) -> float:
-        return float(self._s.order_work_rem[self._s.t.job_order[job]])
+        self._gather = _gatherer(frozenset(_COLUMNS if reads is None else reads))
 
     def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        if self._gather is not None:
-            return self._gather(self._s, self.now, jobs, machines)
-        return ArcColumns(self._s, self.now, np.asarray(jobs, dtype=np.int64),
-                          np.asarray(machines, dtype=np.int64))
-
-
-class ArcColumns(dict):
-    """Accessor name -> per-arc column, gathered from the state on first read.
-
-    Indexing works for every accessor name; iteration, ``len`` and ``in``
-    see only the columns read so far. Columns not yet read reflect the state
-    at the time of the read, so read them before the state next changes.
-    """
-
-    __slots__ = ("s", "now", "jobs", "machs")
-
-    def __init__(self, state: SimState, now: float, jobs: np.ndarray, machs: np.ndarray):
-        super().__init__()
-        self.s, self.now, self.jobs, self.machs = state, now, jobs, machs
-
-    def __missing__(self, name: str) -> np.ndarray:
-        for key, col in _gatherer(frozenset((name,)))(
-                self.s, self.now, self.jobs, self.machs).items():
-            self.setdefault(key, col)
-        return self[name]
+        return self._gather(self._s, self.now, jobs, machines)
 
 
 #: accessor -> (accessors it is derived from, its per-arc column as a function
@@ -346,15 +270,6 @@ def _gatherer(names: frozenset[str]) -> Callable:
         return cols
 
     return gather
-
-
-def init_sim(inst: Instance) -> SimState:
-    """Fresh state at time zero with the initial order batch arrived."""
-    return SimState(inst)
-
-
-def compute_features(state: SimState) -> FeatureView:
-    return FeatureView(state)
 
 
 def feasible_arcs(state: SimState) -> list[tuple[int, int]]:

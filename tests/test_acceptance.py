@@ -22,7 +22,7 @@ from fafsp.llm import (LiveTransport, RecordingTransport, ReplayTransport,
                        ScriptedTransport)
 from fafsp.expr import parse
 from fafsp.rules import BUILTIN_IDS, RuleSpec, builtin_source, validate_rule
-from fafsp.sim import compute_features, feasible_arcs, init_sim, run_dispatch, total_tardiness
+from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch, total_tardiness
 from fafsp.validator import brute_force_optimum, validate_schedule
 
 from helpers import tiny_oracle_instance
@@ -242,8 +242,8 @@ def test_9_latency():
 
     inst = generate_instance(ScenarioConfig(m1=2, m2=20, phi=1.0, alpha=0, mu=1.0,
                                             n_init=16, seed=424))
-    state = init_sim(inst)
-    fv = compute_features(state)
+    state = SimState(inst)
+    fv = FeatureView(state)
     arcs = feasible_arcs(state)
     assert len(arcs) >= 2000
 

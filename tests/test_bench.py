@@ -226,6 +226,50 @@ def test_cli_evolve_replay_miss_is_transport_failure(tmp_path):
                  "--cassette", str(cassette), "--out", str(tmp_path / "r")]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"strategies": [{"operator": "C1", "critique": True}]},
+    {"bogus": 1},
+    {"strategies": "C1"},
+    {"generations": "3"},
+    {"population": 2.5},
+    {"strategies": [{"operator": "C2", "parents": 2, "critique": True}]},
+])
+def test_cli_evolve_bad_config_exits_1(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg_path), "--transport", "replay",
+                 "--cassette", str(tmp_path / "none.jsonl"),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_evolve_transport_failure_writes_partial_run(tmp_path, capsys, monkeypatch):
+    scen = tmp_path / "scen.json"
+    _write_scenario(scen)
+    main(["gen", "--scenario", str(scen), "--count", "1", "--out", str(tmp_path / "tr")])
+    cfg_path = tmp_path / "evo.json"
+    cfg_path.write_text(json.dumps({
+        "generations": 2, "population": 2, "seed": 4,
+        "training_instances": [str(tmp_path / "tr" / "inst_42_0.json")],
+    }), encoding="utf-8")
+    crit = "Advantages: a.\nLimitations: b.\nSuggestions: c.\n"
+    replies = [crit, "Description: r1\n```\ndue + pt\n```",
+               "Description: r2\n```\ndue - now + 2*pt\n```", crit]
+    monkeypatch.setattr("fafsp.cli._make_transport",
+                        lambda kind, cassette: ScriptedTransport(replies))
+    run_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg_path), "--transport", "live",
+                 "--out", str(run_dir)]) == 3
+    captured = capsys.readouterr()
+    assert "transport error: scripted transport ran out of responses" in captured.err
+    assert "samples: 4" in captured.out
+    journal = (run_dir / "journal.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["operator"] for line in journal] == ["Eval", "Init", "Init", "Eval"]
+    assert (run_dir / "best_rule.txt").exists()
+
+
 def test_cli_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["gen", "--scenario"])          # missing value

@@ -8,10 +8,11 @@ import pytest
 
 from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
                           Strategy, _critique_of, _Run, config_from_doc,
-                          evaluate_fitness, init_population, run_evolution,
-                          summarize_features, tournament_select)
+                          evaluate_fitness, run_evolution, summarize_features,
+                          tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.llm import Critique, RecordingTransport, ReplayTransport, ScriptedTransport
+from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
+                       ScriptedTransport)
 from fafsp.rules import RuleSpec, builtin_source
 
 from helpers import make_instance, minimal_instance
@@ -174,7 +175,8 @@ def test_init_population_temperature_sweep_and_u0():
     cfg = EvolutionConfig(generations=0, population=4, seed=1)
     t = Capture([CRIT] + [gen_response(s) for s in
                           ("due + pt", "due + 2*pt", "due + 3*pt", "due + 4*pt")])
-    pop, u0 = init_population(cfg, t, insts)
+    result = run_evolution(cfg, t, insts)           # generations=0: init only
+    pop, u0 = result.population, result.u0
     assert len(pop) == 4
     expected = [cfg.u_low + p * (cfg.u_up - cfg.u_low) / cfg.population
                 for p in range(1, 5)]
@@ -189,7 +191,8 @@ def test_init_population_all_invalid_falls_back_to_elite():
     insts = [forced_instance(5.0, 3.0, due=100.0)]
     cfg = EvolutionConfig(generations=0, population=3, retry_budget=2, seed=1)
     t = Capture([CRIT] + ["no code here"] * 6)
-    pop, u0 = init_population(cfg, t, insts)
+    result = run_evolution(cfg, t, insts)           # generations=0: init only
+    pop, u0 = result.population, result.u0
     assert len(pop) == 3
     assert all(ind.operator == "EliteCopy" for ind in pop)
     assert all(ind.source == builtin_source("EDD") for ind in pop)
@@ -205,7 +208,8 @@ def test_init_population_u0_tracks_best_candidate():
     t = Capture([CRIT] + [gen_response(s) for s in
                           ("0 - due", "due - now + 2*pt", "slack + pt + setup",
                            "due*2.0 + setup")])
-    pop, u0 = init_population(cfg, t, insts)
+    result = run_evolution(cfg, t, insts)           # generations=0: init only
+    pop, u0 = result.population, result.u0
     fits = [ind.fitness for ind in pop]
     assert min(fits) == pytest.approx(1.616211778921738)
     assert u0 == pop[1].temperature
@@ -305,6 +309,7 @@ def test_k0_returns_best_of_initialization():
     result = run_evolution(cfg, t, insts)
     assert result.best.source == "due - now + 2*pt"
     assert result.samples == 3
+    assert result.error is None
 
 
 def test_sample_budget_stops_mid_generation():
@@ -371,6 +376,8 @@ def test_config_round_trip_and_validation():
     Strategy("C1", 1, True),            # C1 takes two parents
     Strategy("M2", 2, False),           # M2 takes one
     Strategy("X9", 1, False),           # no such operator
+    Strategy("C2", 2, True),            # C2's prompt drops the critique
+    Strategy("M2", 1, True),            # so does M2's
 ])
 def test_strategy_disagreeing_with_operator_table_rejected_before_any_call(strategy):
     cfg = EvolutionConfig(generations=1, population=2, strategies=(strategy,))
@@ -390,3 +397,72 @@ def test_default_strategy_table():
     assert [s.operator for s in DEFAULT_STRATEGIES] == ["C1", "C2", "M1", "M2"]
     assert [s.parents for s in DEFAULT_STRATEGIES] == [2, 2, 1, 1]
     assert [s.critique for s in DEFAULT_STRATEGIES] == [True, False, True, False]
+
+
+# -- config errors -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"strategies": [{"operator": "C1", "critique": True}]}, "parents"),
+    ({"strategies": [{"operator": "C1", "parents": 2, "critique": True, "x": 1}]}, "'x'"),
+    ({"strategies": ["C1"]}, "operator"),
+    ({"bogus": 1}, "bogus"),
+    ({"strategies": "C1"}, "strategies"),
+    ({"training_instances": "a.json"}, "training_instances"),
+    ({"training_instances": [1]}, "training_instances"),
+    ({"generations": "3"}, "generations"),
+    ({"population": 2.5}, "population"),
+    ({"generations": True}, "generations"),
+    ({"sample_budget": 1.0}, "sample_budget"),
+    ({"u_low": "0.1"}, "u_low"),
+    ({"u_up": float("nan")}, "u_up"),
+    ({"u0": float("inf")}, "u0"),
+    ({"mu": [2.0]}, "mu"),
+    ({"strategies": [{"operator": ["C1"], "parents": 2, "critique": True}]}, "operator"),
+    ({"strategies": [{"operator": "C1", "parents": 2.0, "critique": True}]}, "parent"),
+    ({"strategies": [{"operator": "C1", "parents": 2, "critique": "yes"}]}, "critique"),
+    ([{"generations": 1}], "object"),
+])
+def test_bad_config_is_a_value_error_naming_the_key(doc, key):
+    with pytest.raises(ValueError, match=key):
+        config_from_doc(doc)
+
+
+def test_wrongly_typed_config_rejected_before_any_call():
+    t = Capture([])
+    with pytest.raises(ValueError, match="population"):
+        run_evolution(EvolutionConfig(generations=1, population=2.5), t,
+                      training_instances())
+    assert t.calls == []
+
+
+def test_integer_valued_floats_accepted_where_a_number_is_due():
+    cfg = config_from_doc({"u_low": 0, "u_up": 2, "u0": 1, "mu": 3})
+    assert (cfg.u_low, cfg.u_up, cfg.u0, cfg.mu) == (0, 2, 1, 3)
+
+
+# -- a transport failure keeps what was paid for -------------------------------------
+
+
+def test_transport_failure_keeps_the_partial_run():
+    insts = training_instances()
+    cfg = EvolutionConfig(generations=2, population=2, seed=3)
+    # elite critique, two init slots, then generation 1's C1 critique and
+    # candidate; its C2 slot finds the transport dry
+    responses = [CRIT, gen_response("due + pt"), gen_response("due - now + 2*pt"),
+                 CRIT, gen_response("due*2.0 + setup")]
+    result = run_evolution(cfg, ScriptedTransport(responses), insts)
+    assert result.error == "scripted transport ran out of responses"
+    assert result.samples == len(result.journal) == 5
+    assert [e["operator"] for e in result.journal] == ["Eval", "Init", "Init", "Eval", "C1"]
+    assert [i.operator for i in result.population] == ["Init", "Init"]
+    assert result.best.fitness == pytest.approx(1.616211778921738)
+    assert result.per_instance and result.history
+
+
+def test_replay_miss_still_propagates(tmp_path):
+    cassette = tmp_path / "empty.jsonl"
+    cassette.write_text("", encoding="utf-8")
+    cfg = EvolutionConfig(generations=0, population=2, seed=1)
+    with pytest.raises(ReplayMiss):
+        run_evolution(cfg, ReplayTransport(cassette), training_instances())

@@ -8,10 +8,9 @@ from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, Critique,
                        LiveTransport, MissingBlock, MissingSection,
                        MultipleBlocks, ParentRule, PromptBundle,
                        RecordingTransport, ReplayMiss, ReplayTransport,
-                       ScriptedTransport, TransportError, complete,
-                       extract_critique, extract_individual, load_cassette,
-                       render_evaluator_prompt, render_generator_prompt,
-                       request_digest)
+                       ScriptedTransport, TransportError, extract_critique,
+                       extract_individual, load_cassette, render_evaluator_prompt,
+                       render_generator_prompt, request_digest)
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,11 +102,11 @@ def test_record_then_replay_round_trip(tmp_path):
     cassette = tmp_path / "c.jsonl"
     rec = RecordingTransport(ScriptedTransport(["alpha", "beta", "gamma"]), cassette)
     prompts = [("p1", 0.3), ("p2", 0.5), ("p1", 0.3)]      # p1 asked twice
-    live_answers = [complete(p, t, rec, "Init") for p, t in prompts]
+    live_answers = [rec.send(p, t, "Init") for p, t in prompts]
     assert live_answers == ["alpha", "beta", "gamma"]
 
     rep = ReplayTransport(cassette)
-    replayed = [complete(p, t, rep, "Init") for p, t in prompts]
+    replayed = [rep.send(p, t, "Init") for p, t in prompts]
     assert replayed == live_answers                        # consumed in order
 
 
@@ -118,18 +117,6 @@ def test_replay_miss_names_digest(tmp_path):
     with pytest.raises(ReplayMiss) as e:
         rep.send("unseen prompt", 0.3)
     assert e.value.digest == request_digest("unseen prompt", 0.3)
-
-
-def test_replay_nonstrict_falls_back_in_file_order(tmp_path):
-    cassette = tmp_path / "c.jsonl"
-    rec = RecordingTransport(ScriptedTransport(["one", "two"]), cassette)
-    rec.send("a", 0.3)
-    rec.send("b", 0.3)
-    rep = ReplayTransport(cassette, strict=False)
-    assert rep.send("drifted", 0.3) == "one"
-    assert rep.send("b", 0.3) == "two"
-    with pytest.raises(ReplayMiss):
-        rep.send("anything", 0.3)
 
 
 def test_cassette_records_structure(tmp_path):
@@ -290,6 +277,3 @@ def test_scripted_transport_exhaustion():
     t.send("a", 0.1)
     with pytest.raises(TransportError):
         t.send("b", 0.1)
-    cyc = ScriptedTransport(["x"], cycle=True)
-    assert cyc.send("a", 0.1) == "x"
-    assert cyc.send("b", 0.1) == "x"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fafsp.expr import NodeLimitExceeded, ParseError
+from fafsp.expr import NodeLimitExceeded, ParseError, evaluate, parse
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import (BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source,
-                         eval_priority, load_rule_file, parse_rule, rank_arc_arrays,
-                         rank_arcs, save_rule_file, validate_rule)
-from fafsp.sim import compute_features, feasible_arcs, init_sim, run_dispatch
+from fafsp.rules import (BUILTIN_IDS, BUILTINS, RuleInvalid, RuleSpec, builtin_source,
+                         load_rule_file, rank_arc_arrays, rank_arcs, save_rule_file,
+                         validate_rule)
+from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch
 
 from helpers import make_instance
 
@@ -37,15 +37,18 @@ def test_edd_prefers_earlier_due():
     assert best == (1, 0)
 
 
+def score_of_first_arc(source, fv):
+    return evaluate(parse(source), fv.arc_columns([0], [0]), 1)[0]
+
+
 def test_expression_arithmetic():
     fv = FakeView({"pt": [3.0], "setup": [1.0]})
-    score = eval_priority(RuleSpec.expression("2*pt + setup"), fv, (0, 0))
-    assert score == pytest.approx(7.0)
+    assert score_of_first_arc("2*pt + setup", fv) == pytest.approx(7.0)
 
 
 def test_protected_division_in_priority():
     fv = FakeView({"due": [12.0], "util": [0.0]})
-    assert eval_priority(RuleSpec.expression("due/util"), fv, (0, 0)) == 0.0
+    assert score_of_first_arc("due/util", fv) == 0.0
 
 
 def test_tie_breaks_on_job_then_machine():
@@ -73,8 +76,8 @@ def test_builtin_semantics_on_live_state():
         (0, 50.0, [([{0: 2.0}], {1: 1.0})]),             # work 3
         (0, 50.0, [([{0: 6.0}], {1: 4.0})]),             # work 10
     ])
-    state = init_sim(inst)
-    fv = compute_features(state)
+    state = SimState(inst)
+    fv = FeatureView(state)
     arcs = feasible_arcs(state)
     assert rank_arcs(RuleSpec.builtin("LWKR+SPT"), fv, arcs)[0] == 0
     assert rank_arcs(RuleSpec.builtin("MWKR+SPT"), fv, arcs)[0] == 2
@@ -85,10 +88,10 @@ def test_spt_vs_eet_machine_choice():
     # machine 1 is faster but busy until t=4; EET takes the slower idle one
     inst = make_instance("ppa", [(0, 50.0, [([{0: 5.0, 1: 3.0}], {2: 1.0})]),
                                  (0, 50.0, [([{1: 4.0}], {2: 1.0})])])
-    state = init_sim(inst)
+    state = SimState(inst)
     from fafsp.sim import apply_arc
     apply_arc(state, (2, 1))                    # occupy fast machine until t=4
-    fv = compute_features(state)
+    fv = FeatureView(state)
     arcs = feasible_arcs(state)
     assert arcs == [(0, 0)]
     assert rank_arcs(RuleSpec.builtin("MOPNR+SPT"), fv, arcs) == (0, 0)
@@ -96,7 +99,7 @@ def test_spt_vs_eet_machine_choice():
 
 def test_builtin_source_parses_for_all_nine():
     for rid in BUILTIN_IDS:
-        prog = parse_rule(builtin_source(rid))
+        prog = parse(builtin_source(rid))
         assert prog.n_nodes >= 3
 
 
@@ -115,13 +118,13 @@ def test_scale_invariance_of_argmin():
                                             n_init=3, seed=77))
     base_src = "due - now + 0.5*pt + setup + 0.1*queue"
     rules = {c: RuleSpec.expression(f"({base_src})*{c}") for c in (1.0, 2.0, 10.0, 0.5)}
-    state = init_sim(inst)
+    state = SimState(inst)
     from fafsp.sim import _advance, apply_arc
     checked = 0
     while state.done_count < state.t.J:
         jobs, machs = state._arc_arrays()
         if len(jobs):
-            fv = compute_features(state)
+            fv = FeatureView(state)
             arcs = list(zip(jobs.tolist(), machs.tolist()))
             picks = {c: rank_arcs(r, fv, arcs) for c, r in rules.items()}
             assert len(set(picks.values())) == 1
@@ -142,9 +145,9 @@ def test_validate_rule_outcomes():
 
 def test_parse_rule_error_surface():
     with pytest.raises(ParseError):
-        parse_rule("min(due,")
+        parse("min(due,")
     with pytest.raises(NodeLimitExceeded):
-        parse_rule("1" + "+1" * 600)
+        parse("1" + "+1" * 600)
 
 
 def test_rule_file_round_trip(tmp_path):
@@ -165,11 +168,12 @@ def test_rule_file_builtin_saved_as_expression(tmp_path):
     assert loaded.spec.source == builtin_source("EDD")
 
 
-def test_eval_priority_builtin_composite():
+def test_builtin_composite_keys():
     fv = FakeView({"due": [15.0], "now": [2.0], "avail": [1.0],
                    "setup": [0.5], "pt": [3.0]})
-    score = eval_priority(RuleSpec.builtin("EDD"), fv, (0, 0))
-    assert score == (15.0, 2.0 + 0.5 + 3.0)
+    cols = fv.arc_columns([0], [0])
+    job, machine = BUILTINS["EDD"]
+    assert (job.fn(cols)[0], machine.fn(cols)[0]) == (15.0, 2.0 + 0.5 + 3.0)
 
 
 def test_validate_rule_rejects_deep_nesting():

@@ -10,9 +10,8 @@ from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import RuleSpec, rank_arcs
 from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
                        InfeasibleArcError, SimState, advance_clock, apply_arc,
-                       compute_features, extract_schedule, feasible_arcs,
-                       init_sim, replay_arcs, run_dispatch, schedule_from_text,
-                       schedule_to_text, total_tardiness)
+                       extract_schedule, feasible_arcs, replay_arcs, run_dispatch,
+                       schedule_from_text, schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance
@@ -50,7 +49,7 @@ def test_setup_charged_from_true_predecessor():
 
 
 def test_init_all_arrived_no_events():
-    state = init_sim(minimal_instance())
+    state = SimState(minimal_instance())
     assert state.events == []
     assert feasible_arcs(state) == [(0, 0)]
 
@@ -58,14 +57,14 @@ def test_init_all_arrived_no_events():
 def test_init_event_count_matches_dynamic_orders():
     inst = generate_instance(ScenarioConfig(m1=1, m2=2, phi=1.0, alpha=4, mu=1.0,
                                             n_init=2, seed=21))
-    state = init_sim(inst)
+    state = SimState(inst)
     assert len(state.events) == 4
 
 
 def test_n_init_zero_first_epoch_advances():
     inst = generate_instance(ScenarioConfig(m1=1, m2=1, phi=1.0, alpha=2, mu=1.0,
                                             n_init=0, seed=3))
-    state = init_sim(inst)
+    state = SimState(inst)
     assert feasible_arcs(state) == []
     advance_clock(state)
     assert state.clock > 0
@@ -74,7 +73,7 @@ def test_n_init_zero_first_epoch_advances():
 
 def test_assembly_blocked_until_kit_complete():
     inst = make_instance("ppa", [(0, 100, [([{0: 2.0}, {1: 4.0}], {2: 1.0})])])
-    state = init_sim(inst)
+    state = SimState(inst)
     assert (2, 2) not in feasible_arcs(state)
     apply_arc(state, (0, 0))
     apply_arc(state, (1, 1))
@@ -88,13 +87,13 @@ def test_assembly_blocked_until_kit_complete():
 
 def test_one_job_two_idle_machines_two_arcs():
     inst = make_instance("ppa", [(0, 100, [([{0: 2.0, 1: 3.0}], {2: 1.0})])])
-    state = init_sim(inst)
+    state = SimState(inst)
     assert feasible_arcs(state) == [(0, 0), (0, 1)]
 
 
 def test_apply_arc_rejects_infeasible():
     inst = make_instance("ppa", [(0, 100, [([{0: 2.0, 1: 3.0}], {2: 1.0})])])
-    state = init_sim(inst)
+    state = SimState(inst)
     apply_arc(state, (0, 0))
     with pytest.raises(InfeasibleArcError):
         apply_arc(state, (0, 1))             # same job again
@@ -103,36 +102,35 @@ def test_apply_arc_rejects_infeasible():
 
 
 def test_advance_requires_exhausted_epoch():
-    state = init_sim(minimal_instance())
+    state = SimState(minimal_instance())
     with pytest.raises(InfeasibleArcError):
         advance_clock(state)
 
 
 def test_features_mean_et_and_idle_machine():
     inst = make_instance("ppa", [(0, 100, [([{0: 4.0, 1: 6.0}], {2: 1.0})])])
-    state = init_sim(inst)
-    fv = compute_features(state)
-    assert fv.et[0] == pytest.approx(5.0)          # mean of {4, 6}
-    assert fv.machine_idle_at[1] == 0.0
-    assert fv.machine_busy[1] == 0.0
-    assert fv.n_mach[0] == 2
+    state = SimState(inst)
+    cols = FeatureView(state).arc_columns(np.array([0]), np.array([1]))
+    assert cols["et"][0] == pytest.approx(5.0)     # mean of {4, 6}
+    assert cols["avail"][0] == 0.0                 # machine 1 idle since t=0
+    assert cols["util"][0] == 0.0
+    assert cols["n_mach"][0] == 2
 
 
 def test_queue_counts_consistent_with_feasible_arcs():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=2, mu=1.0,
                                             n_init=3, seed=8))
-    state = init_sim(inst)
-    fv = compute_features(state)
+    state = SimState(inst)
     arcs = feasible_arcs(state)
     for m in range(inst.num_machines):
         ready_eligible = sum(1 for (j, mm) in arcs if mm == m)
         if state.m_idle[m] <= state.clock:
-            assert fv.machine_queue[m] == ready_eligible
+            assert state.m_queue[m] == ready_eligible
 
 
 def test_realized_et_after_dispatch():
     inst = make_instance("ppa", [(0, 100, [([{0: 4.0, 1: 6.0}], {2: 1.0})])])
-    state = init_sim(inst)
+    state = SimState(inst)
     apply_arc(state, (0, 1))
     assert state.et[0] == pytest.approx(6.0)
 
@@ -163,7 +161,7 @@ def test_completions_processed_before_arrivals_at_same_time():
         (0, 100.0, [([{0: 5.0}], {1: 1.0})]),
         (5.0, 100.0, [([{0: 2.0}], {1: 1.0})]),
     ])
-    state = init_sim(inst)
+    state = SimState(inst)
     apply_arc(state, (0, 0))
     advance_clock(state)
     assert state.clock == 5.0
@@ -172,7 +170,7 @@ def test_completions_processed_before_arrivals_at_same_time():
 
 
 def test_deadlock_detected_when_events_vanish():
-    state = init_sim(minimal_instance())
+    state = SimState(minimal_instance())
     apply_arc(state, (0, 0))
     state.events.clear()            # simulate a broken model
     with pytest.raises(DeadlockError):
@@ -238,18 +236,15 @@ def test_schedule_text_round_trip():
     assert again.ft == sched.ft and again.tt == sched.tt
 
 
-def test_arc_columns_gather_every_accessor_on_first_read():
+def test_unbound_view_gathers_every_accessor():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=2, mu=1.0,
                                             n_init=3, seed=8))
-    state = init_sim(inst)
+    state = SimState(inst)
     jobs, machs = state._arc_arrays()
     cols = FeatureView(state).arc_columns(jobs, machs)
-    assert len(cols) == 0
+    assert set(cols) == set(ACCESSORS)
     for name in ACCESSORS:
         assert cols[name].shape == (len(jobs),) and cols[name].dtype == float
-    assert set(cols) == set(ACCESSORS)
-    with pytest.raises(KeyError):
-        cols["deadline"]
 
 
 # -- the per-epoch kernel against re-enumeration after every arc ---------------
@@ -334,7 +329,7 @@ def test_zero_length_dispatch_leaves_machine_idle():
     assert validate_schedule(ZERO_LENGTH, sched) == []
 
 
-# -- one-call gathers against the lazy mapping -----------------------------------
+# -- a rule's read set against the full gather -------------------------------------
 
 BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}
 
@@ -342,7 +337,7 @@ BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=generated_instances, steps=st.integers(0, 60),
        reads=st.sets(st.sampled_from(sorted(ACCESSORS))))
-def test_bound_gather_equals_lazy_mapping(inst, steps, reads):
+def test_bound_gather_equals_full_gather(inst, steps, reads):
     state = SimState(inst)
     for _ in range(steps):                  # walk to a random mid-rollout state
         if state.done_count == state.t.J:
@@ -354,12 +349,11 @@ def test_bound_gather_equals_lazy_mapping(inst, steps, reads):
             advance_clock(state)
     jobs, machs = state._arc_arrays()
     bound = FeatureView(state, reads).arc_columns(jobs, machs)
-    lazy = FeatureView(state).arc_columns(jobs, machs)
-    assert type(bound) is dict
+    full = FeatureView(state).arc_columns(jobs, machs)
     assert set(bound) == reads.union(*(BASES.get(name, set()) for name in reads))
     for name, col in bound.items():
-        assert col.dtype == lazy[name].dtype == float
-        assert np.array_equal(col, lazy[name])
+        assert col.dtype == full[name].dtype == float
+        assert np.array_equal(col, full[name])
 
 
 def test_unknown_read_is_rejected():
