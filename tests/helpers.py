@@ -60,3 +60,17 @@ def tiny_oracle_instance(seed, max_jobs=8):
         if inst.num_jobs <= max_jobs:
             return inst
         s += 100_000
+
+
+def tiny_dynamic_instance(seed, alpha=2, n_init=0, mu=4.0, T=0.7, max_jobs=8):
+    """Random instance with orders arriving after time zero, small enough for
+    the oracle; heavy load and tight due dates by default."""
+    from fafsp.generator import ScenarioConfig, generate_instance
+
+    s = seed
+    while True:
+        inst = generate_instance(ScenarioConfig(
+            m1=1, m2=2, phi=1.0, alpha=alpha, mu=mu, T=T, n_init=n_init, seed=s))
+        if inst.num_jobs <= max_jobs:
+            return inst
+        s += 100_000

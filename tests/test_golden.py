@@ -3,6 +3,9 @@
 Each digest is the SHA-256 of ``schedule_to_text`` for one (instance, rule)
 rollout. Performance work must never change what gets dispatched, so any
 kernel change that moves a single arc, start time or float bit fails here.
+The oracle is pinned the same way: the ``repr`` of its optimum and the digest
+of its schedule, on every instance the tests and demo 04 give it, plus
+dynamic and hand-built ones with late arrivals and zero-length jobs.
 """
 
 import hashlib
@@ -12,8 +15,12 @@ from pathlib import Path
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import BUILTIN_IDS, RuleSpec
 from fafsp.sim import run_dispatch, schedule_to_text
+from fafsp.validator import brute_force_optimum
+
+from helpers import make_instance, tiny_dynamic_instance, tiny_oracle_instance
 
 GOLDEN = Path(__file__).parent / "data" / "golden_schedules.json"
+GOLDEN_ORACLE = Path(__file__).parent / "data" / "golden_oracle.json"
 
 SCENARIOS = {
     "2-3-0.7-4-2.0": ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=4, mu=2.0, n_init=2, seed=11),
@@ -59,3 +66,67 @@ def test_golden_schedule_digests():
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, f"schedules changed: {changed}"
 
+
+
+# -- the oracle ---------------------------------------------------------------
+
+# arrivals that coincide with completions, zero-length jobs (a zero-length
+# dispatch leaves its machine idle), setups and decimal times
+HAND_BUILT = {
+    "zero-pt": lambda: make_instance("ppa", [
+        (0.0, 3.0, [([{0: 2.0}, {1: 0.0}], {2: 1.0})]),
+        (2.0, 4.0, [([{0: 0.0, 1: 1.5}], {2: 0.0})]),
+        (2.0, 2.5, [([{1: 1.0}], {2: 0.5})]),
+    ], setup=0.5),
+    "equal-times": lambda: make_instance("ppaa", [
+        (0.0, 2.0, [([{0: 1.0}, {1: 1.0}], {2: 1.0, 3: 2.0})]),
+        (1.0, 3.0, [([{0: 1.0, 1: 2.0}], {2: 1.0})]),
+        (2.0, 2.0, [([{1: 0.0}], {3: 0.0})]),
+    ]),
+    "zero-order-late": lambda: make_instance("pa", [
+        (0.0, 1.0, [([{0: 1.5}], {1: 0.5})]),
+        (1.5, 1.5, [([{0: 0.0}], {1: 0.0})]),
+        (1.5, 2.0, [([{0: 0.5}], {1: 0.0})]),
+    ]),
+    "decimal": lambda: make_instance("ppa", [
+        (0.0, 0.3, [([{0: 0.1}, {1: 0.2}], {2: 0.1})]),
+        (0.1, 0.4, [([{0: 0.2, 1: 0.1}], {2: 0.2})]),
+        (0.3, 0.6, [([{0: 0.3}], {2: 0.1})]),
+    ], setup=0.1),
+    "setups": lambda: make_instance("pa", [
+        (0.0, 4.0, [([{0: 1.0}], {1: 1.0}), ([{0: 2.0}], {1: 0.0})]),
+        (1.0, 3.0, [([{0: 0.0}, {0: 1.0}], {1: 0.5})]),
+    ], setup=1.0),
+}
+
+
+def oracle_instances() -> dict:
+    """'<set>/<seed or name>' -> instance."""
+    out = {f"acceptance2/{7000 + 37 * k}": tiny_oracle_instance(7000 + 37 * k)
+           for k in range(50)}
+    out.update({f"validator/{6000 + k}": tiny_oracle_instance(6000 + k) for k in range(10)})
+    out.update({f"demo04/{s}": tiny_oracle_instance(s) for s in (101, 202, 303, 404)})
+    out.update({f"dynamic/{s}": tiny_dynamic_instance(s) for s in range(1, 6)})
+    out.update({f"dynamic-mixed/{s}": tiny_dynamic_instance(s, alpha=1, n_init=1)
+                for s in range(1, 4)})
+    out.update({f"hand/{name}": build() for name, build in HAND_BUILT.items()})
+    return out
+
+
+def golden_oracle() -> dict[str, dict[str, str]]:
+    """name -> the optimum's repr and the SHA-256 of its schedule text."""
+    out = {}
+    for name, inst in oracle_instances().items():
+        value, sched = brute_force_optimum(inst)
+        text = schedule_to_text(sched)
+        out[name] = {"value": repr(value),
+                     "schedule": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    return out
+
+
+def test_golden_oracle():
+    want = json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8"))
+    got = golden_oracle()
+    assert set(got) == set(want)
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, f"oracle results changed: {changed}"
