@@ -1,9 +1,10 @@
-"""Independent checks: constraint validation and the exhaustive oracle.
+"""Independent checks: constraint validation and the optimal oracle.
 
 The validator re-derives feasibility straight from the instance data and
-never looks at rules or features. The brute-force oracle enumerates every
-non-delay dispatch sequence of a tiny instance through the same transition
-function the engine uses, so any rule's rollout is bounded below by it.
+never looks at rules or features. The oracle searches the non-delay dispatch
+sequences of a tiny instance by branch and bound, through the same
+transition function the engine uses, so any rule's rollout is bounded below
+by it.
 """
 
 from fafsp.generator import ScenarioConfig, generate_instance

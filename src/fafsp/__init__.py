@@ -6,8 +6,7 @@ from .model import (Instance, InstanceFormatError, Job, Machine, Order, Product,
 from .generator import ScenarioConfig, generate_instance, load_scenario
 from .sim import (FeatureView, Schedule, SimState, advance_clock, apply_arc,
                   feasible_arcs, run_dispatch, total_tardiness)
-from .rules import (BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source, rank_arcs,
-                    validate_rule)
+from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .validator import Violation, brute_force_optimum, validate_schedule
 from .llm import (Critique, LiveTransport, PromptBundle, RecordingTransport,
                   ReplayTransport, ScriptedTransport, extract_critique,

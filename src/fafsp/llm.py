@@ -56,6 +56,11 @@ class TransportError(RuntimeError):
     pass
 
 
+class CassetteFormatError(ValueError):
+    """A cassette line that is not a record with a string digest and a
+    string response."""
+
+
 class ReplayMiss(KeyError):
     def __init__(self, digest: str):
         super().__init__(f"no unconsumed cassette record for digest {digest}")
@@ -295,11 +300,24 @@ class ReplayTransport:
 
 
 def load_cassette(path) -> list[dict]:
+    """Records of a cassette file, one JSON object per non-blank line; raises
+    CassetteFormatError naming the first malformed line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+        for ln, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as e:
+                raise CassetteFormatError(f"cassette {path} line {ln}: {e}") from None
+            if not isinstance(rec, dict):
+                raise CassetteFormatError(f"cassette {path} line {ln}: not a JSON object")
+            for key in ("digest", "response"):
+                if not isinstance(rec.get(key), str):
+                    raise CassetteFormatError(
+                        f"cassette {path} line {ln}: {key!r} is not a string")
+            records.append(rec)
     return records
 
 

@@ -102,16 +102,6 @@ class Instance:
     def machines_of(self, stage: Stage) -> list[Machine]:
         return [m for m in self.machines if m.stage == stage]
 
-    def order_of_job(self, job_id: int) -> Order:
-        return self.orders[self._job_index[job_id].order_id]
-
-    def product_of_job(self, job_id: int) -> Product:
-        job = self._job_index[job_id]
-        for p in self.orders[job.order_id].products:
-            if p.id == job.product_id:
-                return p
-        raise KeyError(job_id)
-
     def setup_time(self, prev_job_id: int | None, job_id: int) -> float:
         """Changeover before ``job_id`` when ``prev_job_id`` ran last (None = fresh machine)."""
         row = 0 if prev_job_id is None else prev_job_id + 1
@@ -339,9 +329,3 @@ def load_instance(path) -> Instance:
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     return instance_from_doc(doc)
-
-
-def instances_equal(a: Instance, b: Instance) -> bool:
-    """Structural equality (used by round-trip tests)."""
-    return (a.machines == b.machines and a.orders == b.orders and a.jobs == b.jobs
-            and a.setup.shape == b.setup.shape and np.array_equal(a.setup, b.setup))

@@ -12,7 +12,6 @@ and rollouts are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -103,15 +102,6 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
         raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
                           f"for arc (job {jobs[k]}, machine {machs[k]})")
     return int(scores.argmin())
-
-
-def rank_arcs(rule: RuleSpec, fv, arcs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Best arc under the rule: argmin by (score, job id, machine id)."""
-    arcs = sorted(arcs)
-    jobs = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=len(arcs))
-    machs = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
-    k = rank_arc_arrays(rule, fv, jobs, machs)
-    return (int(jobs[k]), int(machs[k]))
 
 
 def builtin_source(rule_id: str) -> str:

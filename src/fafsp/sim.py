@@ -187,7 +187,7 @@ class SimState:
         return t.arc_job[ok], t.arc_mach[ok]
 
     def clone(self) -> "SimState":
-        """Independent copy (used by the exhaustive-search oracle)."""
+        """Independent copy (used by the oracle's search)."""
         other = object.__new__(SimState)
         other.inst, other.t, other.clock = self.inst, self.t, self.clock
         for name in ("status", "et", "pred_remaining", "order_ops_rem",

@@ -49,8 +49,18 @@ def minimal_instance(due=10.0, proc_pt=5.0, asm_pt=3.0, arrival=0.0):
     return make_instance("pa", [(arrival, due, [([{0: proc_pt}], {1: asm_pt})])])
 
 
+def pick_arc(rule, fv, arcs):
+    """The arc the rule dispatches among arcs listed in (job, machine) order,
+    as feasible_arcs lists them."""
+    from fafsp.rules import rank_arc_arrays
+
+    jobs = np.array([j for j, _ in arcs], dtype=np.int64)
+    machs = np.array([m for _, m in arcs], dtype=np.int64)
+    return arcs[rank_arc_arrays(rule, fv, jobs, machs)]
+
+
 def tiny_oracle_instance(seed, max_jobs=8):
-    """Random all-at-time-zero instance small enough for the exhaustive oracle."""
+    """Random all-at-time-zero instance small enough for the oracle."""
     from fafsp.generator import ScenarioConfig, generate_instance
 
     s = seed

@@ -226,6 +226,25 @@ def test_cli_evolve_replay_miss_is_transport_failure(tmp_path):
                  "--cassette", str(cassette), "--out", str(tmp_path / "r")]) == 3
 
 
+def test_cli_evolve_malformed_cassette_exits_1(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    _write_scenario(scen)
+    main(["gen", "--scenario", str(scen), "--count", "1", "--out", str(tmp_path / "tr")])
+    cfg_path = tmp_path / "evo.json"
+    cfg_path.write_text(json.dumps({
+        "generations": 0, "population": 2, "seed": 4,
+        "training_instances": [str(tmp_path / "tr" / "inst_42_0.json")],
+    }), encoding="utf-8")
+    cassette = tmp_path / "bad.jsonl"
+    cassette.write_text('{"x": 1}\n', encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg_path), "--transport", "replay",
+                 "--cassette", str(cassette), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cassette ") and "line 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"strategies": [{"operator": "C1", "critique": True}]},
     {"bogus": 1},

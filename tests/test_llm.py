@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, Critique,
-                       LiveTransport, MissingBlock, MissingSection,
+from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
+                       Critique, LiveTransport, MissingBlock, MissingSection,
                        MultipleBlocks, ParentRule, PromptBundle,
                        RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport, TransportError, extract_critique,
@@ -117,6 +117,26 @@ def test_replay_miss_names_digest(tmp_path):
     with pytest.raises(ReplayMiss) as e:
         rep.send("unseen prompt", 0.3)
     assert e.value.digest == request_digest("unseen prompt", 0.3)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"x": 1}', "'digest' is not a string"),
+    ('{"digest": "%s"}' % ("0" * 64), "'response' is not a string"),
+    ('{"digest": "%s", "response": 7}' % ("0" * 64), "'response' is not a string"),
+    ('{"digest": null, "response": "r"}', "'digest' is not a string"),
+    ('["digest", "response"]', "not a JSON object"),
+    ('"text"', "not a JSON object"),
+    ('{"digest": ', "Expecting value"),
+])
+def test_malformed_cassette_line_is_rejected_at_load(tmp_path, line, problem):
+    cassette = tmp_path / "c.jsonl"
+    RecordingTransport(ScriptedTransport(["x"]), cassette).send("p", 0.3)
+    with cassette.open("a", encoding="utf-8") as fh:
+        fh.write("\n" + line + "\n")        # a blank line does not count
+    with pytest.raises(CassetteFormatError, match="line 3") as e:
+        ReplayTransport(cassette)
+    assert problem in str(e.value)
+    assert isinstance(e.value, ValueError)
 
 
 def test_cassette_records_structure(tmp_path):

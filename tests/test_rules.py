@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from fafsp.expr import NodeLimitExceeded, ParseError, evaluate, parse
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import (BUILTIN_IDS, BUILTINS, RuleInvalid, RuleSpec, builtin_source,
-                         load_rule_file, rank_arc_arrays, rank_arcs, save_rule_file,
-                         validate_rule)
+                         load_rule_file, rank_arc_arrays, save_rule_file, validate_rule)
 from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch
 
-from helpers import make_instance
+from helpers import make_instance, pick_arc
 
 
 class FakeView:
@@ -33,7 +32,7 @@ class FakeView:
 
 def test_edd_prefers_earlier_due():
     fv = FakeView({"due": [20.0, 15.0], "now": [0.0, 0.0]})
-    best = rank_arcs(RuleSpec.builtin("EDD"), fv, [(0, 0), (1, 0)])
+    best = pick_arc(RuleSpec.builtin("EDD"), fv, [(0, 0), (1, 0)])
     assert best == (1, 0)
 
 
@@ -53,21 +52,21 @@ def test_protected_division_in_priority():
 
 def test_tie_breaks_on_job_then_machine():
     fv = FakeView({"due": [5.0, 5.0, 5.0]})
-    best = rank_arcs(RuleSpec.builtin("EDD"), fv, [(2, 1), (1, 2), (1, 1)])
+    best = pick_arc(RuleSpec.builtin("EDD"), fv, [(1, 1), (1, 2), (2, 1)])
     assert best == (1, 1)
 
 
 def test_singleton_arc_wins_regardless_of_rule():
     fv = FakeView({"et": [50.0]})
     rule = RuleSpec.expression("exp(exp(exp(et)))")     # would overflow
-    assert rank_arcs(rule, fv, [(3, 2)]) == (3, 2)
+    assert pick_arc(rule, fv, [(3, 2)]) == (3, 2)
 
 
 def test_nonfinite_score_raises_rule_invalid():
     fv = FakeView({"et": [50.0, 50.0]})
     rule = RuleSpec.expression("exp(exp(exp(et)))")
     with pytest.raises(RuleInvalid, match="job"):
-        rank_arcs(rule, fv, [(0, 0), (0, 1)])
+        pick_arc(rule, fv, [(0, 0), (0, 1)])
 
 
 def test_builtin_semantics_on_live_state():
@@ -79,9 +78,9 @@ def test_builtin_semantics_on_live_state():
     state = SimState(inst)
     fv = FeatureView(state)
     arcs = feasible_arcs(state)
-    assert rank_arcs(RuleSpec.builtin("LWKR+SPT"), fv, arcs)[0] == 0
-    assert rank_arcs(RuleSpec.builtin("MWKR+SPT"), fv, arcs)[0] == 2
-    assert rank_arcs(RuleSpec.builtin("FIFO+SPT"), fv, arcs)[0] == 0  # tie -> job id
+    assert pick_arc(RuleSpec.builtin("LWKR+SPT"), fv, arcs)[0] == 0
+    assert pick_arc(RuleSpec.builtin("MWKR+SPT"), fv, arcs)[0] == 2
+    assert pick_arc(RuleSpec.builtin("FIFO+SPT"), fv, arcs)[0] == 0  # tie -> job id
 
 
 def test_spt_vs_eet_machine_choice():
@@ -94,7 +93,7 @@ def test_spt_vs_eet_machine_choice():
     fv = FeatureView(state)
     arcs = feasible_arcs(state)
     assert arcs == [(0, 0)]
-    assert rank_arcs(RuleSpec.builtin("MOPNR+SPT"), fv, arcs) == (0, 0)
+    assert pick_arc(RuleSpec.builtin("MOPNR+SPT"), fv, arcs) == (0, 0)
 
 
 def test_builtin_source_parses_for_all_nine():
@@ -125,11 +124,10 @@ def test_scale_invariance_of_argmin():
         jobs, machs = state._arc_arrays()
         if len(jobs):
             fv = FeatureView(state)
-            arcs = list(zip(jobs.tolist(), machs.tolist()))
-            picks = {c: rank_arcs(r, fv, arcs) for c, r in rules.items()}
+            picks = {c: rank_arc_arrays(r, fv, jobs, machs) for c, r in rules.items()}
             assert len(set(picks.values())) == 1
             checked += 1
-            apply_arc(state, picks[1.0])
+            apply_arc(state, (jobs[picks[1.0]], machs[picks[1.0]]))
         else:
             _advance(state)
     assert checked > 10

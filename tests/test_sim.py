@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import RuleSpec, rank_arcs
+from fafsp.rules import RuleSpec
 from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
                        InfeasibleArcError, SimState, advance_clock, apply_arc,
                        extract_schedule, feasible_arcs, replay_arcs, run_dispatch,
                        schedule_from_text, schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
-from helpers import make_instance, minimal_instance
+from helpers import make_instance, minimal_instance, pick_arc
 
 EDD = RuleSpec.builtin("EDD")
 
@@ -268,7 +268,7 @@ def _reference_dispatch(inst, rule):
         arcs = feasible_arcs(state)
         assert arcs == _python_arcs(inst, state)
         if arcs:
-            apply_arc(state, rank_arcs(rule, FeatureView(state), arcs))
+            apply_arc(state, pick_arc(rule, FeatureView(state), arcs))
         else:
             advance_clock(state)
     return extract_schedule(state)
@@ -344,7 +344,7 @@ def test_bound_gather_equals_full_gather(inst, steps, reads):
             break
         arcs = feasible_arcs(state)
         if arcs:
-            apply_arc(state, rank_arcs(EDD, FeatureView(state), arcs))
+            apply_arc(state, pick_arc(EDD, FeatureView(state), arcs))
         else:
             advance_clock(state)
     jobs, machs = state._arc_arrays()

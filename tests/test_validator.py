@@ -1,16 +1,20 @@
-"""Independent schedule checks and the exhaustive non-delay oracle."""
+"""Independent schedule checks and the branch-and-bound non-delay oracle."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import BUILTIN_IDS, RuleSpec
-from fafsp.sim import ArcRecord, Schedule, run_dispatch, total_tardiness
+from fafsp.sim import (ArcRecord, Schedule, SimState, advance_clock, apply_arc,
+                       feasible_arcs, run_dispatch, total_tardiness)
 from fafsp.validator import (ARRIVAL_BREACH, DELIVERY_MISMATCH, MACHINE_OVERLAP,
                              PRECEDENCE, SETUP_MISMATCH, TARDINESS_MISMATCH,
-                             UNASSIGNED, OracleLimitError, brute_force_optimum,
-                             validate_schedule)
+                             UNASSIGNED, OracleLimitError, _tardiness_bound,
+                             brute_force_optimum, validate_schedule)
 
-from helpers import make_instance, minimal_instance, tiny_oracle_instance
+from helpers import (make_instance, minimal_instance, tiny_dynamic_instance,
+                     tiny_oracle_instance)
 
 
 def _two_stage_instance():
@@ -140,3 +144,165 @@ def test_oracle_tie_break_is_lexicographic():
     ])
     _, osched = brute_force_optimum(inst)
     assert osched.arcs[0].job == 0
+
+
+def test_small_state_budget_raises():
+    inst = tiny_oracle_instance(7000)
+    with pytest.raises(OracleLimitError, match="exceeded 5 states"):
+        brute_force_optimum(inst, max_states=5)
+
+
+# -- branch and bound against the exhaustive search ----------------------------
+
+def _exhaustive_optimum(inst):
+    """Reference: the oracle's former search over every non-delay sequence,
+    memoised on the state. Returns (value, arc log)."""
+    memo = {}
+
+    def dfs(state):
+        if state.done_count == state.t.J:
+            return 0.0, ()
+        key = (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
+               state.m_last.tobytes(), state.order_ft.tobytes())
+        if key in memo:
+            return memo[key]
+        arcs = feasible_arcs(state)
+        if not arcs:
+            before = float(state.order_tt.sum())
+            advance_clock(state)
+            gained = float(state.order_tt.sum()) - before
+            sub, log = dfs(state)
+            best = (gained + sub, log)
+        else:
+            best = None
+            for arc in arcs:
+                sub, log = dfs(apply_arc(state.clone(), arc))
+                cand = (sub, (arc,) + log)
+                if best is None or cand < best:
+                    best = cand
+        memo[key] = best
+        return best
+
+    return dfs(SimState(inst))
+
+
+# decimal times, so that sums which tie in exact arithmetic can differ in
+# their last bit, and zero-length jobs
+TIMES = [0.0, 0.1, 0.2, 0.3, 0.4, 0.7, 1.3, 2.0]
+
+
+@st.composite
+def tiny_instances(draw):
+    n_p, n_a = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    proc_ms, asm_ms = list(range(n_p)), list(range(n_p, n_p + n_a))
+
+    def eligible(machines):
+        ms = draw(st.lists(st.sampled_from(machines), min_size=1,
+                           max_size=len(machines), unique=True))
+        return {m: draw(st.sampled_from(TIMES)) for m in ms}
+
+    budget = draw(st.integers(2, 7))            # jobs
+    orders = []
+    while budget >= 2 and (not orders or draw(st.booleans())):
+        arrival = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+        due = arrival + draw(st.sampled_from([0.0, 0.3, 0.6, 1.0, 2.5]))
+        products = []
+        while budget >= 2 and (not products or draw(st.booleans())):
+            parts = draw(st.integers(1, min(3, budget - 1)))
+            products.append(([eligible(proc_ms) for _ in range(parts)], eligible(asm_ms)))
+            budget -= parts + 1
+        orders.append((arrival, due, products))
+    setup = draw(st.sampled_from([None, 0.1, 0.2, 0.5]))
+    return make_instance("p" * n_p + "a" * n_a, orders, setup=setup)
+
+
+def _arcs(sched):
+    return tuple((a.job, a.machine) for a in sched.arcs)
+
+
+# the optimum is 3 in exact arithmetic, reached by paths whose tardiness
+# sums round to 3.0 and to 2.9999999999999996; only the latter is optimal,
+# and a prune at bound == incumbent would cut it
+ROUNDING_TIE = make_instance("ppa", [
+    (0.3, 0.4, [([{0: 0.7}], {2: 1.3})]),
+    (0.0, 0.3, [([{1: 0.0}], {2: 0.0})]),
+    (0.0, 0.0, [([{0: 0.0, 1: 0.1}, {0: 0.4, 1: 0.3}], {2: 0.0})]),
+], setup=0.2)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=tiny_instances())
+@example(inst=ROUNDING_TIE)
+def test_branch_and_bound_matches_exhaustive_search(inst):
+    value, sched = brute_force_optimum(inst)
+    assert (value, _arcs(sched)) == _exhaustive_optimum(inst)
+
+
+def test_branch_and_bound_matches_exhaustive_search_on_generated_instances():
+    for seed in (11, 12, 13):
+        for inst in (tiny_oracle_instance(seed), tiny_dynamic_instance(seed),
+                     tiny_dynamic_instance(seed, alpha=1, n_init=1)):
+            value, sched = brute_force_optimum(inst)
+            assert (value, _arcs(sched)) == _exhaustive_optimum(inst)
+
+
+def _states_along(inst, rule):
+    """Every decision state of the rule's rollout, with its fixed tardiness,
+    and the rollout's total tardiness."""
+    sched = run_dispatch(inst, rule)
+    state, states = SimState(inst), []
+    for a in sched.arcs:
+        while (a.job, a.machine) not in feasible_arcs(state):
+            advance_clock(state)
+        states.append((state.clone(), float(state.order_tt.sum())))
+        apply_arc(state, (a.job, a.machine))
+    return states, total_tardiness(sched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=tiny_instances(), rid=st.sampled_from(BUILTIN_IDS))
+def test_tardiness_bound_is_a_lower_bound(inst, rid):
+    bound = _tardiness_bound(inst)
+    states, total = _states_along(inst, RuleSpec.builtin(rid))
+    for state, fixed in states:
+        assert bound(state, fixed) <= total + 1e-9
+    assert bound(*states[0]) <= brute_force_optimum(inst)[0] + 1e-9
+
+
+def test_tardiness_bound_counts_late_delivered_products():
+    # product 0 is delivered at 6, one unit after the order's due date; the
+    # other product's parts are done by 5, but its assembly cannot start
+    # before the clock
+    inst = make_instance("pa", [(0.0, 5.0, [([{0: 4.0}], {1: 2.0}),
+                                            ([{0: 1.0}], {1: 0.0})])])
+    state = SimState(inst)
+    apply_arc(state, (0, 0))
+    advance_clock(state)                      # t = 4: job 0 done
+    apply_arc(state, (1, 1))                  # assembly 0 ends at 6
+    apply_arc(state, (2, 0))
+    advance_clock(state)                      # t = 5: job 2 done
+    advance_clock(state)                      # t = 6: assembly 0 done
+    assert state.order_ft[0] == 6.0 and state.order_tt[0] == 0.0
+    assert _tardiness_bound(inst)(state, 0.0) == 1.0
+
+
+def test_tardiness_bound_is_exact_once_everything_runs():
+    inst = tiny_oracle_instance(7000)
+    states, total = _states_along(inst, RuleSpec.builtin("EDD"))
+    state, fixed = states[-1]
+    apply_arc(state, _arcs(run_dispatch(inst, RuleSpec.builtin("EDD")))[-1])
+    assert _tardiness_bound(inst)(state, fixed) == pytest.approx(total, abs=1e-12)
+
+
+def test_search_stays_small():
+    # the nodes the search expands: a smaller memo, no stop at the first
+    # zero-tardiness leaf (6002's optimum is 0) or a bound that ignores
+    # arrivals (the late order's tardiness is at least 1 from the start)
+    # needs more
+    late_order = make_instance("ppa", [
+        (0.0, 2.0, [([{0: 1.5}, {1: 1.0}], {2: 2.0}), ([{0: 1.0, 1: 0.5}], {2: 1.0})]),
+        (4.0, 4.0, [([{1: 1.0}], {2: 1.0})]),
+    ])
+    for inst, nodes in ((tiny_oracle_instance(7037), 2097), (tiny_dynamic_instance(2), 381),
+                        (tiny_oracle_instance(6002), 16), (late_order, 37)):
+        brute_force_optimum(inst, max_states=nodes)
