@@ -238,14 +238,6 @@ def test_branch_and_bound_matches_exhaustive_search(inst):
     assert (value, _arcs(sched)) == _exhaustive_optimum(inst)
 
 
-def test_branch_and_bound_matches_exhaustive_search_on_generated_instances():
-    for seed in (11, 12, 13):
-        for inst in (tiny_oracle_instance(seed), tiny_dynamic_instance(seed),
-                     tiny_dynamic_instance(seed, alpha=1, n_init=1)):
-            value, sched = brute_force_optimum(inst)
-            assert (value, _arcs(sched)) == _exhaustive_optimum(inst)
-
-
 def _states_along(inst, rule):
     """Every decision state of the rule's rollout, with its fixed tardiness,
     and the rollout's total tardiness."""
