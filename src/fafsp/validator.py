@@ -10,11 +10,8 @@ independent check on the engine.
 
 ``brute_force_optimum`` searches the non-delay dispatch sequences of a tiny
 instance through the very same transition function the engine uses and
-returns the minimum-tardiness schedule among them. It is a branch and bound:
-a subtree is cut only when a critical-path bound on its tardiness is strictly
-above the best complete schedule found so far, so it returns exactly what
-enumerating every sequence would, down to the tie-break between optimal arc
-logs.
+returns the minimum-tardiness schedule among them. It is a branch and bound
+that returns exactly what enumerating every sequence would.
 """
 
 from __future__ import annotations
