@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .generator import ScenarioConfig, generate_instance
+from .generator import ScenarioConfig, _is_number, generate_instance, scenario_from_doc
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -85,6 +85,8 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
     Replication k of a scenario regenerates it with seed + k, so the whole
     report is a pure function of (scenarios, rules, replications).
     """
+    if not _is_number(replications, True) or replications < 1:
+        raise ValueError(f"replications must be an integer >= 1, not {replications!r}")
     labels = [scenario_label(s) for s in scenarios]
     rule_names = [r.name for r in rules]
     mean: dict[tuple[str, str], float] = {}
@@ -115,11 +117,19 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
 
 
 def load_grid(path) -> tuple[list[ScenarioConfig], int]:
-    """Grid file: {"replications": n, "scenarios": [scenario docs]}."""
+    """Grid file: {"replications": n, "scenarios": [scenario docs]}; the
+    replication count defaults to 20 and is checked by ``run_benchmark``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    from .generator import scenario_from_doc
-    return [scenario_from_doc(d) for d in doc["scenarios"]], int(doc.get("replications", 20))
+    if not isinstance(doc, dict):
+        raise ValueError("a grid must be a JSON object")
+    for key in doc:
+        if key not in ("replications", "scenarios"):
+            raise ValueError(f"unknown grid key {key!r}; choose from replications, scenarios")
+    scenarios = doc.get("scenarios")
+    if not isinstance(scenarios, list) or not scenarios:
+        raise ValueError(f"grid key 'scenarios' must be a non-empty list, not {scenarios!r}")
+    return [scenario_from_doc(d) for d in scenarios], doc.get("replications", 20)
 
 
 # -- run directory and trace export --------------------------------------------

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -28,7 +26,7 @@ from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
                   TransportError, extract_critique, extract_individual,
                   render_evaluator_prompt, render_generator_prompt, request_digest)
 from .model import Instance, Stage, load_instance
-from .generator import order_lower_bound
+from .generator import _is_number, order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .sim import run_dispatch, total_tardiness
 
@@ -109,13 +107,6 @@ _NUMERIC = {"generations": (True, 0), "population": (True, 2), "tournament_k": (
             "retry_budget": (True, 1), "sample_budget": (True, None), "seed": (True, None),
             "u_low": (False, None), "u_up": (False, None), "u0": (False, None),
             "mu": (False, None)}
-
-
-def _is_number(v, integer: bool) -> bool:
-    """An integer, or else a real that is finite as a float; not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
-        return False
-    return integer or abs(v) <= sys.float_info.max      # exact, so a huge int fails
 
 
 def config_from_doc(doc: dict) -> EvolutionConfig:
@@ -271,8 +262,7 @@ def _critique_of(run: _Run, candidate: RuleIndividual,
     best = min(population, key=lambda r: r.fitness)
     worst = max(population, key=lambda r: r.fitness)
     bundle = PromptBundle(role="Evaluator", operator="Eval", features=run.features,
-                          parents=(candidate.as_parent(),),
-                          temperature=run.u0, best=best.as_parent(),
+                          parents=(candidate.as_parent(),), best=best.as_parent(),
                           worst=worst.as_parent())
     prompt = render_evaluator_prompt(bundle)
     response, _ = run.call(prompt, run.u0, "Eval", generation)
@@ -288,7 +278,7 @@ def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
     """One slot: prompt, extract, validate, evaluate; None if every attempt fails."""
     bundle = PromptBundle(role="Generator", operator=operator, features=run.features,
                           parents=tuple(p.as_parent() for p in parents),
-                          temperature=temperature, critique=critique)
+                          critique=critique)
     prompt = render_generator_prompt(bundle)
     for _ in range(run.cfg.retry_budget):
         response, entry = run.call(prompt, temperature, operator, generation)

@@ -105,7 +105,6 @@ class PromptBundle:
     operator: str                           # Init / C1 / C2 / M1 / M2
     features: str                           # scenario summary text
     parents: tuple[ParentRule, ...]
-    temperature: float
     critique: Critique | None = None
     best: ParentRule | None = None
     worst: ParentRule | None = None

@@ -243,39 +243,70 @@ def instance_to_doc(inst: Instance) -> dict:
     }
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{where}: expected an object, not {doc!r:.60}")
     if key not in doc:
         raise InstanceFormatError(f"{where}: missing field '{key}'")
     return doc[key]
 
 
+def _convert(fn, value, where: str):
+    """fn(value); InstanceFormatError naming the field if fn rejects it."""
+    try:
+        return fn(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InstanceFormatError(f"{where}: invalid value {value!r:.60} ({e})") from None
+
+
+def _field(doc, key: str, where: str, fn):
+    return _convert(fn, _require(doc, key, where), f"{where}.{key}")
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return value
+
+
 def instance_from_doc(doc: dict) -> Instance:
-    """Build and fully check an Instance from its plain-dict form."""
+    """Build and fully check an Instance from its plain-dict form; any
+    malformed field raises InstanceFormatError naming it."""
+    top = "top level"
     machines = tuple(
-        Machine(int(_require(m, "id", f"machines[{i}]")),
-                Stage(_require(m, "stage", f"machines[{i}]")))
-        for i, m in enumerate(_require(doc, "machines", "top level"))
+        Machine(_field(m, "id", f"machines[{i}]", int),
+                _field(m, "stage", f"machines[{i}]", Stage))
+        for i, m in enumerate(_field(doc, "machines", top, _list))
     )
 
     job_kind: dict[int, Stage] = {}
     job_elig: dict[int, dict[int, float]] = {}
-    for i, j in enumerate(_require(doc, "jobs", "top level")):
+    for i, j in enumerate(_field(doc, "jobs", top, _list)):
         where = f"jobs[{i}]"
-        jid = int(_require(j, "id", where))
-        job_kind[jid] = Stage(_require(j, "kind", where))
-        job_elig[jid] = {int(m): float(pt) for m, pt in _require(j, "eligible", where).items()}
+        jid = _field(j, "id", where, int)
+        job_kind[jid] = _field(j, "kind", where, Stage)
+        job_elig[jid] = {_convert(int, m, f"{where}.eligible"):
+                         _convert(float, pt, f"{where}.eligible[{m!r}]")
+                         for m, pt in _field(j, "eligible", where, _object).items()}
 
     orders = []
     job_owner: dict[int, tuple[int, int, frozenset[int]]] = {}
-    for i, o in enumerate(_require(doc, "orders", "top level")):
+    for i, o in enumerate(_field(doc, "orders", top, _list)):
         where = f"orders[{i}]"
-        oid = int(_require(o, "id", where))
+        oid = _field(o, "id", where, int)
         products = []
-        for k, p in enumerate(_require(o, "products", where)):
+        for k, p in enumerate(_field(o, "products", where, _list)):
             pwhere = f"{where}.products[{k}]"
-            pid = int(_require(p, "id", pwhere))
-            asm = int(_require(p, "assembly_job", pwhere))
-            procs = tuple(int(x) for x in _require(p, "processing_jobs", pwhere))
+            pid = _field(p, "id", pwhere, int)
+            asm = _field(p, "assembly_job", pwhere, int)
+            procs = _field(p, "processing_jobs", pwhere,
+                           lambda xs: tuple(int(x) for x in _list(xs)))
             for jid in (*procs, asm):
                 if jid not in job_kind:
                     raise InstanceFormatError(f"{pwhere}: dangling job id {jid}")
@@ -283,8 +314,8 @@ def instance_from_doc(doc: dict) -> Instance:
             job_owner[asm] = (oid, pid, frozenset(procs))
             for jid in procs:
                 job_owner[jid] = (oid, pid, frozenset())
-        orders.append(Order(oid, float(_require(o, "arrival", where)),
-                            float(_require(o, "due", where)), tuple(products)))
+        orders.append(Order(oid, _field(o, "arrival", where, float),
+                            _field(o, "due", where, float), tuple(products)))
 
     jobs = []
     for jid in sorted(job_kind):
@@ -294,15 +325,22 @@ def instance_from_doc(doc: dict) -> Instance:
         jobs.append(Job(jid, job_kind[jid], oid, pid, preds, job_elig[jid]))
 
     n = len(jobs)
-    raw = _require(doc, "setup", "top level")
+    raw = _require(doc, "setup", top)
     if isinstance(raw, dict):
-        default = float(_require(raw, "default", "setup"))
-        setup = np.full((n + 1, n), default, dtype=float)
+        setup = np.full((n + 1, n), _field(raw, "default", "setup", float), dtype=float)
         setup[0, :] = 0.0
-        for j1, j2, v in raw.get("overrides", []):
-            setup[int(j1) + 1, int(j2)] = float(v)
+        for k, entry in enumerate(_convert(_list, raw.get("overrides", []), "setup.overrides")):
+            where = f"setup.overrides[{k}]"
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise InstanceFormatError(f"{where}: expected [from job, to job, minutes], "
+                                          f"not {entry!r:.60}")
+            j1, j2 = _convert(int, entry[0], where), _convert(int, entry[1], where)
+            if not (0 <= j1 < n and 0 <= j2 < n):
+                raise InstanceFormatError(f"{where}: job ids must lie in 0..{n - 1}, "
+                                          f"not {j1} and {j2}")
+            setup[j1 + 1, j2] = _convert(float, entry[2], where)
     else:
-        setup = np.asarray(raw, dtype=float)
+        setup = _convert(lambda rows: np.asarray(rows, dtype=float), raw, "setup")
 
     inst = Instance(machines, tuple(sorted(orders, key=lambda o: o.id)),
                     tuple(jobs), setup)

@@ -127,7 +127,7 @@ def smoke_instances() -> list:
     return _SMOKE
 
 
-def validate_rule(rule, instances=None) -> bool:
+def validate_rule(rule) -> bool:
     """True iff the rule parses and dispatches the smoke instances to
     completion without a non-finite priority. Termination itself is
     structural (finitely many jobs, non-delay dispatching), so no separate
@@ -139,7 +139,7 @@ def validate_rule(rule, instances=None) -> bool:
             rule = RuleSpec.expression(rule)
         except ValueError:          # covers ParseError and friends
             return False
-    for inst in instances if instances is not None else smoke_instances():
+    for inst in smoke_instances():
         try:
             run_dispatch(inst, rule)
         except RuleInvalid:

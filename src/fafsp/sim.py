@@ -8,7 +8,10 @@ dispatch the job's arcs, and the machine's if it became busy, are masked
 out. The active rule ranks the remaining arcs with the columns it reads,
 gathered from the current state in one call; when no feasible arc remains
 the clock jumps to the next event. Completions are processed before
-arrivals that share the same timestamp.
+arrivals that share the same timestamp. One loop steps the epochs, and it
+takes the arc to dispatch from a chooser: ``run_dispatch`` ranks the arcs
+with a rule, and the oracle replays its optimal arc log through the same
+loop to build its schedule.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -205,68 +208,57 @@ class FeatureView:
     """Per-arc columns of the rule language's accessors (``expr.ACCESSORS``).
 
     ``arc_columns`` maps accessor names to per-arc columns for the candidate
-    (job, machine) arcs, gathered in one call: bound to a rule's read set
-    (``reads``), those columns and the ones they derive from; unbound, every
-    accessor.
+    (job, machine) arcs at the state's clock, gathered in one call: bound to
+    a rule's read set (``reads``), those columns and the ones they derive
+    from; unbound, every accessor.
     """
 
     def __init__(self, state: SimState, reads: Iterable[str] | None = None):
         self._s = state
-        self.now = state.clock
         self._gather = _gatherer(frozenset(_COLUMNS if reads is None else reads))
 
     def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        return self._gather(self._s, self.now, jobs, machines)
+        return self._gather(self._s, jobs, machines)
 
 
 #: accessor -> (accessors it is derived from, its per-arc column as a function
-#: of the state, the clock, the arc arrays jobs and machs, and the columns
-#: gathered so far). The one definition of every column.
+#: of the state, the arc arrays jobs and machs, and the columns gathered so
+#: far). The one definition of every column. A base column derives from no
+#: other column and comes before every column derived from it.
 _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "due": ((), lambda s, clock, jobs, machs, c: s.t.job_due[jobs]),
-    "arrival": ((), lambda s, clock, jobs, machs, c: s.t.job_arrival[jobs]),
-    "now": ((), lambda s, clock, jobs, machs, c: np.full(len(jobs), clock)),
+    "due": ((), lambda s, jobs, machs, c: s.t.job_due[jobs]),
+    "arrival": ((), lambda s, jobs, machs, c: s.t.job_arrival[jobs]),
+    "now": ((), lambda s, jobs, machs, c: np.full(len(jobs), s.clock)),
+    "work_rem": ((), lambda s, jobs, machs, c: s.order_work_rem[s.t.job_order[jobs]]),
     "slack": (("due", "now", "work_rem"),
-              lambda s, clock, jobs, machs, c: c["due"] - c["now"] - c["work_rem"]),
-    "wait": (("now", "arrival"), lambda s, clock, jobs, machs, c: c["now"] - c["arrival"]),
-    "et": ((), lambda s, clock, jobs, machs, c: s.et[jobs]),
-    "n_mach": ((), lambda s, clock, jobs, machs, c: s.t.n_mach[jobs]),
-    "ops_rem": ((), lambda s, clock, jobs, machs, c:
+              lambda s, jobs, machs, c: c["due"] - c["now"] - c["work_rem"]),
+    "wait": (("now", "arrival"), lambda s, jobs, machs, c: c["now"] - c["arrival"]),
+    "et": ((), lambda s, jobs, machs, c: s.et[jobs]),
+    "n_mach": ((), lambda s, jobs, machs, c: s.t.n_mach[jobs]),
+    "ops_rem": ((), lambda s, jobs, machs, c:
                 s.order_ops_rem[s.t.job_order[jobs]].astype(float)),
-    "work_rem": ((), lambda s, clock, jobs, machs, c: s.order_work_rem[s.t.job_order[jobs]]),
-    "pt": ((), lambda s, clock, jobs, machs, c: s.t.ptmat[jobs, machs]),
-    "setup": ((), lambda s, clock, jobs, machs, c: s.t.setup[s.m_last[machs] + 1, jobs]),
-    "avail": ((), lambda s, clock, jobs, machs, c: s.m_idle[machs]),
-    "queue": ((), lambda s, clock, jobs, machs, c: s.m_queue[machs].astype(float)),
-    "util": ((), lambda s, clock, jobs, machs, c: s.m_busy[machs]),
+    "pt": ((), lambda s, jobs, machs, c: s.t.ptmat[jobs, machs]),
+    "setup": ((), lambda s, jobs, machs, c: s.t.setup[s.m_last[machs] + 1, jobs]),
+    "avail": ((), lambda s, jobs, machs, c: s.m_idle[machs]),
+    "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs].astype(float)),
+    "util": ((), lambda s, jobs, machs, c: s.m_busy[machs]),
 }
 
 
 @functools.lru_cache(maxsize=256)
 def _gatherer(names: frozenset[str]) -> Callable:
-    """Function (state, clock, jobs, machs) -> {accessor: column} over the
-    named accessors and those they derive from."""
+    """Function (state, jobs, machs) -> {accessor: column} over the named
+    accessors and those they derive from."""
     unknown = names - _COLUMNS.keys()
     if unknown:
         raise KeyError(sorted(unknown)[0])
-    order: dict[str, Callable] = {}
+    needed = names.union(*(_COLUMNS[name][0] for name in names))
+    steps = tuple((name, fn) for name, (_, fn) in _COLUMNS.items() if name in needed)
 
-    def visit(name: str) -> None:
-        if name not in order:
-            bases, fn = _COLUMNS[name]
-            for base in bases:
-                visit(base)
-            order[name] = fn
-
-    for name in _COLUMNS:
-        if name in names:
-            visit(name)
-    steps = tuple(order.items())
-
-    def gather(s: SimState, clock: float, jobs: np.ndarray, machs: np.ndarray) -> dict:
+    def gather(s: SimState, jobs: np.ndarray, machs: np.ndarray) -> dict:
         cols: dict[str, np.ndarray] = {}
         for name, fn in steps:
-            cols[name] = fn(s, clock, jobs, machs, cols)
+            cols[name] = fn(s, jobs, machs, cols)
         return cols
 
     return gather
@@ -282,8 +274,8 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     """Dispatch a feasible arc: charge setup, occupy the machine, enqueue the
     completion. Mutates and returns the state."""
     j, m = int(arc[0]), int(arc[1])
-    if (state.status[j] != READY or np.isnan(state.t.ptmat[j, m])
-            or state.m_idle[m] > state.clock):
+    if (not (0 <= j < state.t.J and 0 <= m < state.t.M) or state.status[j] != READY
+            or np.isnan(state.t.ptmat[j, m]) or state.m_idle[m] > state.clock):
         raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
     _dispatch(state, j, m)
     return state
@@ -361,19 +353,18 @@ def extract_schedule(state: SimState) -> Schedule:
     return Schedule(tuple(state.arc_log), ft, tt, t.J, t.N)
 
 
-def run_dispatch(inst: Instance, rule) -> Schedule:
-    """Roll the instance out to completion under the rule and return the
-    realized schedule. Deterministic for a given (instance, rule)."""
-    from .rules import rank_arc_arrays
+def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -> Schedule:
+    """Run the state to completion and return its schedule.
 
-    state = SimState(inst)
-    fv = FeatureView(state, rule.reads)
+    The one epoch loop: the feasible arcs are enumerated once per epoch, in
+    (job, machine) order, and each decision dispatches arc ``choose(jobs,
+    machs)`` of those still feasible; when none is left the clock advances."""
     status, m_idle = state.status, state.m_idle
     while state.done_count < state.t.J:
         jobs, machs = state._arc_arrays()
-        clock = fv.now = state.clock
+        clock = state.clock
         while len(jobs):
-            k = rank_arc_arrays(rule, fv, jobs, machs)
+            k = choose(jobs, machs)
             j, m = int(jobs[k]), int(machs[k])
             if status[j] != READY or m_idle[m] > clock:
                 raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
@@ -385,21 +376,14 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
     return extract_schedule(state)
 
 
-def replay_arcs(inst: Instance, arcs: Iterable[tuple[int, int]]) -> Schedule:
-    """Re-run a recorded arc sequence through the normal transition function.
+def run_dispatch(inst: Instance, rule) -> Schedule:
+    """Roll the instance out to completion under the rule and return the
+    realized schedule. Deterministic for a given (instance, rule)."""
+    from .rules import rank_arc_arrays
 
-    Before each arc the clock advances until the arc is feasible; an arc
-    that never becomes feasible ends in DeadlockError."""
     state = SimState(inst)
-    t = state.t
-    for j, m in arcs:
-        eligible = 0 <= j < t.J and 0 <= m < t.M and not np.isnan(t.ptmat[j, m])
-        while not (eligible and state.status[j] == READY and state.m_idle[m] <= state.clock):
-            _advance(state)
-        apply_arc(state, (j, m))
-    while state.done_count < state.t.J:
-        _advance(state)
-    return extract_schedule(state)
+    return _rollout(state, functools.partial(rank_arc_arrays, rule,
+                                             FeatureView(state, rule.reads)))
 
 
 # -- schedule file format -----------------------------------------------------

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Stage
-from .sim import (DONE, RUNNING, ArcRecord, Schedule, SimState, _advance, _tables,
-                  apply_arc, replay_arcs)
+from .sim import (DONE, RUNNING, ArcRecord, Schedule, SimState, _advance, _dispatch,
+                  _rollout, _tables)
 
 TOL = 1e-6
+
+#: largest instance ``brute_force_optimum`` searches
+MAX_JOBS, MAX_MACHINES = 8, 4
 
 MACHINE_OVERLAP = "MachineOverlap"
 PRECEDENCE = "Precedence"
@@ -204,8 +207,7 @@ def _tardiness_bound(inst: Instance):
     return bound
 
 
-def brute_force_optimum(inst: Instance, max_jobs: int = 8, max_machines: int = 4,
-                        max_states: int = 2_000_000) -> tuple[float, Schedule]:
+def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[float, Schedule]:
     """Minimum total tardiness over every non-delay dispatch sequence.
 
     Non-delay means a machine is never kept idle while some feasible arc
@@ -229,12 +231,13 @@ def brute_force_optimum(inst: Instance, max_jobs: int = 8, max_machines: int = 4
       state fixes the tardiness so far, and the incumbent only falls, so
       what a pruning left out would be pruned again on every later visit.
 
-    ``max_states`` bounds the number of nodes expanded.
+    ``max_states`` bounds the number of nodes expanded. The schedule is the
+    optimal arc log replayed through the engine's epoch loop.
     """
-    if inst.num_jobs > max_jobs:
-        raise OracleLimitError(f"{inst.num_jobs} jobs exceeds the limit of {max_jobs}")
-    if inst.num_machines > max_machines:
-        raise OracleLimitError(f"{inst.num_machines} machines exceeds the limit of {max_machines}")
+    if inst.num_jobs > MAX_JOBS:
+        raise OracleLimitError(f"{inst.num_jobs} jobs exceeds the limit of {MAX_JOBS}")
+    if inst.num_machines > MAX_MACHINES:
+        raise OracleLimitError(f"{inst.num_machines} machines exceeds the limit of {MAX_MACHINES}")
 
     bound = _tardiness_bound(inst)
     memo: dict[tuple, tuple[float, tuple]] = {}
@@ -271,7 +274,7 @@ def brute_force_optimum(inst: Instance, max_jobs: int = 8, max_machines: int = 4
                 if incumbent == 0.0:
                     break
                 child = state.clone()
-                apply_arc(child, (j, m))
+                _dispatch(child, j, m)
                 sub, log = dfs(child, fixed)
                 cand = (sub, ((j, m),) + log)
                 if cand < best:
@@ -280,5 +283,11 @@ def brute_force_optimum(inst: Instance, max_jobs: int = 8, max_machines: int = 4
         return best
 
     value, log = dfs(SimState(inst), 0.0)
-    sched = replay_arcs(inst, log)
-    return value, sched
+    arcs = iter(log)
+
+    def logged(jobs: np.ndarray, machs: np.ndarray) -> int:
+        # the log is non-delay, so its next arc is among the epoch's arcs
+        j, m = next(arcs)
+        return int(np.flatnonzero((jobs == j) & (machs == m))[0])
+
+    return value, _rollout(SimState(inst), logged)

@@ -294,3 +294,54 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
         main(["gen", "--scenario"])          # missing value
     assert e.value.code == 1
     assert main(["run", "--rule", "EDD", "--instance", str(tmp_path / "nope.json")]) == 1
+
+
+def _assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(name in err for name in names)
+
+
+def test_cli_run_malformed_instance_exits_1(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"machines": [1], "jobs": [], "orders": [], "setup": []}),
+                    encoding="utf-8")
+    assert main(["run", "--rule", "EDD", "--instance", str(path)]) == 1
+    _assert_one_error_line(capsys, "machines[0]")
+
+
+SCENARIO = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 42}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**SCENARIO, "bogus": 1}, "bogus"),
+    ({**SCENARIO, "m1": "1"}, "m1"),
+    ({**SCENARIO, "m1": 1.5}, "m1"),
+    ({**SCENARIO, "phi": True}, "phi"),
+    ({k: v for k, v in SCENARIO.items() if k != "mu"}, "mu"),
+    ([SCENARIO], "scenario"),
+], ids=["unknown-key", "string-int", "float-int", "bool-number", "missing-key", "list"])
+def test_cli_gen_bad_scenario_exits_1(tmp_path, capsys, doc, key):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["gen", "--scenario", str(path), "--count", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, flags, key", [
+    ({"replications": 2}, [], "scenarios"),
+    ({"replications": 0, "scenarios": [SCENARIO]}, [], "replications"),
+    ({"replications": 2.5, "scenarios": [SCENARIO]}, [], "replications"),
+    ({"scenarios": [SCENARIO]}, ["--replications", "-1"], "replications"),
+    ({"scenarios": [{**SCENARIO, "m2": None}]}, [], "m2"),
+    ({"scenarios": [SCENARIO], "replication": 2}, [], "replication"),
+    ([SCENARIO], [], "grid"),
+], ids=["no-scenarios", "zero-replications", "float-replications", "negative-flag",
+        "null-scenario-value", "unknown-key", "list"])
+def test_cli_bench_bad_grid_exits_1(tmp_path, capsys, doc, flags, key):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["bench", "--grid", str(grid), "--rules", "EDD", *flags]) == 1
+    _assert_one_error_line(capsys, key)

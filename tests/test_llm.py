@@ -32,13 +32,13 @@ CRITIQUE = Critique("Focuses on urgent orders.",
 
 def eval_bundle():
     return PromptBundle(role="Evaluator", operator="Eval", features=FEATURES,
-                        parents=(ELITE,), temperature=0.3, best=ELITE, worst=OTHER)
+                        parents=(ELITE,), best=ELITE, worst=OTHER)
 
 
 def gen_bundle(op, critique=CRITIQUE):
     parents = (ELITE,) if PARENT_COUNT[op] == 1 else (ELITE, OTHER)
     return PromptBundle(role="Generator", operator=op, features=FEATURES,
-                        parents=parents, temperature=0.8, critique=critique)
+                        parents=parents, critique=critique)
 
 
 def test_rendering_is_deterministic():
@@ -78,7 +78,7 @@ def test_critique_included_only_where_required():
 
 def test_parent_count_checked():
     bad = PromptBundle(role="Generator", operator="C1", features=FEATURES,
-                       parents=(ELITE,), temperature=0.8)
+                       parents=(ELITE,))
     with pytest.raises(ValueError, match="parent"):
         render_generator_prompt(bad)
 

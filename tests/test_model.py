@@ -83,6 +83,40 @@ def test_dangling_job_reference_named():
         instance_from_doc(doc)
 
 
+def _overrides(*entries):
+    return {"setup": {"default": 0.5, "overrides": list(entries)}}
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ((), {"machines": [1]}, "machines[0]"),
+    (("jobs", 0), {"id": None}, "jobs[0].id"),
+    (("orders", 0), {"arrival": None}, "orders[0].arrival"),
+    (("orders", 0, "products", 0), {"processing_jobs": 5},
+     "orders[0].products[0].processing_jobs"),
+    ((), _overrides([0, 1, None]), "setup.overrides[0]"),
+    (("jobs", 0), {"eligible": [1]}, "jobs[0].eligible"),
+    ((), _overrides([0, 9, 1]), "setup.overrides[0]"),
+    ((), _overrides([0, -1, 2.5]), "setup.overrides[0]"),
+    ((), _overrides([0, 1]), "setup.overrides[0]"),
+], ids=["machine-not-object", "job-id-null", "arrival-null", "processing-jobs-int",
+        "override-value-null", "eligible-list", "override-index-too-big",
+        "override-index-negative", "override-too-short"])
+def test_malformed_field_is_named(path, value, field):
+    doc = instance_to_doc(minimal_instance())
+    target = doc
+    for key in path:
+        target = target[key]
+    target.update(value)
+    with pytest.raises(InstanceFormatError) as e:
+        instance_from_doc(doc)
+    assert str(e.value).startswith(field + ":")
+
+
+def test_non_object_document_rejected():
+    with pytest.raises(InstanceFormatError, match="top level: expected an object"):
+        instance_from_doc([])
+
+
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"machines": [,]}', encoding="utf-8")

@@ -19,7 +19,6 @@ class FakeView:
 
     def __init__(self, table):
         self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-        self.now = float(self.table["now"][0]) if "now" in self.table else 0.0
 
     def arc_columns(self, jobs, machines):
         n = len(jobs)

@@ -9,8 +9,8 @@ from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import RuleSpec
 from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
-                       InfeasibleArcError, SimState, advance_clock, apply_arc,
-                       extract_schedule, feasible_arcs, replay_arcs, run_dispatch,
+                       InfeasibleArcError, SimState, _rollout, advance_clock, apply_arc,
+                       extract_schedule, feasible_arcs, run_dispatch,
                        schedule_from_text, schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
@@ -99,6 +99,22 @@ def test_apply_arc_rejects_infeasible():
         apply_arc(state, (0, 1))             # same job again
     with pytest.raises(InfeasibleArcError):
         apply_arc(state, (1, 2))             # blocked assembly
+
+
+@pytest.mark.parametrize("arc", [(-1, 0), (4, 0), (0, -1), (0, 3)])
+def test_apply_arc_rejects_out_of_range_ids(arc):
+    # at t=1 job 0 is ready on the last machine and the last job on machine 0,
+    # so a negative id that wrapped around would name a feasible arc
+    inst = make_instance("app", [(1, 100, [([{2: 2.0}], {0: 1.0})]),
+                                 (0, 100, [([{1: 1.0}], {0: 1.0})])])
+    assert (inst.num_jobs, inst.num_machines) == (4, 3)
+    state = SimState(inst)
+    apply_arc(state, (2, 1))
+    advance_clock(state)
+    assert feasible_arcs(state) == [(0, 2), (3, 0)]
+    with pytest.raises(InfeasibleArcError):
+        apply_arc(state, arc)
+    assert len(state.arc_log) == 1 and feasible_arcs(state) == [(0, 2), (3, 0)]
 
 
 def test_advance_requires_exhausted_epoch():
@@ -361,18 +377,18 @@ def test_unknown_read_is_rejected():
         FeatureView(SimState(minimal_instance()), {"due", "deadline"})
 
 
-# -- replay without re-enumeration ----------------------------------------------
+# -- replaying an arc log through the epoch loop ----------------------------------
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=st.one_of(hand_built_instances(), generated_instances))
 @example(inst=ZERO_LENGTH)
 def test_replay_reproduces_rollout(inst):
     sched = run_dispatch(inst, KERNEL_RULES[1])
-    again = replay_arcs(inst, [(a.job, a.machine) for a in sched.arcs])
+    arcs = iter((a.job, a.machine) for a in sched.arcs)
+
+    def logged(jobs, machs):
+        j, m = next(arcs)
+        return int(np.flatnonzero((jobs == j) & (machs == m))[0])
+
+    again = _rollout(SimState(inst), logged)
     assert schedule_to_text(again) == schedule_to_text(sched)
-
-
-@pytest.mark.parametrize("arc", [(0, 1), (5, 0), (-1, 0), (0, 7)])
-def test_replay_of_an_arc_that_never_becomes_feasible_deadlocks(arc):
-    with pytest.raises(DeadlockError):
-        replay_arcs(minimal_instance(), [arc])
