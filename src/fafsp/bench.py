@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .generator import ScenarioConfig, _is_number, generate_instance, scenario_from_doc
+from .model import load_json
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -87,6 +88,8 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
     """
     if not _is_number(replications, True) or replications < 1:
         raise ValueError(f"replications must be an integer >= 1, not {replications!r}")
+    if not rules:
+        raise ValueError("the rule list is empty")
     labels = [scenario_label(s) for s in scenarios]
     rule_names = [r.name for r in rules]
     mean: dict[tuple[str, str], float] = {}
@@ -119,8 +122,7 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
 def load_grid(path) -> tuple[list[ScenarioConfig], int]:
     """Grid file: {"replications": n, "scenarios": [scenario docs]}; the
     replication count defaults to 20 and is checked by ``run_benchmark``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ValueError("a grid must be a JSON object")
     for key in doc:

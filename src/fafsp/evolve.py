@@ -13,7 +13,6 @@ ever evaluated. Under a replay transport the whole run is bit-deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -25,7 +24,7 @@ from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
                   MissingSection, MultipleBlocks, ParentRule, PromptBundle,
                   TransportError, extract_critique, extract_individual,
                   render_evaluator_prompt, render_generator_prompt, request_digest)
-from .model import Instance, Stage, load_instance
+from .model import Instance, Stage, load_instance, load_json
 from .generator import _is_number, order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .sim import run_dispatch, total_tardiness
@@ -136,8 +135,7 @@ def config_from_doc(doc: dict) -> EvolutionConfig:
 
 
 def load_evolution_config(path) -> EvolutionConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_doc(json.load(fh))
+    return config_from_doc(load_json(path))
 
 
 def evaluate_fitness(rule: RuleSpec, instances: Sequence[Instance]) -> float:

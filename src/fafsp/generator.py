@@ -11,7 +11,6 @@ completion load of the orders seen so far, scaled down by mu.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Instance, Job, Machine, Order, Product, Stage, check_instance
+from .model import Instance, Job, Machine, Order, Product, Stage, check_instance, load_json
 
 ASSEMBLY_RATE_MEAN = 8.0
 RATE_SD = 2.0
@@ -99,8 +98,7 @@ def scenario_from_doc(doc: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_doc(json.load(fh))
+    return scenario_from_doc(load_json(path))
 
 
 def sample_product_count(rng: np.random.Generator) -> int:

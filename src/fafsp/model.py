@@ -263,6 +263,15 @@ def _field(doc, key: str, where: str, fn):
     return _convert(fn, _require(doc, key, where), f"{where}.{key}")
 
 
+def _id(value) -> int:
+    """An id: an integer, or a float with an integral value; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer id")
+    if value != int(value):
+        raise ValueError("expected an integral id")
+    return int(value)
+
+
 def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -280,7 +289,7 @@ def instance_from_doc(doc: dict) -> Instance:
     malformed field raises InstanceFormatError naming it."""
     top = "top level"
     machines = tuple(
-        Machine(_field(m, "id", f"machines[{i}]", int),
+        Machine(_field(m, "id", f"machines[{i}]", _id),
                 _field(m, "stage", f"machines[{i}]", Stage))
         for i, m in enumerate(_field(doc, "machines", top, _list))
     )
@@ -289,7 +298,7 @@ def instance_from_doc(doc: dict) -> Instance:
     job_elig: dict[int, dict[int, float]] = {}
     for i, j in enumerate(_field(doc, "jobs", top, _list)):
         where = f"jobs[{i}]"
-        jid = _field(j, "id", where, int)
+        jid = _field(j, "id", where, _id)
         job_kind[jid] = _field(j, "kind", where, Stage)
         job_elig[jid] = {_convert(int, m, f"{where}.eligible"):
                          _convert(float, pt, f"{where}.eligible[{m!r}]")
@@ -299,14 +308,14 @@ def instance_from_doc(doc: dict) -> Instance:
     job_owner: dict[int, tuple[int, int, frozenset[int]]] = {}
     for i, o in enumerate(_field(doc, "orders", top, _list)):
         where = f"orders[{i}]"
-        oid = _field(o, "id", where, int)
+        oid = _field(o, "id", where, _id)
         products = []
         for k, p in enumerate(_field(o, "products", where, _list)):
             pwhere = f"{where}.products[{k}]"
-            pid = _field(p, "id", pwhere, int)
-            asm = _field(p, "assembly_job", pwhere, int)
+            pid = _field(p, "id", pwhere, _id)
+            asm = _field(p, "assembly_job", pwhere, _id)
             procs = _field(p, "processing_jobs", pwhere,
-                           lambda xs: tuple(int(x) for x in _list(xs)))
+                           lambda xs: tuple(_id(x) for x in _list(xs)))
             for jid in (*procs, asm):
                 if jid not in job_kind:
                     raise InstanceFormatError(f"{pwhere}: dangling job id {jid}")
@@ -334,7 +343,7 @@ def instance_from_doc(doc: dict) -> Instance:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise InstanceFormatError(f"{where}: expected [from job, to job, minutes], "
                                           f"not {entry!r:.60}")
-            j1, j2 = _convert(int, entry[0], where), _convert(int, entry[1], where)
+            j1, j2 = _convert(_id, entry[0], where), _convert(_id, entry[1], where)
             if not (0 <= j1 < n and 0 <= j2 < n):
                 raise InstanceFormatError(f"{where}: job ids must lie in 0..{n - 1}, "
                                           f"not {j1} and {j2}")
@@ -360,10 +369,15 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(text)
 
 
-def load_instance(path) -> Instance:
+def load_json(path, error: type[ValueError] = ValueError):
+    """The parsed JSON file; malformed JSON raises ``error`` naming the file,
+    line and column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
-        raise InstanceFormatError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    return instance_from_doc(doc)
+        raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+
+
+def load_instance(path) -> Instance:
+    return instance_from_doc(load_json(path, InstanceFormatError))

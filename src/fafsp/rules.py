@@ -93,7 +93,7 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
     if rule.kind == "builtin":
         job, machine = BUILTINS[rule.name]
         job_key = job.fn(cols)
-        ties = np.flatnonzero(job_key == job_key.min())
+        ties = (job_key == job_key.min()).nonzero()[0]
         return int(ties[machine.fn(cols)[ties].argmin()])
     scores = expr.evaluate(rule.program, cols, n)
     finite = np.isfinite(scores)

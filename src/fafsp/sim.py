@@ -5,7 +5,10 @@ arrives. Within an epoch the clock is fixed, so the feasible (job, machine)
 arcs can only shrink: they are enumerated once per epoch, by masking the
 instance's flat array of (job, eligible machine) pairs, and after each
 dispatch the job's arcs, and the machine's if it became busy, are masked
-out. The active rule ranks the remaining arcs with the columns it reads,
+out. The state keeps its ready jobs' pairs as a mask over that array, with
+a ready count and per-machine queue counts, and updates all three only when
+a job enters or leaves READY (arrival, kit completion, dispatch), so an
+epoch with no ready job costs nothing and the others scan no job status. The active rule ranks the remaining arcs with the columns it reads,
 gathered from the current state in one call; when no feasible arc remains
 the clock jumps to the next event. Completions are processed before
 arrivals that share the same timestamp. One loop steps the epochs, and it
@@ -37,6 +40,11 @@ _COMPLETION, _ARRIVAL = 0, 1            # completions first at equal times
 
 class DeadlockError(RuntimeError):
     """No events pending while jobs remain; indicates a broken instance."""
+
+
+class EventTimeError(RuntimeError):
+    """The next event is not at a finite time at or after the clock;
+    indicates a corrupted event queue."""
 
 
 class InfeasibleArcError(ValueError):
@@ -81,27 +89,30 @@ class _Tables:
         self.J, self.M = J, M
         self.setup = inst.setup
         self.ptmat = np.full((J, M), np.nan)
-        self.elig: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * J
-        self.n_mach = np.empty(J)
-        self.is_assembly = np.zeros(J, dtype=bool)
+        self.is_assembly = [False] * J
         self.job_order = np.empty(J, dtype=np.int64)
         self.mean_et = np.empty(J)
-        self.succ = np.full(J, -1, dtype=np.int64)      # feeding assembly job
+        self.succ = [-1] * J                                # feeding assembly job
         self.pred_count = np.zeros(J, dtype=np.int64)
         for job in inst.jobs:
             ms = np.array(sorted(job.eligible), dtype=np.int64)
             pts = np.array([job.eligible[m] for m in ms])
-            self.elig[job.id] = ms
             self.ptmat[job.id, ms] = pts
-            self.n_mach[job.id] = len(ms)
             self.is_assembly[job.id] = job.kind == Stage.ASSEMBLY
             self.job_order[job.id] = job.order_id
             self.mean_et[job.id] = pts.mean()
             self.pred_count[job.id] = len(job.predecessors)
 
-        # every (job, eligible machine) pair, sorted by job and then machine
-        self.arc_job = np.repeat(np.arange(J, dtype=np.int64), [len(ms) for ms in self.elig])
-        self.arc_mach = np.concatenate(self.elig)
+        # check_instance guarantees finite times, so NaN marks ineligibility
+        eligible = ~np.isnan(self.ptmat)
+        n_mach = eligible.sum(axis=1)
+        self.n_mach = n_mach.astype(float)
+        self.incidence = eligible.view(np.int8)             # job -> 0/1 per machine
+        # every (job, eligible machine) pair, sorted by job and then machine;
+        # job j's pairs are pair_start[j]:pair_start[j + 1]. Contiguous
+        # copies, because nonzero returns strided views that gather slower.
+        self.arc_job, self.arc_mach = map(np.ascontiguousarray, eligible.nonzero())
+        self.pair_start = [0, *np.cumsum(n_mach).tolist()]
 
         N = len(inst.orders)
         self.N = N
@@ -155,7 +166,9 @@ class SimState:
         self.m_idle = np.zeros(t.M)
         self.m_last = np.full(t.M, -1, dtype=np.int64)
         self.m_busy = np.zeros(t.M)
-        self.m_queue = np.zeros(t.M, dtype=np.int64)
+        self.m_queue = np.zeros(t.M, dtype=np.int64)    # ready jobs eligible per machine
+        self.n_ready = 0
+        self.pair_ready = np.zeros(len(t.arc_job), dtype=bool)
         self.job_ct = np.full(t.J, np.nan)
         self.done_count = 0
         self.arc_log: list[ArcRecord] = []
@@ -177,17 +190,29 @@ class SimState:
                 self.status[j] = BLOCKED
             else:
                 self.status[j] = READY
-                self.m_queue[self.t.elig[j]] += 1
+                self._set_ready(j, True)
+
+    def _set_ready(self, j: int, ready: bool):
+        """Bookkeeping of job j entering (``ready``) or leaving READY: the
+        ready count, the job's pairs in the ready-pair mask and the queue
+        count of every machine the job is eligible for."""
+        t = self.t
+        self.pair_ready[t.pair_start[j]:t.pair_start[j + 1]] = ready
+        if ready:
+            self.n_ready += 1
+            self.m_queue += t.incidence[j]
+        else:
+            self.n_ready -= 1
+            self.m_queue -= t.incidence[j]
 
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Feasible arcs now (ready job, idle qualified machine), ordered by
         (job, machine), as parallel job and machine arrays."""
         t = self.t
-        ready = self.status == READY
-        if not np.count_nonzero(ready):     # about half the epochs of a dynamic rollout
+        if not self.n_ready:                # about half the epochs of a dynamic rollout
             return t.arc_job[:0], t.arc_mach[:0]
-        ok = ready[t.arc_job] & (self.m_idle <= self.clock)[t.arc_mach]
-        return t.arc_job[ok], t.arc_mach[ok]
+        k = (self.pair_ready & (self.m_idle <= self.clock)[t.arc_mach]).nonzero()[0]
+        return t.arc_job.take(k), t.arc_mach.take(k)
 
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
@@ -195,8 +220,9 @@ class SimState:
         other.inst, other.t, other.clock = self.inst, self.t, self.clock
         for name in ("status", "et", "pred_remaining", "order_ops_rem",
                      "order_work_rem", "order_asm_rem", "order_ft", "order_tt",
-                     "m_idle", "m_last", "m_busy", "m_queue", "job_ct"):
+                     "m_idle", "m_last", "m_busy", "m_queue", "job_ct", "pair_ready"):
             setattr(other, name, getattr(self, name).copy())
+        other.n_ready = self.n_ready
         other.done_count = self.done_count
         other.arc_log = list(self.arc_log)
         other.events = list(self.events)
@@ -293,7 +319,7 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     state.et[j] = pt
     state.order_work_rem[t.job_order[j]] += pt - old_et
     state.status[j] = RUNNING
-    state.m_queue[t.elig[j]] -= 1
+    state._set_ready(j, False)
     state.m_idle[m] = ct
     state.m_last[m] = j
     state.m_busy[m] += pt
@@ -316,6 +342,9 @@ def _advance(state: SimState) -> SimState:
         raise DeadlockError(f"no pending events with {state.done_count}/{state.t.J} jobs done")
     t = state.t
     now = state.events[0][0]
+    if not state.clock <= now < math.inf:       # equal is legal: zero-length dispatches
+        raise EventTimeError(f"next event at {now} is not a finite time at or after "
+                             f"the clock, {state.clock}")
     state.clock = now
     while state.events and state.events[0][0] == now:
         _, prio, _, payload = heapq.heappop(state.events)
@@ -337,7 +366,7 @@ def _advance(state: SimState) -> SimState:
                 state.pred_remaining[a] -= 1
                 if state.pred_remaining[a] == 0 and state.status[a] == BLOCKED:
                     state.status[a] = READY
-                    state.m_queue[t.elig[a]] += 1
+                    state._set_ready(a, True)
         else:
             state._arrive(payload)
     return state

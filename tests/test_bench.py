@@ -345,3 +345,25 @@ def test_cli_bench_bad_grid_exits_1(tmp_path, capsys, doc, flags, key):
     grid.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["bench", "--grid", str(grid), "--rules", "EDD", *flags]) == 1
     _assert_one_error_line(capsys, key)
+
+
+def test_cli_bench_empty_rule_list_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"scenarios": [SCENARIO]}), encoding="utf-8")
+    assert main(["bench", "--grid", str(grid), "--rules", ","]) == 1
+    _assert_one_error_line(capsys, "rule list is empty")
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--scenario", "PATH", "--count", "1"],
+    ["bench", "--grid", "PATH", "--rules", "EDD"],
+    ["evolve", "--config", "PATH", "--transport", "replay"],
+], ids=["scenario", "grid", "evolution-config"])
+def test_cli_malformed_json_names_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{"m1": 1,\n}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([str(path) if arg == "PATH" else arg for arg in command]
+                + ["--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"{path}: line 2 column 1")
+    assert not out.exists()

@@ -98,9 +98,16 @@ def _overrides(*entries):
     ((), _overrides([0, 9, 1]), "setup.overrides[0]"),
     ((), _overrides([0, -1, 2.5]), "setup.overrides[0]"),
     ((), _overrides([0, 1]), "setup.overrides[0]"),
+    (("jobs", 0), {"id": False}, "jobs[0].id"),
+    (("orders", 0, "products", 0), {"assembly_job": True},
+     "orders[0].products[0].assembly_job"),
+    (("orders", 0, "products", 0), {"processing_jobs": [0.7]},
+     "orders[0].products[0].processing_jobs"),
+    ((), _overrides([0.5, 1, 2.0]), "setup.overrides[0]"),
 ], ids=["machine-not-object", "job-id-null", "arrival-null", "processing-jobs-int",
         "override-value-null", "eligible-list", "override-index-too-big",
-        "override-index-negative", "override-too-short"])
+        "override-index-negative", "override-too-short", "job-id-bool",
+        "assembly-job-bool", "processing-job-fractional", "override-index-fractional"])
 def test_malformed_field_is_named(path, value, field):
     doc = instance_to_doc(minimal_instance())
     target = doc

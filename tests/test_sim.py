@@ -1,5 +1,7 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import RuleSpec
-from fafsp.sim import (BLOCKED, READY, DeadlockError, FeatureView,
-                       InfeasibleArcError, SimState, _rollout, advance_clock, apply_arc,
-                       extract_schedule, feasible_arcs, run_dispatch,
-                       schedule_from_text, schedule_to_text, total_tardiness)
+from fafsp.sim import (_ARRIVAL, BLOCKED, READY, DeadlockError, EventTimeError,
+                       FeatureView, InfeasibleArcError, SimState, _advance, _rollout,
+                       advance_clock, apply_arc, extract_schedule, feasible_arcs,
+                       run_dispatch, schedule_from_text, schedule_to_text,
+                       total_tardiness)
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance, pick_arc
@@ -193,6 +196,17 @@ def test_deadlock_detected_when_events_vanish():
         advance_clock(state)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_advance_rejects_an_event_that_is_not_ahead(bad):
+    state = SimState(minimal_instance())
+    apply_arc(state, (0, 0))
+    advance_clock(state)                     # t=5: job 0 done, events now empty
+    state._push(state.clock + bad, _ARRIVAL, 0)
+    with pytest.raises(EventTimeError):
+        _advance(state)
+    assert state.clock == 5.0
+
+
 def test_rollouts_deterministic():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.6, alpha=4, mu=2.0,
                                             n_init=2, seed=13))
@@ -277,16 +291,32 @@ def _python_arcs(inst, state):
             for m in sorted(j.eligible) if state.m_idle[m] <= state.clock]
 
 
-def _reference_dispatch(inst, rule):
-    """Rollout that enumerates the arcs afresh before every decision."""
-    state = SimState(inst)
+def _check_ready_bookkeeping(inst, state):
+    """The state's ready count, ready-pair mask and machine queue counts
+    against a recomputation from the job statuses."""
+    jobs = sorted(inst.jobs, key=lambda j: j.id)
+    ready = [j for j in jobs if state.status[j.id] == READY]
+    assert state.n_ready == len(ready)
+    assert state.pair_ready.tolist() == [state.status[j.id] == READY
+                                         for j in jobs for _ in j.eligible]
+    assert state.m_queue.tolist() == [sum(m in j.eligible for j in ready)
+                                      for m in range(inst.num_machines)]
+
+
+def _reference_dispatch(inst, rule, state=None):
+    """Rollout, from a fresh state or the given one, that enumerates the arcs
+    afresh before every decision and checks the ready bookkeeping at every
+    step."""
+    state = SimState(inst) if state is None else state
     while state.done_count < state.t.J:
+        _check_ready_bookkeeping(inst, state)
         arcs = feasible_arcs(state)
         assert arcs == _python_arcs(inst, state)
         if arcs:
             apply_arc(state, pick_arc(rule, FeatureView(state), arcs))
         else:
             advance_clock(state)
+    _check_ready_bookkeeping(inst, state)
     return extract_schedule(state)
 
 
@@ -343,6 +373,26 @@ def test_zero_length_dispatch_leaves_machine_idle():
     assert [(a.job, a.machine, a.st, a.ct) for a in sched.arcs] == [
         (0, 0, 0.0, 0.0), (2, 0, 0.0, 3.0), (1, 1, 0.0, 0.0), (3, 1, 3.0, 4.0)]
     assert validate_schedule(ZERO_LENGTH, sched) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clones_keep_their_own_ready_bookkeeping(seed):
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                            n_init=2, seed=seed))
+    state = SimState(inst)
+    # walk past half the jobs to an epoch with arcs of two different jobs
+    while state.done_count < inst.num_jobs // 2 or len({j for j, _ in feasible_arcs(state)}) < 2:
+        arcs = feasible_arcs(state)
+        if arcs:
+            apply_arc(state, arcs[0])
+        else:
+            advance_clock(state)
+    other = state.clone()
+    arcs = feasible_arcs(state)
+    apply_arc(state, arcs[0])
+    apply_arc(other, arcs[-1])
+    for copy in (state, other):
+        _reference_dispatch(inst, EDD, copy)
 
 
 # -- a rule's read set against the full gather -------------------------------------
