@@ -8,9 +8,9 @@ from .sim import (FeatureView, Schedule, SimState, advance_clock, apply_arc,
                   feasible_arcs, run_dispatch, total_tardiness)
 from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .validator import Violation, brute_force_optimum, validate_schedule
-from .llm import (Critique, LiveTransport, PromptBundle, RecordingTransport,
-                  ReplayTransport, ScriptedTransport, extract_critique,
-                  extract_individual, render_evaluator_prompt, render_generator_prompt)
+from .llm import (Critique, LiveTransport, RecordingTransport, ReplayTransport,
+                  ScriptedTransport, extract_critique, extract_individual,
+                  render_evaluator_prompt, render_generator_prompt)
 from .evolve import (EvolutionConfig, EvolutionResult, RuleIndividual,
                      evaluate_fitness, run_evolution, summarize_features,
                      tournament_select)

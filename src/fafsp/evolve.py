@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
-                  MissingSection, MultipleBlocks, ParentRule, PromptBundle,
-                  TransportError, extract_critique, extract_individual,
-                  render_evaluator_prompt, render_generator_prompt, request_digest)
+                  MissingSection, MultipleBlocks, TransportError, extract_critique,
+                  extract_individual, render_evaluator_prompt, render_generator_prompt,
+                  request_digest)
 from .model import Instance, Stage, load_instance, load_json
 from .generator import _is_number, order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
@@ -43,8 +43,9 @@ DEFAULT_STRATEGIES = (Strategy("C1", 2, True), Strategy("C2", 2, False),
 
 @dataclass
 class RuleIndividual:
+    """One evaluated rule; prompts read its description, source and fitness."""
+
     description: str
-    source: str
     spec: RuleSpec
     fitness: float
     critique: Critique | None = None
@@ -54,8 +55,9 @@ class RuleIndividual:
     temperature: float = 0.0
     uid: int = -1
 
-    def as_parent(self) -> ParentRule:
-        return ParentRule(self.description, self.source, self.fitness)
+    @property
+    def source(self) -> str:
+        return self.spec.source
 
 
 @dataclass
@@ -259,10 +261,7 @@ def _critique_of(run: _Run, candidate: RuleIndividual,
                  population: Sequence[RuleIndividual], generation: int) -> Critique | None:
     best = min(population, key=lambda r: r.fitness)
     worst = max(population, key=lambda r: r.fitness)
-    bundle = PromptBundle(role="Evaluator", operator="Eval", features=run.features,
-                          parents=(candidate.as_parent(),), best=best.as_parent(),
-                          worst=worst.as_parent())
-    prompt = render_evaluator_prompt(bundle)
+    prompt = render_evaluator_prompt(run.features, candidate, best, worst)
     response, _ = run.call(prompt, run.u0, "Eval", generation)
     try:
         return extract_critique(response)
@@ -274,10 +273,7 @@ def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
                         critique: Critique | None, temperature: float,
                         generation: int) -> RuleIndividual | None:
     """One slot: prompt, extract, validate, evaluate; None if every attempt fails."""
-    bundle = PromptBundle(role="Generator", operator=operator, features=run.features,
-                          parents=tuple(p.as_parent() for p in parents),
-                          critique=critique)
-    prompt = render_generator_prompt(bundle)
+    prompt = render_generator_prompt(operator, run.features, parents, critique)
     for _ in range(run.cfg.retry_budget):
         response, entry = run.call(prompt, temperature, operator, generation)
         try:
@@ -292,7 +288,7 @@ def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
         except RuleInvalid:
             continue
         entry["fitness"] = fitness
-        indiv = RuleIndividual(description, source, spec, fitness, None,
+        indiv = RuleIndividual(description, spec, fitness, None,
                                generation, operator,
                                tuple(p.uid for p in parents), temperature,
                                uid=run.next_uid())
@@ -303,12 +299,11 @@ def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
 
 def _init_population(run: _Run) -> None:
     cfg = run.cfg
-    elite_src = builtin_source("EDD")
-    elite_spec = RuleSpec.expression(elite_src, name="EDD")
+    elite_spec = RuleSpec.expression(builtin_source("EDD"), name="EDD")
     elite_fit = evaluate_fitness(elite_spec, run.instances)
     elite = RuleIndividual(
         "Earliest due date first; ties go to the machine that finishes the job soonest.",
-        elite_src, elite_spec, elite_fit, None, 0, "Elite", (), cfg.u_low,
+        elite_spec, elite_fit, None, 0, "Elite", (), cfg.u_low,
         uid=run.next_uid())
     run.elite = elite
     run.admit(elite)

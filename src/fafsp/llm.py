@@ -2,8 +2,10 @@
 
 One expert writes candidate priority expressions (generator), the other
 reviews an evaluated rule against the population's best and worst members
-and answers with a three-section critique (evaluator). Prompt rendering is
-pure: the same bundle always yields byte-identical text, and every request
+and answers with a three-section critique (evaluator). A rule enters a
+prompt as its record: any object with ``description``, ``source`` and
+``fitness``, such as an evolution's ``RuleIndividual``. Prompt rendering is
+pure: the same arguments always yield byte-identical text, and every request
 is identified by a digest of (prompt, temperature) so a recorded cassette
 replays a whole run deterministically with zero network traffic.
 """
@@ -90,40 +92,16 @@ class Critique:
     suggestions: str
 
 
-@dataclass(frozen=True)
-class ParentRule:
-    description: str
-    source: str
-    fitness: float
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    """Everything one prompt needs; rendering never looks anywhere else."""
-
-    role: str                               # "Evaluator" | "Generator"
-    operator: str                           # Init / C1 / C2 / M1 / M2
-    features: str                           # scenario summary text
-    parents: tuple[ParentRule, ...]
-    critique: Critique | None = None
-    best: ParentRule | None = None
-    worst: ParentRule | None = None
-
-
-def _rule_block(label: str, rule: ParentRule) -> str:
+def _rule_block(label: str, rule) -> str:
     return (f"{label}\n"
             f"  description: {rule.description}\n"
             f"  fitness (mean total tardiness, lower is better): {rule.fitness!r}\n"
             f"  expression: {rule.source}\n")
 
 
-def render_evaluator_prompt(b: PromptBundle) -> str:
-    """Review request for one evaluated rule, framed by the population extremes."""
-    if b.role != "Evaluator":
-        raise ValueError(f"expected an Evaluator bundle, got role {b.role!r}")
-    if not b.parents or b.best is None or b.worst is None:
-        raise ValueError("evaluator bundle needs the candidate and the population extremes")
-    cand = b.parents[0]
+def render_evaluator_prompt(features: str, candidate, best, worst) -> str:
+    """Review request for one evaluated rule, framed by the population
+    extremes; ``features`` is the training-set summary text."""
     return (
         "You are a production-scheduling expert. The shop is a flexible "
         "assembly flow shop with kitting constraints: an assembly job may "
@@ -132,12 +110,12 @@ def render_evaluator_prompt(b: PromptBundle) -> str:
         "finished. The objective is to minimize total order tardiness.\n\n"
         + GRAMMAR_TEXT
         + "\nShop-floor characteristics of the training instances:\n"
-        + b.features
+        + features
         + "\n\nRule under review:\n"
-        + _rule_block("candidate:", cand)
+        + _rule_block("candidate:", candidate)
         + "\nPopulation context:\n"
-        + _rule_block("best so far:", b.best)
-        + _rule_block("worst so far:", b.worst)
+        + _rule_block("best so far:", best)
+        + _rule_block("worst so far:", worst)
         + "\nPlease evaluate the following heuristic rules based on the above "
           "information.\nAnswer with exactly three labeled sections:\n"
           "Advantages: <what the rule does well in this shop>\n"
@@ -146,33 +124,32 @@ def render_evaluator_prompt(b: PromptBundle) -> str:
     )
 
 
-def render_generator_prompt(b: PromptBundle) -> str:
-    """Request for one new rule under the bundle's evolutionary operator."""
-    if b.role != "Generator":
-        raise ValueError(f"expected a Generator bundle, got role {b.role!r}")
-    if b.operator not in OPERATOR_INSTRUCTIONS:
-        raise ValueError(f"unknown operator {b.operator!r}")
-    if len(b.parents) != PARENT_COUNT[b.operator]:
-        raise ValueError(f"operator {b.operator} takes {PARENT_COUNT[b.operator]} "
-                         f"parent(s), got {len(b.parents)}")
+def render_generator_prompt(operator: str, features: str, parents: Sequence,
+                            critique: Critique | None = None) -> str:
+    """Request for one new rule under an evolutionary operator (Init, C1,
+    C2, M1 or M2); the critique is of the first parent."""
+    if operator not in OPERATOR_INSTRUCTIONS:
+        raise ValueError(f"unknown operator {operator!r}")
+    if len(parents) != PARENT_COUNT[operator]:
+        raise ValueError(f"operator {operator} takes {PARENT_COUNT[operator]} "
+                         f"parent(s), got {len(parents)}")
     parts = [
         "You are an algorithm designer for online scheduling in a flexible "
         "assembly flow shop with kitting constraints (assembly waits for its "
         "full kit; an order is delivered when all its assembly jobs finish). "
         "You write priority rules that minimize total order tardiness.\n",
         GRAMMAR_TEXT,
-        "\nShop-floor characteristics of the training instances:\n" + b.features + "\n",
+        "\nShop-floor characteristics of the training instances:\n" + features + "\n",
     ]
-    for i, parent in enumerate(b.parents, start=1):
-        label = "provided algorithm:" if len(b.parents) == 1 else f"provided algorithm {i}:"
+    for i, parent in enumerate(parents, start=1):
+        label = "provided algorithm:" if len(parents) == 1 else f"provided algorithm {i}:"
         parts.append("\n" + _rule_block(label, parent))
-    if CRITIQUE_REQUIRED[b.operator]:
-        if b.critique is not None:
-            parts.append("\nExpert review of the provided algorithm:\n"
-                         f"Advantages: {b.critique.advantages}\n"
-                         f"Limitations: {b.critique.limitations}\n"
-                         f"Suggestions: {b.critique.suggestions}\n")
-    parts.append("\nTask: " + OPERATOR_INSTRUCTIONS[b.operator] + "\n")
+    if CRITIQUE_REQUIRED[operator] and critique is not None:
+        parts.append("\nExpert review of the provided algorithm:\n"
+                     f"Advantages: {critique.advantages}\n"
+                     f"Limitations: {critique.limitations}\n"
+                     f"Suggestions: {critique.suggestions}\n")
+    parts.append("\nTask: " + OPERATOR_INSTRUCTIONS[operator] + "\n")
     parts.append(
         "\nAnswer in exactly this form:\n"
         "Description: <one or two sentences on the idea>\n"

@@ -272,6 +272,14 @@ def _id(value) -> int:
     return int(value)
 
 
+def _key_id(key: str) -> int:
+    """An id written as a JSON object key: exactly the text of an integer."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError("expected the plain text of an integer id")
+    return value
+
+
 def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -300,7 +308,7 @@ def instance_from_doc(doc: dict) -> Instance:
         where = f"jobs[{i}]"
         jid = _field(j, "id", where, _id)
         job_kind[jid] = _field(j, "kind", where, Stage)
-        job_elig[jid] = {_convert(int, m, f"{where}.eligible"):
+        job_elig[jid] = {_convert(_key_id, m, f"{where}.eligible"):
                          _convert(float, pt, f"{where}.eligible[{m!r}]")
                          for m, pt in _field(j, "eligible", where, _object).items()}
 
@@ -371,12 +379,14 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_json(path, error: type[ValueError] = ValueError):
     """The parsed JSON file; malformed JSON raises ``error`` naming the file,
-    line and column."""
+    line and column, and text that is not UTF-8 raises it naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
 
 
 def load_instance(path) -> Instance:

@@ -1,12 +1,12 @@
-"""Dispatching-rule interface: nine classical builtins plus expression rules.
+"""Dispatching rules: nine classical builtins plus expression rules.
 
-Builtins pair a job-selection metric with a machine-assignment metric, each
-a program of :mod:`fafsp.expr`, and rank arcs by the lexicographic (job
-score, machine score) composite; EDD by itself uses earliest-end-time
-machine assignment. Expression rules are single programs. Every program is
-evaluated vectorized over all candidate arcs. Lower score dispatches first;
-remaining ties break on (job id, machine id), so ranking is a total order
-and rollouts are reproducible.
+A rule ranks arcs by its program, lowest first. A builtin pairs a
+job-selection metric (the program) with a machine-assignment metric (the
+tie-break), each a program of :mod:`fafsp.expr`, and ranks arcs by the
+lexicographic (job score, machine score) composite; EDD by itself uses
+earliest-end-time machine assignment. Every program is evaluated vectorized
+over all candidate arcs. Remaining ties break on (job id, machine id), so
+ranking is a total order and rollouts are reproducible.
 """
 
 from __future__ import annotations
@@ -41,39 +41,36 @@ def _builtin_texts(rule_id: str) -> tuple[str, str]:
     return _JOB_TEXT[select], _MACHINE_TEXT[assign or "EET"]
 
 
-#: builtin id -> (job program, machine program), ranked lexicographically
-BUILTINS = {rid: tuple(expr.parse(text) for text in _builtin_texts(rid))
-            for rid in BUILTIN_IDS}
-
-
 class RuleInvalid(RuntimeError):
     """An expression produced a non-finite priority for some arc."""
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    kind: str                       # "builtin" | "expression"
+    """Arcs rank by ``program``, lowest first, and arcs tied on it by
+    ``tie_break``, which only builtins set."""
+
     name: str
-    source: str | None = None
-    program: Program | None = None
+    source: str
+    program: Program
+    tie_break: Program | None = None
 
     @property
     def reads(self) -> frozenset[str]:
         """Accessor names the rule reads."""
-        if self.kind == "builtin":
-            job, machine = BUILTINS[self.name]
-            return job.reads | machine.reads
-        return self.program.reads
+        if self.tie_break is None:
+            return self.program.reads
+        return self.program.reads | self.tie_break.reads
 
     @staticmethod
     def builtin(rule_id: str) -> "RuleSpec":
         if rule_id not in BUILTIN_IDS:
             raise ValueError(f"unknown builtin rule {rule_id!r}; choose from {BUILTIN_IDS}")
-        return RuleSpec("builtin", rule_id)
+        return BUILTINS[rule_id]
 
     @staticmethod
     def expression(source: str, name: str = "expression") -> "RuleSpec":
-        return RuleSpec("expression", name, source, expr.parse(source))
+        return RuleSpec(name, source, expr.parse(source))
 
 
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
@@ -81,8 +78,12 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
 
     The arcs must be in (job, machine) order. ``argmin`` returns the first
     of tied arcs, which is then the one with the smallest (job id, machine
-    id): an expression ranks by its score, a builtin by the machine key
-    among the arcs tied on the job key.
+    id): a rule without a tie-break ranks by its program's score, a builtin
+    by the tie-break key among the arcs tied on the program's key.
+
+    Only the single-key path checks that scores are finite. The two-key
+    path needs no check: only ``RuleSpec.builtin`` sets a tie-break, and
+    builtin keys are finite on every valid instance.
     """
     n = len(jobs)
     if n == 0:
@@ -90,11 +91,10 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
     if n == 1:
         return 0
     cols = fv.arc_columns(jobs, machs)
-    if rule.kind == "builtin":
-        job, machine = BUILTINS[rule.name]
-        job_key = job.fn(cols)
+    if rule.tie_break is not None:
+        job_key = rule.program.fn(cols)
         ties = (job_key == job_key.min()).nonzero()[0]
-        return int(ties[machine.fn(cols)[ties].argmin()])
+        return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
     scores = expr.evaluate(rule.program, cols, n)
     finite = np.isfinite(scores)
     if not finite.all():
@@ -111,6 +111,11 @@ def builtin_source(rule_id: str) -> str:
         raise ValueError(f"unknown builtin rule {rule_id!r}")
     job, machine = _builtin_texts(rule_id)
     return f"{job}*{SCALE} + {machine}"
+
+
+#: builtin id -> its rule, ranked lexicographically by (job, machine) key
+BUILTINS = {rid: RuleSpec(rid, builtin_source(rid), *map(expr.parse, _builtin_texts(rid)))
+            for rid in BUILTIN_IDS}
 
 
 _SMOKE: list | None = None
@@ -165,13 +170,9 @@ class RuleFile:
 
 def save_rule_file(path, spec: RuleSpec, description: str = "",
                    fitness: float | None = None) -> None:
-    if spec.kind == "builtin":
-        source = builtin_source(spec.name)
-    else:
-        source = spec.source
     fit = "-" if fitness is None else repr(float(fitness))
     text = (f"# name: {spec.name}\n# description: {description}\n"
-            f"# fitness: {fit}\n{source}\n")
+            f"# fitness: {fit}\n{spec.source}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -160,13 +160,14 @@ def _state_key(state: SimState) -> tuple:
 
 
 def _tardiness_bound(inst: Instance):
-    """Function (state, its fixed tardiness) -> lower bound on the total
-    tardiness of every completion of that state.
+    """Function state -> lower bound on the total tardiness of every
+    completion of that state.
 
-    The bound is the tardiness already fixed plus, for each order with
-    assemblies left, max(0, finish_lb - due). finish_lb is the latest finish
-    of the order's remaining assemblies over their kits' critical paths:
-    minimum processing times, no setups, no machine contention. A running
+    The bound is the tardiness the state has already fixed plus, for each
+    order with assemblies left, max(0, finish_lb - due). finish_lb is the
+    latest finish of the order's remaining assemblies over their kits'
+    critical paths: minimum processing times, no setups, no machine
+    contention. A running
     job finishes at its recorded completion time. A processing job not yet
     started starts no earlier than max(clock, arrival), and an assembly no
     earlier than the clock and its parts' finish. The order's delivered
@@ -179,10 +180,10 @@ def _tardiness_bound(inst: Instance):
     kits = [[(p.assembly_job_id, p.processing_job_ids) for p in o.products]
             for o in sorted(inst.orders, key=lambda o: o.id)]
 
-    def bound(state: SimState, fixed: float) -> float:
+    def bound(state: SimState) -> float:
         clock = state.clock
         status, ct = state.status.tolist(), state.job_ct.tolist()
-        lb = fixed
+        lb = math.fsum(state.order_tt.tolist())
         for o, kit in enumerate(kits):
             finish = -math.inf
             for a, parts in kit:
@@ -232,7 +233,9 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
       what a pruning left out would be pruned again on every later visit.
 
     ``max_states`` bounds the number of nodes expanded. The schedule is the
-    optimal arc log replayed through the engine's epoch loop.
+    optimal arc log replayed through the engine's epoch loop, and the value
+    is its exact total tardiness (``total_tardiness``): each leaf is valued
+    by the exact sum of its order tardiness.
     """
     if inst.num_jobs > MAX_JOBS:
         raise OracleLimitError(f"{inst.num_jobs} jobs exceeds the limit of {MAX_JOBS}")
@@ -244,19 +247,20 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
     visited = 0
     incumbent = math.inf
 
-    def dfs(state: SimState, fixed: float) -> tuple[float, tuple]:
-        """(best future tardiness, best suffix arc log) of a state whose
-        fixed tardiness is ``fixed``; owns its state."""
+    def dfs(state: SimState) -> tuple[float, tuple]:
+        """(least total tardiness of a completion, its suffix arc log);
+        owns its state."""
         nonlocal visited, incumbent
         if state.done_count == state.t.J:
-            incumbent = min(incumbent, fixed)
-            return 0.0, ()
+            total = math.fsum(state.order_tt.tolist())
+            incumbent = min(incumbent, total)
+            return total, ()
         key = _state_key(state)
         hit = memo.get(key)
         if hit is not None:
-            incumbent = min(incumbent, fixed + hit[0])
+            incumbent = min(incumbent, hit[0])
             return hit
-        if bound(state, fixed) > incumbent + 1e-9 * (1.0 + incumbent):
+        if bound(state) > incumbent + 1e-9 * (1.0 + incumbent):
             return math.inf, ()
         visited += 1
         if visited > max_states:
@@ -265,9 +269,7 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
         jobs, machs = state._arc_arrays()
         if len(jobs) == 0:
             _advance(state)
-            after = float(state.order_tt.sum())
-            sub, log = dfs(state, after)
-            best = (after - fixed + sub, log)
+            best = dfs(state)
         else:
             best = (math.inf, ())
             for j, m in zip(jobs.tolist(), machs.tolist()):
@@ -275,14 +277,14 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
                     break
                 child = state.clone()
                 _dispatch(child, j, m)
-                sub, log = dfs(child, fixed)
+                sub, log = dfs(child)
                 cand = (sub, ((j, m),) + log)
                 if cand < best:
                     best = cand
         memo[key] = best
         return best
 
-    value, log = dfs(SimState(inst), 0.0)
+    value, log = dfs(SimState(inst))
     arcs = iter(log)
 
     def logged(jobs: np.ndarray, machs: np.ndarray) -> int:

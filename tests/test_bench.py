@@ -330,6 +330,14 @@ def test_cli_gen_bad_scenario_exits_1(tmp_path, capsys, doc, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_gen_non_utf8_scenario_exits_1(tmp_path, capsys):
+    path = tmp_path / "scen.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["gen", "--scenario", str(path), "--count", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, str(path))
+
+
 @pytest.mark.parametrize("doc, flags, key", [
     ({"replications": 2}, [], "scenarios"),
     ({"replications": 0, "scenarios": [SCENARIO]}, [], "replications"),

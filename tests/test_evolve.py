@@ -103,7 +103,7 @@ def test_summarize_features_unknown_mu():
 
 
 def _pop(fitnesses):
-    return [RuleIndividual("d", "due", RuleSpec.expression("due"), f, uid=i)
+    return [RuleIndividual("d", RuleSpec.expression("due"), f, uid=i)
             for i, f in enumerate(fitnesses)]
 
 

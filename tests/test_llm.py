@@ -6,11 +6,12 @@ import pytest
 
 from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
                        Critique, LiveTransport, MissingBlock, MissingSection,
-                       MultipleBlocks, ParentRule, PromptBundle,
-                       RecordingTransport, ReplayMiss, ReplayTransport,
+                       MultipleBlocks, RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport, TransportError, extract_critique,
                        extract_individual, load_cassette, render_evaluator_prompt,
                        render_generator_prompt, request_digest)
+from fafsp.evolve import RuleIndividual
+from fafsp.rules import RuleSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,73 +22,69 @@ FEATURES = ("instances: 2; orders per instance: 4.000; jobs per order: 8.500\n"
             "mean inter-arrival gap: 5.500 minutes\n"
             "due-date tightness (due - arrival over order lower bound): 0.820\n"
             "load factor: 2.000")
-ELITE = ParentRule("Earliest due date first; ties go to the machine that "
-                   "finishes the job soonest.",
-                   "due*1000000 + max(avail, now) + setup + pt", 123.456)
-OTHER = ParentRule("Blend of slack and congestion.", "slack + 0.5*queue*pt", 150.75)
+ELITE = RuleIndividual("Earliest due date first; ties go to the machine that "
+                       "finishes the job soonest.",
+                       RuleSpec.expression("due*1000000 + max(avail, now) + setup + pt"),
+                       123.456)
+OTHER = RuleIndividual("Blend of slack and congestion.",
+                       RuleSpec.expression("slack + 0.5*queue*pt"), 150.75)
 CRITIQUE = Critique("Focuses on urgent orders.",
                     "Ignores machine congestion and setup families.",
                     "Weight the queue length and discount distant due dates.")
 
 
-def eval_bundle():
-    return PromptBundle(role="Evaluator", operator="Eval", features=FEATURES,
-                        parents=(ELITE,), best=ELITE, worst=OTHER)
+def eval_prompt():
+    return render_evaluator_prompt(FEATURES, ELITE, ELITE, OTHER)
 
 
-def gen_bundle(op, critique=CRITIQUE):
+def gen_prompt(op):
     parents = (ELITE,) if PARENT_COUNT[op] == 1 else (ELITE, OTHER)
-    return PromptBundle(role="Generator", operator=op, features=FEATURES,
-                        parents=parents, critique=critique)
+    return render_generator_prompt(op, FEATURES, parents, CRITIQUE)
 
 
 def test_rendering_is_deterministic():
-    assert render_evaluator_prompt(eval_bundle()) == render_evaluator_prompt(eval_bundle())
-    assert render_generator_prompt(gen_bundle("C1")) == render_generator_prompt(gen_bundle("C1"))
+    assert eval_prompt() == eval_prompt()
+    assert gen_prompt("C1") == gen_prompt("C1")
 
 
 def test_evaluator_prompt_contains_all_fitness_values():
-    text = render_evaluator_prompt(eval_bundle())
+    text = eval_prompt()
     assert repr(123.456) in text and repr(150.75) in text
     assert "evaluate the following heuristic rules based on the above" in text
 
 
 def test_evaluator_prompt_golden():
-    assert render_evaluator_prompt(eval_bundle()) == (DATA / "evaluator_prompt.txt").read_text()
+    assert eval_prompt() == (DATA / "evaluator_prompt.txt").read_text()
 
 
 @pytest.mark.parametrize("op", sorted(OPERATOR_INSTRUCTIONS))
 def test_generator_prompt_golden(op):
-    assert render_generator_prompt(gen_bundle(op)) == (DATA / f"generator_{op}.txt").read_text()
+    assert gen_prompt(op) == (DATA / f"generator_{op}.txt").read_text()
 
 
 @pytest.mark.parametrize("op", sorted(OPERATOR_INSTRUCTIONS))
 def test_generator_prompt_embeds_instruction_and_grammar(op):
-    text = render_generator_prompt(gen_bundle(op))
+    text = gen_prompt(op)
     assert OPERATOR_INSTRUCTIONS[op] in text
     assert "ONE arithmetic expression" in text       # names the grammar
     assert "def " not in text                        # never a host-language function
 
 
 def test_critique_included_only_where_required():
-    assert CRITIQUE.suggestions in render_generator_prompt(gen_bundle("C1"))
-    assert CRITIQUE.suggestions in render_generator_prompt(gen_bundle("M1"))
-    assert CRITIQUE.suggestions not in render_generator_prompt(gen_bundle("C2"))
-    assert CRITIQUE.suggestions not in render_generator_prompt(gen_bundle("M2"))
+    assert CRITIQUE.suggestions in gen_prompt("C1")
+    assert CRITIQUE.suggestions in gen_prompt("M1")
+    assert CRITIQUE.suggestions not in gen_prompt("C2")
+    assert CRITIQUE.suggestions not in gen_prompt("M2")
 
 
 def test_parent_count_checked():
-    bad = PromptBundle(role="Generator", operator="C1", features=FEATURES,
-                       parents=(ELITE,))
     with pytest.raises(ValueError, match="parent"):
-        render_generator_prompt(bad)
+        render_generator_prompt("C1", FEATURES, (ELITE,))
 
 
-def test_role_mismatch_rejected():
-    with pytest.raises(ValueError):
-        render_generator_prompt(eval_bundle())
-    with pytest.raises(ValueError):
-        render_evaluator_prompt(gen_bundle("C1"))
+def test_unknown_operator_rejected():
+    with pytest.raises(ValueError, match="unknown operator 'Eval'"):
+        render_generator_prompt("Eval", FEATURES, (ELITE,))
 
 
 def test_digest_is_stable():

@@ -119,6 +119,15 @@ def test_malformed_field_is_named(path, value, field):
     assert str(e.value).startswith(field + ":")
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1", "01", "+1", "1.0"])
+def test_eligible_key_must_be_plain_integer_text(key):
+    doc = instance_to_doc(minimal_instance())
+    doc["jobs"][0]["eligible"] = {key: 5.0}
+    with pytest.raises(InstanceFormatError) as e:
+        instance_from_doc(doc)
+    assert str(e.value).startswith("jobs[0].eligible:")
+
+
 def test_non_object_document_rejected():
     with pytest.raises(InstanceFormatError, match="top level: expected an object"):
         instance_from_doc([])
@@ -129,6 +138,14 @@ def test_parse_error_carries_location(tmp_path):
     path.write_text('{"machines": [,]}', encoding="utf-8")
     with pytest.raises(InstanceFormatError, match="line 1"):
         load_instance(path)
+
+
+def test_non_utf8_file_named(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(InstanceFormatError) as e:
+        load_instance(path)
+    assert str(e.value).startswith(f"{path}: not UTF-8 text")
 
 
 def test_save_rejects_invalid_instance(tmp_path):

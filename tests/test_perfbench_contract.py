@@ -3,20 +3,25 @@
 ``perfbench/probe.py`` drives rollouts through sim's public step API and
 swaps timing shims in at fafsp's module attributes by name. A refactor that
 deletes or renames one of those names breaks the benchmark without failing
-any other test. This runs the traced rollout and the oracle under the shims
-and requires every schedule to equal the untraced one, byte for byte.
+any other test. This runs the traced rollout, the oracle and an evolution
+under the shims and requires every schedule, value, journal and incumbent to
+equal the untraced one, byte for byte.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from fafsp.evolve import EvolutionConfig, run_evolution
 from fafsp.generator import generate_instance
+from fafsp.llm import ScriptedTransport
 from fafsp.sim import run_dispatch, schedule_to_text
 from fafsp.validator import brute_force_optimum
 
 from helpers import tiny_oracle_instance
+from test_acceptance import _mock_responses, _training_instances
 from test_golden import RULES, SCENARIOS
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -44,3 +49,15 @@ def test_oracle_under_shims_matches_untraced():
     assert repr(traced_value) == repr(value)
     assert schedule_to_text(traced_sched) == schedule_to_text(sched)
     assert "sim.clone" in probe.names           # the shims reach inside the search
+
+
+def test_evolution_under_shims_matches_untraced():
+    cfg = EvolutionConfig(generations=2, population=4, seed=17)
+    instances = _training_instances()
+    plain = run_evolution(cfg, ScriptedTransport(_mock_responses()), instances)
+    probe = TracedProbe(Timeline())
+    with shims(probe):
+        traced = run_evolution(cfg, ScriptedTransport(_mock_responses()), instances)
+    assert json.dumps(traced.journal, sort_keys=True) == json.dumps(plain.journal, sort_keys=True)
+    assert traced.best.source == plain.best.source
+    assert {"llm.render", "evolve.evaluate_fitness"} <= set(probe.names)

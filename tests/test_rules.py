@@ -169,8 +169,8 @@ def test_builtin_composite_keys():
     fv = FakeView({"due": [15.0], "now": [2.0], "avail": [1.0],
                    "setup": [0.5], "pt": [3.0]})
     cols = fv.arc_columns([0], [0])
-    job, machine = BUILTINS["EDD"]
-    assert (job.fn(cols)[0], machine.fn(cols)[0]) == (15.0, 2.0 + 0.5 + 3.0)
+    edd = BUILTINS["EDD"]
+    assert (edd.program.fn(cols)[0], edd.tie_break.fn(cols)[0]) == (15.0, 2.0 + 0.5 + 3.0)
 
 
 def test_validate_rule_rejects_deep_nesting():

@@ -1,5 +1,7 @@
 """Independent schedule checks and the branch-and-bound non-delay oracle."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -161,18 +163,15 @@ def _exhaustive_optimum(inst):
 
     def dfs(state):
         if state.done_count == state.t.J:
-            return 0.0, ()
+            return math.fsum(state.order_tt.tolist()), ()
         key = (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
                state.m_last.tobytes(), state.order_ft.tobytes())
         if key in memo:
             return memo[key]
         arcs = feasible_arcs(state)
         if not arcs:
-            before = float(state.order_tt.sum())
             advance_clock(state)
-            gained = float(state.order_tt.sum()) - before
-            sub, log = dfs(state)
-            best = (gained + sub, log)
+            best = dfs(state)
         else:
             best = None
             for arc in arcs:
@@ -220,33 +219,47 @@ def _arcs(sched):
     return tuple((a.job, a.machine) for a in sched.arcs)
 
 
-# the optimum is 3 in exact arithmetic, reached by paths whose tardiness
-# sums round to 3.0 and to 2.9999999999999996; only the latter is optimal,
-# and a prune at bound == incumbent would cut it
+# the optimum is 3 in exact arithmetic; a running fold of differences of
+# tardiness sums values one optimal path at 2.9999999999999996, but every
+# schedule's exact total is 3.0
 ROUNDING_TIE = make_instance("ppa", [
     (0.3, 0.4, [([{0: 0.7}], {2: 1.3})]),
     (0.0, 0.3, [([{1: 0.0}], {2: 0.0})]),
     (0.0, 0.0, [([{0: 0.0, 1: 0.1}, {0: 0.4, 1: 0.3}], {2: 0.0})]),
 ], setup=0.2)
 
+# orders 2 and 3 are twins; the search first finds the sequences that start
+# with order 2's part, totalling 3.6, then those that start with order 3's,
+# totalling 3.5999999999999996. Along the latter the bound, summed order by
+# order, rounds up to 3.6000000000000005, so a prune with no margin above
+# the incumbent would cut the optimum
+BOUND_ROUNDS_UP = make_instance("ppaa", [
+    (1.0, 1.0, [([{1: 0.4}], {3: 2.0})]),
+    (1.0, 1.3, [([{1: 0.0}], {3: 0.4})]),
+    (0.3, 0.3, [([{0: 0.4}], {2: 0.1})]),
+    (0.3, 0.6, [([{0: 0.4}], {2: 0.1})]),
+])
+
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=tiny_instances())
 @example(inst=ROUNDING_TIE)
+@example(inst=BOUND_ROUNDS_UP)
 def test_branch_and_bound_matches_exhaustive_search(inst):
     value, sched = brute_force_optimum(inst)
+    assert value == total_tardiness(sched)
     assert (value, _arcs(sched)) == _exhaustive_optimum(inst)
 
 
 def _states_along(inst, rule):
-    """Every decision state of the rule's rollout, with its fixed tardiness,
-    and the rollout's total tardiness."""
+    """Every decision state of the rule's rollout, and the rollout's total
+    tardiness."""
     sched = run_dispatch(inst, rule)
     state, states = SimState(inst), []
     for a in sched.arcs:
         while (a.job, a.machine) not in feasible_arcs(state):
             advance_clock(state)
-        states.append((state.clone(), float(state.order_tt.sum())))
+        states.append(state.clone())
         apply_arc(state, (a.job, a.machine))
     return states, total_tardiness(sched)
 
@@ -256,9 +269,9 @@ def _states_along(inst, rule):
 def test_tardiness_bound_is_a_lower_bound(inst, rid):
     bound = _tardiness_bound(inst)
     states, total = _states_along(inst, RuleSpec.builtin(rid))
-    for state, fixed in states:
-        assert bound(state, fixed) <= total + 1e-9
-    assert bound(*states[0]) <= brute_force_optimum(inst)[0] + 1e-9
+    for state in states:
+        assert bound(state) <= total + 1e-9
+    assert bound(states[0]) <= brute_force_optimum(inst)[0] + 1e-9
 
 
 def test_tardiness_bound_counts_late_delivered_products():
@@ -275,15 +288,15 @@ def test_tardiness_bound_counts_late_delivered_products():
     advance_clock(state)                      # t = 5: job 2 done
     advance_clock(state)                      # t = 6: assembly 0 done
     assert state.order_ft[0] == 6.0 and state.order_tt[0] == 0.0
-    assert _tardiness_bound(inst)(state, 0.0) == 1.0
+    assert _tardiness_bound(inst)(state) == 1.0
 
 
 def test_tardiness_bound_is_exact_once_everything_runs():
     inst = tiny_oracle_instance(7000)
     states, total = _states_along(inst, RuleSpec.builtin("EDD"))
-    state, fixed = states[-1]
+    state = states[-1]
     apply_arc(state, _arcs(run_dispatch(inst, RuleSpec.builtin("EDD")))[-1])
-    assert _tardiness_bound(inst)(state, fixed) == pytest.approx(total, abs=1e-12)
+    assert _tardiness_bound(inst)(state) == pytest.approx(total, abs=1e-12)
 
 
 def test_search_stays_small():
