@@ -277,23 +277,28 @@ class ReplayTransport:
 
 def load_cassette(path) -> list[dict]:
     """Records of a cassette file, one JSON object per non-blank line; raises
-    CassetteFormatError naming the first malformed line."""
+    CassetteFormatError naming the first malformed line, or naming the file
+    when it is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise CassetteFormatError(f"cassette {path}: not UTF-8 text ({e.reason})") from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as e:
-                raise CassetteFormatError(f"cassette {path} line {ln}: {e}") from None
-            if not isinstance(rec, dict):
-                raise CassetteFormatError(f"cassette {path} line {ln}: not a JSON object")
-            for key in ("digest", "response"):
-                if not isinstance(rec.get(key), str):
-                    raise CassetteFormatError(
-                        f"cassette {path} line {ln}: {key!r} is not a string")
-            records.append(rec)
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as e:
+            raise CassetteFormatError(f"cassette {path} line {ln}: {e}") from None
+        if not isinstance(rec, dict):
+            raise CassetteFormatError(f"cassette {path} line {ln}: not a JSON object")
+        for key in ("digest", "response"):
+            if not isinstance(rec.get(key), str):
+                raise CassetteFormatError(
+                    f"cassette {path} line {ln}: {key!r} is not a string")
+        records.append(rec)
     return records
 
 

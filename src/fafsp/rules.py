@@ -178,24 +178,34 @@ def save_rule_file(path, spec: RuleSpec, description: str = "",
 
 
 def load_rule_file(path) -> RuleFile:
+    """The rule file's header fields and rule; text that is not UTF-8 or a
+    fitness that is not a number raises ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
     name, description, fitness = "rule", "", None
     body: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                head = stripped.lstrip("#").strip()
-                for key in ("name", "description", "fitness"):
-                    if head.startswith(key + ":"):
-                        value = head[len(key) + 1:].strip()
-                        if key == "name":
-                            name = value
-                        elif key == "description":
-                            description = value
-                        elif value != "-":
+    for ln, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            head = stripped.lstrip("#").strip()
+            for key in ("name", "description", "fitness"):
+                if head.startswith(key + ":"):
+                    value = head[len(key) + 1:].strip()
+                    if key == "name":
+                        name = value
+                    elif key == "description":
+                        description = value
+                    elif value != "-":
+                        try:
                             fitness = float(value)
-            elif stripped:
-                body.append(stripped)
+                        except ValueError:
+                            raise ValueError(f"{path} line {ln}: fitness {value!r} "
+                                             "is not a number") from None
+        elif stripped:
+            body.append(stripped)
     if not body:
         raise ValueError(f"{path}: no expression line")
     return RuleFile(name, description, fitness,

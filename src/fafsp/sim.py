@@ -1,20 +1,19 @@
 """Event-driven dispatching environment.
 
 Decision epochs open at time zero and whenever a job completes or an order
-arrives. Within an epoch the clock is fixed, so the feasible (job, machine)
-arcs can only shrink: they are enumerated once per epoch, by masking the
-instance's flat array of (job, eligible machine) pairs, and after each
-dispatch the job's arcs, and the machine's if it became busy, are masked
-out. The state keeps its ready jobs' pairs as a mask over that array, with
-a ready count and per-machine queue counts, and updates all three only when
-a job enters or leaves READY (arrival, kit completion, dispatch), so an
-epoch with no ready job costs nothing and the others scan no job status. The active rule ranks the remaining arcs with the columns it reads,
-gathered from the current state in one call; when no feasible arc remains
-the clock jumps to the next event. Completions are processed before
-arrivals that share the same timestamp. One loop steps the epochs, and it
-takes the arc to dispatch from a chooser: ``run_dispatch`` ranks the arcs
-with a rule, and the oracle replays its optimal arc log through the same
-loop to build its schedule.
+arrives. Each decision enumerates the feasible (job, machine) arcs afresh:
+the state keeps its ready jobs' pairs as a mask over the instance's flat
+array of (job, eligible machine) pairs, and the arcs are the ready pairs
+whose machine is idle. With the mask it keeps a ready count and
+per-machine queue counts, and updates all three only when a job enters or
+leaves READY (arrival, kit completion, dispatch), so an epoch with no ready
+job costs nothing and the others scan no job status. The active rule ranks
+the arcs with the columns it reads, gathered from the current state in one
+call; when no feasible arc remains the clock jumps to the next event.
+Completions are processed before arrivals that share the same timestamp.
+One loop steps the rollout, and it takes the arc to dispatch from a
+chooser: ``run_dispatch`` ranks the arcs with a rule, and the oracle
+replays its optimal arc log through the same loop to build its schedule.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -91,15 +90,17 @@ class _Tables:
         self.ptmat = np.full((J, M), np.nan)
         self.is_assembly = [False] * J
         self.job_order = np.empty(J, dtype=np.int64)
+        self.job_order_list = [0] * J                       # for scalar reads
         self.mean_et = np.empty(J)
         self.succ = [-1] * J                                # feeding assembly job
-        self.pred_count = np.zeros(J, dtype=np.int64)
+        self.pred_count = [0] * J
         for job in inst.jobs:
             ms = np.array(sorted(job.eligible), dtype=np.int64)
             pts = np.array([job.eligible[m] for m in ms])
             self.ptmat[job.id, ms] = pts
             self.is_assembly[job.id] = job.kind == Stage.ASSEMBLY
             self.job_order[job.id] = job.order_id
+            self.job_order_list[job.id] = job.order_id
             self.mean_et[job.id] = pts.mean()
             self.pred_count[job.id] = len(job.predecessors)
 
@@ -107,7 +108,7 @@ class _Tables:
         eligible = ~np.isnan(self.ptmat)
         n_mach = eligible.sum(axis=1)
         self.n_mach = n_mach.astype(float)
-        self.incidence = eligible.view(np.int8)             # job -> 0/1 per machine
+        self.incidence = eligible.astype(float)             # job -> 0/1 per machine
         # every (job, eligible machine) pair, sorted by job and then machine;
         # job j's pairs are pair_start[j]:pair_start[j + 1]. Contiguous
         # copies, because nonzero returns strided views that gather slower.
@@ -121,7 +122,7 @@ class _Tables:
         self.order_arrival = np.empty(N)
         self.order_due = np.empty(N)
         self.order_jobs: list[list[int]] = [[] for _ in range(N)]
-        self.order_asm_count = np.zeros(N, dtype=np.int64)
+        self.order_asm_count = [0] * N
         for o in inst.orders:
             self.order_arrival[o.id] = o.arrival
             self.order_due[o.id] = o.due
@@ -134,7 +135,7 @@ class _Tables:
             for j in self.order_jobs[o.id]:
                 self.job_arrival[j] = o.arrival
                 self.job_due[j] = o.due
-        self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=np.int64)
+        self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=float)
         self.order_init_work = np.array(
             [math.fsum(self.mean_et[j] for j in js) for js in self.order_jobs])
 
@@ -166,7 +167,9 @@ class SimState:
         self.m_idle = np.zeros(t.M)
         self.m_last = np.full(t.M, -1, dtype=np.int64)
         self.m_busy = np.zeros(t.M)
-        self.m_queue = np.zeros(t.M, dtype=np.int64)    # ready jobs eligible per machine
+        # ready jobs eligible per machine; float counts (exact at these sizes)
+        # serve the queue column without a cast, like order_ops_rem
+        self.m_queue = np.zeros(t.M)
         self.n_ready = 0
         self.pair_ready = np.zeros(len(t.arc_job), dtype=bool)
         self.job_ct = np.full(t.J, np.nan)
@@ -211,8 +214,9 @@ class SimState:
         t = self.t
         if not self.n_ready:                # about half the epochs of a dynamic rollout
             return t.arc_job[:0], t.arc_mach[:0]
-        k = (self.pair_ready & (self.m_idle <= self.clock)[t.arc_mach]).nonzero()[0]
-        return t.arc_job.take(k), t.arc_mach.take(k)
+        k = self.pair_ready.nonzero()[0]
+        k = k[(self.m_idle <= self.clock)[t.arc_mach[k]]]
+        return t.arc_job[k], t.arc_mach[k]
 
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
@@ -261,12 +265,11 @@ _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "wait": (("now", "arrival"), lambda s, jobs, machs, c: c["now"] - c["arrival"]),
     "et": ((), lambda s, jobs, machs, c: s.et[jobs]),
     "n_mach": ((), lambda s, jobs, machs, c: s.t.n_mach[jobs]),
-    "ops_rem": ((), lambda s, jobs, machs, c:
-                s.order_ops_rem[s.t.job_order[jobs]].astype(float)),
+    "ops_rem": ((), lambda s, jobs, machs, c: s.order_ops_rem[s.t.job_order[jobs]]),
     "pt": ((), lambda s, jobs, machs, c: s.t.ptmat[jobs, machs]),
     "setup": ((), lambda s, jobs, machs, c: s.t.setup[s.m_last[machs] + 1, jobs]),
     "avail": ((), lambda s, jobs, machs, c: s.m_idle[machs]),
-    "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs].astype(float)),
+    "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs]),
     "util": ((), lambda s, jobs, machs, c: s.m_busy[machs]),
 }
 
@@ -307,17 +310,16 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     return state
 
 
-def _dispatch(state: SimState, j: int, m: int) -> float:
-    """State update of dispatching the feasible arc (j, m); returns its
-    completion time."""
+def _dispatch(state: SimState, j: int, m: int) -> None:
+    """State update of dispatching the feasible arc (j, m)."""
     t = state.t
-    setup = float(t.setup[state.m_last[m] + 1, j])
-    pt = float(t.ptmat[j, m])
+    setup = t.setup.item(state.m_last.item(m) + 1, j)
+    pt = t.ptmat.item(j, m)
     st = state.clock
     ct = st + setup + pt
-    old_et = state.et[j]
+    old_et = state.et.item(j)
     state.et[j] = pt
-    state.order_work_rem[t.job_order[j]] += pt - old_et
+    state.order_work_rem[t.job_order_list[j]] += pt - old_et
     state.status[j] = RUNNING
     state._set_ready(j, False)
     state.m_idle[m] = ct
@@ -326,7 +328,6 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     state.job_ct[j] = ct
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
     state._push(ct, _COMPLETION, j)
-    return ct
 
 
 def advance_clock(state: SimState) -> SimState:
@@ -352,9 +353,9 @@ def _advance(state: SimState) -> SimState:
             j = payload
             state.status[j] = DONE
             state.done_count += 1
-            oid = t.job_order[j]
+            oid = t.job_order_list[j]
             state.order_ops_rem[oid] -= 1
-            state.order_work_rem[oid] -= state.et[j]
+            state.order_work_rem[oid] -= state.et.item(j)
             if t.is_assembly[j]:
                 state.order_asm_rem[oid] -= 1
                 if state.job_ct[j] > state.order_ft[oid]:
@@ -385,23 +386,17 @@ def extract_schedule(state: SimState) -> Schedule:
 def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -> Schedule:
     """Run the state to completion and return its schedule.
 
-    The one epoch loop: the feasible arcs are enumerated once per epoch, in
-    (job, machine) order, and each decision dispatches arc ``choose(jobs,
-    machs)`` of those still feasible; when none is left the clock advances."""
-    status, m_idle = state.status, state.m_idle
-    while state.done_count < state.t.J:
+    The one epoch loop: each step enumerates the feasible arcs, in (job,
+    machine) order, and dispatches arc ``choose(jobs, machs)``; when there
+    is none the clock advances."""
+    n_jobs = state.t.J
+    while state.done_count < n_jobs:
         jobs, machs = state._arc_arrays()
-        clock = state.clock
-        while len(jobs):
+        if len(jobs):
             k = choose(jobs, machs)
-            j, m = int(jobs[k]), int(machs[k])
-            if status[j] != READY or m_idle[m] > clock:
-                raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
-            keep = jobs != j
-            if _dispatch(state, j, m) > clock:  # a zero-length dispatch leaves m idle
-                keep &= machs != m
-            jobs, machs = jobs[keep], machs[keep]
-        _advance(state)
+            _dispatch(state, jobs.item(k), machs.item(k))
+        else:
+            _advance(state)
     return extract_schedule(state)
 
 

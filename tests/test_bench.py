@@ -12,7 +12,10 @@ from fafsp.cli import main
 from fafsp.generator import ScenarioConfig
 from fafsp.rules import RuleSpec
 from fafsp.llm import RecordingTransport, ScriptedTransport
+from fafsp.model import save_instance
 from fafsp.sim import run_dispatch, save_schedule
+
+from helpers import minimal_instance
 
 
 def test_compute_ari_published_style_pair():
@@ -336,6 +339,15 @@ def test_cli_gen_non_utf8_scenario_exits_1(tmp_path, capsys):
     assert main(["gen", "--scenario", str(path), "--count", "1",
                  "--out", str(tmp_path / "out")]) == 1
     _assert_one_error_line(capsys, str(path))
+
+
+def test_cli_run_non_utf8_rule_file_exits_1(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(minimal_instance(), inst_path)
+    rule = tmp_path / "rule.txt"
+    rule.write_bytes(b"\xff\xfe# name: r\n")
+    assert main(["run", "--rule", str(rule), "--instance", str(inst_path)]) == 1
+    _assert_one_error_line(capsys, f"{rule}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("doc, flags, key", [

@@ -136,6 +136,14 @@ def test_malformed_cassette_line_is_rejected_at_load(tmp_path, line, problem):
     assert isinstance(e.value, ValueError)
 
 
+def test_non_utf8_cassette_is_rejected_naming_the_file(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    cassette.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(CassetteFormatError) as e:
+        load_cassette(cassette)
+    assert str(e.value).startswith(f"cassette {cassette}: not UTF-8 text (")
+
+
 def test_cassette_records_structure(tmp_path):
     cassette = tmp_path / "c.jsonl"
     RecordingTransport(ScriptedTransport(["resp"]), cassette).send("p", 0.75, "C2")

@@ -165,6 +165,18 @@ def test_rule_file_builtin_saved_as_expression(tmp_path):
     assert loaded.spec.source == builtin_source("EDD")
 
 
+@pytest.mark.parametrize("content, problem", [
+    (b"\xff\xfe# name: r\n\x00due\n", "not UTF-8 text"),
+    (b"# fitness: abc\ndue\n", "line 1: fitness 'abc' is not a number"),
+], ids=["not-utf8", "bad-fitness"])
+def test_rule_file_errors_name_the_file(tmp_path, content, problem):
+    path = tmp_path / "rule.txt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as e:
+        load_rule_file(path)
+    assert str(e.value).startswith(f"{path}") and problem in str(e.value)
+
+
 def test_builtin_composite_keys():
     fv = FakeView({"due": [15.0], "now": [2.0], "avail": [1.0],
                    "setup": [0.5], "pt": [3.0]})

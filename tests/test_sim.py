@@ -1,6 +1,7 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import RuleSpec
-from fafsp.sim import (_ARRIVAL, BLOCKED, READY, DeadlockError, EventTimeError,
+from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
                        FeatureView, InfeasibleArcError, SimState, _advance, _rollout,
                        advance_clock, apply_arc, extract_schedule, feasible_arcs,
                        run_dispatch, schedule_from_text, schedule_to_text,
@@ -292,15 +293,25 @@ def _python_arcs(inst, state):
 
 
 def _check_ready_bookkeeping(inst, state):
-    """The state's ready count, ready-pair mask and machine queue counts
-    against a recomputation from the job statuses."""
+    """The state's ready count, ready-pair mask, machine queue counts and
+    remaining-job counts against a recomputation from the job statuses."""
     jobs = sorted(inst.jobs, key=lambda j: j.id)
+    orders = sorted(inst.orders, key=lambda o: o.id)
     ready = [j for j in jobs if state.status[j.id] == READY]
+    left = {j.id for j in jobs if state.status[j.id] != DONE}
     assert state.n_ready == len(ready)
     assert state.pair_ready.tolist() == [state.status[j.id] == READY
                                          for j in jobs for _ in j.eligible]
+    assert state.m_queue.dtype == state.order_ops_rem.dtype == float
     assert state.m_queue.tolist() == [sum(m in j.eligible for j in ready)
                                       for m in range(inst.num_machines)]
+    assert state.order_ops_rem.tolist() == [
+        sum(j in left for p in o.products for j in (*p.processing_job_ids, p.assembly_job_id))
+        for o in orders]
+    assert isinstance(state.pred_remaining, list) and isinstance(state.order_asm_rem, list)
+    assert state.pred_remaining == [len(left.intersection(j.predecessors)) for j in jobs]
+    assert state.order_asm_rem == [sum(p.assembly_job_id in left for p in o.products)
+                                   for o in orders]
 
 
 def _reference_dispatch(inst, rule, state=None):
@@ -391,8 +402,35 @@ def test_clones_keep_their_own_ready_bookkeeping(seed):
     arcs = feasible_arcs(state)
     apply_arc(state, arcs[0])
     apply_arc(other, arcs[-1])
+    # the first copy runs to the end before the second starts, and the
+    # reference checks every count at every step, so a count array or list
+    # that the clone shares with its original fails here
     for copy in (state, other):
         _reference_dispatch(inst, EDD, copy)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       seed=st.integers(0, 2**16))
+@example(inst=ZERO_LENGTH, seed=0)
+def test_enumeration_matches_python_loop_at_every_step(inst, seed):
+    # the epoch loop re-enumerates after every dispatch, zero-length ones
+    # included; check each enumeration and the bookkeeping it reads
+    state = SimState(inst)
+    enumerate_arcs = state._arc_arrays
+    steps = []
+
+    def checked():
+        jobs, machs = enumerate_arcs()
+        assert list(zip(jobs.tolist(), machs.tolist())) == _python_arcs(inst, state)
+        _check_ready_bookkeeping(inst, state)
+        steps.append(len(jobs))
+        return jobs, machs
+
+    state._arc_arrays = checked
+    rng = random.Random(seed)
+    sched = _rollout(state, lambda jobs, machs: rng.randrange(len(jobs)))
+    assert len(sched.arcs) == sum(n > 0 for n in steps) == inst.num_jobs
 
 
 # -- a rule's read set against the full gather -------------------------------------
