@@ -1,8 +1,8 @@
 """Dynamic flexible assembly flow shop: simulator, rule language, validation
 oracles, and LLM-driven dispatching-rule evolution."""
 
-from .model import (Instance, InstanceFormatError, Job, Machine, Order, Product,
-                    Stage, check_instance, load_instance, save_instance)
+from .model import (DocumentError, Instance, InstanceFormatError, Job, Machine, Order,
+                    Product, Stage, check_instance, load_instance, save_instance)
 from .generator import ScenarioConfig, generate_instance, load_scenario
 from .sim import (FeatureView, Schedule, SimState, advance_clock, apply_arc,
                   feasible_arcs, run_dispatch, total_tardiness)

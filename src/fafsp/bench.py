@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .generator import ScenarioConfig, _is_number, generate_instance, scenario_from_doc
-from .model import load_json
+from .generator import ScenarioConfig, generate_instance
+from .model import check_fields, load_json, read_document
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -86,8 +86,7 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
     Replication k of a scenario regenerates it with seed + k, so the whole
     report is a pure function of (scenarios, rules, replications).
     """
-    if not _is_number(replications, True) or replications < 1:
-        raise ValueError(f"replications must be an integer >= 1, not {replications!r}")
+    _Grid(tuple(scenarios), replications).validate()
     if not rules:
         raise ValueError("the rule list is empty")
     labels = [scenario_label(s) for s in scenarios]
@@ -119,19 +118,25 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
     return BenchReport(labels, rule_names, mean, sd, scenario_ari, avg, ari, rank)
 
 
+@dataclass
+class _Grid:
+    """A grid file: {"scenarios": [scenario objects], "replications": n}."""
+
+    scenarios: tuple[ScenarioConfig, ...]
+    replications: int = 20
+
+    def validate(self) -> None:
+        check_fields(self, "grid")
+        if not self.scenarios:
+            raise ValueError("scenarios must be a non-empty list")
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, not {self.replications!r}")
+
+
 def load_grid(path) -> tuple[list[ScenarioConfig], int]:
-    """Grid file: {"replications": n, "scenarios": [scenario docs]}; the
-    replication count defaults to 20 and is checked by ``run_benchmark``."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError("a grid must be a JSON object")
-    for key in doc:
-        if key not in ("replications", "scenarios"):
-            raise ValueError(f"unknown grid key {key!r}; choose from replications, scenarios")
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ValueError(f"grid key 'scenarios' must be a non-empty list, not {scenarios!r}")
-    return [scenario_from_doc(d) for d in scenarios], doc.get("replications", 20)
+    """The grid file's scenarios and replication count (20 if absent)."""
+    grid = read_document(_Grid, load_json(path), f"{path}: grid")
+    return list(grid.scenarios), grid.replications
 
 
 # -- run directory and trace export --------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
                   MissingSection, MultipleBlocks, TransportError, extract_critique,
                   extract_individual, render_evaluator_prompt, render_generator_prompt,
                   request_digest)
-from .model import Instance, Stage, load_instance, load_json
-from .generator import _is_number, order_lower_bound
+from .model import Instance, Stage, check_fields, load_instance, load_json, read_document
+from .generator import order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .sim import run_dispatch, total_tardiness
 
@@ -72,72 +72,38 @@ class EvolutionConfig:
     sample_budget: int | None = None  # total LLM calls; None = unlimited
     seed: int = 0
     mu: float | None = None          # scenario load factor, if known
-    training_instances: tuple[str, ...] = ()
+    training_instances: tuple[str | os.PathLike, ...] = ()
     strategies: tuple[Strategy, ...] = DEFAULT_STRATEGIES
 
     def validate(self) -> None:
-        for name, (integer, low) in _NUMERIC.items():
-            value = getattr(self, name)
-            if value is None and name in ("sample_budget", "u0", "mu"):
-                continue
-            if not _is_number(value, integer) or low is not None and value < low:
-                kind = "an integer" if integer else "a finite number"
-                raise ValueError(f"{name} must be {kind}{'' if low is None else f' >= {low}'}"
-                                 f", not {value!r}")
+        check_fields(self, "config")
+        for name, low in (("generations", 0), ("population", 2), ("tournament_k", 1),
+                          ("retry_budget", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, not {getattr(self, name)!r}")
         if not self.u_low < self.u_up:
             raise ValueError("need u_low < u_up")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
-        if not all(isinstance(p, (str, os.PathLike)) for p in self.training_instances):
-            raise ValueError("training_instances must be file paths")
         for s in self.strategies:
-            if not (isinstance(s, Strategy) and isinstance(s.operator, str)
-                    and s.operator in PARENT_COUNT):
+            if not isinstance(s, Strategy) or s.operator not in PARENT_COUNT:
                 raise ValueError(f"unknown strategy {s!r}; operators are {sorted(PARENT_COUNT)}")
-            if not _is_number(s.parents, True) or s.parents != PARENT_COUNT[s.operator]:
+            if s.parents != PARENT_COUNT[s.operator]:
                 raise ValueError(f"operator {s.operator} takes {PARENT_COUNT[s.operator]} "
                                  f"parent(s), not {s.parents!r}")
-            uses = CRITIQUE_REQUIRED[s.operator]     # C2 and M2 prompts drop a critique
-            if not isinstance(s.critique, bool) or s.critique and not uses:
-                raise ValueError(f"critique of {s.operator} must be "
-                                 f"{'true or false' if uses else 'false'}, not {s.critique!r}")
-
-
-#: numeric config field -> (integer?, smallest value or None)
-_NUMERIC = {"generations": (True, 0), "population": (True, 2), "tournament_k": (True, 1),
-            "retry_budget": (True, 1), "sample_budget": (True, None), "seed": (True, None),
-            "u_low": (False, None), "u_up": (False, None), "u0": (False, None),
-            "mu": (False, None)}
+            if s.critique and not CRITIQUE_REQUIRED[s.operator]:
+                # C2 and M2 prompts drop a critique
+                raise ValueError(f"critique of {s.operator} must be false, not true")
 
 
 def config_from_doc(doc: dict) -> EvolutionConfig:
-    """Config from a parsed JSON object; ValueError, naming the key, on an
-    unknown key or a value of the wrong shape or type."""
-    if not isinstance(doc, dict):
-        raise ValueError("an evolution config must be a JSON object")
-    known = [f.name for f in fields(EvolutionConfig)]
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown evolution config key {key!r}; choose from {known}")
-    doc = dict(doc)
-    for key in ("strategies", "training_instances"):
-        if key in doc:
-            if not isinstance(doc[key], list):
-                raise ValueError(f"{key} must be a list, not {doc[key]!r}")
-            doc[key] = tuple(doc[key])
-    keys = {"operator", "parents", "critique"}
-    for s in doc.get("strategies", ()):
-        if not isinstance(s, dict) or s.keys() != keys:
-            raise ValueError(f"a strategy needs exactly the keys {sorted(keys)}, got {s!r}")
-    if "strategies" in doc:
-        doc["strategies"] = tuple(Strategy(**s) for s in doc["strategies"])
-    cfg = EvolutionConfig(**doc)
-    cfg.validate()
-    return cfg
+    """Config from a parsed JSON object; DocumentError, naming the key, on an
+    unknown key or a value of the wrong shape, type or range."""
+    return read_document(EvolutionConfig, doc, "config")
 
 
 def load_evolution_config(path) -> EvolutionConfig:
-    return config_from_doc(load_json(path))
+    return read_document(EvolutionConfig, load_json(path), f"{path}: config")
 
 
 def evaluate_fitness(rule: RuleSpec, instances: Sequence[Instance]) -> float:
@@ -213,13 +179,14 @@ class _BudgetExhausted(Exception):
 class _Run:
     """Mutable context of one evolution run: counters, journal, incumbent."""
 
-    def __init__(self, cfg: EvolutionConfig, transport, instances: Sequence[Instance]):
-        cfg.validate()
-        if not instances:
+    def __init__(self, cfg: EvolutionConfig, transport, instances: Sequence[Instance] | None):
+        cfg.validate()          # before a training path is opened
+        self.instances = (list(instances) if instances is not None
+                          else [load_instance(p) for p in cfg.training_instances])
+        if not self.instances:
             raise ValueError("no training instances")
         self.cfg = cfg
         self.transport = transport
-        self.instances = list(instances)
         self.rng = np.random.default_rng(cfg.seed)
         self.samples = 0
         self.journal: list[dict] = []
@@ -363,20 +330,13 @@ class EvolutionResult:
     error: str | None = None        # the TransportError that cut the run short
 
 
-def _resolve_instances(cfg: EvolutionConfig,
-                       instances: Sequence[Instance] | None) -> list[Instance]:
-    if instances is not None:
-        return list(instances)
-    return [load_instance(p) for p in cfg.training_instances]
-
-
 def run_evolution(cfg: EvolutionConfig, transport,
                   instances: Sequence[Instance] | None = None) -> EvolutionResult:
     """Full run: initialization plus up to ``generations`` rounds, stopping
     early when the LLM sample budget runs out or the transport fails. What
     was already admitted is kept, and a generation cut short leaves the
     previous population whole; a transport failure's text is in ``error``."""
-    run = _Run(cfg, transport, _resolve_instances(cfg, instances))
+    run = _Run(cfg, transport, instances)
     error = None
     try:
         _init_population(run)

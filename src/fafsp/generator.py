@@ -12,15 +12,14 @@ completion load of the orders seen so far, scaled down by mu.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Instance, Job, Machine, Order, Product, Stage, check_instance, load_json
+from .model import (Instance, Job, Machine, Order, Product, Stage, check_instance, load_json,
+                    read_document)
 
 ASSEMBLY_RATE_MEAN = 8.0
 RATE_SD = 2.0
@@ -65,40 +64,14 @@ def scenario_to_doc(cfg: ScenarioConfig) -> dict:
     return asdict(cfg)
 
 
-def _is_number(v, integer: bool) -> bool:
-    """An integer, or else a real that is finite as a float; not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
-        return False
-    return integer or abs(v) <= sys.float_info.max      # exact, so a huge int fails
-
-
-_INTEGER_KEYS = {"m1", "m2", "alpha", "n_init", "seed"}
-
-
 def scenario_from_doc(doc: dict) -> ScenarioConfig:
-    """Scenario from a parsed JSON object; ValueError, naming the key, on an
-    unknown or missing key or a value of the wrong type or range."""
-    if not isinstance(doc, dict):
-        raise ValueError("a scenario must be a JSON object")
-    known = {f.name: f.default for f in fields(ScenarioConfig)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown scenario key {key!r}; choose from {list(known)}")
-    for name, default in known.items():
-        integer = name in _INTEGER_KEYS
-        if name not in doc:
-            if default is MISSING:
-                raise ValueError(f"scenario is missing key {name!r}")
-        elif not _is_number(doc[name], integer):
-            kind = "an integer" if integer else "a finite number"
-            raise ValueError(f"scenario key {name!r} must be {kind}, not {doc[name]!r}")
-    cfg = ScenarioConfig(**doc)
-    cfg.validate()
-    return cfg
+    """Scenario from a parsed JSON object; DocumentError, naming the key, on
+    an unknown or missing key or a value of the wrong type or range."""
+    return read_document(ScenarioConfig, doc, "scenario")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    return scenario_from_doc(load_json(path))
+    return read_document(ScenarioConfig, load_json(path), f"{path}: scenario")
 
 
 def sample_product_count(rng: np.random.Generator) -> int:

@@ -11,9 +11,14 @@ matrix whose first row is the virtual "nothing processed yet" predecessor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import os
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 import numpy as np
 
@@ -23,7 +28,12 @@ class Stage(str, Enum):
     ASSEMBLY = "assembly"
 
 
-class InstanceFormatError(ValueError):
+class DocumentError(ValueError):
+    """An outside JSON document that is malformed; the message names the file
+    and the JSON path of the offending value."""
+
+
+class InstanceFormatError(DocumentError):
     """Raised when an instance file cannot be parsed or cross-linked."""
 
 
@@ -263,6 +273,13 @@ def _field(doc, key: str, where: str, fn):
     return _convert(fn, _require(doc, key, where), f"{where}.{key}")
 
 
+def _number(value) -> float:
+    """A time or changeover: a finite number, not a bool or a string."""
+    if not _finite(value):
+        raise TypeError("expected a finite number")
+    return float(value)
+
+
 def _id(value) -> int:
     """An id: an integer, or a float with an integral value; not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -309,7 +326,7 @@ def instance_from_doc(doc: dict) -> Instance:
         jid = _field(j, "id", where, _id)
         job_kind[jid] = _field(j, "kind", where, Stage)
         job_elig[jid] = {_convert(_key_id, m, f"{where}.eligible"):
-                         _convert(float, pt, f"{where}.eligible[{m!r}]")
+                         _convert(_number, pt, f"{where}.eligible[{m!r}]")
                          for m, pt in _field(j, "eligible", where, _object).items()}
 
     orders = []
@@ -331,8 +348,8 @@ def instance_from_doc(doc: dict) -> Instance:
             job_owner[asm] = (oid, pid, frozenset(procs))
             for jid in procs:
                 job_owner[jid] = (oid, pid, frozenset())
-        orders.append(Order(oid, _field(o, "arrival", where, float),
-                            _field(o, "due", where, float), tuple(products)))
+        orders.append(Order(oid, _field(o, "arrival", where, _number),
+                            _field(o, "due", where, _number), tuple(products)))
 
     jobs = []
     for jid in sorted(job_kind):
@@ -344,7 +361,7 @@ def instance_from_doc(doc: dict) -> Instance:
     n = len(jobs)
     raw = _require(doc, "setup", top)
     if isinstance(raw, dict):
-        setup = np.full((n + 1, n), _field(raw, "default", "setup", float), dtype=float)
+        setup = np.full((n + 1, n), _field(raw, "default", "setup", _number), dtype=float)
         setup[0, :] = 0.0
         for k, entry in enumerate(_convert(_list, raw.get("overrides", []), "setup.overrides")):
             where = f"setup.overrides[{k}]"
@@ -355,9 +372,16 @@ def instance_from_doc(doc: dict) -> Instance:
             if not (0 <= j1 < n and 0 <= j2 < n):
                 raise InstanceFormatError(f"{where}: job ids must lie in 0..{n - 1}, "
                                           f"not {j1} and {j2}")
-            setup[j1 + 1, j2] = _convert(float, entry[2], where)
+            setup[j1 + 1, j2] = _convert(_number, entry[2], where)
     else:
-        setup = _convert(lambda rows: np.asarray(rows, dtype=float), raw, "setup")
+        rows = _convert(_list, raw, "setup")
+        for i, row in enumerate(rows):
+            # JSON numbers parse to int or float: a C-speed type scan clears a
+            # row, and check_instance reports a NaN or infinite entry
+            if not (isinstance(row, list) and set(map(type, row)) <= {int, float}):
+                for j, v in enumerate(_convert(_list, row, f"setup[{i}]")):
+                    _convert(_number, v, f"setup[{i}][{j}]")
+        setup = _convert(lambda rows: np.asarray(rows, dtype=float), rows, "setup")
 
     inst = Instance(machines, tuple(sorted(orders, key=lambda o: o.id)),
                     tuple(jobs), setup)
@@ -377,7 +401,7 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(text)
 
 
-def load_json(path, error: type[ValueError] = ValueError):
+def load_json(path, error: type[ValueError] = DocumentError):
     """The parsed JSON file; malformed JSON raises ``error`` naming the file,
     line and column, and text that is not UTF-8 raises it naming the file."""
     try:
@@ -387,6 +411,78 @@ def load_json(path, error: type[ValueError] = ValueError):
         raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason})") from e
+
+
+# -- config documents --------------------------------------------------------
+#
+# Scenario, evolution-config and grid documents are JSON objects read into
+# dataclasses. Each field's annotation says what its value must be; range and
+# cross-field checks stay in each dataclass's validate().
+
+
+def _finite(v) -> bool:
+    """A real that is finite as a float; not a bool. Exact: a huge int fails."""
+    return ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
+            and abs(v) <= sys.float_info.max)
+
+
+#: annotation -> (test, what a value must be)
+_LEAVES = {bool: (lambda v: isinstance(v, bool), "true or false"),
+           int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                 "an integer"),
+           float: (_finite, "a finite number"),
+           str: (lambda v: isinstance(v, str), "a string"),
+           os.PathLike: (lambda v: isinstance(v, os.PathLike), "a path"),
+           type(None): (lambda v: v is None, "null"),
+           tuple: (lambda v: isinstance(v, (list, tuple)), "a list")}
+
+_hints = functools.cache(typing.get_type_hints)     # annotations resolved once per class
+
+
+def _read(tp, value, path: str):
+    """``value`` checked against the annotation ``tp``: a union of _LEAVES,
+    tuple[X, ...] read from a list, or a dataclass read from an object."""
+    if is_dataclass(tp):
+        return read_document(tp, value, path)
+    args, items = typing.get_args(tp), typing.get_origin(tp) is tuple
+    leaves = [_LEAVES[t] for t in ((tuple,) if items else args or (tp,))]
+    if not any(test(value) for test, _ in leaves):
+        raise DocumentError(f"{path} must be {' or '.join(w for _, w in leaves)}, "
+                            f"not {json.dumps(value, default=repr):.60}")
+    return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)) if items else value
+
+
+def read_document(cls, doc, label: str):
+    """The dataclass ``cls`` built from a parsed JSON object and validated,
+    its values kept as they are (an int stays an int). ``label`` names the
+    document, as in ``grid.json: grid``. An unknown or missing key, a wrongly
+    typed value or a ValueError from ``validate()`` raises DocumentError
+    naming the label and the JSON path, as in
+    ``grid.json: grid.scenarios[3].phi must be a finite number, not true``."""
+    hints = _hints(cls)
+    if isinstance(doc, cls):                        # built in Python
+        doc = vars(doc)
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{label} must be an object with keys {', '.join(hints)}, "
+                            f"not {json.dumps(doc, default=repr):.60}")
+    if unknown := [key for key in doc if key not in hints]:
+        raise DocumentError(f"{label}: unknown key {unknown[0]!r}; choose from {', '.join(hints)}")
+    if missing := [f.name for f in fields(cls)
+                   if f.name not in doc and f.default is f.default_factory is MISSING]:
+        raise DocumentError(f"{label} is missing key {missing[0]!r}")
+    obj = cls(**{key: _read(hints[key], value, f"{label}.{key}") for key, value in doc.items()})
+    try:
+        getattr(obj, "validate", lambda: None)()
+    except ValueError as e:
+        raise DocumentError(f"{label}: {e}") from None
+    return obj
+
+
+def check_fields(obj, label: str) -> None:
+    """DocumentError unless each field of the dataclass ``obj`` holds what
+    ``read_document`` accepts; validate() holds objects built in Python to it."""
+    for name, tp in _hints(type(obj)).items():
+        _read(tp, getattr(obj, name), f"{label}.{name}")
 
 
 def load_instance(path) -> Instance:

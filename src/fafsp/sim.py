@@ -433,14 +433,17 @@ def schedule_from_text(text: str) -> Schedule:
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
-        if parts[0] == "arc" and len(parts) == 6:
-            arcs.append(ArcRecord(int(parts[1]), int(parts[2]), float(parts[3]),
-                                  float(parts[4]), float(parts[5])))
-        elif parts[0] == "order" and len(parts) == 4:
-            ft[int(parts[1])] = float(parts[2])
-            tt[int(parts[1])] = float(parts[3])
-        else:
-            raise ValueError(f"schedule line {ln}: cannot parse {raw!r}")
+        try:
+            if parts[0] == "arc" and len(parts) == 6:
+                arcs.append(ArcRecord(int(parts[1]), int(parts[2]), float(parts[3]),
+                                      float(parts[4]), float(parts[5])))
+            elif parts[0] == "order" and len(parts) == 4:
+                ft[int(parts[1])] = float(parts[2])
+                tt[int(parts[1])] = float(parts[3])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"schedule line {ln}: cannot parse {raw!r}") from None
     return Schedule(tuple(arcs), ft, tt, len(arcs), len(ft))
 
 
@@ -450,5 +453,12 @@ def save_schedule(sched: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_text(fh.read())
+    """The schedule file's arc log and order lines; text that is not UTF-8 or
+    a line that does not parse raises ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return schedule_from_text(fh.read())
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

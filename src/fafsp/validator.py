@@ -43,11 +43,6 @@ UNASSIGNED = "Unassigned"
 class Violation:
     kind: str
     message: str
-    job: int | None = None
-    order: int | None = None
-    machine: int | None = None
-    measured: float | None = None
-    required: float | None = None
 
     def __str__(self):
         return f"{self.kind}: {self.message}"
@@ -56,52 +51,50 @@ class Violation:
 def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
     """All violations of the realized schedule (empty list = feasible)."""
     out: list[Violation] = []
+    known = {job.id for job in inst.jobs}
     by_job: dict[int, ArcRecord] = {}
+    per_machine: dict[int, list[ArcRecord]] = {}        # in dispatch order
     for a in sched.arcs:
+        if a.job not in known:
+            out.append(Violation(UNASSIGNED, f"job {a.job} is not in the instance"))
+            continue
+        per_machine.setdefault(a.machine, []).append(a)
         if a.job in by_job:
-            out.append(Violation(UNASSIGNED, f"job {a.job} dispatched more than once",
-                                 job=a.job))
+            out.append(Violation(UNASSIGNED, f"job {a.job} dispatched more than once"))
         else:
             by_job[a.job] = a
 
     for job in inst.jobs:
         a = by_job.get(job.id)
         if a is None:
-            out.append(Violation(UNASSIGNED, f"job {job.id} never dispatched", job=job.id))
+            out.append(Violation(UNASSIGNED, f"job {job.id} never dispatched"))
             continue
         if a.machine not in job.eligible:
             out.append(Violation(UNASSIGNED,
-                                 f"job {job.id} ran on unqualified machine {a.machine}",
-                                 job=job.id, machine=a.machine))
+                                 f"job {job.id} ran on unqualified machine {a.machine}"))
             continue
         pt = job.eligible[a.machine]
         if abs(a.ct - (a.st + a.setup + pt)) > TOL:
             out.append(Violation(SETUP_MISMATCH,
                                  f"job {job.id}: ct {a.ct} != st + setup + pt "
-                                 f"{a.st + a.setup + pt}",
-                                 job=job.id, measured=a.ct, required=a.st + a.setup + pt))
+                                 f"{a.st + a.setup + pt}"))
 
     # machine sequences: ordering, overlap, true-predecessor setups
-    per_machine: dict[int, list[ArcRecord]] = {}
-    for a in sched.arcs:
-        per_machine.setdefault(a.machine, []).append(a)
-    for m, arcs in per_machine.items():
-        arcs = sorted(arcs, key=lambda a: (a.st, a.ct, a.job))
+    for m, seq in per_machine.items():
+        # a stable sort: zero-length arcs that tie on (st, ct) keep their
+        # dispatch order, which fixes each one's true predecessor
+        seq.sort(key=lambda a: (a.st, a.ct))
         prev: ArcRecord | None = None
-        for a in arcs:
+        for a in seq:
             if prev is not None and a.st < prev.ct - TOL:
                 out.append(Violation(MACHINE_OVERLAP,
                                      f"machine {m}: job {a.job} starts at {a.st} "
-                                     f"before job {prev.job} ends at {prev.ct}",
-                                     job=a.job, machine=m,
-                                     measured=a.st, required=prev.ct))
+                                     f"before job {prev.job} ends at {prev.ct}"))
             expected = inst.setup_time(prev.job if prev is not None else None, a.job)
             if abs(a.setup - expected) > TOL:
                 out.append(Violation(SETUP_MISMATCH,
                                      f"machine {m}: job {a.job} charged setup {a.setup}, "
-                                     f"changeover table says {expected}",
-                                     job=a.job, machine=m,
-                                     measured=a.setup, required=expected))
+                                     f"changeover table says {expected}"))
             prev = a
 
     # kit precedence and arrival
@@ -112,39 +105,33 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
         arrival = inst.orders[job.order_id].arrival
         if a.st < arrival - TOL:
             out.append(Violation(ARRIVAL_BREACH,
-                                 f"job {job.id} starts at {a.st} before order arrival {arrival}",
-                                 job=job.id, order=job.order_id,
-                                 measured=a.st, required=arrival))
+                                 f"job {job.id} starts at {a.st} before order arrival {arrival}"))
         if job.kind == Stage.ASSEMBLY:
             for p in job.predecessors:
                 pa = by_job.get(p)
                 if pa is not None and a.st < pa.ct - TOL:
                     out.append(Violation(PRECEDENCE,
                                          f"assembly job {job.id} starts at {a.st} before "
-                                         f"kit part {p} ends at {pa.ct}",
-                                         job=job.id, measured=a.st, required=pa.ct))
+                                         f"kit part {p} ends at {pa.ct}"))
 
     # delivery and tardiness bookkeeping
     for o in inst.orders:
         asm_cts = [by_job[p.assembly_job_id].ct for p in o.products
                    if p.assembly_job_id in by_job]
         if o.id not in sched.ft:
-            out.append(Violation(DELIVERY_MISMATCH, f"order {o.id} has no delivery time",
-                                 order=o.id))
+            out.append(Violation(DELIVERY_MISMATCH, f"order {o.id} has no delivery time"))
             continue
         if len(asm_cts) == len(o.products):
             ft = max(asm_cts)
             if abs(sched.ft[o.id] - ft) > TOL:
                 out.append(Violation(DELIVERY_MISMATCH,
                                      f"order {o.id}: recorded delivery {sched.ft[o.id]} != "
-                                     f"latest assembly completion {ft}",
-                                     order=o.id, measured=sched.ft[o.id], required=ft))
+                                     f"latest assembly completion {ft}"))
         tt = max(0.0, sched.ft[o.id] - o.due)
         if abs(sched.tt.get(o.id, float("nan")) - tt) > TOL:
             out.append(Violation(TARDINESS_MISMATCH,
                                  f"order {o.id}: recorded tardiness {sched.tt.get(o.id)} != "
-                                 f"max(0, ft - due) = {tt}",
-                                 order=o.id, measured=sched.tt.get(o.id), required=tt))
+                                 f"max(0, ft - due) = {tt}"))
     return out
 
 

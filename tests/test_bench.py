@@ -350,6 +350,33 @@ def test_cli_run_non_utf8_rule_file_exits_1(tmp_path, capsys):
     _assert_one_error_line(capsys, f"{rule}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("job", ["99", "-1"])
+def test_cli_validate_unknown_job_is_a_violation(tmp_path, capsys, job):
+    inst_path = tmp_path / "inst.json"
+    save_instance(minimal_instance(), inst_path)
+    sched = tmp_path / "sched.csv"
+    sched.write_text(f"arc,0,0,0.0,0.0,5.0\narc,{job},1,0.0,5.0,8.0\n"
+                     "arc,1,1,0.0,5.0,8.0\norder,0,8.0,0.0\n", encoding="utf-8")
+    assert main(["validate", "--instance", str(inst_path), "--schedule", str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"Unassigned: job {job} is not in the instance\n1 violation(s)\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfearc,0,0,0.0,0.0,5.0\n", "not UTF-8 text"),
+    (b"arc,0,0,0.0,0.0,5.0\narc,x,1,0.0,5.0,8.0\n", "schedule line 2: cannot parse"),
+    (b"order,0,8.0\n", "schedule line 1: cannot parse"),
+], ids=["non-utf8", "bad-job", "short-line"])
+def test_cli_validate_unreadable_schedule_exits_1(tmp_path, capsys, content, message):
+    inst_path = tmp_path / "inst.json"
+    save_instance(minimal_instance(), inst_path)
+    sched = tmp_path / "sched.csv"
+    sched.write_bytes(content)
+    assert main(["validate", "--instance", str(inst_path), "--schedule", str(sched)]) == 1
+    _assert_one_error_line(capsys, f"{sched}: {message}")
+
+
 @pytest.mark.parametrize("doc, flags, key", [
     ({"replications": 2}, [], "scenarios"),
     ({"replications": 0, "scenarios": [SCENARIO]}, [], "replications"),

@@ -13,6 +13,7 @@ from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport)
+from fafsp.model import DocumentError
 from fafsp.rules import RuleSpec, builtin_source
 
 from helpers import make_instance, minimal_instance
@@ -434,6 +435,18 @@ def test_wrongly_typed_config_rejected_before_any_call():
         run_evolution(EvolutionConfig(generations=1, population=2.5), t,
                       training_instances())
     assert t.calls == []
+
+
+def test_strategy_given_as_a_plain_dict_rejected():
+    # a document's strategy is an object, but a config built in Python needs Strategy
+    with pytest.raises(ValueError, match="unknown strategy"):
+        EvolutionConfig(strategies=({"operator": "C1", "parents": 2, "critique": True},)).validate()
+
+
+def test_training_paths_checked_before_any_is_opened():
+    # an int would be opened as a file descriptor, so the config is checked first
+    with pytest.raises(DocumentError, match=r"config\.training_instances\[0\] must be"):
+        run_evolution(EvolutionConfig(training_instances=(b"missing.json",)), Capture([]))
 
 
 def test_integer_valued_floats_accepted_where_a_number_is_due():

@@ -119,6 +119,22 @@ def test_malformed_field_is_named(path, value, field):
     assert str(e.value).startswith(field + ":")
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("orders", 0), {"arrival": True}, "orders[0].arrival"),
+    (("orders", 0), {"due": "7.5"}, "orders[0].due"),
+    (("orders", 0), {"due": math.nan}, "orders[0].due"),
+    (("jobs", 0), {"eligible": {"0": "2.5"}}, "jobs[0].eligible['0']"),
+    (("jobs", 0), {"eligible": {"0": 10**400}}, "jobs[0].eligible['0']"),
+    ((), {"setup": [[0.0, 0.0], [0.0, True], [0.0, 0.0]]}, "setup[1][1]"),
+    ((), {"setup": [[0.0, 0.0], "row", [0.0, 0.0]]}, "setup[1]"),
+    ((), {"setup": {"default": False}}, "setup.default"),
+    ((), _overrides([0, 1, "1.5"]), "setup.overrides[0]"),
+], ids=["arrival-bool", "due-string", "due-nan", "eligible-string", "eligible-huge-int",
+        "matrix-bool", "matrix-row-string", "default-bool", "override-string"])
+def test_instance_times_must_be_finite_numbers(path, value, field):
+    test_malformed_field_is_named(path, value, field)
+
+
 @pytest.mark.parametrize("key", ["1_0", " 1", "01", "+1", "1.0"])
 def test_eligible_key_must_be_plain_integer_text(key):
     doc = instance_to_doc(minimal_instance())

@@ -433,6 +433,19 @@ def test_enumeration_matches_python_loop_at_every_step(inst, seed):
     assert len(sched.arcs) == sum(n > 0 for n in steps) == inst.num_jobs
 
 
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       seed=st.integers(0, 2**16))
+@example(inst=ZERO_LENGTH, seed=0)
+def test_every_non_delay_rollout_validates_clean(inst, seed):
+    # the validator is the engine's independent check, so it must accept any
+    # non-delay dispatch sequence, not only the rule-ranked ones
+    rng = random.Random(seed)
+    sched = _rollout(SimState(inst), lambda jobs, machs: rng.randrange(len(jobs)))
+    assert validate_schedule(inst, sched) == []
+    assert total_tardiness(sched) == math.fsum(sched.tt.values())
+
+
 # -- a rule's read set against the full gather -------------------------------------
 
 BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}

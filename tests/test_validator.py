@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import BUILTIN_IDS, RuleSpec
-from fafsp.sim import (ArcRecord, Schedule, SimState, advance_clock, apply_arc,
+from fafsp.sim import (ArcRecord, Schedule, SimState, _rollout, advance_clock, apply_arc,
                        feasible_arcs, run_dispatch, total_tardiness)
 from fafsp.validator import (ARRIVAL_BREACH, DELIVERY_MISMATCH, MACHINE_OVERLAP,
                              PRECEDENCE, SETUP_MISMATCH, TARDINESS_MISMATCH,
@@ -85,6 +86,29 @@ def test_unassigned_and_unqualified():
                    {0: 8.0}, {0: 0.0})
     assert any(v.kind == UNASSIGNED and "unqualified" in v.message
                for v in validate_schedule(inst, wrong))
+
+
+@pytest.mark.parametrize("job", [99, -1, 2])
+def test_arc_of_unknown_job_is_unassigned(job):
+    inst = _two_stage_instance()
+    sched = _sched([ArcRecord(0, 0, 0.0, 0.0, 5.0), ArcRecord(job, 1, 0.0, 5.0, 5.0),
+                    ArcRecord(1, 1, 0.0, 5.0, 8.0)], {0: 8.0}, {0: 0.0})
+    # the stray arc is reported and left out of the machine-sequence checks,
+    # so job 1 is still checked against job 0's changeover, not the stray's
+    assert [str(v) for v in validate_schedule(inst, sched)] == [
+        f"{UNASSIGNED}: job {job} is not in the instance"]
+
+
+def test_zero_length_ties_are_checked_in_dispatch_order():
+    # all times zero and a changeover of 1.0 from assembly job 1 to assembly
+    # job 3: dispatched 3 then 1 on machine 1, both correctly charge 0.0
+    setup = np.zeros((5, 4))
+    setup[1 + 1, 3] = 1.0
+    inst = make_instance("pa", [(0.0, 0.0, [([{0: 0.0}], {1: 0.0})]),
+                                (0.0, 0.0, [([{0: 0.0}], {1: 0.0})])], setup=setup)
+    sched = _rollout(SimState(inst), lambda jobs, machs: len(jobs) - 1)
+    assert [a.job for a in sched.arcs if a.machine == 1] == [3, 1]
+    assert validate_schedule(inst, sched) == []
 
 
 def test_validator_clean_on_random_rollouts():
