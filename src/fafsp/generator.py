@@ -79,19 +79,20 @@ def sample_product_count(rng: np.random.Generator) -> int:
     return int(rng.geometric(0.5))
 
 
-def _stage_serial_times(jobs: Iterable[Job], machines: Iterable[Machine], stage: Stage) -> np.ndarray:
-    """Per same-stage machine: total processing time of the given jobs there.
-
-    Ineligible (job, machine) pairs contribute zero.
-    """
-    ids = [m.id for m in machines if m.stage == stage]
-    totals = np.zeros(len(ids))
+def _order_loads(jobs: Iterable[Job], machines: Sequence[Machine]) -> tuple[float, float]:
+    """(completion estimate, makespan lower bound) of one order, from each
+    machine's serial load: the total processing time of the order's jobs of
+    its stage there, added in job order (an ineligible pair adds nothing)."""
+    loads = {s: {m.id: 0.0 for m in machines if m.stage == s} for s in Stage}
     for job in jobs:
-        if job.kind != stage:
-            continue
-        for k, m in enumerate(ids):
-            totals[k] += job.eligible.get(m, 0.0)
-    return totals
+        row = loads[job.kind]
+        for m, pt in job.eligible.items():
+            if m in row:
+                row[m] += pt
+    proc = [loads[Stage.PROCESSING][m.id] for m in machines if m.stage == Stage.PROCESSING]
+    asm = [loads[Stage.ASSEMBLY][m.id] for m in machines if m.stage == Stage.ASSEMBLY]
+    estimate = max(proc) + min(asm)
+    return estimate, max(estimate, max(asm))
 
 
 def order_lower_bound(jobs: Sequence[Job], machines: Sequence[Machine]) -> float:
@@ -104,17 +105,13 @@ def order_lower_bound(jobs: Sequence[Job], machines: Sequence[Machine]) -> float
         raise ValueError("order has no processing job")
     if not any(j.kind == Stage.ASSEMBLY for j in jobs):
         raise ValueError("order has no assembly job")
-    proc = _stage_serial_times(jobs, machines, Stage.PROCESSING)
-    asm = _stage_serial_times(jobs, machines, Stage.ASSEMBLY)
-    return float(max(proc.max() + asm.min(), asm.max()))
+    return _order_loads(jobs, machines)[1]
 
 
 def order_completion_estimate(jobs: Sequence[Job], machines: Sequence[Machine]) -> float:
     """Estimated completion load of one order: worst-case processing stage
     plus best-case assembly stage. Feeds the arrival-intensity model."""
-    proc = _stage_serial_times(jobs, machines, Stage.PROCESSING)
-    asm = _stage_serial_times(jobs, machines, Stage.ASSEMBLY)
-    return float(proc.max() + asm.min())
+    return _order_loads(jobs, machines)[0]
 
 
 def sample_due_date(lower_bound: float, T: float, R: float, arrival: float,
@@ -174,11 +171,9 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
             if r > RATE_FLOOR:
                 return r
 
-    rate = np.empty(len(machines))
-    for m in machines:
-        rate[m.id] = draw_rate(ASSEMBLY_RATE_MEAN if m.stage == Stage.ASSEMBLY
-                               else PROCESSING_RATE_MEAN)
-    stage_ids = {s: np.array([m.id for m in machines if m.stage == s]) for s in Stage}
+    rate = [draw_rate(ASSEMBLY_RATE_MEAN if m.stage == Stage.ASSEMBLY else PROCESSING_RATE_MEAN)
+            for m in machines]
+    stage_ids = {s: [m.id for m in machines if m.stage == s] for s in Stage}
 
     # order -> product -> job skeleton
     n_orders = cfg.n_init + cfg.alpha
@@ -194,11 +189,11 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
 
     def make_job(jid: int, kind: Stage, oid: int, prod: int, preds: frozenset[int]) -> Job:
         cands = stage_ids[kind]
-        mask = rng_elig.random(len(cands)) < cfg.phi
-        if not mask.any():
-            mask[int(rng_elig.integers(len(cands)))] = True
+        picked = [m for m, u in zip(cands, rng_elig.random(len(cands)).tolist()) if u < cfg.phi]
+        if not picked:
+            picked = [cands[int(rng_elig.integers(len(cands)))]]
         work = float(rng_work.uniform(WORK_LOW, WORK_HIGH))
-        eligible = {int(m): work / float(rate[m]) for m in cands[mask]}
+        eligible = {m: work / rate[m] for m in picked}
         return Job(jid, kind, oid, prod, preds, eligible)
 
     jid = 0
@@ -223,13 +218,12 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
 
     by_order = [[jobs[j] for p in prods for j in (*p.processing_job_ids, p.assembly_job_id)]
                 for prods in orders_raw]
-    loads = [order_completion_estimate(js, machines) for js in by_order]
-    arrivals = schedule_arrivals(loads, cfg.n_init, cfg.mu, rng_arr)
+    loads = [_order_loads(js, machines) for js in by_order]
+    arrivals = schedule_arrivals([est for est, _ in loads], cfg.n_init, cfg.mu, rng_arr)
 
     orders = []
     for oid, prods in enumerate(orders_raw):
-        lb = order_lower_bound(by_order[oid], machines)
-        due = sample_due_date(lb, cfg.T, cfg.R, arrivals[oid], rng_due)
+        due = sample_due_date(loads[oid][1], cfg.T, cfg.R, arrivals[oid], rng_due)
         orders.append(Order(oid, arrivals[oid], due, tuple(prods)))
 
     inst = Instance(machines, tuple(orders), tuple(jobs), setup)

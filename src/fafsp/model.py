@@ -132,6 +132,9 @@ def check_instance(inst: Instance) -> list[str]:
 
     if not inst.orders:
         out.append("no orders")
+    order_ids = [o.id for o in inst.orders]
+    if sorted(order_ids) != list(range(len(order_ids))):
+        out.append(f"order ids not dense 0..{len(order_ids) - 1}")
 
     job_ids = [j.id for j in inst.jobs]
     if sorted(job_ids) != list(range(len(job_ids))):
@@ -192,7 +195,7 @@ def check_instance(inst: Instance) -> list[str]:
                 out.append(f"job {j.id}: unknown machine {m}")
             elif stage_of[m] != j.kind:
                 out.append(f"stage mismatch job {j.id} machine {m}")
-            if pt < 0 or not np.isfinite(pt):
+            if pt < 0 or not math.isfinite(pt):
                 out.append(f"job {j.id}: processing time {pt} on machine {m}")
 
     n = len(inst.jobs)
@@ -203,9 +206,8 @@ def check_instance(inst: Instance) -> list[str]:
             out.append("setup: virtual row not all zero")
         if np.any(inst.setup < 0):
             out.append("setup < 0")
-        bad = np.argwhere(~np.isfinite(inst.setup))
-        if len(bad):
-            i, j = bad[0]
+        if not np.isfinite(inst.setup).all():
+            i, j = np.argwhere(~np.isfinite(inst.setup))[0]
             out.append(f"setup[{i}, {j}] = {inst.setup[i, j]} is not finite")
 
     return out
@@ -403,7 +405,8 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_json(path, error: type[ValueError] = DocumentError):
     """The parsed JSON file; malformed JSON raises ``error`` naming the file,
-    line and column, and text that is not UTF-8 raises it naming the file."""
+    line and column, and text that is not UTF-8 or any other ValueError of
+    the parser raises it naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -411,6 +414,8 @@ def load_json(path, error: type[ValueError] = DocumentError):
         raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason})") from e
+    except ValueError as e:             # e.g. an integer literal past the digit limit
+        raise error(f"{path}: {e}") from e
 
 
 # -- config documents --------------------------------------------------------

@@ -12,7 +12,7 @@ from fafsp.cli import main
 from fafsp.generator import ScenarioConfig
 from fafsp.rules import RuleSpec
 from fafsp.llm import RecordingTransport, ScriptedTransport
-from fafsp.model import save_instance
+from fafsp.model import instance_to_doc, save_instance
 from fafsp.sim import run_dispatch, save_schedule
 
 from helpers import minimal_instance
@@ -313,6 +313,16 @@ def test_cli_run_malformed_instance_exits_1(tmp_path, capsys):
     _assert_one_error_line(capsys, "machines[0]")
 
 
+def test_cli_run_sparse_order_ids_exits_1(tmp_path, capsys):
+    # the rollout tables index orders by id, so ids must be dense like job ids
+    doc = instance_to_doc(minimal_instance())
+    doc["orders"][0]["id"] = 5
+    path = tmp_path / "o5.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--rule", "EDD", "--instance", str(path)]) == 1
+    _assert_one_error_line(capsys, "order ids not dense 0..0")
+
+
 SCENARIO = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 42}
 
 
@@ -330,6 +340,15 @@ def test_cli_gen_bad_scenario_exits_1(tmp_path, capsys, doc, key):
     assert main(["gen", "--scenario", str(path), "--count", "1",
                  "--out", str(tmp_path / "out")]) == 1
     _assert_one_error_line(capsys, key)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"m1": ' + "9" * 5000 + "}", encoding="utf-8")
+    assert main(["gen", "--scenario", str(path), "--count", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: ", "integer string conversion")
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,8 @@ rollout. Performance work must never change what gets dispatched, so any
 kernel change that moves a single arc, start time or float bit fails here.
 The oracle is pinned the same way: the ``repr`` of its optimum and the digest
 of its schedule, on every instance the tests and demo 04 give it, plus
-dynamic and hand-built ones with late arrivals and zero-length jobs.
+dynamic and hand-built ones with late arrivals and zero-length jobs. The
+generator is pinned by the digest of each instance's canonical file.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import json
 from pathlib import Path
 
 from fafsp.generator import ScenarioConfig, generate_instance
+from fafsp.model import save_instance
 from fafsp.rules import BUILTIN_IDS, RuleSpec
 from fafsp.sim import run_dispatch, schedule_to_text
 from fafsp.validator import brute_force_optimum
@@ -21,6 +23,7 @@ from helpers import make_instance, tiny_dynamic_instance, tiny_oracle_instance
 
 GOLDEN = Path(__file__).parent / "data" / "golden_schedules.json"
 GOLDEN_ORACLE = Path(__file__).parent / "data" / "golden_oracle.json"
+GOLDEN_INSTANCES = Path(__file__).parent / "data" / "golden_instances.json"
 
 SCENARIOS = {
     "2-3-0.7-4-2.0": ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=4, mu=2.0, n_init=2, seed=11),
@@ -130,3 +133,40 @@ def test_golden_oracle():
     assert set(got) == set(want)
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, f"oracle results changed: {changed}"
+
+
+# both grid parks, phi 0.5 / 0.7 / 1.0, alpha 0..50, n_init 0 and 5, and off-default T, R
+INSTANCE_SCENARIOS = {
+    f"{c.m1}-{c.m2}-{c.phi}-{c.alpha}-{c.mu}-n{c.n_init}-s{c.seed}": c for c in (
+        ScenarioConfig(m1=3, m2=6, phi=0.5, alpha=0, mu=1.0, seed=0),
+        ScenarioConfig(m1=3, m2=6, phi=0.7, alpha=10, mu=2.0, seed=1),
+        ScenarioConfig(m1=3, m2=6, phi=1.0, alpha=50, mu=4.0, seed=2),
+        ScenarioConfig(m1=3, m2=6, phi=0.5, alpha=20, mu=2.0, n_init=0, seed=3),
+        ScenarioConfig(m1=3, m2=6, phi=1.0, alpha=5, mu=1.0, n_init=0, seed=4),
+        ScenarioConfig(m1=3, m2=6, phi=0.7, alpha=30, mu=1.0, T=0.5, R=0.8, seed=5),
+        ScenarioConfig(m1=5, m2=12, phi=0.5, alpha=0, mu=1.0, seed=6),
+        ScenarioConfig(m1=5, m2=12, phi=0.7, alpha=50, mu=4.0, seed=7),
+        ScenarioConfig(m1=5, m2=12, phi=1.0, alpha=30, mu=2.0, seed=8),
+        ScenarioConfig(m1=5, m2=12, phi=0.7, alpha=10, mu=1.0, n_init=0, seed=9),
+        ScenarioConfig(m1=5, m2=12, phi=1.0, alpha=50, mu=4.0, n_init=0, seed=10),
+        ScenarioConfig(m1=5, m2=12, phi=0.5, alpha=50, mu=2.0, T=0.4, R=0.2, seed=11),
+    )}
+
+
+def golden_instances(tmp_path) -> dict[str, str]:
+    """'<m1>-<m2>-<phi>-<alpha>-<mu>-n<n_init>-s<seed>' -> SHA-256 of the
+    instance file ``save_instance`` writes."""
+    out = {}
+    for name, cfg in INSTANCE_SCENARIOS.items():
+        path = tmp_path / f"{name}.json"
+        save_instance(generate_instance(cfg), path)
+        out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_golden_instances(tmp_path):
+    want = json.loads(GOLDEN_INSTANCES.read_text(encoding="utf-8"))
+    got = golden_instances(tmp_path)
+    assert set(got) == set(want)
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, f"generated instances changed: {changed}"

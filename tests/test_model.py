@@ -45,6 +45,18 @@ def test_non_finite_setup_is_reported_as_such(value):
         SimState(inst)
 
 
+def test_bad_processing_times_are_reported():
+    inst = make_instance("pa", [(0.0, 10.0, [([{0: -1.0}, {0: math.nan}, {0: math.inf}],
+                                              {1: 1.0})])])
+    violations = check_instance(inst)
+    messages = [f"job {j}: processing time {pt} on machine 0"
+                for j, pt in enumerate((-1.0, math.nan, math.inf))]
+    assert [v for v in violations if "processing time" in v] == messages
+    with pytest.raises(ValueError) as e:
+        SimState(inst)
+    assert all(message in str(e.value) for message in messages)
+
+
 def test_nonzero_virtual_setup_row_is_reported():
     inst = minimal_instance()
     inst.setup[0, 0] = 1.0

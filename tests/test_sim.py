@@ -278,6 +278,46 @@ def test_unbound_view_gathers_every_accessor():
         assert cols[name].shape == (len(jobs),) and cols[name].dtype == float
 
 
+# -- the rollout tables against a per-job build --------------------------------
+
+def _reference_tables(inst):
+    """The tables' job and order arrays, built one job at a time with the
+    job's own numpy reductions."""
+    J, M = inst.num_jobs, inst.num_machines
+    ref = {"ptmat": np.full((J, M), np.nan), "mean_et": np.empty(J),
+           "job_order": np.empty(J, dtype=np.int64),
+           "job_arrival": np.empty(J), "job_due": np.empty(J)}
+    for job in inst.jobs:
+        ms = np.array(sorted(job.eligible), dtype=np.int64)
+        pts = np.array([job.eligible[m] for m in ms])
+        ref["ptmat"][job.id, ms] = pts
+        ref["mean_et"][job.id] = pts.mean()
+        ref["job_order"][job.id] = job.order_id
+    orders = sorted(inst.orders, key=lambda o: o.id)
+    for o in orders:
+        for j in o.job_ids():
+            ref["job_arrival"][j] = o.arrival
+            ref["job_due"][j] = o.due
+    ref["order_init_work"] = np.array(
+        [math.fsum(ref["mean_et"][j] for j in o.job_ids()) for o in orders])
+    return ref
+
+
+@pytest.mark.parametrize("phi", [0.7, 1.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tables_equal_a_per_job_build_bit_for_bit(phi, seed):
+    inst = generate_instance(ScenarioConfig(m1=5, m2=12, phi=phi, alpha=20, mu=2.0,
+                                            seed=seed))
+    # numpy's pairwise mean groups 8 or more values unlike a running sum
+    assert max(len(j.eligible) for j in inst.jobs) >= 8
+    t = SimState(inst).t
+    for name, want in _reference_tables(inst).items():
+        got = getattr(t, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert t.job_order_list == t.job_order.tolist()
+
+
 # -- the per-epoch kernel against re-enumeration after every arc ---------------
 
 KERNEL_RULES = (RuleSpec.builtin("MWKR+EET"),
