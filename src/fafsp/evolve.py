@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .expr import NodeLimitExceeded, ParseError, UnknownAccessor
 from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
                   MissingSection, MultipleBlocks, TransportError, extract_critique,
                   extract_individual, render_evaluator_prompt, render_generator_prompt,
@@ -192,6 +193,7 @@ class _Run:
         self.journal: list[dict] = []
         self.transcripts: list[dict] = []
         self.history: list[tuple[int, float]] = []
+        self.outcomes: list[tuple[int, str]] = []
         self.features = summarize_features(self.instances, cfg.mu)
         self.population: list[RuleIndividual] = []
         self.incumbent: RuleIndividual | None = None
@@ -203,7 +205,8 @@ class _Run:
         self._uid += 1
         return self._uid
 
-    def call(self, prompt: str, temperature: float, operator: str, generation: int) -> tuple[str, dict]:
+    def call(self, prompt: str, temperature: float, operator: str, generation: int) -> tuple[str, int]:
+        """The reply and the index of its journal entry."""
         if self.cfg.sample_budget is not None and self.samples >= self.cfg.sample_budget:
             raise _BudgetExhausted
         response = self.transport.send(prompt, temperature, operator)
@@ -216,7 +219,7 @@ class _Run:
         self.transcripts.append({"digest": digest, "operator": operator,
                                  "temperature": f"{temperature:.6f}",
                                  "prompt": prompt, "response": response})
-        return response, entry
+        return response, len(self.journal) - 1
 
     def admit(self, indiv: RuleIndividual) -> None:
         if self.incumbent is None or indiv.fitness < self.incumbent.fitness:
@@ -236,32 +239,52 @@ def _critique_of(run: _Run, candidate: RuleIndividual,
         return None
 
 
-def _generate_candidate(run: _Run, operator: str, parents: list[RuleIndividual],
-                        critique: Critique | None, temperature: float,
-                        generation: int) -> RuleIndividual | None:
-    """One slot: prompt, extract, validate, evaluate; None if every attempt fails."""
+#: exception class -> the outcome of a slot attempt it rejects, subclasses
+#: before their bases; any other exception is an ``engine_error``
+_REJECTIONS = ((MissingBlock, "no_block"), (MultipleBlocks, "multi_block"),
+               (UnknownAccessor, "unknown_accessor"), (ParseError, "parse_error"),
+               (NodeLimitExceeded, "node_limit"), (RuleInvalid, "rule_invalid"))
+
+
+def _rejection(error: Exception) -> str:
+    return next((name for cls, name in _REJECTIONS if isinstance(error, cls)), "engine_error")
+
+
+def _fill_slot(run: _Run, operator: str, parents: list[RuleIndividual],
+               critique: Critique | None, temperature: float, generation: int,
+               fallback: tuple[str, float]) -> RuleIndividual:
+    """One population slot: up to ``retry_budget`` attempts to prompt,
+    extract, validate and evaluate a rule, else a copy of ``parents[0]`` with
+    the fallback (operator, temperature); the result is admitted. Appends
+    (journal index, outcome) per attempt, and ``copy_fallback`` at the last
+    attempt's index for a copy, to ``run.outcomes``. Only ``run.call`` raises."""
     prompt = render_generator_prompt(operator, run.features, parents, critique)
     for _ in range(run.cfg.retry_budget):
-        response, entry = run.call(prompt, temperature, operator, generation)
+        response, index = run.call(prompt, temperature, operator, generation)
         try:
             description, source = extract_individual(response)
             spec = RuleSpec.expression(source, name=f"g{generation}-{run.next_uid()}")
-        except (MissingBlock, MultipleBlocks, ValueError):
-            continue
-        if not validate_rule(spec):
-            continue
-        try:
+            if not validate_rule(spec):
+                run.outcomes.append((index, "smoke_invalid"))
+                continue
             fitness = evaluate_fitness(spec, run.instances)
-        except RuleInvalid:
+        except Exception as error:
+            run.outcomes.append((index, _rejection(error)))
             continue
-        entry["fitness"] = fitness
+        run.outcomes.append((index, "ok"))
+        run.journal[index]["fitness"] = fitness
         indiv = RuleIndividual(description, spec, fitness, None,
                                generation, operator,
                                tuple(p.uid for p in parents), temperature,
                                uid=run.next_uid())
-        run.admit(indiv)
-        return indiv
-    return None
+        break
+    else:
+        run.outcomes.append((index, "copy_fallback"))
+        indiv = replace(parents[0], generation=generation, operator=fallback[0],
+                        parent_uids=(parents[0].uid,), temperature=fallback[1],
+                        uid=run.next_uid())
+    run.admit(indiv)
+    return indiv
 
 
 def _init_population(run: _Run) -> None:
@@ -279,12 +302,8 @@ def _init_population(run: _Run) -> None:
     best_fit, u0 = elite.fitness, cfg.u_low
     for p in range(1, cfg.population + 1):
         u = cfg.u_low + p * (cfg.u_up - cfg.u_low) / cfg.population
-        indiv = _generate_candidate(run, "Init", [elite], elite.critique, u, 0)
-        if indiv is None:
-            indiv = replace(elite, generation=0, operator="EliteCopy",
-                            parent_uids=(elite.uid,), temperature=cfg.u_low,
-                            uid=run.next_uid())
-            run.admit(indiv)
+        indiv = _fill_slot(run, "Init", [elite], elite.critique, u, 0,
+                           ("EliteCopy", cfg.u_low))
         run.population.append(indiv)
         if indiv.fitness <= best_fit:
             best_fit, u0 = indiv.fitness, indiv.temperature
@@ -304,14 +323,8 @@ def _evolve_generation(run: _Run, generation: int) -> list[RuleIndividual]:
             if critique is None:        # one fresh evaluator retry
                 critique = _critique_of(run, parents[0], population, generation)
             parents[0].critique = critique
-        indiv = _generate_candidate(run, strat.operator, parents, critique,
-                                    run.u0, generation)
-        if indiv is None:
-            indiv = replace(parents[0], generation=generation, operator="Copy",
-                            parent_uids=(parents[0].uid,), temperature=run.u0,
-                            uid=run.next_uid())
-            run.admit(indiv)
-        offspring.append(indiv)
+        offspring.append(_fill_slot(run, strat.operator, parents, critique,
+                                    run.u0, generation, ("Copy", run.u0)))
     run.population = offspring
     return offspring
 
@@ -326,6 +339,7 @@ class EvolutionResult:
     history: list[tuple[int, float]]
     journal: list[dict]
     transcripts: list[dict]
+    outcomes: list[tuple[int, str]]  # (journal index, outcome) per slot attempt and copy
     per_instance: list[float]      # incumbent's tardiness on each training instance
     error: str | None = None        # the TransportError that cut the run short
 
@@ -349,4 +363,5 @@ def run_evolution(cfg: EvolutionConfig, transport,
     best = run.incumbent if run.incumbent is not None else run.elite
     per_instance = [total_tardiness(run_dispatch(x, best.spec)) for x in run.instances]
     return EvolutionResult(best, run.elite, run.population, run.u0, run.samples,
-                           run.history, run.journal, run.transcripts, per_instance, error)
+                           run.history, run.journal, run.transcripts, run.outcomes,
+                           per_instance, error)

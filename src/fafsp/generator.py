@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (Instance, Job, Machine, Order, Product, Stage, check_instance, load_json,
+from .model import (Instance, Job, Machine, Order, Product, Stage, load_json,
                     read_document)
 
 ASSEMBLY_RATE_MEAN = 8.0
@@ -106,12 +106,6 @@ def order_lower_bound(jobs: Sequence[Job], machines: Sequence[Machine]) -> float
     if not any(j.kind == Stage.ASSEMBLY for j in jobs):
         raise ValueError("order has no assembly job")
     return _order_loads(jobs, machines)[1]
-
-
-def order_completion_estimate(jobs: Sequence[Job], machines: Sequence[Machine]) -> float:
-    """Estimated completion load of one order: worst-case processing stage
-    plus best-case assembly stage. Feeds the arrival-intensity model."""
-    return _order_loads(jobs, machines)[0]
 
 
 def sample_due_date(lower_bound: float, T: float, R: float, arrival: float,
@@ -226,8 +220,4 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
         due = sample_due_date(loads[oid][1], cfg.T, cfg.R, arrivals[oid], rng_due)
         orders.append(Order(oid, arrivals[oid], due, tuple(prods)))
 
-    inst = Instance(machines, tuple(orders), tuple(jobs), setup)
-    violations = check_instance(inst)
-    if violations:                      # generator contract: never happens
-        raise RuntimeError("generator produced invalid instance: " + "; ".join(violations))
-    return inst
+    return Instance(machines, tuple(orders), tuple(jobs), setup)

@@ -290,7 +290,7 @@ def load_cassette(path) -> list[dict]:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:   # RecursionError: nested too deep
             raise CassetteFormatError(f"cassette {path} line {ln}: {e}") from None
         if not isinstance(rec, dict):
             raise CassetteFormatError(f"cassette {path} line {ln}: not a JSON object")

@@ -14,7 +14,8 @@ from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport)
 from fafsp.model import DocumentError
-from fafsp.rules import RuleSpec, builtin_source
+from fafsp.rules import RuleInvalid, RuleSpec, builtin_source
+from fafsp.sim import DeadlockError
 
 from helpers import make_instance, minimal_instance
 
@@ -253,6 +254,58 @@ def test_invalid_candidates_retried_then_copied():
     assert result.population[1].operator == "Copy"
     assert result.population[1].fitness == pytest.approx(
         evaluate_fitness(RuleSpec.expression("due + pt"), insts))
+    assert result.outcomes == [(1, "ok"), (2, "ok"), (3, "no_block"), (4, "no_block"),
+                               (5, "ok"), (6, "no_block"), (7, "no_block"), (8, "no_block"),
+                               (8, "copy_fallback")]
+
+
+def test_every_slot_outcome_is_recorded(monkeypatch):
+    def fitness(rule, instances):   # a rule finite on the smoke set, not on training
+        if rule.source == "due*3.0 + setup":
+            raise RuleInvalid("non-finite score on a training instance")
+        return evaluate_fitness(rule, instances)
+
+    monkeypatch.setattr("fafsp.evolve.evaluate_fitness", fitness)
+    insts = training_instances()
+    cfg = EvolutionConfig(generations=1, population=2, retry_budget=3,
+                          strategies=(Strategy("C2", 2, False),), seed=5)
+    responses = [CRIT,
+                 "no code fence", "Description: d\n```\ndue\n```\n```\npt\n```",
+                 gen_response("due +"),                                # init slot 1
+                 gen_response("foo + 1"), gen_response(" + ".join(["due"] * 600)),
+                 gen_response("due + pt"),                             # init slot 2
+                 gen_response("exp(exp(exp(et)))"), gen_response("due*3.0 + setup"),
+                 gen_response("due + 2*pt"),                           # C2 slot 1
+                 gen_response("due + 3*pt")]                           # C2 slot 2
+    result = run_evolution(cfg, ScriptedTransport(responses), insts)
+    assert result.outcomes == [
+        (1, "no_block"), (2, "multi_block"), (3, "parse_error"), (3, "copy_fallback"),
+        (4, "unknown_accessor"), (5, "node_limit"), (6, "ok"),
+        (7, "smoke_invalid"), (8, "rule_invalid"), (9, "ok"), (10, "ok")]
+    ok = {i for i, outcome in result.outcomes if outcome == "ok"}
+    assert [i for i, e in enumerate(result.journal) if e["fitness"] is not None] == sorted(ok)
+    assert [i.operator for i in result.population] == ["C2", "C2"]
+
+
+def test_engine_error_in_a_slot_is_retried_not_fatal(monkeypatch):
+    raised = []
+
+    def fitness(rule, instances):
+        if rule.name != "EDD" and not raised:     # the first candidate only
+            raised.append(rule.source)
+            raise DeadlockError("no arc and no event")
+        return evaluate_fitness(rule, instances)
+
+    monkeypatch.setattr("fafsp.evolve.evaluate_fitness", fitness)
+    cfg = EvolutionConfig(generations=0, population=2, seed=1)
+    responses = [CRIT, gen_response("due + pt"), gen_response("due + 2*pt"),
+                 gen_response("due + 3*pt")]
+    result = run_evolution(cfg, ScriptedTransport(responses), training_instances())
+    assert raised == ["due + pt"]
+    assert result.error is None
+    assert result.outcomes == [(1, "engine_error"), (2, "ok"), (3, "ok")]
+    assert [i.source for i in result.population] == ["due + 2*pt", "due + 3*pt"]
+    assert result.journal[1]["fitness"] is None
 
 
 def test_deeply_nested_reply_does_not_abort_run():

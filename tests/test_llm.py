@@ -1,8 +1,11 @@
 """Prompt rendering, transports, cassette record/replay, extraction."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
                        Critique, LiveTransport, MissingBlock, MissingSection,
@@ -10,7 +13,8 @@ from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
                        ScriptedTransport, TransportError, extract_critique,
                        extract_individual, load_cassette, render_evaluator_prompt,
                        render_generator_prompt, request_digest)
-from fafsp.evolve import RuleIndividual
+from fafsp.evolve import RuleIndividual, _rejection
+from fafsp.expr import ACCESSORS, FUNCTIONS
 from fafsp.rules import RuleSpec
 
 DATA = Path(__file__).parent / "data"
@@ -302,3 +306,69 @@ def test_scripted_transport_exhaustion():
     t.send("a", 0.1)
     with pytest.raises(TransportError):
         t.send("b", 0.1)
+
+
+# -- hostile replies and cassettes -------------------------------------------------
+
+#: operands of the grammar, near misses and junk
+OPERANDS = st.sampled_from([
+    *ACCESSORS, "0", "2.5", "1e999", "exp(exp(due))", "log(0)", "min(pt, due, 3)",
+    "if(pt < due, pt, due)", "max(pt)", "due < pt", "foo", "(" * 120 + "due" + ")" * 120,
+    "+".join(["due"] * 300), "(", ")", ",", "", "due due", "$", "\u00e9"])
+EXPRESSIONS = st.builds(lambda first, rest: first + "".join(f" {op} {x}" for op, x in rest),
+                        OPERANDS, st.lists(st.tuples(st.sampled_from("+-*/"), OPERANDS),
+                                           max_size=3))
+#: generator replies: an optional description line, fenced blocks (mostly
+#: one) and free text, in the reply format's order
+REPLIES = st.builds(
+    lambda head, blocks, tail: head + "".join(f"```{tag}\n{body}\n```\n" for tag, body in blocks)
+    + tail,
+    st.sampled_from(["Description: d\n", "description: d\n", "", "description:"]),
+    st.lists(st.tuples(st.sampled_from(["", "python"]), EXPRESSIONS), min_size=1, max_size=1)
+    | st.lists(st.tuples(st.just(""), EXPRESSIONS), max_size=2),
+    st.text(max_size=10))
+#: evaluator replies: section labels and free text
+CRITIQUES = st.lists(st.sampled_from(["Advantages:", "limitations :", "Suggestions:", "\n"])
+                     | st.text(max_size=8), max_size=12).map(" ".join)
+
+
+@seed(13)
+@settings(max_examples=600, deadline=None, database=None)
+@given(reply=REPLIES)
+def test_any_generator_reply_is_a_named_rejection_or_a_rule(reply):
+    try:
+        _, source = extract_individual(reply)
+        RuleSpec.expression(source)
+    except Exception as error:
+        assert _rejection(error) != "engine_error", repr(error)
+
+
+@seed(13)
+@settings(max_examples=500, deadline=None, database=None)
+@given(reply=CRITIQUES)
+def test_any_evaluator_reply_is_a_critique_or_missing_section(reply):
+    try:
+        assert isinstance(extract_critique(reply), Critique)
+    except MissingSection:
+        pass
+
+
+RECORD = json.dumps({"digest": "0" * 64, "response": "r"})
+LINES = (st.sampled_from([RECORD, "{}", "[]", "null", '{"digest": 1}', "[" * 3000,
+                          "1" * 5000, "{\"digest\": ", "\ufeff" + RECORD]).map(str.encode)
+         | st.binary(max_size=30) | st.text(max_size=30).map(str.encode))
+
+
+@seed(13)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(LINES, max_size=5))
+def test_junk_cassette_lines_raise_only_cassette_format_errors(tmp_path, lines):
+    cassette = tmp_path / "c.jsonl"
+    cassette.write_bytes(b"\n".join(lines))
+    try:
+        records = load_cassette(cassette)
+    except CassetteFormatError:
+        return
+    assert all(isinstance(r["digest"], str) and isinstance(r["response"], str)
+               for r in records)

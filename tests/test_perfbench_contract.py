@@ -60,4 +60,5 @@ def test_evolution_under_shims_matches_untraced():
         traced = run_evolution(cfg, ScriptedTransport(_mock_responses()), instances)
     assert json.dumps(traced.journal, sort_keys=True) == json.dumps(plain.journal, sort_keys=True)
     assert traced.best.source == plain.best.source
-    assert {"llm.render", "evolve.evaluate_fitness"} <= set(probe.names)
+    assert {"llm.render", "llm.extract", "rules.validate_rule",
+            "evolve.evaluate_fitness"} <= set(probe.names)
