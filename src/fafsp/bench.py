@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .generator import ScenarioConfig, generate_instance
-from .model import check_fields, load_json, read_document
+from .model import _finite, check_fields, load_json, read_document
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -149,8 +149,28 @@ def write_journal(entries: Sequence[dict], path) -> None:
 
 
 def read_journal(path) -> list[dict]:
+    """The journal's entries. A line that is not a JSON object, or whose
+    fitness is neither a finite number nor null, raises ValueError naming
+    the file and the line."""
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for ln, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"{path} line {ln}: JSON nested too deep") from None
+            except ValueError as e:
+                raise ValueError(f"{path} line {ln}: {e}") from None
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path} line {ln}: not a JSON object")
+            fit = entry.get("fitness")
+            if fit is not None and not _finite(fit):
+                raise ValueError(f"{path} line {ln}: fitness must be a finite number "
+                                 f"or null, not {fit!r}")
+            entries.append(entry)
+    return entries
 
 
 def journal_to_convergence(entries: Sequence[dict]) -> list[tuple[int, float | None]]:

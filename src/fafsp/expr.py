@@ -14,6 +14,9 @@ NUMBER is a decimal with optional fraction and exponent. Accessors are the
 fixed feature names below; anything else is rejected. Programs are pure,
 loop-free and evaluate in one vectorized pass over all candidate arcs; each
 is compiled once, when it is built, into one straight-line Python function.
+A long +/- chain of terms that read a column, such as a weighted sum of
+features, compiles into one scaled row-wise reduce with the same bits as
+the chain's left fold.
 
 Protected operators keep every program evaluable: x/0 -> 0, log(x<=0) -> 0,
 sqrt(x<0) -> 0. Overflow to non-finite values is *not* masked here; the rule
@@ -334,8 +337,20 @@ def to_source(program: Program) -> str:
 # array. The generated text holds only names the generator makes and the
 # operator names below; constants reach the function through its namespace,
 # never as text.
+#
+# One exception to the node-by-node code: the leading terms of a +/- chain
+# t0 ± t1 ± ... ± tk that read a column, when they would take _FOLD_MIN or
+# more numpy calls, become one _fold call. Its (k+1, 1) coefficient constant
+# carries each term's sign and its number factor (``c*x`` or ``x*c``), so
+# ``x - 2*pt`` adds the row pt scaled by -2. This is exact: 1*x is x,
+# (-c)*x is -(c*x) and a + (-b) is a - b in IEEE arithmetic, and a
+# row-wise add.reduce of a C-contiguous (k+1, n >= 2) matrix adds the rows
+# in order, as the chain does. One column is repeated into two, because
+# numpy sums a lone column pairwise; the reduce starts from -0.0, the
+# identity that keeps a -0.0 sum. Terms after the first one that reads no
+# column are added one call each, as before.
 
-def _constant(value: float) -> np.ndarray:
+def _constant(value) -> np.ndarray:
     out = np.array(value, dtype=np.float64)
     out.flags.writeable = False
     return out
@@ -357,13 +372,53 @@ def _log(x):
     return np.log(np.where(x <= _ZERO, _ONE, x))    # log(1) is +0
 
 
+def _fold(coefs, rows):
+    """The left fold ``coefs[0]*rows[0] + coefs[1]*rows[1] + ...`` of a chain."""
+    m = np.array(rows)
+    n = m.shape[1]
+    if n == 1:                  # numpy sums a lone column pairwise, not in order
+        m = np.repeat(m, 2, axis=1)
+    m *= coefs
+    out = np.add.reduce(m, axis=0, initial=-0.0)
+    return out if n != 1 else out[:1]
+
+
 _OPS = {"_lt": np.less, "_le": np.less_equal, "_gt": np.greater,
         "_ge": np.greater_equal, "_eq": np.equal, "_ne": np.not_equal,
         "_div": _divide, "_abs": np.abs, "_sqrt": _sqrt, "_exp": np.exp,
-        "_log": _log, "_min": np.minimum, "_max": np.maximum, "_if": np.where}
+        "_log": _log, "_min": np.minimum, "_max": np.maximum, "_if": np.where,
+        "_fold": _fold}
 #: comparison, division and function names -> generated operator names
 _OP_NAME = {"<": "_lt", "<=": "_le", ">": "_gt", ">=": "_ge", "==": "_eq",
             "!=": "_ne", "/": "_div", **{f: "_" + f for f in FUNCTIONS}}
+
+
+#: fewest numpy calls (additions and scalings by a number) a run of chain
+#: terms must take to compile into one _fold call instead; one _fold costs
+#: about as much as 11 of them
+_FOLD_MIN = 12
+
+
+def _reads_column(node: Node) -> bool:
+    if isinstance(node, (Num, Acc)):
+        return isinstance(node, Acc)
+    if isinstance(node, Neg):
+        return _reads_column(node.operand)
+    children = node.args if isinstance(node, Call) else (node.left, node.right)
+    return any(map(_reads_column, children))
+
+
+def _scaled(op: str, term: Node) -> tuple[float, Node]:
+    """(coefficient, row) of a chain term: ``c*x`` and ``x*c`` with a number
+    c are the row x scaled by c, any other term is itself scaled by 1; a
+    subtracted term's coefficient is negated."""
+    coef, row = 1.0, term
+    if isinstance(term, Bin) and term.op == "*":
+        if isinstance(term.left, Num):
+            coef, row = term.left.value, term.right
+        elif isinstance(term.right, Num):
+            coef, row = term.right.value, term.left
+    return (-coef if op == "-" else coef), row
 
 
 def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
@@ -376,6 +431,27 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
         name = f"v{len(lines)}"
         lines.append(f"    {name} = {text}")
         return name
+
+    def chain(node: Bin) -> str:
+        terms = []
+        while isinstance(node, Bin) and node.op in "+-":
+            terms.append((node.op, node.right))
+            node = node.left
+        terms.append(("+", node))
+        terms.reverse()
+        run = next((i for i, (_, t) in enumerate(terms) if not _reads_column(t)), len(terms))
+        head = [_scaled(op, t) for op, t in terms[:run]]
+        scalings = sum(row is not t for (_, row), (_, t) in zip(head, terms))
+        if run - 1 + scalings >= _FOLD_MIN:        # the calls one _fold takes over
+            coefs, rows = zip(*head)
+            name = f"k{len(namespace)}"
+            namespace[name] = _constant([[c] for c in coefs])
+            acc = local(f"_fold({name}, ({', '.join(emit(r) for r in rows)},))")
+        else:
+            run, acc = 1, emit(node)
+        for op, term in terms[run:]:
+            acc = local(f"{acc} {op} {emit(term)}")
+        return acc
 
     def emit(node: Node) -> str:
         if isinstance(node, Num):
@@ -390,7 +466,9 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
             return reads[node.name]
         if isinstance(node, Neg):
             return local(f"-{emit(node.operand)}")
-        if isinstance(node, Bin) and node.op in ("+", "-", "*"):
+        if isinstance(node, Bin) and node.op in "+-":
+            return chain(node)
+        if isinstance(node, Bin) and node.op == "*":
             left = emit(node.left)
             return local(f"{left} {node.op} {emit(node.right)}")
         if isinstance(node, (Bin, Cmp)):

@@ -405,11 +405,13 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_json(path, error: type[ValueError] = DocumentError):
     """The parsed JSON file; malformed JSON raises ``error`` naming the file,
-    line and column, and text that is not UTF-8 or any other ValueError of
-    the parser raises it naming the file."""
+    line and column, and text that is not UTF-8, nesting too deep for the
+    parser or any other ValueError of the parser raises it naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deep") from None
     except json.JSONDecodeError as e:
         raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:

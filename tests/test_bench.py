@@ -352,6 +352,33 @@ def test_cli_gen_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_gen_deeply_nested_scenario_names_the_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["gen", "--scenario", str(path), "--count", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: ", "nested too deep")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("not json", "Expecting value"),
+    ("[" * 100_000, "nested too deep"),
+    ("[1]", "not a JSON object"),
+    ('{"fitness": "abc"}', "fitness must be a finite number or null, not 'abc'"),
+    ('{"fitness": NaN}', "not nan"),
+    ('{"fitness": true}', "not True"),
+], ids=["not-json", "too-deep", "not-object", "string-fitness", "nan-fitness",
+        "bool-fitness"])
+def test_cli_export_bad_journal_line_names_file_and_line(tmp_path, capsys, line, message):
+    run_dir = tmp_path / "run"
+    os.makedirs(run_dir)
+    journal = run_dir / "journal.jsonl"
+    journal.write_text('{"fitness": 4.5}\n\n' + line + "\n", encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"{journal} line 3: ", message)
+
+
 def test_cli_gen_non_utf8_scenario_exits_1(tmp_path, capsys):
     path = tmp_path / "scen.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
                         Neg, Num, NodeLimitExceeded, ParseError, UnknownAccessor,
-                        evaluate, parse, to_source)
+                        _fold, evaluate, parse, to_source)
+from fafsp.rules import BUILTIN_IDS, RuleSpec
+
+from test_golden import RULES
 
 
 def test_single_accessor():
@@ -270,6 +273,91 @@ def test_constants_never_reach_generated_text():
     assert out.tolist() == [np.inf, np.inf]
     assert evaluate(parse("-0.0"), {}, 1)[0] == 0.0
     assert np.signbit(evaluate(parse("-0.0"), {}, 1)[0])
+
+
+# -- +/- chains folded into one row-wise reduce ---------------------------------
+
+FOLD_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 120), n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(k=120, n=1, seed=0)            # a lone column: numpy would sum it pairwise
+@example(k=40, n=1, seed=3)
+@example(k=2, n=1, seed=1)
+@example(k=17, n=2, seed=2)
+def test_fold_is_the_left_fold_bit_for_bit(k, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    coefs = rng.choice([1.0, -1.0, 0.5, -2.0, 3.0, -0.25], size=(k, 1))
+    rate = rng.choice([0.0, 0.002, 0.05])       # of special values among the operands
+    special = rng.random((k, n)) < rate
+    rows[special] = rng.choice(FOLD_SPECIALS, size=int(special.sum()))
+    special = rng.random((k, 1)) < rate
+    coefs[special] = rng.choice([0.0, -0.0, 1e308, -np.inf], size=int(special.sum()))
+    rows = tuple(row.copy() for row in rows)
+    with np.errstate(all="ignore"):
+        want = coefs[0] * rows[0]
+        for c, row in zip(coefs[1:], rows[1:]):
+            want = want + c * row
+        got = _fold(coefs, rows)
+    assert got.shape == (n,) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_fold_keeps_negative_zero(n):
+    got = _fold(np.ones((3, 1)), tuple(np.full(n, -0.0) for _ in range(3)))
+    assert np.signbit(got).all() and (got == 0.0).all()
+
+
+def _chain_terms():
+    acc = st.sampled_from(sorted(ACCESSORS))
+    num = st.sampled_from(EXTREME)
+    return st.one_of(acc,
+                     st.tuples(num, acc).map(lambda t: f"{t[0]}*{t[1]}"),
+                     st.tuples(acc, num).map(lambda t: f"{t[0]}*{t[1]}"),
+                     st.recursive(acc, _sources, max_leaves=4).map(lambda src: f"({src})"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(st.sampled_from("+-"), _chain_terms()), min_size=10, max_size=40),
+       constant=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.sampled_from(EXTREME))),
+       n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_long_chains_match_tree_walk_bit_for_bit(terms, constant, n, seed):
+    if constant is not None:            # a term that reads no column ends the fold
+        terms.insert(constant[0], ("-", constant[1]))
+    src = terms[0][1] + "".join(f" {op} {term}" for op, term in terms[1:])
+    rng = np.random.default_rng(seed)
+    values = [0.0, -0.0, -2.0, 0.5, 3.0, 700.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+              5e-324, -1e-310]
+    cols = {name: rng.choice(values, size=n) for name in ACCESSORS}
+    try:
+        prog = parse(src)
+    except NodeLimitExceeded:
+        assume(False)
+    got = evaluate(prog, cols, n)
+    assert got.shape == (n,) and got.dtype == float
+    assert _same_bits(got, _tree_walk(prog.root, cols, n))
+
+
+def _folds(program) -> bool:
+    return "_fold" in program.fn.__code__.co_names
+
+
+def test_only_chains_of_many_numpy_calls_fold():
+    plain = sorted(ACCESSORS)
+    assert _folds(RULES["wide"].program) and _folds(RULES["chains"].program)
+    assert not _folds(RULES["small"].program)
+    assert not _folds(parse(" + ".join(plain[:12])))        # 11 additions
+    assert _folds(parse(" + ".join(plain[:13])))            # 12 additions
+    assert not _folds(parse(" - ".join(f"0.5*{a}" for a in plain[:6])))    # 5 + 6
+    assert _folds(parse(" - ".join(f"{a}*0.5" for a in plain[:7])))        # 6 + 7
+    assert not _folds(parse("1 + " + " + ".join(plain)))  # a constant first: no run
+    assert _folds(parse(" + ".join(plain) + " + 1"))      # the run before it folds
+    for rid in BUILTIN_IDS:
+        rule = RuleSpec.builtin(rid)
+        assert not any(_folds(p) for p in (rule.program, rule.tie_break) if p is not None)
 
 
 # -- nesting bound --------------------------------------------------------------

@@ -45,10 +45,21 @@ WIDE = " + ".join([
 # so its schedule pins the protected operators' exact results
 PROTECTED = "due / (queue - queue) + log(0 - slack) + sqrt(0 - wait) + 0.5*pt"
 
+# +/- chains long enough to compile into one row-wise reduce each:
+# subtraction, numbers on either side of a product, a nested chain, chains
+# inside if() and min(), and constant terms, which end a fold or prevent one
+CHAINS = ("0.4*due - 2*pt + setup*1.5 - queue*0.25 + 0.3*wait - work_rem + 0.7*slack"
+          " - et*0.2 + (0.5*avail - util + 0.25*n_mach - 3*ops_rem + pt*0.125 + 0.9*now"
+          " - 0.05*arrival) + if(0.2*due - 0.3*pt + 0.1*setup - queue*0.4 + 0.5*wait"
+          " - 0.6*slack + 0.8*et < 0, min(due - 0.5*pt + 0.25*setup - 2*queue"
+          " + wait*0.75 - 0.1*work_rem + 0.3*slack, 4 + 0.5*pt - setup + 0.2*queue"
+          " - 0.3*wait + 0.4*et - 0.1*due + 0.6*slack), 0.1*util) + 2.5")
+
 RULES = {**{rid: RuleSpec.builtin(rid) for rid in BUILTIN_IDS},
          "wide": RuleSpec.expression(WIDE, name="wide"),
          "small": RuleSpec.expression("due - now + 2*pt + setup + 0.2*queue*pt"),
-         "protected": RuleSpec.expression(PROTECTED, name="protected")}
+         "protected": RuleSpec.expression(PROTECTED, name="protected"),
+         "chains": RuleSpec.expression(CHAINS, name="chains")}
 
 
 def golden_digests() -> dict[str, str]:

@@ -30,7 +30,8 @@ from probe import TracedProbe, shims  # noqa: E402
 from speed import Timeline  # noqa: E402
 
 
-@pytest.mark.parametrize("rule", [RULES["MWKR+EET"], RULES["small"]], ids=lambda r: r.name)
+@pytest.mark.parametrize("rule", [RULES["MWKR+EET"], RULES["small"], RULES["wide"]],
+                         ids=lambda r: r.name)
 def test_traced_rollout_matches_untraced(rule):
     instances = [generate_instance(cfg) for cfg in SCENARIOS.values()]
     expected = [schedule_to_text(run_dispatch(inst, rule)) for inst in instances]
