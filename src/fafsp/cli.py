@@ -23,7 +23,7 @@ from .generator import generate_instance, load_scenario, scenario_to_doc
 from .llm import (LiveTransport, RecordingTransport, ReplayMiss, ReplayTransport,
                   TransportError)
 from .model import load_instance, save_instance
-from .rules import BUILTIN_IDS, RuleSpec, load_rule_file, save_rule_file
+from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, load_rule_file, save_rule_file
 from .sim import load_schedule, run_dispatch, save_schedule, total_tardiness
 from .validator import validate_schedule
 
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except (TransportError, ReplayMiss) as e:
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RuleInvalid) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

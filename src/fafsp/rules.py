@@ -84,6 +84,11 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
     Only the single-key path checks that scores are finite. The two-key
     path needs no check: only ``RuleSpec.builtin`` sets a tie-break, and
     builtin keys are finite on every valid instance.
+
+    Reductions are ``argmin`` calls, which cost less per decision than
+    ``min`` and ``all``: the first minimum's value is the minimum (NaN if
+    any key is NaN, as ``min`` gives), and the first False of the finite
+    mask is True only when every score is finite.
     """
     n = len(jobs)
     if n == 0:
@@ -93,12 +98,12 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
     cols = fv.arc_columns(jobs, machs)
     if rule.tie_break is not None:
         job_key = rule.program.fn(cols)
-        ties = (job_key == job_key.min()).nonzero()[0]
+        ties = (job_key == job_key[job_key.argmin()]).nonzero()[0]
         return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
     scores = expr.evaluate(rule.program, cols, n)
     finite = np.isfinite(scores)
-    if not finite.all():
-        k = int(finite.argmin())                # the first non-finite score
+    k = finite.argmin()                         # the first non-finite score, if any
+    if not finite.item(k):
         raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
                           f"for arc (job {jobs[k]}, machine {machs[k]})")
     return int(scores.argmin())

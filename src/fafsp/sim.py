@@ -265,7 +265,7 @@ class FeatureView:
 _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "due": ((), lambda s, jobs, machs, c: s.t.job_due[jobs]),
     "arrival": ((), lambda s, jobs, machs, c: s.t.job_arrival[jobs]),
-    "now": ((), lambda s, jobs, machs, c: np.full(len(jobs), s.clock)),
+    "now": ((), lambda s, jobs, machs, c: _filled(len(jobs), s.clock)),
     "work_rem": ((), lambda s, jobs, machs, c: s.order_work_rem[s.t.job_order[jobs]]),
     "slack": (("due", "now", "work_rem"),
               lambda s, jobs, machs, c: c["due"] - c["now"] - c["work_rem"]),
@@ -279,6 +279,13 @@ _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs]),
     "util": ((), lambda s, jobs, machs, c: s.m_busy[machs]),
 }
+
+
+def _filled(n: int, value: float) -> np.ndarray:
+    """np.full(n, value), for less per call."""
+    out = np.empty(n)
+    out.fill(value)
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,8 +324,9 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     return state
 
 
-def _dispatch(state: SimState, j: int, m: int) -> None:
-    """State update of dispatching the feasible arc (j, m)."""
+def _dispatch(state: SimState, j: int, m: int) -> float:
+    """State update of dispatching the feasible arc (j, m); returns its
+    completion time."""
     t = state.t
     setup = t.setup.item(state.m_last.item(m) + 1, j)
     pt = t.ptmat.item(j, m)
@@ -335,6 +343,7 @@ def _dispatch(state: SimState, j: int, m: int) -> None:
     state.job_ct[j] = ct
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
     state._push(ct, _COMPLETION, j)
+    return ct
 
 
 def advance_clock(state: SimState) -> SimState:
@@ -395,13 +404,19 @@ def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -
 
     The one epoch loop: each step enumerates the feasible arcs, in (job,
     machine) order, and dispatches arc ``choose(jobs, machs)``; when there
-    is none the clock advances."""
+    is none the clock advances. After dispatching the only arc for a
+    positive time the clock advances without enumerating: the job has left
+    READY, its machine is busy until after the clock, and every other ready
+    job's machines were busy already, so no arc is left. A zero-length
+    dispatch leaves its machine idle and is followed by an enumeration."""
     n_jobs = state.t.J
     while state.done_count < n_jobs:
         jobs, machs = state._arc_arrays()
         if len(jobs):
             k = choose(jobs, machs)
-            _dispatch(state, jobs.item(k), machs.item(k))
+            ct = _dispatch(state, jobs.item(k), machs.item(k))
+            if len(jobs) == 1 and ct > state.clock:
+                _advance(state)
         else:
             _advance(state)
     return extract_schedule(state)

@@ -323,6 +323,30 @@ def test_cli_run_sparse_order_ids_exits_1(tmp_path, capsys):
     _assert_one_error_line(capsys, "order ids not dense 0..0")
 
 
+# et*et + 9 >= 9, so every score overflows to inf at the first decision with
+# two arcs; a single arc is dispatched unscored
+OVERFLOWING_RULE = "exp(exp(exp(et*et + 9)))"
+
+
+def test_cli_run_nonfinite_rule_exits_1(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    _write_scenario(scen)
+    main(["gen", "--scenario", str(scen), "--count", "1", "--out", str(tmp_path / "i")])
+    capsys.readouterr()
+    inst = tmp_path / "i" / "inst_42_0.json"
+    assert main(["run", "--rule", OVERFLOWING_RULE, "--instance", str(inst)]) == 1
+    _assert_one_error_line(capsys, "non-finite score inf", "(job 0, machine 1)")
+
+
+def test_cli_bench_nonfinite_rule_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    scenario = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 42}
+    grid.write_text(json.dumps({"replications": 1, "scenarios": [scenario]}),
+                    encoding="utf-8")
+    assert main(["bench", "--grid", str(grid), "--rules", f"EDD,{OVERFLOWING_RULE}"]) == 1
+    _assert_one_error_line(capsys, "non-finite score inf")
+
+
 SCENARIO = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 42}
 
 

@@ -113,6 +113,34 @@ def test_overflow_passes_through():
     assert np.isinf(out[0])
 
 
+with np.errstate(over="ignore"):
+    _EXP_EXP = np.exp(np.exp(np.array([1.0, 9.0, 3.0])))    # the middle one is inf
+
+
+@pytest.mark.parametrize("source, column, expected", [
+    ("2 + 3", [1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),             # reads no column
+    ("due", [1.0, -0.0, 3.0], [1.0, -0.0, 3.0]),             # returns its column
+    ("due", [1, 2, 3], [1.0, 2.0, 3.0]),                     # an integer column
+    ("exp(exp(due))", [1.0, 9.0, 3.0], _EXP_EXP),            # overflows
+])
+def test_evaluate_returns_float64_of_length_n_in_callers_error_state(source, column, expected):
+    prog = parse(source)
+    with np.errstate(all="raise"):          # the program's own state ignores overflow
+        before = np.geterr()
+        out = evaluate(prog, {"due": np.array(column)}, 3)
+        assert np.geterr() == before
+    assert out.dtype == np.float64 and out.shape == (3,)
+    assert out.tobytes() == np.array(expected).tobytes()
+
+
+def test_evaluate_restores_error_state_when_the_program_raises():
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        with pytest.raises(KeyError):
+            evaluate(parse("exp(exp(due)) + pt"), {"due": np.array([9.0])}, 1)
+        assert np.geterr() == before
+
+
 def test_if_vectorized():
     cols = {"slack": np.array([-1.0, 2.0, 0.0])}
     out = evaluate(parse("if(slack < 0, 100, slack)"), cols, 3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fafsp.expr import NodeLimitExceeded, ParseError, evaluate, parse
@@ -229,3 +229,65 @@ def test_argmin_by_arc_order_matches_cascade(arcs):
     assert k == _argmin_cascade([job_key, mach_key, jobs, machs])
     k = rank_arc_arrays(RuleSpec.expression("due"), fv, jobs, machs)
     assert k == _argmin_cascade([job_key, jobs, machs])
+
+
+# -- argmin-based reductions against min- and all-based ones -----------------------
+
+def _min_all_rank(rule, fv, jobs, machs):
+    """Reference: rank_arc_arrays with the job-key minimum taken by min and the
+    finite check by all."""
+    cols = fv.arc_columns(jobs, machs)
+    if rule.tie_break is not None:
+        job_key = rule.program.fn(cols)
+        ties = (job_key == job_key.min()).nonzero()[0]
+        return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
+    scores = evaluate(rule.program, cols, len(jobs))
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
+                          f"for arc (job {jobs[k]}, machine {machs[k]})")
+    return int(scores.argmin())
+
+
+def _outcome(rank, *args):
+    """The index rank returns, or its exception's type and message."""
+    try:
+        return rank(*args)
+    except (RuleInvalid, ValueError) as e:
+        return type(e), str(e)
+
+
+# NaN, the infinities and both zeros, among few finite values so ties are common
+edge_values = st.sampled_from([-0.0, 0.0, 1.0, -3.5, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def edge_scored_arcs(draw):
+    n = draw(st.integers(2, 12))
+    jobs = np.arange(n, dtype=np.int64)
+    machs = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    keys = [np.array(draw(st.lists(edge_values, min_size=n, max_size=n))) for _ in range(2)]
+    return jobs, machs, *keys
+
+
+@settings(max_examples=400, deadline=None)
+@given(arcs=edge_scored_arcs())
+@example(arcs=(np.arange(3), np.zeros(3, dtype=np.int64),       # non-finite only after the minimum
+               np.array([1.0, -3.5, np.nan]), np.zeros(3)))
+@example(arcs=(np.arange(3), np.zeros(3, dtype=np.int64),
+               np.array([-0.0, 0.0, np.inf]), np.array([0.0, -0.0, 1.0])))
+@example(arcs=(np.arange(2), np.zeros(2, dtype=np.int64),       # -inf is the minimum
+               np.array([1.0, -np.inf]), np.zeros(2)))
+def test_argmin_reductions_match_min_and_all(arcs):
+    jobs, machs, job_key, mach_key = arcs
+    fv = FakeView({"due": job_key, "pt": mach_key})
+    for rule in (RuleSpec.expression("due"), RuleSpec.builtin("EDD")):
+        got = _outcome(rank_arc_arrays, rule, fv, jobs, machs)
+        assert got == _outcome(_min_all_rank, rule, fv, jobs, machs)
+        if rule.tie_break is None and np.isfinite(job_key).all():
+            assert got == int(job_key.argmin())
+        elif rule.tie_break is None:
+            k = int(np.flatnonzero(~np.isfinite(job_key))[0])
+            assert got == (RuleInvalid, f"rule 'expression': non-finite score {job_key[k]} "
+                                        f"for arc (job {jobs[k]}, machine {machs[k]})")

@@ -1,5 +1,6 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
+import functools
 import math
 import random
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fafsp import sim
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import RuleSpec
+from fafsp.rules import RuleSpec, rank_arc_arrays
 from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
-                       FeatureView, InfeasibleArcError, SimState, _advance, _rollout,
-                       advance_clock, apply_arc, extract_schedule, feasible_arcs,
-                       run_dispatch, schedule_from_text, schedule_to_text,
-                       total_tardiness)
+                       FeatureView, InfeasibleArcError, SimState, _advance, _dispatch,
+                       _rollout, advance_clock, apply_arc, extract_schedule,
+                       feasible_arcs, run_dispatch, schedule_from_text,
+                       schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance, pick_arc
@@ -454,8 +456,8 @@ def test_clones_keep_their_own_ready_bookkeeping(seed):
        seed=st.integers(0, 2**16))
 @example(inst=ZERO_LENGTH, seed=0)
 def test_enumeration_matches_python_loop_at_every_step(inst, seed):
-    # the epoch loop re-enumerates after every dispatch, zero-length ones
-    # included; check each enumeration and the bookkeeping it reads
+    # the epoch loop enumerates before every decision, after zero-length
+    # dispatches too; check each enumeration and the bookkeeping it reads
     state = SimState(inst)
     enumerate_arcs = state._arc_arrays
     steps = []
@@ -484,6 +486,83 @@ def test_every_non_delay_rollout_validates_clean(inst, seed):
     sched = _rollout(SimState(inst), lambda jobs, machs: rng.randrange(len(jobs)))
     assert validate_schedule(inst, sched) == []
     assert total_tardiness(sched) == math.fsum(sched.tt.values())
+
+
+# -- the single-arc step against re-enumeration after every dispatch -------------
+
+def _reenumerating_rollout(state, choose):
+    """_rollout without its single-arc step: enumerates the arcs again after
+    every dispatch."""
+    while state.done_count < state.t.J:
+        jobs, machs = state._arc_arrays()
+        if len(jobs):
+            k = choose(jobs, machs)
+            _dispatch(state, jobs.item(k), machs.item(k))
+        else:
+            _advance(state)
+    return extract_schedule(state)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       seed=st.integers(0, 2**16))
+@example(inst=ZERO_LENGTH, seed=0)
+@example(inst=ZERO_LENGTH, seed=1)
+def test_single_arc_step_matches_reenumeration(inst, seed):
+    # the same seed makes the same choices: the skipped enumerations are
+    # the ones that would have found no arc, so the chooser sees the same
+    # arc sets in the same order
+    logs = []
+    for rollout in (_rollout, _reenumerating_rollout):
+        rng = random.Random(seed)
+        logs.append(schedule_to_text(rollout(SimState(inst),
+                                             lambda jobs, machs: rng.randrange(len(jobs)))))
+    assert logs[0] == logs[1]
+
+
+def test_single_zero_length_arc_is_followed_by_an_enumeration(monkeypatch):
+    # under EDD, job 1 is the only arc at time 0 and takes no time: its
+    # machine stays idle, so the loop enumerates again before it advances;
+    # jobs 2 and 3 are single arcs that take time, and the loop advances
+    # right after dispatching them
+    state = SimState(ZERO_LENGTH)
+    steps = []
+    enumerate_arcs = state._arc_arrays
+
+    def logged():
+        jobs, machs = enumerate_arcs()
+        steps.append(list(zip(jobs.tolist(), machs.tolist())))
+        return jobs, machs
+
+    state._arc_arrays = logged
+    monkeypatch.setattr(sim, "_advance",
+                        lambda s: steps.append(f"advance from {s.clock}") or _advance(s))
+    _rollout(state, functools.partial(rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))
+    assert steps == [[(0, 0), (2, 0)], [(2, 0)], "advance from 0.0",
+                     [(1, 1)], [], "advance from 0.0",
+                     [], "advance from 0.0",
+                     [(3, 1)], "advance from 3.0"]
+
+
+def test_single_arc_step_skips_enumerations():
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                            n_init=2, seed=0))
+    schedules, calls = [], []
+    for rollout in (_rollout, _reenumerating_rollout):
+        state = SimState(inst)
+        calls.append(0)
+        enumerate_arcs = state._arc_arrays
+
+        def counting():
+            calls[-1] += 1
+            return enumerate_arcs()
+
+        state._arc_arrays = counting
+        schedules.append(schedule_to_text(rollout(state, functools.partial(
+            rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))))
+    assert schedules[0] == schedules[1]
+    # 8 of the 67 decisions have one arc, and each takes time
+    assert calls == [129, 137]
 
 
 # -- a rule's read set against the full gather -------------------------------------
