@@ -2,6 +2,7 @@
 
 import pickle
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -197,8 +198,10 @@ def _tree_walk(node, columns, n):
             return np.where(mask, ev(node.args[1]), ev(node.args[2]))
         args = [ev(a) for a in node.args]
         x = args[0]
-        return {"min": lambda: np.minimum.reduce(args),
-                "max": lambda: np.maximum.reduce(args),
+        # min and max fold pairwise, left to right: np.minimum.reduce over the
+        # stacked arguments drops the sign bit of a NaN that np.minimum keeps
+        return {"min": lambda: reduce(np.minimum, args),
+                "max": lambda: reduce(np.maximum, args),
                 "abs": lambda: np.abs(x),
                 "sqrt": lambda: np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0))),
                 "exp": lambda: np.exp(x),
@@ -352,6 +355,8 @@ def _chain_terms():
 @given(terms=st.lists(st.tuples(st.sampled_from("+-"), _chain_terms()), min_size=10, max_size=40),
        constant=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.sampled_from(EXTREME))),
        n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+@example(terms=[("+", "arrival")] * 9 + [("+", "(min(-((arrival + util)), arrival))")],
+         constant=None, n=1, seed=1)     # min of a negated NaN keeps its sign bit
 def test_long_chains_match_tree_walk_bit_for_bit(terms, constant, n, seed):
     if constant is not None:            # a term that reads no column ends the fold
         terms.insert(constant[0], ("-", constant[1]))
