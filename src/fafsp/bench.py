@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .generator import ScenarioConfig, generate_instance
-from .model import _finite, check_fields, load_json, read_document
+from .model import _finite, check_fields, load_json, read_document, read_json_lines, read_text
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -153,23 +153,12 @@ def read_journal(path) -> list[dict]:
     fitness is neither a finite number nor null, raises ValueError naming
     the file and the line."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except RecursionError:
-                raise ValueError(f"{path} line {ln}: JSON nested too deep") from None
-            except ValueError as e:
-                raise ValueError(f"{path} line {ln}: {e}") from None
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path} line {ln}: not a JSON object")
-            fit = entry.get("fitness")
-            if fit is not None and not _finite(fit):
-                raise ValueError(f"{path} line {ln}: fitness must be a finite number "
-                                 f"or null, not {fit!r}")
-            entries.append(entry)
+    for ln, entry in read_json_lines(path):
+        fit = entry.get("fitness")
+        if fit is not None and not _finite(fit):
+            raise ValueError(f"{path} line {ln}: fitness must be a finite number "
+                             f"or null, not {fit!r}")
+        entries.append(entry)
     return entries
 
 
@@ -223,10 +212,7 @@ def export_traces(run_dir, out_dir) -> list[str]:
     per_path = run_dir / "per_instance.csv"
     out_per = out_dir / "tardiness.csv"
     if per_path.exists():
-        with open(per_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        with open(out_per, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out_per.write_text(read_text(per_path), encoding="utf-8")
     else:
         write_per_instance([], out_per)
     written.append("tardiness.csv")

@@ -200,8 +200,9 @@ def main(argv=None) -> int:
     except (TransportError, ReplayMiss) as e:
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (OSError, ValueError, RuleInvalid) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, RuleInvalid, MemoryError) as e:
+        # numpy's _ArrayMemoryError names the allocation; a bare MemoryError says nothing
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -97,12 +97,6 @@ class EvolutionConfig:
                 raise ValueError(f"critique of {s.operator} must be false, not true")
 
 
-def config_from_doc(doc: dict) -> EvolutionConfig:
-    """Config from a parsed JSON object; DocumentError, naming the key, on an
-    unknown key or a value of the wrong shape, type or range."""
-    return read_document(EvolutionConfig, doc, "config")
-
-
 def load_evolution_config(path) -> EvolutionConfig:
     return read_document(EvolutionConfig, load_json(path), f"{path}: config")
 

@@ -64,12 +64,6 @@ def scenario_to_doc(cfg: ScenarioConfig) -> dict:
     return asdict(cfg)
 
 
-def scenario_from_doc(doc: dict) -> ScenarioConfig:
-    """Scenario from a parsed JSON object; DocumentError, naming the key, on
-    an unknown or missing key or a value of the wrong type or range."""
-    return read_document(ScenarioConfig, doc, "scenario")
-
-
 def load_scenario(path) -> ScenarioConfig:
     return read_document(ScenarioConfig, load_json(path), f"{path}: scenario")
 

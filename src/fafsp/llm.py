@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .expr import ACCESSORS
+from .model import read_json_lines
 
 ENV_BASE_URL = "FAFSP_LLM_BASE_URL"
 ENV_API_KEY = "FAFSP_LLM_API_KEY"
@@ -279,25 +280,12 @@ def load_cassette(path) -> list[dict]:
     """Records of a cassette file, one JSON object per non-blank line; raises
     CassetteFormatError naming the first malformed line, or naming the file
     when it is not UTF-8 text."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise CassetteFormatError(f"cassette {path}: not UTF-8 text ({e.reason})") from None
+    label = f"cassette {path}"
     records = []
-    for ln, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as e:   # RecursionError: nested too deep
-            raise CassetteFormatError(f"cassette {path} line {ln}: {e}") from None
-        if not isinstance(rec, dict):
-            raise CassetteFormatError(f"cassette {path} line {ln}: not a JSON object")
+    for ln, rec in read_json_lines(path, CassetteFormatError, label):
         for key in ("digest", "response"):
             if not isinstance(rec.get(key), str):
-                raise CassetteFormatError(
-                    f"cassette {path} line {ln}: {key!r} is not a string")
+                raise CassetteFormatError(f"{label} line {ln}: {key!r} is not a string")
         records.append(rec)
     return records
 

@@ -403,21 +403,54 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(text)
 
 
+def read_text(path, error: type[ValueError] = ValueError, label=None) -> str:
+    """The UTF-8 text of the file, with universal newlines; text that is not
+    UTF-8 raises ``error`` naming ``label`` (the path by default). Every
+    outside file is read here."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{label or path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_json(path, error: type[ValueError] = DocumentError):
     """The parsed JSON file; malformed JSON raises ``error`` naming the file,
     line and column, and text that is not UTF-8, nesting too deep for the
     parser or any other ValueError of the parser raises it naming the file."""
+    text = read_text(path, error)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except RecursionError:
         raise error(f"{path}: JSON nested too deep") from None
     except json.JSONDecodeError as e:
         raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
     except ValueError as e:             # e.g. an integer literal past the digit limit
         raise error(f"{path}: {e}") from e
+
+
+def read_json_lines(path, error: type[ValueError] = ValueError,
+                    label=None) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+    Lines split at line feeds only, as file iteration splits them, so a
+    U+2028 or U+0085 inside a string stays in its line. A line that is not
+    a JSON object raises ``error`` naming ``label`` (the path by default)
+    and the line."""
+    where = label or path
+    out = []
+    for ln, line in enumerate(read_text(path, error, label).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise error(f"{where} line {ln}: JSON nested too deep") from None
+        except ValueError as e:
+            raise error(f"{where} line {ln}: {e}") from None
+        if not isinstance(obj, dict):
+            raise error(f"{where} line {ln}: not a JSON object")
+        out.append((ln, obj))
+    return out
 
 
 # -- config documents --------------------------------------------------------

@@ -11,12 +11,14 @@ ranking is a total order and rollouts are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
 from .expr import Program
+from .model import read_text
 
 BUILTIN_IDS = ("EDD",
                "FIFO+SPT", "FIFO+EET",
@@ -123,18 +125,13 @@ BUILTINS = {rid: RuleSpec(rid, builtin_source(rid), *map(expr.parse, _builtin_te
             for rid in BUILTIN_IDS}
 
 
-_SMOKE: list | None = None
-
-
+@functools.cache
 def smoke_instances() -> list:
     """Three small fixed instances used to vet candidate rules."""
-    global _SMOKE
-    if _SMOKE is None:
-        from .generator import ScenarioConfig, generate_instance
-        _SMOKE = [generate_instance(ScenarioConfig(
-            m1=1, m2=2, phi=1.0, alpha=2, mu=1.0, n_init=2, seed=s))
-            for s in (9001, 9002, 9003)]
-    return _SMOKE
+    from .generator import ScenarioConfig, generate_instance
+    return [generate_instance(ScenarioConfig(
+        m1=1, m2=2, phi=1.0, alpha=2, mu=1.0, n_init=2, seed=s))
+        for s in (9001, 9002, 9003)]
 
 
 def validate_rule(rule) -> bool:
@@ -185,14 +182,9 @@ def save_rule_file(path, spec: RuleSpec, description: str = "",
 def load_rule_file(path) -> RuleFile:
     """The rule file's header fields and rule; text that is not UTF-8 or a
     fitness that is not a number raises ValueError naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
     name, description, fitness = "rule", "", None
     body: list[str] = []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
             head = stripped.lstrip("#").strip()

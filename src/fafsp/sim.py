@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .model import Instance, Stage, check_instance
+from .model import Instance, Stage, check_instance, read_text
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -160,7 +160,6 @@ class SimState:
 
     def __init__(self, inst: Instance):
         t = _tables(inst)
-        self.inst = inst
         self.t = t
         self.clock = 0.0
         self.status = np.full(t.J, NOT_ARRIVED, dtype=np.int8)
@@ -228,7 +227,7 @@ class SimState:
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
         other = object.__new__(SimState)
-        other.inst, other.t, other.clock = self.inst, self.t, self.clock
+        other.t, other.clock = self.t, self.clock
         for name in ("status", "et", "pred_remaining", "order_ops_rem",
                      "order_work_rem", "order_asm_rem", "order_ft", "order_tt",
                      "m_idle", "m_last", "m_busy", "m_queue", "job_ct", "pair_ready"):
@@ -450,7 +449,7 @@ def schedule_to_text(sched: Schedule) -> str:
 
 def schedule_from_text(text: str) -> Schedule:
     arcs, ft, tt = [], {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -477,10 +476,8 @@ def save_schedule(sched: Schedule, path) -> None:
 def load_schedule(path) -> Schedule:
     """The schedule file's arc log and order lines; text that is not UTF-8 or
     a line that does not parse raises ValueError naming the file."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return schedule_from_text(fh.read())
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+        return schedule_from_text(text)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

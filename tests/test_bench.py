@@ -5,9 +5,10 @@ import os
 
 import pytest
 
+from fafsp import cli
 from fafsp.bench import (compute_ari, default_grid, export_traces,
-                         journal_to_convergence, run_benchmark, scenario_label,
-                         write_journal, write_per_instance)
+                         journal_to_convergence, read_journal, run_benchmark,
+                         scenario_label, write_journal, write_per_instance)
 from fafsp.cli import main
 from fafsp.generator import ScenarioConfig
 from fafsp.rules import RuleSpec
@@ -403,6 +404,43 @@ def test_cli_export_bad_journal_line_names_file_and_line(tmp_path, capsys, line,
     _assert_one_error_line(capsys, f"{journal} line 3: ", message)
 
 
+@pytest.mark.parametrize("name", ["journal.jsonl", "per_instance.csv"])
+def test_cli_export_non_utf8_file_names_it(tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    os.makedirs(run_dir)
+    (run_dir / name).write_bytes(b"\xff\xfe{\x00}\x00\n")
+    assert main(["export", "--run", str(run_dir), "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir / name}: not UTF-8 text (")
+
+
+def test_journal_line_separators_inside_strings_keep_line_numbers(tmp_path):
+    # U+2028 and U+0085 end a line for str.splitlines() but not for a file
+    journal = tmp_path / "journal.jsonl"
+    entries = [{"fitness": 4.5, "source": "due\u2028- now"}, {"fitness": None, "why": "a\x85b"}]
+    journal.write_text("".join(json.dumps(e, ensure_ascii=False) + "\n" for e in entries),
+                       encoding="utf-8")
+    assert read_journal(journal) == entries
+    with journal.open("a", encoding="utf-8") as fh:
+        fh.write("[1]\n")
+    with pytest.raises(ValueError) as e:
+        read_journal(journal)
+    assert str(e.value) == f"{journal} line 3: not a JSON object"
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("Unable to allocate 13.0 GiB for an array with shape (41000, 41000)"),
+     "error: Unable to allocate 13.0 GiB for an array with shape (41000, 41000)\n"),
+], ids=["bare", "numpy-style"])
+def test_cli_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, exc, err):
+    def run_out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_export", run_out_of_memory)
+    assert main(["export", "--run", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_cli_gen_non_utf8_scenario_exits_1(tmp_path, capsys):
     path = tmp_path / "scen.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -437,7 +475,8 @@ def test_cli_validate_unknown_job_is_a_violation(tmp_path, capsys, job):
     (b"\xff\xfearc,0,0,0.0,0.0,5.0\n", "not UTF-8 text"),
     (b"arc,0,0,0.0,0.0,5.0\narc,x,1,0.0,5.0,8.0\n", "schedule line 2: cannot parse"),
     (b"order,0,8.0\n", "schedule line 1: cannot parse"),
-], ids=["non-utf8", "bad-job", "short-line"])
+    (b"arc,0,0,0.0,0.0,5.0\x0c\narc,x,1,0.0,5.0,8.0\n", "schedule line 2: cannot parse"),
+], ids=["non-utf8", "bad-job", "short-line", "form-feed"])
 def test_cli_validate_unreadable_schedule_exits_1(tmp_path, capsys, content, message):
     inst_path = tmp_path / "inst.json"
     save_instance(minimal_instance(), inst_path)

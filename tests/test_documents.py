@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from fafsp.bench import _Grid
 from fafsp.cli import main
-from fafsp.evolve import config_from_doc
-from fafsp.generator import scenario_from_doc
+from fafsp.evolve import EvolutionConfig
+from fafsp.generator import ScenarioConfig
 from fafsp.model import DocumentError, instance_from_doc, instance_to_doc, read_document
 
 from helpers import minimal_instance
@@ -21,8 +21,8 @@ from helpers import minimal_instance
 SCENARIO = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 42}
 
 DOCUMENTS = {
-    "scenario": (scenario_from_doc, SCENARIO),
-    "config": (config_from_doc, {
+    "scenario": (lambda doc: read_document(ScenarioConfig, doc, "scenario"), SCENARIO),
+    "config": (lambda doc: read_document(EvolutionConfig, doc, "config"), {
         "generations": 3, "population": 4, "u_low": 0.3, "u_up": 1.5, "u0": None,
         "sample_budget": 10, "mu": 2.0, "training_instances": ["a.json"],
         "strategies": [{"operator": "C1", "parents": 2, "critique": True},

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
-                          Strategy, _critique_of, _Run, config_from_doc,
-                          evaluate_fitness, run_evolution, summarize_features,
-                          tournament_select)
+                          Strategy, _critique_of, _Run, evaluate_fitness, run_evolution,
+                          summarize_features, tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport)
-from fafsp.model import DocumentError
+from fafsp.model import DocumentError, read_document
 from fafsp.rules import RuleInvalid, RuleSpec, builtin_source
 from fafsp.sim import DeadlockError
 
@@ -418,12 +417,12 @@ def test_config_round_trip_and_validation():
            "tournament_k": 2, "retry_budget": 2, "seed": 5,
            "strategies": [{"operator": "C1", "parents": 2, "critique": True},
                           {"operator": "M2", "parents": 1, "critique": False}]}
-    cfg = config_from_doc(doc)
+    cfg = read_document(EvolutionConfig, doc, "config")
     assert cfg.strategies[0] == Strategy("C1", 2, True)
     with pytest.raises(ValueError):
-        config_from_doc({"population": 1})
+        read_document(EvolutionConfig, {"population": 1}, "config")
     with pytest.raises(ValueError):
-        config_from_doc({"u_low": 2.0, "u_up": 1.0})
+        read_document(EvolutionConfig, {"u_low": 2.0, "u_up": 1.0}, "config")
 
 
 @pytest.mark.parametrize("strategy", [
@@ -444,7 +443,7 @@ def test_strategy_disagreeing_with_operator_table_rejected_before_any_call(strat
     doc = {"strategies": [{"operator": strategy.operator, "parents": strategy.parents,
                            "critique": strategy.critique}]}
     with pytest.raises(ValueError):
-        config_from_doc(doc)
+        read_document(EvolutionConfig, doc, "config")
 
 
 def test_default_strategy_table():
@@ -479,7 +478,7 @@ def test_default_strategy_table():
 ])
 def test_bad_config_is_a_value_error_naming_the_key(doc, key):
     with pytest.raises(ValueError, match=key):
-        config_from_doc(doc)
+        read_document(EvolutionConfig, doc, "config")
 
 
 def test_wrongly_typed_config_rejected_before_any_call():
@@ -503,7 +502,7 @@ def test_training_paths_checked_before_any_is_opened():
 
 
 def test_integer_valued_floats_accepted_where_a_number_is_due():
-    cfg = config_from_doc({"u_low": 0, "u_up": 2, "u0": 1, "mu": 3})
+    cfg = read_document(EvolutionConfig, {"u_low": 0, "u_up": 2, "u0": 1, "mu": 3}, "config")
     assert (cfg.u_low, cfg.u_up, cfg.u0, cfg.mu) == (0, 2, 1, 3)
 
 

@@ -128,6 +128,7 @@ def test_replay_miss_names_digest(tmp_path):
     ('["digest", "response"]', "not a JSON object"),
     ('"text"', "not a JSON object"),
     ('{"digest": ', "Expecting value"),
+    pytest.param("[" * 100_000, ": JSON nested too deep", id="too-deep"),
 ])
 def test_malformed_cassette_line_is_rejected_at_load(tmp_path, line, problem):
     cassette = tmp_path / "c.jsonl"
@@ -138,6 +139,21 @@ def test_malformed_cassette_line_is_rejected_at_load(tmp_path, line, problem):
         ReplayTransport(cassette)
     assert problem in str(e.value)
     assert isinstance(e.value, ValueError)
+
+
+def test_line_separators_inside_cassette_strings_keep_line_numbers(tmp_path):
+    # U+2028 and U+0085 end a line for str.splitlines() but not for a file
+    cassette = tmp_path / "c.jsonl"
+    records = [{"digest": "0" * 64, "response": "Description: a\u2028b\n```\ndue\n```"},
+               {"digest": "1" * 64, "response": "c\x85d"}]
+    cassette.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                        encoding="utf-8")
+    assert load_cassette(cassette) == records
+    with cassette.open("a", encoding="utf-8") as fh:
+        fh.write('{"x": 1}\n')
+    with pytest.raises(CassetteFormatError) as e:
+        load_cassette(cassette)
+    assert str(e.value) == f"cassette {cassette} line 3: 'digest' is not a string"
 
 
 def test_non_utf8_cassette_is_rejected_naming_the_file(tmp_path):

@@ -1,10 +1,13 @@
 """Data model: invariants, the instance file format and its round trips."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import fafsp
 from fafsp.model import (InstanceFormatError, Stage, check_instance,
                          instance_from_doc, instance_to_doc,
                          load_instance, save_instance)
@@ -174,6 +177,41 @@ def test_non_utf8_file_named(tmp_path):
     with pytest.raises(InstanceFormatError) as e:
         load_instance(path)
     assert str(e.value).startswith(f"{path}: not UTF-8 text")
+
+
+class _FileReads(ast.NodeVisitor):
+    """(module, function) of each call that may open a file for reading: an
+    open() whose mode is not a literal "w..." or "a...", or a Path read."""
+
+    def __init__(self, module):
+        self.where, self.found = (module, "<module>"), []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, (self.where[0], node.name)
+        self.generic_visit(node)
+        self.where = outer
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "open":
+            # builtin open(path, mode) or path.open(mode)
+            args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else None)
+            if not (isinstance(mode, ast.Constant) and mode.value[:1] in ("w", "a")):
+                self.found.append(self.where)
+        elif name in ("read_text", "read_bytes") and isinstance(node.func, ast.Attribute):
+            self.found.append(self.where)
+        self.generic_visit(node)
+
+
+def test_only_read_text_opens_a_file_for_reading():
+    found = []
+    for path in sorted(Path(fafsp.__file__).parent.glob("*.py")):
+        visitor = _FileReads(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found == [("model.py", "read_text")]
 
 
 def test_save_rejects_invalid_instance(tmp_path):
