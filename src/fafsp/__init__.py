@@ -4,8 +4,7 @@ oracles, and LLM-driven dispatching-rule evolution."""
 from .model import (DocumentError, Instance, InstanceFormatError, Job, Machine, Order,
                     Product, Stage, check_instance, load_instance, save_instance)
 from .generator import ScenarioConfig, generate_instance, load_scenario
-from .sim import (FeatureView, Schedule, SimState, advance_clock, apply_arc,
-                  feasible_arcs, run_dispatch, total_tardiness)
+from .sim import Schedule, run_dispatch, total_tardiness
 from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .validator import Violation, brute_force_optimum, validate_schedule
 from .llm import (Critique, LiveTransport, RecordingTransport, ReplayTransport,

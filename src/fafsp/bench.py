@@ -9,7 +9,6 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -17,7 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .generator import ScenarioConfig, generate_instance
-from .model import _finite, check_fields, load_json, read_document, read_json_lines, read_text
+from .model import (_finite, check_fields, json_lines, load_json, read_document,
+                    read_json_lines, read_text, write_text)
 from .rules import RuleSpec
 from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
 
@@ -143,9 +143,7 @@ def load_grid(path) -> tuple[list[ScenarioConfig], int]:
 
 
 def write_journal(entries: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(json.dumps(e, sort_keys=True) + "\n")
+    write_text(path, json_lines(entries))
 
 
 def read_journal(path) -> list[dict]:
@@ -175,26 +173,20 @@ def journal_to_convergence(entries: Sequence[dict]) -> list[tuple[int, float | N
 
 
 def write_convergence(rows: Sequence[tuple[int, float | None]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample,best_fitness\n")
-        for i, best in rows:
-            fh.write(f"{i},{'' if best is None else repr(best)}\n")
+    write_text(path, "sample,best_fitness\n" + "".join(
+        f"{i},{'' if best is None else repr(best)}\n" for i, best in rows))
 
 
 def write_per_instance(values: Sequence[float], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("instance,tardiness\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{v!r}\n")
+    write_text(path, "instance,tardiness\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(values)))
 
 
 def write_gantt(sched: Schedule, path) -> None:
     """Machine-major arc log, ready for Gantt plotting."""
     rows = sorted(sched.arcs, key=lambda a: (a.machine, a.st, a.job))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("machine,job,setup,st,ct\n")
-        for a in rows:
-            fh.write(f"{a.machine},{a.job},{a.setup!r},{a.st!r},{a.ct!r}\n")
+    write_text(path, "machine,job,setup,st,ct\n" + "".join(
+        f"{a.machine},{a.job},{a.setup!r},{a.st!r},{a.ct!r}\n" for a in rows))
 
 
 def export_traces(run_dir, out_dir) -> list[str]:
@@ -212,7 +204,7 @@ def export_traces(run_dir, out_dir) -> list[str]:
     per_path = run_dir / "per_instance.csv"
     out_per = out_dir / "tardiness.csv"
     if per_path.exists():
-        out_per.write_text(read_text(per_path), encoding="utf-8")
+        write_text(out_per, read_text(per_path))
     else:
         write_per_instance([], out_per)
     written.append("tardiness.csv")

@@ -22,7 +22,7 @@ from .evolve import load_evolution_config, run_evolution
 from .generator import generate_instance, load_scenario, scenario_to_doc
 from .llm import (LiveTransport, RecordingTransport, ReplayMiss, ReplayTransport,
                   TransportError)
-from .model import load_instance, save_instance
+from .model import load_instance, save_instance, write_text
 from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, load_rule_file, save_rule_file
 from .sim import load_schedule, run_dispatch, save_schedule, total_tardiness
 from .validator import validate_schedule
@@ -47,6 +47,8 @@ def resolve_rule(text: str) -> RuleSpec:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, not {args.count!r}")
     cfg = load_scenario(args.scenario)
     base = cfg.seed if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -59,8 +61,8 @@ def _cmd_gen(args) -> int:
         seeds.append(base + k)
     manifest = {"scenario": scenario_to_doc(cfg), "base_seed": base,
                 "count": args.count, "seeds": seeds, "files": files}
-    with open(Path(args.out) / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text(Path(args.out) / "manifest.json",
+               json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.count} instances to {args.out}")
     return EXIT_OK
 
@@ -123,8 +125,7 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(scenarios, rules, replications)
     text = report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     print(text, end="")
     return EXIT_OK
 

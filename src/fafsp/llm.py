@@ -13,7 +13,6 @@ replays a whole run deterministically with zero network traffic.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import time
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .expr import ACCESSORS
-from .model import read_json_lines
+from .model import json_lines, read_json_lines, write_text
 
 ENV_BASE_URL = "FAFSP_LLM_BASE_URL"
 ENV_API_KEY = "FAFSP_LLM_API_KEY"
@@ -250,12 +249,9 @@ class RecordingTransport:
 
     def send(self, prompt: str, temperature: float, operator: str = "") -> str:
         response = self.inner.send(prompt, temperature, operator)
-        append_record(self.cassette_path, {
-            "digest": request_digest(prompt, temperature),
-            "operator": operator,
-            "temperature": f"{temperature:.6f}",
-            "response": response,
-        })
+        write_text(self.cassette_path, json_lines([{
+            "digest": request_digest(prompt, temperature), "operator": operator,
+            "temperature": f"{temperature:.6f}", "response": response}]), append=True)
         return response
 
 
@@ -288,11 +284,6 @@ def load_cassette(path) -> list[dict]:
                 raise CassetteFormatError(f"{label} line {ln}: {key!r} is not a string")
         records.append(rec)
     return records
-
-
-def append_record(path, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # -- response extraction -------------------------------------------------------

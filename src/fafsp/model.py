@@ -398,9 +398,7 @@ def save_instance(inst: Instance, path) -> None:
     violations = check_instance(inst)
     if violations:
         raise ValueError("refusing to save invalid instance: " + "; ".join(violations))
-    text = json.dumps(instance_to_doc(inst), sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, json.dumps(instance_to_doc(inst), sort_keys=True, indent=2) + "\n")
 
 
 def read_text(path, error: type[ValueError] = ValueError, label=None) -> str:
@@ -412,6 +410,13 @@ def read_text(path, error: type[ValueError] = ValueError, label=None) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise error(f"{label or path}: not UTF-8 text ({e.reason})") from None
+
+
+def write_text(path, text: str, append: bool = False) -> None:
+    """Write ``text`` to the file as UTF-8 with LF line ends, replacing it,
+    or adding to its end when ``append``. Every output file is written here."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def load_json(path, error: type[ValueError] = DocumentError):
@@ -451,6 +456,12 @@ def read_json_lines(path, error: type[ValueError] = ValueError,
             raise error(f"{where} line {ln}: not a JSON object")
         out.append((ln, obj))
     return out
+
+
+def json_lines(records) -> str:
+    """The JSON-lines text of ``records``: one object per line, keys sorted.
+    Every JSON-lines file is encoded here."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 # -- config documents --------------------------------------------------------

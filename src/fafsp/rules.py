@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .expr import Program
-from .model import read_text
+from .model import _finite, read_text, write_text
 
 BUILTIN_IDS = ("EDD",
                "FIFO+SPT", "FIFO+EET",
@@ -173,15 +173,13 @@ class RuleFile:
 def save_rule_file(path, spec: RuleSpec, description: str = "",
                    fitness: float | None = None) -> None:
     fit = "-" if fitness is None else repr(float(fitness))
-    text = (f"# name: {spec.name}\n# description: {description}\n"
-            f"# fitness: {fit}\n{spec.source}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, f"# name: {spec.name}\n# description: {description}\n"
+                     f"# fitness: {fit}\n{spec.source}\n")
 
 
 def load_rule_file(path) -> RuleFile:
     """The rule file's header fields and rule; text that is not UTF-8 or a
-    fitness that is not a number raises ValueError naming the file."""
+    fitness that is not a finite number raises ValueError naming the file."""
     name, description, fitness = "rule", "", None
     body: list[str] = []
     for ln, line in enumerate(read_text(path).split("\n"), start=1):
@@ -198,6 +196,8 @@ def load_rule_file(path) -> RuleFile:
                     elif value != "-":
                         try:
                             fitness = float(value)
+                            if not _finite(fitness):
+                                raise ValueError
                         except ValueError:
                             raise ValueError(f"{path} line {ln}: fitness {value!r} "
                                              "is not a number") from None

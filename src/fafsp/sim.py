@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .model import Instance, Stage, check_instance, read_text
+from .model import Instance, Stage, _finite, check_instance, read_text, write_text
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -456,12 +456,14 @@ def schedule_from_text(text: str) -> Schedule:
         parts = line.split(",")
         try:
             if parts[0] == "arc" and len(parts) == 6:
-                arcs.append(ArcRecord(int(parts[1]), int(parts[2]), float(parts[3]),
-                                      float(parts[4]), float(parts[5])))
+                times = [float(p) for p in parts[3:]]
+                arcs.append(ArcRecord(int(parts[1]), int(parts[2]), *times))
             elif parts[0] == "order" and len(parts) == 4:
-                ft[int(parts[1])] = float(parts[2])
-                tt[int(parts[1])] = float(parts[3])
+                times = [float(p) for p in parts[2:]]
+                ft[int(parts[1])], tt[int(parts[1])] = times
             else:
+                raise ValueError
+            if not all(map(_finite, times)):
                 raise ValueError
         except ValueError:
             raise ValueError(f"schedule line {ln}: cannot parse {raw!r}") from None
@@ -469,13 +471,13 @@ def schedule_from_text(text: str) -> Schedule:
 
 
 def save_schedule(sched: Schedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(schedule_to_text(sched))
+    write_text(path, schedule_to_text(sched))
 
 
 def load_schedule(path) -> Schedule:
     """The schedule file's arc log and order lines; text that is not UTF-8 or
-    a line that does not parse raises ValueError naming the file."""
+    a line that does not parse or holds a time that is not finite raises
+    ValueError naming the file."""
     text = read_text(path)
     try:
         return schedule_from_text(text)

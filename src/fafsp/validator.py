@@ -49,7 +49,8 @@ class Violation:
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
-    """All violations of the realized schedule (empty list = feasible)."""
+    """All violations of the realized schedule (empty list = feasible).
+    Each check is written as ``not <holds>``, so a NaN time fails it."""
     out: list[Violation] = []
     known = {job.id for job in inst.jobs}
     by_job: dict[int, ArcRecord] = {}
@@ -74,7 +75,7 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                                  f"job {job.id} ran on unqualified machine {a.machine}"))
             continue
         pt = job.eligible[a.machine]
-        if abs(a.ct - (a.st + a.setup + pt)) > TOL:
+        if not abs(a.ct - (a.st + a.setup + pt)) <= TOL:
             out.append(Violation(SETUP_MISMATCH,
                                  f"job {job.id}: ct {a.ct} != st + setup + pt "
                                  f"{a.st + a.setup + pt}"))
@@ -86,12 +87,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
         seq.sort(key=lambda a: (a.st, a.ct))
         prev: ArcRecord | None = None
         for a in seq:
-            if prev is not None and a.st < prev.ct - TOL:
+            if prev is not None and not a.st >= prev.ct - TOL:
                 out.append(Violation(MACHINE_OVERLAP,
                                      f"machine {m}: job {a.job} starts at {a.st} "
                                      f"before job {prev.job} ends at {prev.ct}"))
             expected = inst.setup_time(prev.job if prev is not None else None, a.job)
-            if abs(a.setup - expected) > TOL:
+            if not abs(a.setup - expected) <= TOL:
                 out.append(Violation(SETUP_MISMATCH,
                                      f"machine {m}: job {a.job} charged setup {a.setup}, "
                                      f"changeover table says {expected}"))
@@ -103,13 +104,13 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
         if a is None:
             continue
         arrival = inst.orders[job.order_id].arrival
-        if a.st < arrival - TOL:
+        if not a.st >= arrival - TOL:
             out.append(Violation(ARRIVAL_BREACH,
                                  f"job {job.id} starts at {a.st} before order arrival {arrival}"))
         if job.kind == Stage.ASSEMBLY:
             for p in job.predecessors:
                 pa = by_job.get(p)
-                if pa is not None and a.st < pa.ct - TOL:
+                if pa is not None and not a.st >= pa.ct - TOL:
                     out.append(Violation(PRECEDENCE,
                                          f"assembly job {job.id} starts at {a.st} before "
                                          f"kit part {p} ends at {pa.ct}"))
@@ -123,12 +124,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             continue
         if len(asm_cts) == len(o.products):
             ft = max(asm_cts)
-            if abs(sched.ft[o.id] - ft) > TOL:
+            if not abs(sched.ft[o.id] - ft) <= TOL:
                 out.append(Violation(DELIVERY_MISMATCH,
                                      f"order {o.id}: recorded delivery {sched.ft[o.id]} != "
                                      f"latest assembly completion {ft}"))
         tt = max(0.0, sched.ft[o.id] - o.due)
-        if abs(sched.tt.get(o.id, float("nan")) - tt) > TOL:
+        if not abs(sched.tt.get(o.id, math.nan) - tt) <= TOL:
             out.append(Violation(TARDINESS_MISMATCH,
                                  f"order {o.id}: recorded tardiness {sched.tt.get(o.id)} != "
                                  f"max(0, ft - due) = {tt}"))

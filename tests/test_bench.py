@@ -368,6 +368,16 @@ def test_cli_gen_bad_scenario_exits_1(tmp_path, capsys, doc, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_gen_count_below_one_exits_1(tmp_path, capsys, count):
+    scen = tmp_path / "scen.json"
+    _write_scenario(scen)
+    assert main(["gen", "--scenario", str(scen), "--count", count,
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"count must be >= 1, not {count}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gen_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"m1": ' + "9" * 5000 + "}", encoding="utf-8")
@@ -476,7 +486,13 @@ def test_cli_validate_unknown_job_is_a_violation(tmp_path, capsys, job):
     (b"arc,0,0,0.0,0.0,5.0\narc,x,1,0.0,5.0,8.0\n", "schedule line 2: cannot parse"),
     (b"order,0,8.0\n", "schedule line 1: cannot parse"),
     (b"arc,0,0,0.0,0.0,5.0\x0c\narc,x,1,0.0,5.0,8.0\n", "schedule line 2: cannot parse"),
-], ids=["non-utf8", "bad-job", "short-line", "form-feed"])
+    # a feasible schedule but for its NaN order line
+    (b"arc,0,0,0.0,0.0,5.0\narc,1,1,0.0,5.0,8.0\norder,0,nan,nan\n",
+     "schedule line 3: cannot parse"),
+    (b"arc,0,0,0.0,0.0,inf\n", "schedule line 1: cannot parse"),
+    (b"arc,0,0,0.0,0.0,1e999\n", "schedule line 1: cannot parse"),
+], ids=["non-utf8", "bad-job", "short-line", "form-feed", "nan-order", "inf-arc",
+        "overflowing-arc"])
 def test_cli_validate_unreadable_schedule_exits_1(tmp_path, capsys, content, message):
     inst_path = tmp_path / "inst.json"
     save_instance(minimal_instance(), inst_path)

@@ -179,12 +179,14 @@ def test_non_utf8_file_named(tmp_path):
     assert str(e.value).startswith(f"{path}: not UTF-8 text")
 
 
-class _FileReads(ast.NodeVisitor):
-    """(module, function) of each call that may open a file for reading: an
-    open() whose mode is not a literal "w..." or "a...", or a Path read."""
+class _FileAccess(ast.NodeVisitor):
+    """(module, function) of each call that may open a file for reading, and
+    of each that opens one for writing. An open() writes when every mode it
+    can be given is a literal "w..." or "a...", and may read otherwise; a
+    Path read_text or read_bytes reads, write_text or write_bytes writes."""
 
     def __init__(self, module):
-        self.where, self.found = (module, "<module>"), []
+        self.where, self.reads, self.writes = (module, "<module>"), [], []
 
     def visit_FunctionDef(self, node):
         outer, self.where = self.where, (self.where[0], node.name)
@@ -193,25 +195,50 @@ class _FileReads(ast.NodeVisitor):
 
     def visit_Call(self, node):
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        method = isinstance(node.func, ast.Attribute)
         if name == "open":
             # builtin open(path, mode) or path.open(mode)
-            args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+            args = node.args if method else node.args[1:]
             mode = next((k.value for k in node.keywords if k.arg == "mode"),
                         args[0] if args else None)
-            if not (isinstance(mode, ast.Constant) and mode.value[:1] in ("w", "a")):
-                self.found.append(self.where)
-        elif name in ("read_text", "read_bytes") and isinstance(node.func, ast.Attribute):
-            self.found.append(self.where)
+            modes = [mode.body, mode.orelse] if isinstance(mode, ast.IfExp) else [mode]
+            writes = all(isinstance(m, ast.Constant) and str(m.value)[:1] in ("w", "a")
+                         for m in modes)
+            (self.writes if writes else self.reads).append(self.where)
+        elif method and name in ("read_text", "read_bytes"):
+            self.reads.append(self.where)
+        elif method and name in ("write_text", "write_bytes"):
+            self.writes.append(self.where)
         self.generic_visit(node)
 
 
-def test_only_read_text_opens_a_file_for_reading():
-    found = []
+def _file_access():
+    """(reads, writes) of every module of the package."""
+    reads, writes = [], []
     for path in sorted(Path(fafsp.__file__).parent.glob("*.py")):
-        visitor = _FileReads(path.name)
+        visitor = _FileAccess(path.name)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += visitor.found
-    assert found == [("model.py", "read_text")]
+        reads += visitor.reads
+        writes += visitor.writes
+    return reads, writes
+
+
+def test_file_access_visitor_sees_every_form():
+    visitor = _FileAccess("m.py")
+    visitor.visit(ast.parse(
+        "def f(p, m):\n"
+        "    open(p); open(p, m); p.open(); p.read_text(); p.read_bytes()\n"
+        "    open(p, 'a' if m else 'r')\n"
+        "    open(p, 'w'); p.open(mode='a'); p.write_text(''); p.write_bytes(b'')\n"))
+    assert (visitor.reads, visitor.writes) == ([("m.py", "f")] * 6, [("m.py", "f")] * 4)
+
+
+def test_only_read_text_opens_a_file_for_reading():
+    assert _file_access()[0] == [("model.py", "read_text")]
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    assert _file_access()[1] == [("model.py", "write_text")]
 
 
 def test_save_rejects_invalid_instance(tmp_path):

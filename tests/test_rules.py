@@ -168,7 +168,10 @@ def test_rule_file_builtin_saved_as_expression(tmp_path):
 @pytest.mark.parametrize("content, problem", [
     (b"\xff\xfe# name: r\n\x00due\n", "not UTF-8 text"),
     (b"# fitness: abc\ndue\n", "line 1: fitness 'abc' is not a number"),
-], ids=["not-utf8", "bad-fitness"])
+    (b"# fitness: nan\ndue\n", "line 1: fitness 'nan' is not a number"),
+    (b"# fitness: -inf\ndue\n", "line 1: fitness '-inf' is not a number"),
+    (b"# fitness: 1e999\ndue\n", "line 1: fitness '1e999' is not a number"),
+], ids=["not-utf8", "bad-fitness", "nan-fitness", "inf-fitness", "overflowing-fitness"])
 def test_rule_file_errors_name_the_file(tmp_path, content, problem):
     path = tmp_path / "rule.txt"
     path.write_bytes(content)

@@ -88,6 +88,26 @@ def test_unassigned_and_unqualified():
                for v in validate_schedule(inst, wrong))
 
 
+@pytest.mark.parametrize("arc", [0, 1])
+@pytest.mark.parametrize("field", ["setup", "st", "ct"])
+def test_nan_arc_time_is_a_violation(arc, field):
+    arcs = [ArcRecord(0, 0, 0.0, 0.0, 5.0), ArcRecord(1, 1, 0.0, 5.0, 8.0)]
+    arcs[arc] = arcs[arc]._replace(**{field: math.nan})
+    kinds = {v.kind for v in validate_schedule(_two_stage_instance(),
+                                               _sched(arcs, {0: 8.0}, {0: 0.0}))}
+    assert SETUP_MISMATCH in kinds           # ct != st + setup + pt fails on NaN
+
+
+@pytest.mark.parametrize("field, kind", [("ft", DELIVERY_MISMATCH),
+                                         ("tt", TARDINESS_MISMATCH)])
+def test_nan_order_time_is_a_violation(field, kind):
+    times = {"ft": {0: 8.0}, "tt": {0: 0.0}}
+    times[field][0] = math.nan
+    sched = _sched([ArcRecord(0, 0, 0.0, 0.0, 5.0), ArcRecord(1, 1, 0.0, 5.0, 8.0)],
+                   times["ft"], times["tt"])
+    assert kind in {v.kind for v in validate_schedule(_two_stage_instance(), sched)}
+
+
 @pytest.mark.parametrize("job", [99, -1, 2])
 def test_arc_of_unknown_job_is_unassigned(job):
     inst = _two_stage_instance()
