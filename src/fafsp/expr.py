@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -143,8 +143,10 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    out = []
+def _tokenize(source: str) -> Iterator[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then an ``eof`` token, made as
+    the parser asks for them: the node and depth caps stop the parse after
+    O(MAX_NODES) tokens however long the text is."""
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
@@ -152,25 +154,27 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {source[pos]!r}", pos)
         kind = m.lastgroup
         if kind != "ws":
-            out.append((kind, m.group(), pos))
+            yield kind, m.group(), pos
         pos = m.end()
-    out.append(("eof", "", len(source)))
-    return out
+    yield "eof", "", len(source)
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
+    """Recursive descent over a token stream with one token of lookahead;
+    the first error in reading order ends the parse."""
+
+    def __init__(self, tokens: Iterator[tuple[str, str, int]]):
         self.tokens = tokens
-        self.i = 0
+        self.lookahead = next(tokens)
         self.nodes = 0
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.lookahead
 
     def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.lookahead
+        self.lookahead = next(self.tokens, tok)     # stays at eof once the text ends
         return tok
 
     def expect(self, kind: str, text: str):

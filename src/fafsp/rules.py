@@ -12,6 +12,7 @@ ranking is a total order and rollouts are reproducible.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +171,18 @@ class RuleFile:
     spec: RuleSpec
 
 
+#: the line ends that load_rule_file splits on, after universal newlines
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
 def save_rule_file(path, spec: RuleSpec, description: str = "",
                    fitness: float | None = None) -> None:
+    """Write the rule file; a line break in the name or description (CR,
+    LF or CRLF, the ends the reader splits on) is written as a space, so
+    each stays on its header line."""
     fit = "-" if fitness is None else repr(float(fitness))
-    write_text(path, f"# name: {spec.name}\n# description: {description}\n"
+    name, description = (_LINE_BREAK.sub(" ", text) for text in (spec.name, description))
+    write_text(path, f"# name: {name}\n# description: {description}\n"
                      f"# fitness: {fit}\n{spec.source}\n")
 
 

@@ -1,19 +1,22 @@
 """Event-driven dispatching environment.
 
 Decision epochs open at time zero and whenever a job completes or an order
-arrives. Each decision enumerates the feasible (job, machine) arcs afresh:
-the state keeps its ready jobs' pairs as a mask over the instance's flat
-array of (job, eligible machine) pairs, and the arcs are the ready pairs
-whose machine is idle. With the mask it keeps a ready count and
+arrives. A decision enumerates the feasible (job, machine) arcs from the
+state, which keeps its ready jobs' pairs as a mask over the instance's
+flat array of (job, eligible machine) pairs: the arcs are the ready pairs
+whose machine is idle. With the mask the state keeps a ready count and
 per-machine queue counts, and updates all three only when a job enters or
 leaves READY (arrival, kit completion, dispatch), so an epoch with no ready
 job costs nothing and the others scan no job status. The active rule ranks
 the arcs with the columns it reads, gathered from the current state in one
-call; when no feasible arc remains the clock jumps to the next event.
-Completions are processed before arrivals that share the same timestamp.
-One loop steps the rollout, and it takes the arc to dispatch from a
-chooser: ``run_dispatch`` ranks the arcs with a rule, and the oracle
-replays its optimal arc log through the same loop to build its schedule.
+call; when no feasible arc remains the clock jumps to the next event, and
+after a dispatch that provably leaves no arc it jumps without enumerating
+(see ``_rollout``). Completions are processed before arrivals that share
+the same timestamp. Every rollout starts from a copy of the instance's
+time-zero state, built once next to the instance's static tables. One loop
+steps the rollout, and it takes the arc to dispatch from a chooser:
+``run_dispatch`` ranks the arcs with a rule, and the oracle replays its
+optimal arc log through the same loop to build its schedule.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -86,7 +89,9 @@ class _Tables:
             raise ValueError("invalid instance: " + "; ".join(violations))
         J, M = inst.num_jobs, inst.num_machines
         self.J, self.M = J, M
-        self.setup = inst.setup
+        # setup[r, j] is setup_flat[r * J + j]; a state keeps each machine's
+        # row offset, so the setup column gathers with one flat index
+        self.setup_flat = inst.setup.ravel()
         self.is_assembly = [False] * J
         self.job_order_list = [0] * J                       # for scalar reads
         self.succ = [-1] * J                                # feeding assembly job
@@ -155,39 +160,68 @@ def _tables(inst: Instance) -> _Tables:
     return cache
 
 
+def _start_state(inst: Instance) -> "SimState":
+    """The instance's state at time zero, before any decision: the jobs of
+    the orders that arrive at zero are ready and the later arrivals are on
+    the event heap. Built once per instance, cached next to its tables and
+    never rolled out; every ``SimState(inst)`` is a copy of it."""
+    start = inst.__dict__.get("_sim_start")
+    if start is None:
+        t = _tables(inst)
+        start = object.__new__(SimState)
+        start.t = t
+        start.clock = 0.0
+        start.status = np.full(t.J, NOT_ARRIVED, dtype=np.int8)
+        start.et = t.mean_et.copy()
+        start.pred_remaining = t.pred_count.copy()
+        start.order_ops_rem = t.order_njobs.copy()
+        start.order_work_rem = t.order_init_work.copy()
+        start.order_asm_rem = t.order_asm_count.copy()
+        start.order_ft = np.zeros(t.N)
+        start.order_tt = np.zeros(t.N)
+        start.m_idle = np.zeros(t.M)
+        start.m_last = np.full(t.M, -1, dtype=np.int64)
+        start.m_row = np.zeros(t.M, dtype=np.int64)        # (m_last + 1) * J
+        start.m_busy = np.zeros(t.M)
+        # ready jobs eligible per machine; float counts (exact at these sizes)
+        # serve the queue column without a cast, like order_ops_rem
+        start.m_queue = np.zeros(t.M)
+        start.n_ready = 0
+        start.pair_ready = np.zeros(len(t.arc_job), dtype=bool)
+        start.job_ct = np.full(t.J, np.nan)
+        start.done_count = 0
+        start.arc_log = []
+        start.events = []
+        start._seq = 0
+        for oid in range(t.N):
+            if t.order_arrival[oid] == 0.0:
+                start._arrive(oid)
+            else:
+                start._push(float(t.order_arrival[oid]), _ARRIVAL, oid)
+        inst.__dict__["_sim_start"] = start
+    return start
+
+
+#: the state's arrays and lists that a rollout mutates in place
+_MUTABLE = ("status", "et", "pred_remaining", "order_ops_rem", "order_work_rem",
+            "order_asm_rem", "order_ft", "order_tt", "m_idle", "m_last", "m_row",
+            "m_busy", "m_queue", "job_ct", "pair_ready", "arc_log", "events")
+
+
 class SimState:
     """Mutable rollout state; one rollout per state, states never shared."""
 
     def __init__(self, inst: Instance):
-        t = _tables(inst)
-        self.t = t
-        self.clock = 0.0
-        self.status = np.full(t.J, NOT_ARRIVED, dtype=np.int8)
-        self.et = t.mean_et.copy()
-        self.pred_remaining = t.pred_count.copy()
-        self.order_ops_rem = t.order_njobs.copy()
-        self.order_work_rem = t.order_init_work.copy()
-        self.order_asm_rem = t.order_asm_count.copy()
-        self.order_ft = np.zeros(t.N)
-        self.order_tt = np.zeros(t.N)
-        self.m_idle = np.zeros(t.M)
-        self.m_last = np.full(t.M, -1, dtype=np.int64)
-        self.m_busy = np.zeros(t.M)
-        # ready jobs eligible per machine; float counts (exact at these sizes)
-        # serve the queue column without a cast, like order_ops_rem
-        self.m_queue = np.zeros(t.M)
-        self.n_ready = 0
-        self.pair_ready = np.zeros(len(t.arc_job), dtype=bool)
-        self.job_ct = np.full(t.J, np.nan)
-        self.done_count = 0
-        self.arc_log: list[ArcRecord] = []
-        self.events: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-        for oid in range(t.N):
-            if t.order_arrival[oid] == 0.0:
-                self._arrive(oid)
-            else:
-                self._push(float(t.order_arrival[oid]), _ARRIVAL, oid)
+        self._copy_from(_start_state(inst))
+
+    def _copy_from(self, other: "SimState") -> None:
+        """Make this state an independent copy of ``other``."""
+        self.t, self.clock = other.t, other.clock
+        for name in _MUTABLE:
+            setattr(self, name, getattr(other, name).copy())
+        self.n_ready = other.n_ready
+        self.done_count = other.done_count
+        self._seq = other._seq
 
     def _push(self, time: float, prio: int, payload: int):
         heapq.heappush(self.events, (time, prio, self._seq, payload))
@@ -227,16 +261,7 @@ class SimState:
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
         other = object.__new__(SimState)
-        other.t, other.clock = self.t, self.clock
-        for name in ("status", "et", "pred_remaining", "order_ops_rem",
-                     "order_work_rem", "order_asm_rem", "order_ft", "order_tt",
-                     "m_idle", "m_last", "m_busy", "m_queue", "job_ct", "pair_ready"):
-            setattr(other, name, getattr(self, name).copy())
-        other.n_ready = self.n_ready
-        other.done_count = self.done_count
-        other.arc_log = list(self.arc_log)
-        other.events = list(self.events)
-        other._seq = self._seq
+        other._copy_from(self)
         return other
 
 
@@ -273,7 +298,7 @@ _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "n_mach": ((), lambda s, jobs, machs, c: s.t.n_mach[jobs]),
     "ops_rem": ((), lambda s, jobs, machs, c: s.order_ops_rem[s.t.job_order[jobs]]),
     "pt": ((), lambda s, jobs, machs, c: s.t.ptmat[jobs, machs]),
-    "setup": ((), lambda s, jobs, machs, c: s.t.setup[s.m_last[machs] + 1, jobs]),
+    "setup": ((), lambda s, jobs, machs, c: s.t.setup_flat[s.m_row[machs] + jobs]),
     "avail": ((), lambda s, jobs, machs, c: s.m_idle[machs]),
     "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs]),
     "util": ((), lambda s, jobs, machs, c: s.m_busy[machs]),
@@ -327,7 +352,7 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     """State update of dispatching the feasible arc (j, m); returns its
     completion time."""
     t = state.t
-    setup = t.setup.item(state.m_last.item(m) + 1, j)
+    setup = t.setup_flat.item(state.m_row.item(m) + j)
     pt = t.ptmat.item(j, m)
     st = state.clock
     ct = st + setup + pt
@@ -338,6 +363,7 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     state._set_ready(j, False)
     state.m_idle[m] = ct
     state.m_last[m] = j
+    state.m_row[m] = (j + 1) * t.J
     state.m_busy[m] += pt
     state.job_ct[j] = ct
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
@@ -402,19 +428,26 @@ def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -
     """Run the state to completion and return its schedule.
 
     The one epoch loop: each step enumerates the feasible arcs, in (job,
-    machine) order, and dispatches arc ``choose(jobs, machs)``; when there
-    is none the clock advances. After dispatching the only arc for a
-    positive time the clock advances without enumerating: the job has left
-    READY, its machine is busy until after the clock, and every other ready
-    job's machines were busy already, so no arc is left. A zero-length
-    dispatch leaves its machine idle and is followed by an enumeration."""
+    machine) order, and dispatches arc (j, m) = ``choose(jobs, machs)``;
+    when there is none the clock advances. A dispatch for a positive time
+    removes exactly the arcs that share j (the job has left READY) or m
+    (the machine is busy until after the clock), and adds none. So when
+    every arc shared j or m the clock advances without enumerating. Two
+    O(1) tests, taken before the dispatch, find that case: the arcs are
+    sorted by job, so they are all j's when the first and last are the
+    same job (this covers a single arc); and m is idle, so every ready job
+    eligible on m is an arc, and they are all on m when m's queue count
+    equals the number of arcs. A zero-length dispatch leaves its machine
+    idle and is followed by an enumeration."""
     n_jobs = state.t.J
     while state.done_count < n_jobs:
         jobs, machs = state._arc_arrays()
-        if len(jobs):
+        n = len(jobs)
+        if n:
             k = choose(jobs, machs)
-            ct = _dispatch(state, jobs.item(k), machs.item(k))
-            if len(jobs) == 1 and ct > state.clock:
+            m = machs.item(k)
+            covered = jobs.item(0) == jobs.item(-1) or state.m_queue.item(m) == n
+            if _dispatch(state, jobs.item(k), m) > state.clock and covered:
                 _advance(state)
         else:
             _advance(state)

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -41,6 +42,25 @@ def test_node_limit():
     src = "1" + " + 1" * 600
     with pytest.raises(NodeLimitExceeded):
         parse(src)
+
+
+@pytest.mark.parametrize("src, error, match", [
+    ("pt+" * 700_000 + "pt", NodeLimitExceeded, "AST nodes"),
+    ("pt+" * 700_000 + "pt$", NodeLimitExceeded, "AST nodes"),
+    ("(" * 2_100_000 + "due", ParseError, "nesting deeper"),
+], ids=["long-chain", "long-chain-then-bad-character", "deep-nesting"])
+def test_long_text_is_rejected_before_it_is_all_read(src, error, match):
+    # 2.1 MB of text: the caps fire after O(MAX_NODES) tokens, so the parse
+    # neither tokenizes the rest nor holds a token list; a bad character
+    # after the node overflow is never reached
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            parse(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_trailing_input_rejected():

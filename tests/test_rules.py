@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fafsp.expr import NodeLimitExceeded, ParseError, evaluate, parse
 from fafsp.generator import ScenarioConfig, generate_instance
+from fafsp.llm import extract_individual
 from fafsp.rules import (BUILTIN_IDS, BUILTINS, RuleInvalid, RuleSpec, builtin_source,
                          load_rule_file, rank_arc_arrays, save_rule_file, validate_rule)
 from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch
@@ -156,6 +157,26 @@ def test_rule_file_round_trip(tmp_path):
     assert loaded.description == "urgency plus speed"
     assert loaded.fitness == 42.5
     assert loaded.spec.source == "due - now + 2*pt"
+
+
+@pytest.mark.parametrize("name, description", [
+    ("a\nb", "fast\rpt first"), ("a\r\nb", "fast\npt first"), ("a\rb", "fast\r\npt first"),
+], ids=["lf-name-cr-description", "crlf-name-lf-description", "cr-name-crlf-description"])
+def test_rule_file_keeps_name_and_description_on_their_lines(tmp_path, name, description):
+    path = tmp_path / "rule.txt"
+    save_rule_file(path, RuleSpec.expression("due", name=name), description=description)
+    loaded = load_rule_file(path)
+    assert (loaded.name, loaded.description, loaded.spec.source) == ("a b", "fast pt first", "due")
+
+
+def test_extracted_description_with_a_carriage_return_round_trips(tmp_path):
+    # extract_individual keeps a carriage return inside the description line
+    description, source = extract_individual("description: fast\rpt first\n```\ndue\n```\n")
+    assert description == "fast\rpt first"
+    path = tmp_path / "best_rule.txt"
+    save_rule_file(path, RuleSpec.expression(source, name="g1-3"), description=description)
+    loaded = load_rule_file(path)
+    assert (loaded.description, loaded.spec.source) == ("fast pt first", "due")
 
 
 def test_rule_file_builtin_saved_as_expression(tmp_path):

@@ -1,6 +1,7 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fafsp import sim
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import RuleSpec, rank_arc_arrays
+from fafsp.rules import BUILTIN_IDS, RuleSpec, rank_arc_arrays
 from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
                        FeatureView, InfeasibleArcError, SimState, _advance, _dispatch,
                        _rollout, advance_clock, apply_arc, extract_schedule,
@@ -21,6 +22,7 @@ from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeE
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance, pick_arc
+from test_golden import RULES
 
 EDD = RuleSpec.builtin("EDD")
 
@@ -410,6 +412,13 @@ generated_instances = st.builds(
 # in the same epoch and before job 0's completion releases assembly job 1
 ZERO_LENGTH = make_instance("pa", [(0.0, 5.0, [([{0: 0.0}], {1: 0.0})]),
                                    (0.0, 9.0, [([{0: 3.0}], {1: 1.0})])])
+# at time 0 jobs 0 and 2 are ready and eligible only on machine 0: two arcs
+# of two jobs that share the machine
+SHARED_MACHINE = make_instance("pa", [(0.0, 5.0, [([{0: 2.0}], {1: 1.0})]),
+                                      (0.0, 9.0, [([{0: 3.0}], {1: 1.0})])])
+# at time 0 job 0 is the only ready job and is eligible on machines 0 and 1:
+# two arcs of one job
+SHARED_JOB = make_instance("ppa", [(0.0, 100.0, [([{0: 2.0, 1: 3.0}], {2: 1.0})])])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -451,6 +460,27 @@ def test_clones_keep_their_own_ready_bookkeeping(seed):
         _reference_dispatch(inst, EDD, copy)
 
 
+def test_rollouts_leave_the_start_state_as_built():
+    cfg = ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0, n_init=2, seed=5)
+    inst = generate_instance(cfg)
+    for rule in [RULES[rid] for rid in (*BUILTIN_IDS, "wide")]:
+        run_dispatch(inst, rule)
+    start, fresh = sim._start_state(inst), sim._start_state(generate_instance(cfg))
+    assert start is not fresh and start.events
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(start, name).tobytes() == value.tobytes(), name
+        elif name != "t":
+            assert getattr(start, name) == value, name
+    a, b = SimState(inst), SimState(inst)
+    for name in sim._MUTABLE:
+        fields = [getattr(s, name) for s in (start, a, b)]
+        assert len({id(f) for f in fields}) == 3, name
+        if isinstance(fields[0], np.ndarray):
+            assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(fields, 2))
+    assert set(vars(a)) - set(sim._MUTABLE) == {"t", "clock", "n_ready", "done_count", "_seq"}
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=st.one_of(hand_built_instances(), generated_instances),
        seed=st.integers(0, 2**16))
@@ -488,11 +518,11 @@ def test_every_non_delay_rollout_validates_clean(inst, seed):
     assert total_tardiness(sched) == math.fsum(sched.tt.values())
 
 
-# -- the single-arc step against re-enumeration after every dispatch -------------
+# -- the step past a dispatch that leaves no arc, against re-enumeration ----------
 
 def _reenumerating_rollout(state, choose):
-    """_rollout without its single-arc step: enumerates the arcs again after
-    every dispatch."""
+    """_rollout without its step after a dispatch that leaves no arc:
+    enumerates the arcs again after every dispatch."""
     while state.done_count < state.t.J:
         jobs, machs = state._arc_arrays()
         if len(jobs):
@@ -508,10 +538,15 @@ def _reenumerating_rollout(state, choose):
        seed=st.integers(0, 2**16))
 @example(inst=ZERO_LENGTH, seed=0)
 @example(inst=ZERO_LENGTH, seed=1)
+@example(inst=SHARED_MACHINE, seed=0)
+@example(inst=SHARED_MACHINE, seed=1)
+@example(inst=SHARED_JOB, seed=0)
+@example(inst=SHARED_JOB, seed=1)
 def test_single_arc_step_matches_reenumeration(inst, seed):
     # the same seed makes the same choices: the skipped enumerations are
     # the ones that would have found no arc, so the chooser sees the same
-    # arc sets in the same order
+    # arc sets in the same order. The examples are a zero-length arc, and
+    # decisions whose arcs all share the machine or all share the job
     logs = []
     for rollout in (_rollout, _reenumerating_rollout):
         rng = random.Random(seed)
@@ -520,12 +555,10 @@ def test_single_arc_step_matches_reenumeration(inst, seed):
     assert logs[0] == logs[1]
 
 
-def test_single_zero_length_arc_is_followed_by_an_enumeration(monkeypatch):
-    # under EDD, job 1 is the only arc at time 0 and takes no time: its
-    # machine stays idle, so the loop enumerates again before it advances;
-    # jobs 2 and 3 are single arcs that take time, and the loop advances
-    # right after dispatching them
-    state = SimState(ZERO_LENGTH)
+def _edd_steps(inst, monkeypatch):
+    """The arc set of each enumeration and the clock of each advance of an
+    EDD rollout, in order."""
+    state = SimState(inst)
     steps = []
     enumerate_arcs = state._arc_arrays
 
@@ -538,10 +571,40 @@ def test_single_zero_length_arc_is_followed_by_an_enumeration(monkeypatch):
     monkeypatch.setattr(sim, "_advance",
                         lambda s: steps.append(f"advance from {s.clock}") or _advance(s))
     _rollout(state, functools.partial(rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))
-    assert steps == [[(0, 0), (2, 0)], [(2, 0)], "advance from 0.0",
-                     [(1, 1)], [], "advance from 0.0",
-                     [], "advance from 0.0",
-                     [(3, 1)], "advance from 3.0"]
+    return steps
+
+
+def test_single_zero_length_arc_is_followed_by_an_enumeration(monkeypatch):
+    # under EDD, job 1 is the only arc at time 0 and takes no time: its
+    # machine stays idle, so the loop enumerates again before it advances;
+    # jobs 2 and 3 are single arcs that take time, and the loop advances
+    # right after dispatching them. At time 0 job 0 and job 2 share machine
+    # 0, but job 0 takes no time, so the loop enumerates again
+    assert _edd_steps(ZERO_LENGTH, monkeypatch) == [
+        [(0, 0), (2, 0)], [(2, 0)], "advance from 0.0",
+        [(1, 1)], [], "advance from 0.0",
+        [], "advance from 0.0",
+        [(3, 1)], "advance from 3.0"]
+
+
+def test_arcs_that_share_the_machine_are_followed_by_an_advance(monkeypatch):
+    # at time 0 both arcs are on machine 0, whose queue count is 2, so the
+    # clock advances right after job 0 takes the machine. At time 2 the arcs
+    # (1, 1) and (2, 0) share neither job nor machine, and the loop
+    # enumerates again after dispatching job 1
+    assert _edd_steps(SHARED_MACHINE, monkeypatch) == [
+        [(0, 0), (2, 0)], "advance from 0.0",
+        [(1, 1), (2, 0)], [(2, 0)], "advance from 2.0",
+        [], "advance from 3.0",
+        [(3, 1)], "advance from 5.0"]
+
+
+def test_arcs_that_share_the_job_are_followed_by_an_advance(monkeypatch):
+    # at time 0 both arcs are job 0's, on two machines, so the clock
+    # advances right after job 0 is dispatched to one of them
+    assert _edd_steps(SHARED_JOB, monkeypatch) == [
+        [(0, 0), (0, 1)], "advance from 0.0",
+        [(1, 2)], "advance from 2.0"]
 
 
 def test_single_arc_step_skips_enumerations():
@@ -561,8 +624,10 @@ def test_single_arc_step_skips_enumerations():
         schedules.append(schedule_to_text(rollout(state, functools.partial(
             rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))))
     assert schedules[0] == schedules[1]
-    # 8 of the 67 decisions have one arc, and each takes time
-    assert calls == [129, 137]
+    # 57 of the 67 decisions take time and have arcs that all share the
+    # chosen job (10, of which 8 are single arcs) or all share its machine
+    # (47); no enumeration follows them
+    assert calls == [80, 137]
 
 
 # -- a rule's read set against the full gather -------------------------------------
