@@ -112,7 +112,7 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
 
     avg = {r: math.fsum(per_rule_means[r]) / len(labels) for r in rule_names}
     worst = max(avg.values())
-    ari = {r: compute_ari(avg[r], worst) for r in rule_names}
+    ari = {r: compute_ari(avg[r], worst) if worst > 0 else 0.0 for r in rule_names}
     order = sorted(rule_names, key=lambda r: (avg[r], rule_names.index(r)))
     rank = {r: i + 1 for i, r in enumerate(order)}
     return BenchReport(labels, rule_names, mean, sd, scenario_ari, avg, ari, rank)

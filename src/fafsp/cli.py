@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: gen (emit instances for a scenario), run (one rollout), evolve
-(rule evolution with live/record/replay transports), bench (grid report),
+(rule evolution, replayable from its transcripts.jsonl), bench (grid report),
 validate (check a schedule against an instance), export (plot-ready traces).
 Exit codes: 0 ok, 1 usage or input error, 2 validation failure, 3 transport
 failure.
@@ -83,12 +83,7 @@ def _make_transport(kind: str, cassette: str | None):
         if not cassette:
             raise TransportError("replay transport needs --cassette")
         return ReplayTransport(cassette)
-    live = LiveTransport.from_env()
-    if kind == "record":
-        if not cassette:
-            raise TransportError("record transport needs --cassette")
-        return RecordingTransport(live, cassette)
-    return live
+    return LiveTransport.from_env()
 
 
 def _cmd_evolve(args) -> int:
@@ -96,13 +91,20 @@ def _cmd_evolve(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     transport = _make_transport(args.transport, args.cassette)
-    result = run_evolution(cfg, transport)
     out = Path(args.out)
     os.makedirs(out, exist_ok=True)
+    for name in ("best_rule.txt", "journal.jsonl", "convergence.csv", "per_instance.csv"):
+        (out / name).unlink(missing_ok=True)    # no output of an earlier run stays
+    transcripts = out / "transcripts.jsonl"
+    # replaying the run's own transcripts serves only records already there: keep them whole
+    if not (args.transport == "replay" and transcripts.exists()
+            and transcripts.samefile(args.cassette)):
+        write_text(transcripts, "")
+        transport = RecordingTransport(transport, transcripts)
+    result = run_evolution(cfg, transport)
     save_rule_file(out / "best_rule.txt", result.best.spec,
                    description=result.best.description, fitness=result.best.fitness)
     write_journal(result.journal, out / "journal.jsonl")
-    write_journal(result.transcripts, out / "transcripts.jsonl")
     write_convergence(journal_to_convergence(result.journal), out / "convergence.csv")
     write_per_instance(result.per_instance, out / "per_instance.csv")
     print(f"samples: {result.samples}")
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evolve", help="evolve a dispatching rule")
     e.add_argument("--config", required=True)
-    e.add_argument("--transport", choices=("live", "record", "replay"), required=True)
+    e.add_argument("--transport", choices=("live", "replay"), required=True)
     e.add_argument("--cassette", default=None)
     e.add_argument("--out", default="evolve_run")
     e.add_argument("--seed", type=int, default=None)

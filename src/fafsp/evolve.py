@@ -13,6 +13,7 @@ ever evaluated. Under a replay transport the whole run is bit-deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -119,16 +120,15 @@ def summarize_features(instances: Sequence[Instance], mu: float | None = None) -
     n_proc = [len(x.machines_of(Stage.PROCESSING)) for x in instances]
     pts: list[float] = []
     flex: list[float] = []
-    for x in instances:
-        per_stage = {s: len(x.machines_of(s)) for s in Stage}
-        for job in x.jobs:
-            pts.extend(job.eligible.values())
-            flex.append(len(job.eligible) / per_stage[job.kind])
     gaps: list[float] = []
     tightness: list[float] = []
     orders = 0
     jobs = 0
     for x in instances:
+        per_stage = {s: len(x.machines_of(s)) for s in Stage}
+        for job in x.jobs:
+            pts.extend(job.eligible.values())
+            flex.append(len(job.eligible) / per_stage[job.kind])
         arrivals = sorted(o.arrival for o in x.orders)
         gaps.extend(b - a for a, b in zip(arrivals, arrivals[1:]))
         orders += len(x.orders)
@@ -185,7 +185,6 @@ class _Run:
         self.rng = np.random.default_rng(cfg.seed)
         self.samples = 0
         self.journal: list[dict] = []
-        self.transcripts: list[dict] = []
         self.history: list[tuple[int, float]] = []
         self.outcomes: list[tuple[int, str]] = []
         self.features = summarize_features(self.instances, cfg.mu)
@@ -193,11 +192,7 @@ class _Run:
         self.incumbent: RuleIndividual | None = None
         self.elite: RuleIndividual | None = None
         self.u0 = cfg.u_low
-        self._uid = 0
-
-    def next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
+        self.uids = itertools.count(1)
 
     def call(self, prompt: str, temperature: float, operator: str, generation: int) -> tuple[str, int]:
         """The reply and the index of its journal entry."""
@@ -205,14 +200,9 @@ class _Run:
             raise _BudgetExhausted
         response = self.transport.send(prompt, temperature, operator)
         self.samples += 1
-        digest = request_digest(prompt, temperature)
-        entry = {"generation": generation, "operator": operator,
-                 "digest": digest, "temperature": f"{temperature:.6f}",
-                 "fitness": None}
-        self.journal.append(entry)
-        self.transcripts.append({"digest": digest, "operator": operator,
-                                 "temperature": f"{temperature:.6f}",
-                                 "prompt": prompt, "response": response})
+        self.journal.append({"generation": generation, "operator": operator,
+                             "digest": request_digest(prompt, temperature),
+                             "temperature": f"{temperature:.6f}", "fitness": None})
         return response, len(self.journal) - 1
 
     def admit(self, indiv: RuleIndividual) -> None:
@@ -257,7 +247,7 @@ def _fill_slot(run: _Run, operator: str, parents: list[RuleIndividual],
         response, index = run.call(prompt, temperature, operator, generation)
         try:
             description, source = extract_individual(response)
-            spec = RuleSpec.expression(source, name=f"g{generation}-{run.next_uid()}")
+            spec = RuleSpec.expression(source, name=f"g{generation}-{next(run.uids)}")
             if not validate_rule(spec):
                 run.outcomes.append((index, "smoke_invalid"))
                 continue
@@ -270,13 +260,13 @@ def _fill_slot(run: _Run, operator: str, parents: list[RuleIndividual],
         indiv = RuleIndividual(description, spec, fitness, None,
                                generation, operator,
                                tuple(p.uid for p in parents), temperature,
-                               uid=run.next_uid())
+                               uid=next(run.uids))
         break
     else:
         run.outcomes.append((index, "copy_fallback"))
         indiv = replace(parents[0], generation=generation, operator=fallback[0],
                         parent_uids=(parents[0].uid,), temperature=fallback[1],
-                        uid=run.next_uid())
+                        uid=next(run.uids))
     run.admit(indiv)
     return indiv
 
@@ -288,7 +278,7 @@ def _init_population(run: _Run) -> None:
     elite = RuleIndividual(
         "Earliest due date first; ties go to the machine that finishes the job soonest.",
         elite_spec, elite_fit, None, 0, "Elite", (), cfg.u_low,
-        uid=run.next_uid())
+        uid=next(run.uids))
     run.elite = elite
     run.admit(elite)
     elite.critique = _critique_of(run, elite, [elite], generation=0)
@@ -304,7 +294,7 @@ def _init_population(run: _Run) -> None:
     run.u0 = cfg.u0 if cfg.u0 is not None else u0
 
 
-def _evolve_generation(run: _Run, generation: int) -> list[RuleIndividual]:
+def _evolve_generation(run: _Run, generation: int) -> None:
     cfg = run.cfg
     population = run.population
     offspring: list[RuleIndividual] = []
@@ -320,7 +310,6 @@ def _evolve_generation(run: _Run, generation: int) -> list[RuleIndividual]:
         offspring.append(_fill_slot(run, strat.operator, parents, critique,
                                     run.u0, generation, ("Copy", run.u0)))
     run.population = offspring
-    return offspring
 
 
 @dataclass
@@ -332,7 +321,6 @@ class EvolutionResult:
     samples: int
     history: list[tuple[int, float]]
     journal: list[dict]
-    transcripts: list[dict]
     outcomes: list[tuple[int, str]]  # (journal index, outcome) per slot attempt and copy
     per_instance: list[float]      # incumbent's tardiness on each training instance
     error: str | None = None        # the TransportError that cut the run short
@@ -357,5 +345,5 @@ def run_evolution(cfg: EvolutionConfig, transport,
     best = run.incumbent if run.incumbent is not None else run.elite
     per_instance = [total_tardiness(run_dispatch(x, best.spec)) for x in run.instances]
     return EvolutionResult(best, run.elite, run.population, run.u0, run.samples,
-                           run.history, run.journal, run.transcripts, run.outcomes,
+                           run.history, run.journal, run.outcomes,
                            per_instance, error)

@@ -241,7 +241,8 @@ class ScriptedTransport:
 
 
 class RecordingTransport:
-    """Pass-through that appends every exchange to a cassette file."""
+    """Pass-through that appends each exchange, prompt included, to a
+    cassette file as its reply arrives, so a run cut short keeps them all."""
 
     def __init__(self, inner, cassette_path):
         self.inner = inner
@@ -251,7 +252,8 @@ class RecordingTransport:
         response = self.inner.send(prompt, temperature, operator)
         write_text(self.cassette_path, json_lines([{
             "digest": request_digest(prompt, temperature), "operator": operator,
-            "temperature": f"{temperature:.6f}", "response": response}]), append=True)
+            "temperature": f"{temperature:.6f}", "prompt": prompt,
+            "response": response}]), append=True)
         return response
 
 
@@ -259,17 +261,16 @@ class ReplayTransport:
     """Serves recorded responses by digest; consumes one record per request."""
 
     def __init__(self, cassette_path):
-        self.records = load_cassette(cassette_path)
-        self._by_digest: dict[str, deque[int]] = {}
-        for i, rec in enumerate(self.records):
-            self._by_digest.setdefault(rec["digest"], deque()).append(i)
+        self._by_digest: dict[str, deque[str]] = {}
+        for rec in load_cassette(cassette_path):
+            self._by_digest.setdefault(rec["digest"], deque()).append(rec["response"])
 
     def send(self, prompt: str, temperature: float, operator: str = "") -> str:
         digest = request_digest(prompt, temperature)
         queue = self._by_digest.get(digest)
         if not queue:
             raise ReplayMiss(digest)
-        return self.records[queue.popleft()]["response"]
+        return queue.popleft()
 
 
 def load_cassette(path) -> list[dict]:

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -292,10 +293,22 @@ def _id(value) -> int:
 
 
 def _key_id(key: str) -> int:
-    """An id written as a JSON object key: exactly the text of an integer."""
+    """An id written as text (a JSON object key, a schedule field): exactly
+    the plain text of an integer."""
     value = int(key)
     if str(value) != key:
         raise ValueError("expected the plain text of an integer id")
+    return value
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _decimal(text: str) -> float:
+    """A finite number written as ASCII decimal text: an optional sign,
+    digits, an optional fraction and an optional exponent."""
+    if not (_DECIMAL.fullmatch(text) and _finite(value := float(text))):
+        raise ValueError(f"expected a finite decimal number, not {text!r}")
     return value
 
 

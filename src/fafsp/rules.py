@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr
 from .expr import Program
-from .model import _finite, read_text, write_text
+from .model import _decimal, read_text, write_text
 
 BUILTIN_IDS = ("EDD",
                "FIFO+SPT", "FIFO+EET",
@@ -204,9 +204,7 @@ def load_rule_file(path) -> RuleFile:
                         description = value
                     elif value != "-":
                         try:
-                            fitness = float(value)
-                            if not _finite(fitness):
-                                raise ValueError
+                            fitness = _decimal(value)
                         except ValueError:
                             raise ValueError(f"{path} line {ln}: fitness {value!r} "
                                              "is not a number") from None

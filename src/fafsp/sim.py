@@ -33,7 +33,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .model import Instance, Stage, _finite, check_instance, read_text, write_text
+from .model import (Instance, Stage, _decimal, _key_id, check_instance, read_text,
+                    write_text)
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -180,8 +181,7 @@ def _start_state(inst: Instance) -> "SimState":
         start.order_ft = np.zeros(t.N)
         start.order_tt = np.zeros(t.N)
         start.m_idle = np.zeros(t.M)
-        start.m_last = np.full(t.M, -1, dtype=np.int64)
-        start.m_row = np.zeros(t.M, dtype=np.int64)        # (m_last + 1) * J
+        start.m_row = np.zeros(t.M, dtype=np.int64)   # (last job + 1) * J, a setup row
         start.m_busy = np.zeros(t.M)
         # ready jobs eligible per machine; float counts (exact at these sizes)
         # serve the queue column without a cast, like order_ops_rem
@@ -204,7 +204,7 @@ def _start_state(inst: Instance) -> "SimState":
 
 #: the state's arrays and lists that a rollout mutates in place
 _MUTABLE = ("status", "et", "pred_remaining", "order_ops_rem", "order_work_rem",
-            "order_asm_rem", "order_ft", "order_tt", "m_idle", "m_last", "m_row",
+            "order_asm_rem", "order_ft", "order_tt", "m_idle", "m_row",
             "m_busy", "m_queue", "job_ct", "pair_ready", "arc_log", "events")
 
 
@@ -362,7 +362,6 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
     state.status[j] = RUNNING
     state._set_ready(j, False)
     state.m_idle[m] = ct
-    state.m_last[m] = j
     state.m_row[m] = (j + 1) * t.J
     state.m_busy[m] += pt
     state.job_ct[j] = ct
@@ -489,14 +488,11 @@ def schedule_from_text(text: str) -> Schedule:
         parts = line.split(",")
         try:
             if parts[0] == "arc" and len(parts) == 6:
-                times = [float(p) for p in parts[3:]]
-                arcs.append(ArcRecord(int(parts[1]), int(parts[2]), *times))
+                arcs.append(ArcRecord(_key_id(parts[1]), _key_id(parts[2]),
+                                      *map(_decimal, parts[3:])))
             elif parts[0] == "order" and len(parts) == 4:
-                times = [float(p) for p in parts[2:]]
-                ft[int(parts[1])], tt[int(parts[1])] = times
+                ft[_key_id(parts[1])], tt[_key_id(parts[1])] = map(_decimal, parts[2:])
             else:
-                raise ValueError
-            if not all(map(_finite, times)):
                 raise ValueError
         except ValueError:
             raise ValueError(f"schedule line {ln}: cannot parse {raw!r}") from None

@@ -142,9 +142,9 @@ class OracleLimitError(ValueError):
 
 def _state_key(state: SimState) -> tuple:
     # everything the future depends on: job statuses, machine occupancy and
-    # last-processed jobs, partial per-order delivery maxima, and the clock
+    # setup rows (last jobs), partial per-order delivery maxima, and the clock
     return (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
-            state.m_last.tobytes(), state.order_ft.tobytes())
+            state.m_row.tobytes(), state.order_ft.tobytes())
 
 
 def _tardiness_bound(inst: Instance):

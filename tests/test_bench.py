@@ -49,6 +49,20 @@ def test_run_benchmark_shape_and_aggregates():
         assert 0.0 <= report.scenario_ari[(label, r)] <= 1.0
 
 
+#: a scenario on which no rule is ever late: one order, a light load
+NEVER_LATE = {"m1": 2, "m2": 4, "phi": 1.0, "alpha": 0, "mu": 0.1, "n_init": 1,
+              "T": 0, "R": 0, "seed": 3}
+
+
+def test_run_benchmark_with_no_late_rule_has_zero_ari():
+    rules = [RuleSpec.builtin("EDD"), RuleSpec.builtin("FIFO+SPT")]
+    report = run_benchmark([ScenarioConfig(**NEVER_LATE)], rules, replications=2)
+    assert report.avg == {"EDD": 0.0, "FIFO+SPT": 0.0}
+    assert report.ari == {"EDD": 0.0, "FIFO+SPT": 0.0}
+    assert set(report.scenario_ari.values()) == {0.0}
+    assert report.rank == {"EDD": 1, "FIFO+SPT": 2}
+
+
 def test_run_benchmark_deterministic():
     scenarios = [ScenarioConfig(m1=1, m2=2, phi=0.6, alpha=2, mu=2.0, n_init=2, seed=60),
                  ScenarioConfig(m1=2, m2=2, phi=0.8, alpha=2, mu=1.0, n_init=2, seed=61)]
@@ -177,7 +191,18 @@ def test_cli_bench(tmp_path, capsys):
     assert "Avg." in text and "ARI" in text and "Rank" in text
 
 
-def test_cli_evolve_replay_and_export(tmp_path, capsys):
+def test_cli_bench_with_no_late_rule(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"replications": 2, "scenarios": [NEVER_LATE]}),
+                    encoding="utf-8")
+    assert main(["bench", "--grid", str(grid), "--rules", "EDD,FIFO+SPT"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["ARI", "0.00%", "0.00%"]
+
+
+def _recorded_run(tmp_path):
+    """An evolution config on two generated instances and the cassette of
+    its run, recorded through the library: (config path, cassette path)."""
     scen = tmp_path / "scen.json"
     _write_scenario(scen)
     main(["gen", "--scenario", str(scen), "--count", "2", "--out", str(tmp_path / "tr")])
@@ -197,15 +222,25 @@ def test_cli_evolve_replay_and_export(tmp_path, capsys):
                  "Description: r3\n```\ndue*0.5 + work_rem\n```",
                  "Description: r4\n```\ndue + pt*3\n```"]
     cassette = tmp_path / "cassette.jsonl"
-    rec = RecordingTransport(ScriptedTransport(responses), cassette)
-
-    # build the cassette through the library, then drive the CLI in replay
     from fafsp.evolve import load_evolution_config, run_evolution
-    run_evolution(load_evolution_config(cfg_path), rec)
+    run_evolution(load_evolution_config(cfg_path),
+                  RecordingTransport(ScriptedTransport(responses), cassette))
+    return cfg_path, cassette
 
+
+def _replay(cfg_path, cassette, run_dir) -> int:
+    return main(["evolve", "--config", str(cfg_path), "--transport", "replay",
+                 "--cassette", str(cassette), "--out", str(run_dir)])
+
+
+def test_cli_evolve_replay_and_export(tmp_path, capsys):
+    cfg_path, cassette = _recorded_run(tmp_path)
     run_dir = tmp_path / "run"
-    assert main(["evolve", "--config", str(cfg_path), "--transport", "replay",
-                 "--cassette", str(cassette), "--out", str(run_dir)]) == 0
+    # a second run into the same directory restarts its transcripts
+    for _ in range(2):
+        assert _replay(cfg_path, cassette, run_dir) == 0
+        # the run's transcripts are the cassette it replayed, byte for byte
+        assert (run_dir / "transcripts.jsonl").read_bytes() == cassette.read_bytes()
     assert (run_dir / "best_rule.txt").exists()
     assert (run_dir / "journal.jsonl").exists()
     assert (run_dir / "convergence.csv").exists()
@@ -213,6 +248,67 @@ def test_cli_evolve_replay_and_export(tmp_path, capsys):
     out_dir = tmp_path / "traces"
     assert main(["export", "--run", str(run_dir), "--out", str(out_dir)]) == 0
     assert (out_dir / "convergence.csv").exists()
+
+
+def test_cli_replay_miss_keeps_every_reply_served_before_it(tmp_path, capsys):
+    cfg_path, cassette = _recorded_run(tmp_path)
+    lines = cassette.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 5
+    run_dir = tmp_path / "run"
+    for k in range(len(lines)):
+        assert _replay(cfg_path, cassette, run_dir) == 0     # a finished run
+        cut = tmp_path / f"cut{k}.jsonl"
+        cut.write_bytes(b"".join(lines[:k]))
+        assert _replay(cfg_path, cut, run_dir) == 3
+        assert "no unconsumed cassette record" in capsys.readouterr().err
+        # the cut run's replies, and nothing of the finished run
+        assert [p.name for p in run_dir.iterdir()] == ["transcripts.jsonl"]
+        assert (run_dir / "transcripts.jsonl").read_bytes() == b"".join(lines[:k])
+
+
+def test_cli_replays_a_run_from_its_own_transcripts(tmp_path, capsys):
+    cfg_path, cassette = _recorded_run(tmp_path)
+    run_dir = tmp_path / "run"
+    assert _replay(cfg_path, cassette, run_dir) == 0
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    own = run_dir / "transcripts.jsonl"
+    assert _replay(cfg_path, own, run_dir) == 0
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+    # another seed asks for a reply the run never had: the replay misses,
+    # and the only copy of the run's replies stays whole
+    assert main(["evolve", "--config", str(cfg_path), "--transport", "replay",
+                 "--cassette", str(own), "--out", str(run_dir), "--seed", "5"]) == 3
+    assert "no unconsumed cassette record" in capsys.readouterr().err
+    assert own.read_bytes() == first["transcripts.jsonl"] == cassette.read_bytes()
+    assert [p.name for p in run_dir.iterdir()] == ["transcripts.jsonl"]
+
+
+def test_cli_evolve_record_transport_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["evolve", "--config", str(tmp_path / "evo.json"), "--transport", "record",
+              "--cassette", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "r")])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "invalid choice: 'record'" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_evolve_missing_training_file_exits_1(tmp_path, capsys):
+    # training files are opened by run_evolution, after the run directory is
+    # started, so that directory holds an empty transcripts.jsonl and nothing
+    # else, also where a finished run was
+    run_dir = tmp_path / "r"
+    assert _replay(*_recorded_run(tmp_path), run_dir) == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "missing.json"
+    cfg_path.write_text(json.dumps({"training_instances": [str(tmp_path / "none.json")]}),
+                        encoding="utf-8")
+    cassette = tmp_path / "empty.jsonl"
+    cassette.write_text("", encoding="utf-8")
+    assert _replay(cfg_path, cassette, run_dir) == 1
+    _assert_one_error_line(capsys, "none.json")
+    assert [p.name for p in run_dir.iterdir()] == ["transcripts.jsonl"]
+    assert (run_dir / "transcripts.jsonl").read_bytes() == b""
 
 
 def test_cli_evolve_replay_miss_is_transport_failure(tmp_path):
@@ -290,6 +386,8 @@ def test_cli_evolve_transport_failure_writes_partial_run(tmp_path, capsys, monke
     assert "samples: 4" in captured.out
     journal = (run_dir / "journal.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["operator"] for line in journal] == ["Eval", "Init", "Init", "Eval"]
+    transcripts = (run_dir / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["response"] for line in transcripts] == replies
     assert (run_dir / "best_rule.txt").exists()
 
 
@@ -491,8 +589,20 @@ def test_cli_validate_unknown_job_is_a_violation(tmp_path, capsys, job):
      "schedule line 3: cannot parse"),
     (b"arc,0,0,0.0,0.0,inf\n", "schedule line 1: cannot parse"),
     (b"arc,0,0,0.0,0.0,1e999\n", "schedule line 1: cannot parse"),
+    # ids are the plain text of an integer, times ASCII decimal text
+    (b"arc,1_0,0,0.0,0.0,5.0\n", "schedule line 1: cannot parse"),
+    (b"arc,0,+0,0.0,0.0,5.0\n", "schedule line 1: cannot parse"),
+    ("arc,\u0661,0,0.0,0.0,5.0\n".encode(), "schedule line 1: cannot parse"),
+    (b"arc,01,0,0.0,0.0,5.0\n", "schedule line 1: cannot parse"),
+    (b"arc,0, 0,0.0,0.0,5.0\n", "schedule line 1: cannot parse"),
+    (b"order,-0,1.0,0.0\n", "schedule line 1: cannot parse"),
+    (b"arc,0,0,0.0,0.0,1_0.5\n", "schedule line 1: cannot parse"),
+    ("arc,0,0,0.0,0.0,\u0665\n".encode(), "schedule line 1: cannot parse"),
+    (b"arc,0,0,0.0,0.0,.5\n", "schedule line 1: cannot parse"),
 ], ids=["non-utf8", "bad-job", "short-line", "form-feed", "nan-order", "inf-arc",
-        "overflowing-arc"])
+        "overflowing-arc", "underscore-job", "signed-machine", "arabic-indic-job",
+        "zero-padded-job", "spaced-machine", "negative-zero-order", "underscore-time",
+        "arabic-indic-time", "bare-fraction"])
 def test_cli_validate_unreadable_schedule_exits_1(tmp_path, capsys, content, message):
     inst_path = tmp_path / "inst.json"
     save_instance(minimal_instance(), inst_path)

@@ -11,7 +11,7 @@ from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
                           summarize_features, tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
-                       ScriptedTransport)
+                       ScriptedTransport, load_cassette, request_digest)
 from fafsp.model import DocumentError, read_document
 from fafsp.rules import RuleInvalid, RuleSpec, builtin_source
 from fafsp.sim import DeadlockError
@@ -410,6 +410,28 @@ def test_record_replay_bit_determinism(tmp_path):
     assert r1.best.source == r2.best.source == first.best.source
     assert r1.history == r2.history
     assert r1.u0 == r2.u0
+
+
+def test_recorded_transcripts_match_the_journal_call_for_call(tmp_path):
+    responses = [CRIT] + [gen_response(s) for s in
+                          ("due + pt", "due - now + 2*pt", "due*0.5 + work_rem", "due + pt*3")]
+    cfg = EvolutionConfig(generations=0, population=4, seed=9)
+    cassette = tmp_path / "c.jsonl"
+    result = run_evolution(cfg, RecordingTransport(ScriptedTransport(responses), cassette),
+                           training_instances())
+    records = load_cassette(cassette)
+    assert [r["response"] for r in records] == responses
+    assert ([(r["digest"], r["operator"], r["temperature"]) for r in records]
+            == [(e["digest"], e["operator"], e["temperature"]) for e in result.journal])
+    assert all(request_digest(r["prompt"], float(r["temperature"])) == r["digest"]
+               for r in records)
+
+    # a run cut short by its transport keeps every reply it was served
+    cut = tmp_path / "cut.jsonl"
+    result = run_evolution(cfg, RecordingTransport(ScriptedTransport(responses[:3]), cut),
+                           training_instances())
+    assert result.error == "scripted transport ran out of responses"
+    assert cut.read_bytes().splitlines() == cassette.read_bytes().splitlines()[:3]
 
 
 def test_config_round_trip_and_validation():

@@ -171,7 +171,9 @@ def test_cassette_records_structure(tmp_path):
     assert rec["digest"] == request_digest("p", 0.75)
     assert rec["operator"] == "C2"
     assert rec["temperature"] == "0.750000"
+    assert rec["prompt"] == "p"
     assert rec["response"] == "resp"
+    assert list(rec) == sorted(rec)
 
 
 def test_extract_individual_well_formed():

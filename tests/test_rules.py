@@ -192,13 +192,24 @@ def test_rule_file_builtin_saved_as_expression(tmp_path):
     (b"# fitness: nan\ndue\n", "line 1: fitness 'nan' is not a number"),
     (b"# fitness: -inf\ndue\n", "line 1: fitness '-inf' is not a number"),
     (b"# fitness: 1e999\ndue\n", "line 1: fitness '1e999' is not a number"),
-], ids=["not-utf8", "bad-fitness", "nan-fitness", "inf-fitness", "overflowing-fitness"])
+    (b"# fitness: 1_0\ndue\n", "line 1: fitness '1_0' is not a number"),
+    ("# fitness: \u0661\ndue\n".encode(), "line 1: fitness '\u0661' is not a number"),
+], ids=["not-utf8", "bad-fitness", "nan-fitness", "inf-fitness", "overflowing-fitness",
+        "underscore-fitness", "arabic-indic-fitness"])
 def test_rule_file_errors_name_the_file(tmp_path, content, problem):
     path = tmp_path / "rule.txt"
     path.write_bytes(content)
     with pytest.raises(ValueError) as e:
         load_rule_file(path)
     assert str(e.value).startswith(f"{path}") and problem in str(e.value)
+
+
+@pytest.mark.parametrize("text, fitness", [("+1.5e3", 1500.0), ("-0.25", -0.25), ("7", 7.0),
+                                           ("1E-2", 0.01)])
+def test_rule_file_fitness_is_ascii_decimal_text(tmp_path, text, fitness):
+    path = tmp_path / "rule.txt"
+    path.write_text(f"# fitness: {text}\ndue\n", encoding="utf-8")
+    assert load_rule_file(path).fitness == fitness
 
 
 def test_builtin_composite_keys():

@@ -271,6 +271,12 @@ def test_schedule_text_round_trip():
     assert again.ft == sched.ft and again.tt == sched.tt
 
 
+def test_schedule_text_reads_signs_and_exponents():
+    sched = schedule_from_text("arc,0,1,0,+1e0,-2.5E+1\norder,3,1e-3,0\n")
+    assert sched.arcs[0] == (0, 1, 0.0, 1.0, -25.0)
+    assert (sched.ft, sched.tt) == ({3: 0.001}, {3: 0.0})
+
+
 def test_unbound_view_gathers_every_accessor():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=2, mu=1.0,
                                             n_init=3, seed=8))

@@ -209,7 +209,7 @@ def _exhaustive_optimum(inst):
         if state.done_count == state.t.J:
             return math.fsum(state.order_tt.tolist()), ()
         key = (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
-               state.m_last.tobytes(), state.order_ft.tobytes())
+               state.m_row.tobytes(), state.order_ft.tobytes())
         if key in memo:
             return memo[key]
         arcs = feasible_arcs(state)
