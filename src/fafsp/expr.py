@@ -496,23 +496,24 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
     return namespace["program"], frozenset(reads)
 
 
+def scores(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """``evaluate`` under the caller's numpy error state, which should ignore
+    floating-point errors: a rollout scores every decision by it inside one
+    ``np.errstate(all="ignore")``."""
+    result = program.fn(columns)
+    if np.ndim(result) == 0:            # the program reads no column
+        return np.full(n, float(result))
+    return np.asarray(result, dtype=float)
+
+
 @np.errstate(all="ignore")
-def _quiet(fn: Callable, columns: dict[str, np.ndarray]):
-    """fn(columns) with numpy's floating-point warnings off. The decorator
-    sets and resets the error state for each call, like a ``with`` block,
-    for about half the cost per call."""
-    return fn(columns)
-
-
 def evaluate(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
     """Evaluate over n candidate arcs; columns maps accessor name -> float array.
 
     Returns a float array of length n. Division by zero, log of a
     non-positive value and sqrt of a negative value yield 0; other
     non-finite results (e.g. exp overflow) are passed through for the
-    caller to reject.
+    caller to reject. Numpy's floating-point errors are ignored for the
+    call, whatever the caller's error state, which the decorator restores.
     """
-    result = _quiet(program.fn, columns)
-    if np.ndim(result) == 0:            # the program reads no column
-        return np.full(n, float(result))
-    return np.asarray(result, dtype=float)
+    return scores(program, columns, n)

@@ -68,6 +68,9 @@ class ReplayMiss(KeyError):
         super().__init__(f"no unconsumed cassette record for digest {digest}")
         self.digest = digest
 
+    def __str__(self) -> str:           # KeyError's str() quotes its message
+        return self.args[0]
+
 
 class MissingBlock(ValueError):
     def __init__(self, what: str):

@@ -24,6 +24,12 @@ from enum import Enum
 import numpy as np
 
 
+#: caps on outside input, each stated with the memory it implies. MAX_JOBS
+#: bounds the jobs of an instance file: its dense (J+1) x J float setup
+#: matrix takes 8(J+1)J bytes, about 200 MB at the cap
+MAX_JOBS = 5_000
+
+
 class Stage(str, Enum):
     PROCESSING = "processing"
     ASSEMBLY = "assembly"
@@ -336,7 +342,10 @@ def instance_from_doc(doc: dict) -> Instance:
 
     job_kind: dict[int, Stage] = {}
     job_elig: dict[int, dict[int, float]] = {}
-    for i, j in enumerate(_field(doc, "jobs", top, _list)):
+    job_docs = _field(doc, "jobs", top, _list)
+    if len(job_docs) > MAX_JOBS:            # before the setup matrix is allocated
+        raise InstanceFormatError(f"jobs: {len(job_docs)} jobs exceed the cap of {MAX_JOBS}")
+    for i, j in enumerate(job_docs):
         where = f"jobs[{i}]"
         jid = _field(j, "id", where, _id)
         job_kind[jid] = _field(j, "kind", where, Stage)

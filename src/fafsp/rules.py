@@ -77,38 +77,51 @@ class RuleSpec:
 
 
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
-    """Index of the dispatched arc among the candidates (vectorized path).
+    """Index of the dispatched arc among the candidate (job, machine) arcs,
+    which must be in (job, machine) order; ``fv.arc_columns`` gathers their
+    columns and ``expr.evaluate`` scores them, as ``rank_columns`` says."""
+    n = len(jobs)
+    if n == 0:
+        raise ValueError("no arcs to rank")
+    if n == 1:
+        return 0
+    return rank_columns(rule, fv.arc_columns(jobs, machs), n, expr.evaluate, jobs, machs)
 
-    The arcs must be in (job, machine) order. ``argmin`` returns the first
-    of tied arcs, which is then the one with the smallest (job id, machine
-    id): a rule without a tie-break ranks by its program's score, a builtin
-    by the tie-break key among the arcs tied on the program's key.
 
-    Only the single-key path checks that scores are finite. The two-key
-    path needs no check: only ``RuleSpec.builtin`` sets a tie-break, and
-    builtin keys are finite on every valid instance.
+def rank_columns(rule: RuleSpec, cols: dict, n: int, evaluate, jobs, machs,
+                 pairs: np.ndarray | None = None) -> int:
+    """Index of the dispatched arc among n >= 2 arcs in (job, machine)
+    order, from their columns. ``evaluate`` scores the rule's program:
+    ``expr.evaluate``, or ``expr.scores`` inside the caller's quiet error
+    state, as in a rollout.
+
+    ``argmin`` returns the first of tied arcs, which is then the one with
+    the smallest (job id, machine id): a rule without a tie-break ranks by
+    its program's score, a builtin by the tie-break key among the arcs tied
+    on the program's key.
+
+    Only the single-key path checks that scores are finite; a non-finite
+    score for arc i raises RuleInvalid naming (jobs[p], machs[p]), with p
+    the arc's pair index ``pairs[i]`` when given, else i. The two-key path
+    needs no check: only ``RuleSpec.builtin`` sets a tie-break, and builtin
+    keys are finite on every valid instance.
 
     Reductions are ``argmin`` calls, which cost less per decision than
     ``min`` and ``all``: the first minimum's value is the minimum (NaN if
     any key is NaN, as ``min`` gives), and the first False of the finite
     mask is True only when every score is finite.
     """
-    n = len(jobs)
-    if n == 0:
-        raise ValueError("no arcs to rank")
-    if n == 1:
-        return 0
-    cols = fv.arc_columns(jobs, machs)
     if rule.tie_break is not None:
         job_key = rule.program.fn(cols)
         ties = (job_key == job_key[job_key.argmin()]).nonzero()[0]
         return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
-    scores = expr.evaluate(rule.program, cols, n)
+    scores = evaluate(rule.program, cols, n)
     finite = np.isfinite(scores)
     k = finite.argmin()                         # the first non-finite score, if any
     if not finite.item(k):
+        p = k if pairs is None else pairs.item(k)
         raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
-                          f"for arc (job {jobs[k]}, machine {machs[k]})")
+                          f"for arc (job {jobs[p]}, machine {machs[p]})")
     return int(scores.argmin())
 
 

@@ -4,19 +4,27 @@ Decision epochs open at time zero and whenever a job completes or an order
 arrives. A decision enumerates the feasible (job, machine) arcs from the
 state, which keeps its ready jobs' pairs as a mask over the instance's
 flat array of (job, eligible machine) pairs: the arcs are the ready pairs
-whose machine is idle. With the mask the state keeps a ready count and
-per-machine queue counts, and updates all three only when a job enters or
-leaves READY (arrival, kit completion, dispatch), so an epoch with no ready
-job costs nothing and the others scan no job status. The active rule ranks
-the arcs with the columns it reads, gathered from the current state in one
-call; when no feasible arc remains the clock jumps to the next event, and
-after a dispatch that provably leaves no arc it jumps without enumerating
-(see ``_rollout``). Completions are processed before arrivals that share
-the same timestamp. Every rollout starts from a copy of the instance's
+whose machine is idle, and a decision's arcs are their indices into that
+array, from enumeration through ranking to dispatch. With the mask the
+state keeps a ready count and per-machine queue counts, and updates all
+three only when a job enters or leaves READY (arrival, kit completion,
+dispatch), so an epoch with no ready job costs nothing and the others scan
+no job status. The active rule ranks the arcs with the columns it reads,
+gathered from the current state by pair index in one call; when no
+feasible arc remains the clock jumps to the next event, and after a
+dispatch that provably leaves no arc it jumps without enumerating (see
+``_rollout``). Completions are processed before arrivals that share the
+same timestamp. Every rollout starts from a copy of the instance's
 time-zero state, built once next to the instance's static tables. One loop
 steps the rollout, and it takes the arc to dispatch from a chooser:
 ``run_dispatch`` ranks the arcs with a rule, and the oracle replays its
-optimal arc log through the same loop to build its schedule.
+optimal arc log through the same loop to build its schedule. A rollout
+owns numpy's error state: ``run_dispatch`` sets it once, around the whole
+loop, and restores the caller's on return.
+
+The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
+``advance_clock``) speaks in (job, machine) arcs, and maps them to pair
+indices where it gathers columns.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -115,21 +123,26 @@ class _Tables:
         # check_instance guarantees finite times, so NaN marks ineligibility
         eligible = ~np.isnan(self.ptmat)
         n_mach = eligible.sum(axis=1)
-        self.n_mach = n_mach.astype(float)
         self.incidence = eligible.astype(float)             # job -> 0/1 per machine
         # every (job, eligible machine) pair, sorted by job and then machine;
-        # job j's pairs are pair_start[j]:pair_start[j + 1]. Contiguous
-        # copies, because nonzero returns strided views that gather slower.
-        self.arc_job, self.arc_mach = map(np.ascontiguousarray, eligible.nonzero())
+        # job j's pairs are pair_start[j]:pair_start[j + 1]. A decision's arcs
+        # are indices into these arrays, and each static column is one 1-D
+        # gather from its per-pair array. Contiguous copies, because nonzero
+        # returns strided views that gather slower.
+        self.pair_job, self.pair_mach = map(np.ascontiguousarray, eligible.nonzero())
+        self.pair_job_list = self.pair_job.tolist()         # for scalar reads
+        self.pair_mach_list = self.pair_mach.tolist()
         self.pair_start = [0, *np.cumsum(n_mach).tolist()]
+        self.pair_pt = self.ptmat[eligible]
+        self.pair_n_mach = n_mach.astype(float)[self.pair_job]
+        self.pair_order = self.job_order[self.pair_job]
         # each job's mean time, one row reduction per machine count: the same
         # pairwise sum as the job's own pts.mean(), which a running sum is not.
         # The counts come from a set: np.unique imports numpy.ma (+1.6 MB RSS)
         self.mean_et = np.empty(J)
-        pair_pt = self.ptmat[eligible]
         for k in set(n_mach.tolist()):
             has_k = n_mach == k
-            self.mean_et[has_k] = pair_pt[has_k[self.arc_job]].reshape(-1, k).mean(axis=1)
+            self.mean_et[has_k] = self.pair_pt[has_k[self.pair_job]].reshape(-1, k).mean(axis=1)
 
         N = len(inst.orders)
         self.N = N
@@ -147,10 +160,21 @@ class _Tables:
                 self.order_jobs[o.id].extend((*p.processing_job_ids, p.assembly_job_id))
         self.job_arrival = self.order_arrival[self.job_order]
         self.job_due = self.order_due[self.job_order]
+        self.pair_arrival = self.job_arrival[self.pair_job]
+        self.pair_due = self.job_due[self.pair_job]
         self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=float)
         mean_et = self.mean_et.tolist()
         self.order_init_work = np.array(
             [math.fsum(mean_et[j] for j in js) for js in self.order_jobs])
+
+    @functools.cached_property
+    def pair_of(self) -> np.ndarray:
+        """pair_of[j, m] is the index of the pair (j, m), or -1 when machine
+        m is not eligible for job j. Only the (job, machine) step API reads
+        it, so a rollout never builds it."""
+        out = np.full((self.J, self.M), -1, dtype=np.int64)
+        out[self.pair_job, self.pair_mach] = np.arange(len(self.pair_job))
+        return out
 
 
 def _tables(inst: Instance) -> _Tables:
@@ -187,7 +211,7 @@ def _start_state(inst: Instance) -> "SimState":
         # serve the queue column without a cast, like order_ops_rem
         start.m_queue = np.zeros(t.M)
         start.n_ready = 0
-        start.pair_ready = np.zeros(len(t.arc_job), dtype=bool)
+        start.pair_ready = np.zeros(len(t.pair_job), dtype=bool)
         start.job_ct = np.full(t.J, np.nan)
         start.done_count = 0
         start.arc_log = []
@@ -201,6 +225,10 @@ def _start_state(inst: Instance) -> "SimState":
         inst.__dict__["_sim_start"] = start
     return start
 
+
+#: the arcs of an epoch with no ready job, shared and read-only
+_NO_ARCS = np.zeros(0, dtype=np.intp)
+_NO_ARCS.flags.writeable = False
 
 #: the state's arrays and lists that a rollout mutates in place
 _MUTABLE = ("status", "et", "pred_remaining", "order_ops_rem", "order_work_rem",
@@ -248,15 +276,13 @@ class SimState:
             self.n_ready -= 1
             self.m_queue -= t.incidence[j]
 
-    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def _arc_arrays(self) -> np.ndarray:
         """Feasible arcs now (ready job, idle qualified machine), ordered by
-        (job, machine), as parallel job and machine arrays."""
-        t = self.t
+        (job, machine), as their indices into the tables' pair arrays."""
         if not self.n_ready:                # about half the epochs of a dynamic rollout
-            return t.arc_job[:0], t.arc_mach[:0]
+            return _NO_ARCS
         k = self.pair_ready.nonzero()[0]
-        k = k[(self.m_idle <= self.clock)[t.arc_mach[k]]]
-        return t.arc_job[k], t.arc_mach[k]
+        return k[(self.m_idle <= self.clock)[self.t.pair_mach[k]]]
 
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
@@ -271,7 +297,8 @@ class FeatureView:
     ``arc_columns`` maps accessor names to per-arc columns for the candidate
     (job, machine) arcs at the state's clock, gathered in one call: bound to
     a rule's read set (``reads``), those columns and the ones they derive
-    from; unbound, every accessor.
+    from; unbound, every accessor. It maps each arc to its pair index and
+    gathers as a rollout does.
     """
 
     def __init__(self, state: SimState, reads: Iterable[str] | None = None):
@@ -279,29 +306,41 @@ class FeatureView:
         self._gather = _gatherer(frozenset(_COLUMNS if reads is None else reads))
 
     def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        return self._gather(self._s, jobs, machines)
+        k = self._s.t.pair_of[jobs, machines]
+        if (k < 0).any():
+            i = int(np.argmin(k))
+            raise InfeasibleArcError(f"machine {machines[i]} is not eligible for job {jobs[i]}")
+        return self._gather(self._s, k)
 
 
-#: accessor -> (accessors it is derived from, its per-arc column as a function
-#: of the state, the arc arrays jobs and machs, and the columns gathered so
-#: far). The one definition of every column. A base column derives from no
-#: other column and comes before every column derived from it.
+#: accessor -> (names it is derived from, its per-arc column as a function of
+#: the state, the arcs' pair indices k and the columns gathered so far). The
+#: one definition of every column. A base column derives from no accessor
+#: and comes before every column derived from it. The state columns of a
+#: job or a machine gather through the arcs' job or machine ids (``_INDEXES``).
 _COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "due": ((), lambda s, jobs, machs, c: s.t.job_due[jobs]),
-    "arrival": ((), lambda s, jobs, machs, c: s.t.job_arrival[jobs]),
-    "now": ((), lambda s, jobs, machs, c: _filled(len(jobs), s.clock)),
-    "work_rem": ((), lambda s, jobs, machs, c: s.order_work_rem[s.t.job_order[jobs]]),
+    "due": ((), lambda s, k, c: s.t.pair_due[k]),
+    "arrival": ((), lambda s, k, c: s.t.pair_arrival[k]),
+    "now": ((), lambda s, k, c: _filled(len(k), s.clock)),
+    "work_rem": ((), lambda s, k, c: s.order_work_rem[s.t.pair_order[k]]),
     "slack": (("due", "now", "work_rem"),
-              lambda s, jobs, machs, c: c["due"] - c["now"] - c["work_rem"]),
-    "wait": (("now", "arrival"), lambda s, jobs, machs, c: c["now"] - c["arrival"]),
-    "et": ((), lambda s, jobs, machs, c: s.et[jobs]),
-    "n_mach": ((), lambda s, jobs, machs, c: s.t.n_mach[jobs]),
-    "ops_rem": ((), lambda s, jobs, machs, c: s.order_ops_rem[s.t.job_order[jobs]]),
-    "pt": ((), lambda s, jobs, machs, c: s.t.ptmat[jobs, machs]),
-    "setup": ((), lambda s, jobs, machs, c: s.t.setup_flat[s.m_row[machs] + jobs]),
-    "avail": ((), lambda s, jobs, machs, c: s.m_idle[machs]),
-    "queue": ((), lambda s, jobs, machs, c: s.m_queue[machs]),
-    "util": ((), lambda s, jobs, machs, c: s.m_busy[machs]),
+              lambda s, k, c: c["due"] - c["now"] - c["work_rem"]),
+    "wait": (("now", "arrival"), lambda s, k, c: c["now"] - c["arrival"]),
+    "et": (("job",), lambda s, k, c: s.et[c["job"]]),
+    "n_mach": ((), lambda s, k, c: s.t.pair_n_mach[k]),
+    "ops_rem": ((), lambda s, k, c: s.order_ops_rem[s.t.pair_order[k]]),
+    "pt": ((), lambda s, k, c: s.t.pair_pt[k]),
+    "setup": (("job", "mach"), lambda s, k, c: s.t.setup_flat[s.m_row[c["mach"]] + c["job"]]),
+    "avail": (("mach",), lambda s, k, c: s.m_idle[c["mach"]]),
+    "queue": (("mach",), lambda s, k, c: s.m_queue[c["mach"]]),
+    "util": (("mach",), lambda s, k, c: s.m_busy[c["mach"]]),
+}
+
+#: the arcs' job and machine ids, gathered only for a column that reads
+#: them and left out of the columns returned
+_INDEXES: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "job": ((), lambda s, k, c: s.t.pair_job[k]),
+    "mach": ((), lambda s, k, c: s.t.pair_mach[k]),
 }
 
 
@@ -314,18 +353,22 @@ def _filled(n: int, value: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _gatherer(names: frozenset[str]) -> Callable:
-    """Function (state, jobs, machs) -> {accessor: column} over the named
+    """Function (state, pair indices k) -> {accessor: column} over the named
     accessors and those they derive from."""
     unknown = names - _COLUMNS.keys()
     if unknown:
         raise KeyError(sorted(unknown)[0])
     needed = names.union(*(_COLUMNS[name][0] for name in names))
-    steps = tuple((name, fn) for name, (_, fn) in _COLUMNS.items() if name in needed)
+    steps = tuple((name, fn) for name, (_, fn) in {**_INDEXES, **_COLUMNS}.items()
+                  if name in needed)
+    indexes = tuple(needed.intersection(_INDEXES))
 
-    def gather(s: SimState, jobs: np.ndarray, machs: np.ndarray) -> dict:
+    def gather(s: SimState, k: np.ndarray) -> dict:
         cols: dict[str, np.ndarray] = {}
         for name, fn in steps:
-            cols[name] = fn(s, jobs, machs, cols)
+            cols[name] = fn(s, k, cols)
+        for name in indexes:
+            del cols[name]
         return cols
 
     return gather
@@ -333,8 +376,8 @@ def _gatherer(names: frozenset[str]) -> Callable:
 
 def feasible_arcs(state: SimState) -> list[tuple[int, int]]:
     """All (ready job, qualified idle machine) pairs, ordered by (job, machine)."""
-    jobs, machs = state._arc_arrays()
-    return list(zip(jobs.tolist(), machs.tolist()))
+    k = state._arc_arrays()
+    return list(zip(state.t.pair_job[k].tolist(), state.t.pair_mach[k].tolist()))
 
 
 def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
@@ -372,8 +415,7 @@ def _dispatch(state: SimState, j: int, m: int) -> float:
 
 def advance_clock(state: SimState) -> SimState:
     """Jump to the next event; only legal once the epoch has no feasible arc."""
-    jobs, _ = state._arc_arrays()
-    if len(jobs):
+    if len(state._arc_arrays()):
         raise InfeasibleArcError("cannot advance: feasible arcs remain")
     return _advance(state)
 
@@ -423,30 +465,31 @@ def extract_schedule(state: SimState) -> Schedule:
     return Schedule(tuple(state.arc_log), ft, tt, t.J, t.N)
 
 
-def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -> Schedule:
+def _rollout(state: SimState, choose: Callable[[np.ndarray], int]) -> Schedule:
     """Run the state to completion and return its schedule.
 
-    The one epoch loop: each step enumerates the feasible arcs, in (job,
-    machine) order, and dispatches arc (j, m) = ``choose(jobs, machs)``;
-    when there is none the clock advances. A dispatch for a positive time
-    removes exactly the arcs that share j (the job has left READY) or m
-    (the machine is busy until after the clock), and adds none. So when
-    every arc shared j or m the clock advances without enumerating. Two
-    O(1) tests, taken before the dispatch, find that case: the arcs are
-    sorted by job, so they are all j's when the first and last are the
-    same job (this covers a single arc); and m is idle, so every ready job
+    The one epoch loop: each step enumerates the feasible arcs k, as pair
+    indices in (job, machine) order, and dispatches arc (j, m), the pair
+    ``k[choose(k)]``; when there is none the clock advances. A dispatch for
+    a positive time removes exactly the arcs that share j (the job has left
+    READY) or m (the machine is busy until after the clock), and adds none.
+    So when every arc shared j or m the clock advances without enumerating.
+    Two O(1) tests, taken before the dispatch, find that case: the arcs are
+    sorted by job, so they are all j's when the first and last are the same
+    job (this covers a single arc); and m is idle, so every ready job
     eligible on m is an arc, and they are all on m when m's queue count
     equals the number of arcs. A zero-length dispatch leaves its machine
     idle and is followed by an enumeration."""
-    n_jobs = state.t.J
+    t = state.t
+    n_jobs, pair_job, pair_mach = t.J, t.pair_job_list, t.pair_mach_list
     while state.done_count < n_jobs:
-        jobs, machs = state._arc_arrays()
-        n = len(jobs)
+        k = state._arc_arrays()
+        n = len(k)
         if n:
-            k = choose(jobs, machs)
-            m = machs.item(k)
-            covered = jobs.item(0) == jobs.item(-1) or state.m_queue.item(m) == n
-            if _dispatch(state, jobs.item(k), m) > state.clock and covered:
+            p = k.item(choose(k))
+            m = pair_mach[p]
+            covered = pair_job[k.item(0)] == pair_job[k.item(-1)] or state.m_queue.item(m) == n
+            if _dispatch(state, pair_job[p], m) > state.clock and covered:
                 _advance(state)
         else:
             _advance(state)
@@ -455,12 +498,26 @@ def _rollout(state: SimState, choose: Callable[[np.ndarray, np.ndarray], int]) -
 
 def run_dispatch(inst: Instance, rule) -> Schedule:
     """Roll the instance out to completion under the rule and return the
-    realized schedule. Deterministic for a given (instance, rule)."""
-    from .rules import rank_arc_arrays
+    realized schedule. Deterministic for a given (instance, rule).
+
+    The rollout runs inside one ``np.errstate(all="ignore")``, which scores
+    the rule's programs quietly (see ``expr.scores``) and restores the
+    caller's error state on return and on a raise."""
+    from .expr import scores
+    from .rules import rank_columns
 
     state = SimState(inst)
-    return _rollout(state, functools.partial(rank_arc_arrays, rule,
-                                             FeatureView(state, rule.reads)))
+    gather, t = _gatherer(rule.reads), state.t
+
+    def choose(k: np.ndarray) -> int:
+        n = len(k)
+        if n == 1:
+            return 0
+        return rank_columns(rule, gather(state, k), n, scores,
+                            t.pair_job_list, t.pair_mach_list, k)
+
+    with np.errstate(all="ignore"):
+        return _rollout(state, choose)
 
 
 # -- schedule file format -----------------------------------------------------

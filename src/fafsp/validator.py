@@ -214,6 +214,8 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
       tie-break survives.
     - Children go in (job, machine) order and every complete log has one arc
       per job, so leaves are reached in lexicographic order of their logs.
+      A log holds each arc as its pair index (``sim._Tables``), which
+      orders arcs as (job, machine) does.
       The first zero-tardiness leaf is therefore the answer, and the search
       stops there.
     - Every subtree's result is memoised on the state, pruned or not. The
@@ -231,6 +233,8 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
         raise OracleLimitError(f"{inst.num_machines} machines exceeds the limit of {MAX_MACHINES}")
 
     bound = _tardiness_bound(inst)
+    t = _tables(inst)
+    pair_job, pair_mach = t.pair_job_list, t.pair_mach_list
     memo: dict[tuple, tuple[float, tuple]] = {}
     visited = 0
     incumbent = math.inf
@@ -254,19 +258,19 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
         if visited > max_states:
             raise OracleLimitError(f"search exceeded {max_states} states")
 
-        jobs, machs = state._arc_arrays()
-        if len(jobs) == 0:
+        k = state._arc_arrays()
+        if len(k) == 0:
             _advance(state)
             best = dfs(state)
         else:
             best = (math.inf, ())
-            for j, m in zip(jobs.tolist(), machs.tolist()):
+            for p in k.tolist():
                 if incumbent == 0.0:
                     break
                 child = state.clone()
-                _dispatch(child, j, m)
+                _dispatch(child, pair_job[p], pair_mach[p])
                 sub, log = dfs(child)
-                cand = (sub, ((j, m),) + log)
+                cand = (sub, (p,) + log)
                 if cand < best:
                     best = cand
         memo[key] = best
@@ -275,9 +279,8 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
     value, log = dfs(SimState(inst))
     arcs = iter(log)
 
-    def logged(jobs: np.ndarray, machs: np.ndarray) -> int:
+    def logged(k: np.ndarray) -> int:
         # the log is non-delay, so its next arc is among the epoch's arcs
-        j, m = next(arcs)
-        return int(np.flatnonzero((jobs == j) & (machs == m))[0])
+        return int(np.flatnonzero(k == next(arcs))[0])
 
     return value, _rollout(SimState(inst), logged)

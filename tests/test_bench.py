@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -311,7 +312,7 @@ def test_cli_evolve_missing_training_file_exits_1(tmp_path, capsys):
     assert (run_dir / "transcripts.jsonl").read_bytes() == b""
 
 
-def test_cli_evolve_replay_miss_is_transport_failure(tmp_path):
+def test_cli_evolve_replay_miss_is_transport_failure(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     _write_scenario(scen)
     main(["gen", "--scenario", str(scen), "--count", "1", "--out", str(tmp_path / "tr")])
@@ -324,6 +325,10 @@ def test_cli_evolve_replay_miss_is_transport_failure(tmp_path):
     cassette.write_text("", encoding="utf-8")
     assert main(["evolve", "--config", str(cfg_path), "--transport", "replay",
                  "--cassette", str(cassette), "--out", str(tmp_path / "r")]) == 3
+    # one line with the plain message, not the quoted repr a KeyError prints
+    err = capsys.readouterr().err
+    assert re.fullmatch("transport error: no unconsumed cassette record for digest "
+                        "[0-9a-f]{64}\n", err), err
 
 
 def test_cli_evolve_malformed_cassette_exits_1(tmp_path, capsys):

@@ -118,6 +118,8 @@ def test_replay_miss_names_digest(tmp_path):
     with pytest.raises(ReplayMiss) as e:
         rep.send("unseen prompt", 0.3)
     assert e.value.digest == request_digest("unseen prompt", 0.3)
+    assert isinstance(e.value, KeyError)
+    assert str(e.value) == f"no unconsumed cassette record for digest {e.value.digest}"
 
 
 @pytest.mark.parametrize("line, problem", [

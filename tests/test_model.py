@@ -3,11 +3,13 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fafsp
+from fafsp import model
 from fafsp.model import (InstanceFormatError, Stage, check_instance,
                          instance_from_doc, instance_to_doc,
                          load_instance, save_instance)
@@ -308,3 +310,41 @@ def test_accessors_and_setup_lookup():
     assert inst.setup_time(None, 0) == 0.0
     assert inst.setup_time(0, 1) == 0.75
     assert inst.machines_of(Stage.PROCESSING)[0].id == 0
+
+
+# -- the job cap: refused before the setup matrix -------------------------------
+
+def _kits_doc(n_products):
+    """Instance document of one order with n_products kits of one processing
+    job and one assembly job, its setup given as a default."""
+    return {
+        "machines": [{"id": 0, "stage": "processing"}, {"id": 1, "stage": "assembly"}],
+        "orders": [{"id": 0, "arrival": 0.0, "due": 10.0, "products": [
+            {"id": p, "assembly_job": 2 * p + 1, "processing_jobs": [2 * p]}
+            for p in range(n_products)]}],
+        "jobs": [{"id": 2 * p + a, "kind": kind, "eligible": {str(a): 1.0}}
+                 for p in range(n_products)
+                 for a, kind in enumerate(("processing", "assembly"))],
+        "setup": {"default": 1.0},
+    }
+
+
+def test_job_count_above_the_cap_is_refused_before_the_setup_matrix():
+    doc = _kits_doc(model.MAX_JOBS // 2 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceFormatError,
+                           match=f"^jobs: {model.MAX_JOBS + 2} jobs exceed the cap"):
+            instance_from_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (J+1) x J setup matrix alone would take 8(J+1)J bytes, about 200 MB
+    assert peak < 8 * model.MAX_JOBS ** 2 / 100
+
+
+def test_job_cap_admits_an_instance_at_the_cap(monkeypatch):
+    monkeypatch.setattr(model, "MAX_JOBS", 4)
+    assert instance_from_doc(_kits_doc(2)).num_jobs == 4
+    with pytest.raises(InstanceFormatError, match="^jobs: 6 jobs exceed the cap of 4$"):
+        instance_from_doc(_kits_doc(3))

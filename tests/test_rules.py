@@ -121,8 +121,9 @@ def test_scale_invariance_of_argmin():
     from fafsp.sim import _advance, apply_arc
     checked = 0
     while state.done_count < state.t.J:
-        jobs, machs = state._arc_arrays()
-        if len(jobs):
+        k = state._arc_arrays()
+        jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
+        if len(k):
             fv = FeatureView(state)
             picks = {c: rank_arc_arrays(r, fv, jobs, machs) for c, r in rules.items()}
             assert len(set(picks.values())) == 1

@@ -1,6 +1,5 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
-import functools
 import itertools
 import math
 import random
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from fafsp import sim
 from fafsp.expr import ACCESSORS
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.rules import BUILTIN_IDS, RuleSpec, rank_arc_arrays
+from fafsp.rules import BUILTIN_IDS, RuleInvalid, RuleSpec, rank_arc_arrays
 from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
                        FeatureView, InfeasibleArcError, SimState, _advance, _dispatch,
                        _rollout, advance_clock, apply_arc, extract_schedule,
@@ -281,11 +280,11 @@ def test_unbound_view_gathers_every_accessor():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=2, mu=1.0,
                                             n_init=3, seed=8))
     state = SimState(inst)
-    jobs, machs = state._arc_arrays()
-    cols = FeatureView(state).arc_columns(jobs, machs)
+    k = state._arc_arrays()
+    cols = FeatureView(state).arc_columns(state.t.pair_job[k], state.t.pair_mach[k])
     assert set(cols) == set(ACCESSORS)
     for name in ACCESSORS:
-        assert cols[name].shape == (len(jobs),) and cols[name].dtype == float
+        assert cols[name].shape == (len(k),) and cols[name].dtype == float
 
 
 # -- the rollout tables against a per-job build --------------------------------
@@ -340,6 +339,18 @@ def _python_arcs(inst, state):
     return [(j.id, m) for j in sorted(inst.jobs, key=lambda j: j.id)
             if state.status[j.id] == READY
             for m in sorted(j.eligible) if state.m_idle[m] <= state.clock]
+
+
+def _arcs_of(state, k):
+    """The (job, machine) arcs of the pair indices k."""
+    return list(zip(state.t.pair_job[k].tolist(), state.t.pair_mach[k].tolist()))
+
+
+def _ranked(state, rule):
+    """Chooser that ranks the arcs k with the rule through the (job,
+    machine) step API, as a traced rollout does."""
+    fv = FeatureView(state, rule.reads)
+    return lambda k: rank_arc_arrays(rule, fv, state.t.pair_job[k], state.t.pair_mach[k])
 
 
 def _check_ready_bookkeeping(inst, state):
@@ -499,15 +510,15 @@ def test_enumeration_matches_python_loop_at_every_step(inst, seed):
     steps = []
 
     def checked():
-        jobs, machs = enumerate_arcs()
-        assert list(zip(jobs.tolist(), machs.tolist())) == _python_arcs(inst, state)
+        k = enumerate_arcs()
+        assert _arcs_of(state, k) == _python_arcs(inst, state)
         _check_ready_bookkeeping(inst, state)
-        steps.append(len(jobs))
-        return jobs, machs
+        steps.append(len(k))
+        return k
 
     state._arc_arrays = checked
     rng = random.Random(seed)
-    sched = _rollout(state, lambda jobs, machs: rng.randrange(len(jobs)))
+    sched = _rollout(state, lambda k: rng.randrange(len(k)))
     assert len(sched.arcs) == sum(n > 0 for n in steps) == inst.num_jobs
 
 
@@ -519,7 +530,7 @@ def test_every_non_delay_rollout_validates_clean(inst, seed):
     # the validator is the engine's independent check, so it must accept any
     # non-delay dispatch sequence, not only the rule-ranked ones
     rng = random.Random(seed)
-    sched = _rollout(SimState(inst), lambda jobs, machs: rng.randrange(len(jobs)))
+    sched = _rollout(SimState(inst), lambda k: rng.randrange(len(k)))
     assert validate_schedule(inst, sched) == []
     assert total_tardiness(sched) == math.fsum(sched.tt.values())
 
@@ -530,10 +541,10 @@ def _reenumerating_rollout(state, choose):
     """_rollout without its step after a dispatch that leaves no arc:
     enumerates the arcs again after every dispatch."""
     while state.done_count < state.t.J:
-        jobs, machs = state._arc_arrays()
-        if len(jobs):
-            k = choose(jobs, machs)
-            _dispatch(state, jobs.item(k), machs.item(k))
+        k = state._arc_arrays()
+        if len(k):
+            p = k.item(choose(k))
+            _dispatch(state, state.t.pair_job_list[p], state.t.pair_mach_list[p])
         else:
             _advance(state)
     return extract_schedule(state)
@@ -556,8 +567,7 @@ def test_single_arc_step_matches_reenumeration(inst, seed):
     logs = []
     for rollout in (_rollout, _reenumerating_rollout):
         rng = random.Random(seed)
-        logs.append(schedule_to_text(rollout(SimState(inst),
-                                             lambda jobs, machs: rng.randrange(len(jobs)))))
+        logs.append(schedule_to_text(rollout(SimState(inst), lambda k: rng.randrange(len(k)))))
     assert logs[0] == logs[1]
 
 
@@ -569,14 +579,14 @@ def _edd_steps(inst, monkeypatch):
     enumerate_arcs = state._arc_arrays
 
     def logged():
-        jobs, machs = enumerate_arcs()
-        steps.append(list(zip(jobs.tolist(), machs.tolist())))
-        return jobs, machs
+        k = enumerate_arcs()
+        steps.append(_arcs_of(state, k))
+        return k
 
     state._arc_arrays = logged
     monkeypatch.setattr(sim, "_advance",
                         lambda s: steps.append(f"advance from {s.clock}") or _advance(s))
-    _rollout(state, functools.partial(rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))
+    _rollout(state, _ranked(state, EDD))
     return steps
 
 
@@ -627,8 +637,7 @@ def test_single_arc_step_skips_enumerations():
             return enumerate_arcs()
 
         state._arc_arrays = counting
-        schedules.append(schedule_to_text(rollout(state, functools.partial(
-            rank_arc_arrays, EDD, FeatureView(state, EDD.reads)))))
+        schedules.append(schedule_to_text(rollout(state, _ranked(state, EDD))))
     assert schedules[0] == schedules[1]
     # 57 of the 67 decisions take time and have arcs that all share the
     # chosen job (10, of which 8 are single arcs) or all share its machine
@@ -636,9 +645,42 @@ def test_single_arc_step_skips_enumerations():
     assert calls == [80, 137]
 
 
-# -- a rule's read set against the full gather -------------------------------------
+# -- the (job, machine) adapter against the pair-index gather -----------------------
 
 BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       seed=st.integers(0, 2**16), reads=st.sets(st.sampled_from(sorted(ACCESSORS))))
+@example(inst=ZERO_LENGTH, seed=0, reads=set())
+def test_arc_columns_equal_the_pair_gather(inst, seed, reads):
+    # at every decision of a random non-delay rollout, the step API's
+    # arc_columns, unbound and bound to a read set, gives the columns the
+    # engine gathers by pair index, bit for bit; and a bound column is the
+    # unbound one
+    state = SimState(inst)
+    views = [(FeatureView(state), sim._gatherer(frozenset(ACCESSORS)), set(ACCESSORS)),
+             (FeatureView(state, reads), sim._gatherer(frozenset(reads)),
+              reads.union(*(BASES.get(name, set()) for name in reads)))]
+    rng = random.Random(seed)
+    decisions = []
+
+    def checked(k):
+        jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
+        columns = [(view.arc_columns(jobs, machs), gather(state, k), names)
+                   for view, gather, names in views]
+        full = columns[0][0]
+        for got, want, names in columns:
+            assert set(got) == set(want) == names
+            for name, col in got.items():
+                assert col.dtype == want[name].dtype == float and col.shape == (len(k),)
+                assert col.tobytes() == want[name].tobytes() == full[name].tobytes(), name
+        decisions.append(len(k))
+        return rng.randrange(len(k))
+
+    _rollout(state, checked)
+    assert len(decisions) >= 1
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -654,7 +696,8 @@ def test_bound_gather_equals_full_gather(inst, steps, reads):
             apply_arc(state, pick_arc(EDD, FeatureView(state), arcs))
         else:
             advance_clock(state)
-    jobs, machs = state._arc_arrays()
+    k = state._arc_arrays()
+    jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
     bound = FeatureView(state, reads).arc_columns(jobs, machs)
     full = FeatureView(state).arc_columns(jobs, machs)
     assert set(bound) == reads.union(*(BASES.get(name, set()) for name in reads))
@@ -663,9 +706,76 @@ def test_bound_gather_equals_full_gather(inst, steps, reads):
         assert np.array_equal(col, full[name])
 
 
+def test_arc_columns_rejects_a_pair_that_is_not_eligible():
+    state = SimState(SHARED_JOB)
+    with pytest.raises(InfeasibleArcError, match="machine 2 is not eligible for job 0"):
+        FeatureView(state).arc_columns(np.array([0, 0]), np.array([1, 2]))
+
+
+# for a rule whose score overflows on a long processing time: at time 0 the
+# arcs are (0, 0), (0, 1) and (2, 0), pairs 0, 1 and 3, and only (2, 0) takes
+# 9 minutes, so the third arc is named, not the third pair
+OVERFLOW = make_instance("ppa", [(0.0, 100.0, [([{0: 1.0, 1: 2.0}], {2: 1.0})]),
+                                 (0.0, 50.0, [([{0: 9.0}], {2: 1.0})])])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       source=st.sampled_from(["exp(100*pt)", "due + exp(1000*(wait - 2))",
+                               "slack + 1/exp(1000*(et - pt))"]))
+@example(inst=OVERFLOW, source="exp(100*pt)")
+def test_both_paths_give_the_same_schedule_or_name_the_same_arc(inst, source):
+    # run_dispatch ranks by pair index, the step API by (job, machine) arc;
+    # a rule either gives the same schedule on both or is rejected on both
+    # with the same message, naming the same (job, machine) arc
+    rule = RuleSpec.expression(source)
+
+    def outcome(rollout):
+        try:
+            return schedule_to_text(rollout(inst, rule))
+        except RuleInvalid as e:
+            return str(e)
+
+    got = outcome(run_dispatch)
+    assert got == outcome(_reference_dispatch)
+    if inst is OVERFLOW:
+        assert got == "rule 'expression': non-finite score inf for arc (job 2, machine 0)"
+
+
 def test_unknown_read_is_rejected():
     with pytest.raises(KeyError):
         FeatureView(SimState(minimal_instance()), {"due", "deadline"})
+
+
+# -- numpy's error state: set once per rollout, the caller's restored ------------
+
+ERRSTATE_INSTANCE = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                                     n_init=2, seed=4))
+
+
+@pytest.mark.parametrize("source", ["due + 1/(pt - pt)",          # protected x/0
+                                    "due + 1/exp(1000*pt)"])      # exp overflows, 1/inf is 0
+def test_run_dispatch_ignores_a_raising_error_state(source):
+    rule = RuleSpec.expression(source)
+    want = schedule_to_text(run_dispatch(ERRSTATE_INSTANCE, rule))
+    assert want == schedule_to_text(run_dispatch(ERRSTATE_INSTANCE, RuleSpec.expression("due")))
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert schedule_to_text(run_dispatch(ERRSTATE_INSTANCE, rule)) == want
+        assert np.geterr() == before
+    assert np.geterr() != before
+
+
+def test_overflowing_rule_is_rejected_in_any_error_state():
+    rule = RuleSpec.expression("exp(1000*pt)")
+    with pytest.raises(RuleInvalid, match="non-finite score inf") as quiet:
+        run_dispatch(ERRSTATE_INSTANCE, rule)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        with pytest.raises(RuleInvalid) as raising:
+            run_dispatch(ERRSTATE_INSTANCE, rule)
+        assert np.geterr() == before
+    assert str(raising.value) == str(quiet.value)
 
 
 # -- replaying an arc log through the epoch loop ----------------------------------
@@ -675,11 +785,11 @@ def test_unknown_read_is_rejected():
 @example(inst=ZERO_LENGTH)
 def test_replay_reproduces_rollout(inst):
     sched = run_dispatch(inst, KERNEL_RULES[1])
-    arcs = iter((a.job, a.machine) for a in sched.arcs)
+    pair_of = SimState(inst).t.pair_of
+    arcs = iter(pair_of[a.job, a.machine] for a in sched.arcs)
 
-    def logged(jobs, machs):
-        j, m = next(arcs)
-        return int(np.flatnonzero((jobs == j) & (machs == m))[0])
+    def logged(k):
+        return int(np.flatnonzero(k == next(arcs))[0])
 
     again = _rollout(SimState(inst), logged)
     assert schedule_to_text(again) == schedule_to_text(sched)

@@ -126,7 +126,7 @@ def test_zero_length_ties_are_checked_in_dispatch_order():
     setup[1 + 1, 3] = 1.0
     inst = make_instance("pa", [(0.0, 0.0, [([{0: 0.0}], {1: 0.0})]),
                                 (0.0, 0.0, [([{0: 0.0}], {1: 0.0})])], setup=setup)
-    sched = _rollout(SimState(inst), lambda jobs, machs: len(jobs) - 1)
+    sched = _rollout(SimState(inst), lambda k: len(k) - 1)
     assert [a.job for a in sched.arcs if a.machine == 1] == [3, 1]
     assert validate_schedule(inst, sched) == []
 
