@@ -1,7 +1,7 @@
 """Dynamic flexible assembly flow shop: simulator, rule language, validation
 oracles, and LLM-driven dispatching-rule evolution."""
 
-from .model import (DocumentError, Instance, InstanceFormatError, Job, Machine, Order,
+from .model import (DocumentError, Instance, Job, Machine, Order,
                     Product, Stage, check_instance, load_instance, save_instance)
 from .generator import ScenarioConfig, generate_instance, load_scenario
 from .sim import Schedule, run_dispatch, total_tardiness

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (Instance, Job, Machine, Order, Product, Stage, load_json,
+from .model import (MAX_JOBS, Instance, Job, Machine, Order, Product, Stage, load_json,
                     read_document)
 
 ASSEMBLY_RATE_MEAN = 8.0
@@ -28,6 +28,11 @@ RATE_FLOOR = 0.5
 WORK_LOW, WORK_HIGH = 4.0, 12.0
 PROC_JOBS_LOW, PROC_JOBS_HIGH = 2, 5
 SETUP_FRACTION = 0.2
+#: caps on a scenario: orders average 9 jobs, so MAX_ORDERS orders average
+#: about 4,700 jobs, below MAX_JOBS; a rollout's (job x machine) tables take
+#: 8 bytes per job and machine, 4 MB per table and stage at both caps
+MAX_ORDERS = int(MAX_JOBS / 9.5)
+MAX_STAGE_MACHINES = 100
 
 
 @dataclass
@@ -43,14 +48,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError("need at least one machine per stage")
+        if not (1 <= self.m1 <= MAX_STAGE_MACHINES and 1 <= self.m2 <= MAX_STAGE_MACHINES):
+            raise ValueError(f"m1 and m2 must lie in 1..{MAX_STAGE_MACHINES}, "
+                             f"not {self.m1} and {self.m2}")
         if not (0.0 < self.phi <= 1.0):
             raise ValueError(f"phi must be in (0, 1], got {self.phi}")
         if self.alpha < 0 or self.n_init < 0:
             raise ValueError("alpha and n_init must be >= 0")
-        if self.alpha + self.n_init < 1:
-            raise ValueError("need at least one order")
+        if not 1 <= self.alpha + self.n_init <= MAX_ORDERS:
+            raise ValueError(f"alpha + n_init must lie in 1..{MAX_ORDERS}, "
+                             f"not {self.alpha + self.n_init}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if not (0.0 <= self.T <= 1.0 and 0.0 <= self.R <= 1.0):
@@ -170,6 +177,9 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
         n_products = sample_product_count(rng_struct)
         skeleton.append([int(rng_struct.integers(PROC_JOBS_LOW, PROC_JOBS_HIGH + 1))
                          for _ in range(n_products)])
+    n_jobs = sum(n + 1 for prods in skeleton for n in prods)
+    if n_jobs > MAX_JOBS:                   # before any job record or the setup matrix
+        raise ValueError(f"seed {cfg.seed}: {n_jobs} jobs exceed the cap of {MAX_JOBS}")
 
     jobs: list[Job] = []
     orders_raw: list[list[Product]] = []
@@ -198,7 +208,6 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
             pid += 1
         orders_raw.append(products)
 
-    n_jobs = len(jobs)
     all_pt = [pt for j in jobs for pt in j.eligible.values()]
     mean_pt = math.fsum(all_pt) / len(all_pt)
     setup = rng_setup.uniform(0.0, SETUP_FRACTION * mean_pt, size=(n_jobs + 1, n_jobs))

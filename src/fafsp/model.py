@@ -40,10 +40,6 @@ class DocumentError(ValueError):
     and the JSON path of the offending value."""
 
 
-class InstanceFormatError(DocumentError):
-    """Raised when an instance file cannot be parsed or cross-linked."""
-
-
 @dataclass(frozen=True)
 class Machine:
     id: int
@@ -217,6 +213,14 @@ def check_instance(inst: Instance) -> list[str]:
             i, j = np.argwhere(~np.isfinite(inst.setup))[0]
             out.append(f"setup[{i}, {j}] = {inst.setup[i, j]} is not finite")
 
+    if not out:
+        # no completion time passes the horizon, and no sum of order
+        # tardiness passes (orders + 1) x horizon: both must be finite
+        into = inst.setup.max(axis=0).tolist()             # the largest setup into each job
+        horizon = max(o.arrival for o in inst.orders) + sum(
+            max(j.eligible.values()) + into[j.id] for j in inst.jobs)
+        if not math.isfinite((len(inst.orders) + 1) * horizon):
+            out.append(f"horizon {horizon} times {len(inst.orders) + 1} (orders + 1) is not finite")
     return out
 
 
@@ -262,42 +266,6 @@ def instance_to_doc(inst: Instance) -> dict:
     }
 
 
-def _require(doc, key: str, where: str):
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{where}: expected an object, not {doc!r:.60}")
-    if key not in doc:
-        raise InstanceFormatError(f"{where}: missing field '{key}'")
-    return doc[key]
-
-
-def _convert(fn, value, where: str):
-    """fn(value); InstanceFormatError naming the field if fn rejects it."""
-    try:
-        return fn(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InstanceFormatError(f"{where}: invalid value {value!r:.60} ({e})") from None
-
-
-def _field(doc, key: str, where: str, fn):
-    return _convert(fn, _require(doc, key, where), f"{where}.{key}")
-
-
-def _number(value) -> float:
-    """A time or changeover: a finite number, not a bool or a string."""
-    if not _finite(value):
-        raise TypeError("expected a finite number")
-    return float(value)
-
-
-def _id(value) -> int:
-    """An id: an integer, or a float with an integral value; not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected an integer id")
-    if value != int(value):
-        raise ValueError("expected an integral id")
-    return int(value)
-
-
 def _key_id(key: str) -> int:
     """An id written as text (a JSON object key, a schedule field): exactly
     the plain text of an integer."""
@@ -318,100 +286,89 @@ def _decimal(text: str) -> float:
     return value
 
 
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return value
+@dataclass
+class _ProductDoc:
+    id: int
+    assembly_job: int
+    processing_jobs: tuple[int, ...]
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected an object")
-    return value
+@dataclass
+class _OrderDoc:
+    id: int
+    arrival: float
+    due: float
+    products: tuple[_ProductDoc, ...]
 
 
-def instance_from_doc(doc: dict) -> Instance:
-    """Build and fully check an Instance from its plain-dict form; any
-    malformed field raises InstanceFormatError naming it."""
-    top = "top level"
-    machines = tuple(
-        Machine(_field(m, "id", f"machines[{i}]", _id),
-                _field(m, "stage", f"machines[{i}]", Stage))
-        for i, m in enumerate(_field(doc, "machines", top, _list))
-    )
+@dataclass
+class _JobDoc:
+    id: int
+    kind: Stage
+    eligible: dict[int, float]
 
-    job_kind: dict[int, Stage] = {}
-    job_elig: dict[int, dict[int, float]] = {}
-    job_docs = _field(doc, "jobs", top, _list)
-    if len(job_docs) > MAX_JOBS:            # before the setup matrix is allocated
-        raise InstanceFormatError(f"jobs: {len(job_docs)} jobs exceed the cap of {MAX_JOBS}")
-    for i, j in enumerate(job_docs):
-        where = f"jobs[{i}]"
-        jid = _field(j, "id", where, _id)
-        job_kind[jid] = _field(j, "kind", where, Stage)
-        job_elig[jid] = {_convert(_key_id, m, f"{where}.eligible"):
-                         _convert(_number, pt, f"{where}.eligible[{m!r}]")
-                         for m, pt in _field(j, "eligible", where, _object).items()}
 
-    orders = []
-    job_owner: dict[int, tuple[int, int, frozenset[int]]] = {}
-    for i, o in enumerate(_field(doc, "orders", top, _list)):
-        where = f"orders[{i}]"
-        oid = _field(o, "id", where, _id)
-        products = []
-        for k, p in enumerate(_field(o, "products", where, _list)):
-            pwhere = f"{where}.products[{k}]"
-            pid = _field(p, "id", pwhere, _id)
-            asm = _field(p, "assembly_job", pwhere, _id)
-            procs = _field(p, "processing_jobs", pwhere,
-                           lambda xs: tuple(_id(x) for x in _list(xs)))
-            for jid in (*procs, asm):
-                if jid not in job_kind:
-                    raise InstanceFormatError(f"{pwhere}: dangling job id {jid}")
-            products.append(Product(pid, asm, procs))
-            job_owner[asm] = (oid, pid, frozenset(procs))
-            for jid in procs:
-                job_owner[jid] = (oid, pid, frozenset())
-        orders.append(Order(oid, _field(o, "arrival", where, _number),
-                            _field(o, "due", where, _number), tuple(products)))
+@dataclass
+class _SetupDoc:
+    default: float
+    overrides: tuple[tuple[int, int, float], ...] = ()    # [from job, to job, minutes]
 
-    jobs = []
-    for jid in sorted(job_kind):
-        if jid not in job_owner:
-            raise InstanceFormatError(f"jobs: job {jid} referenced by no product")
-        oid, pid, preds = job_owner[jid]
-        jobs.append(Job(jid, job_kind[jid], oid, pid, preds, job_elig[jid]))
 
-    n = len(jobs)
-    raw = _require(doc, "setup", top)
-    if isinstance(raw, dict):
-        setup = np.full((n + 1, n), _field(raw, "default", "setup", _number), dtype=float)
-        setup[0, :] = 0.0
-        for k, entry in enumerate(_convert(_list, raw.get("overrides", []), "setup.overrides")):
-            where = f"setup.overrides[{k}]"
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise InstanceFormatError(f"{where}: expected [from job, to job, minutes], "
-                                          f"not {entry!r:.60}")
-            j1, j2 = _convert(_id, entry[0], where), _convert(_id, entry[1], where)
+@dataclass
+class _InstanceDoc:
+    machines: tuple[Machine, ...]       # its stage read as text
+    orders: tuple[_OrderDoc, ...]
+    jobs: tuple[_JobDoc, ...]
+    setup: dict | tuple                 # a _SetupDoc, or the dense rows
+
+
+def _setup_matrix(setup, n: int, path: str) -> np.ndarray:
+    """The (n + 1) x n matrix of a document's ``setup``."""
+    if isinstance(setup, dict):
+        sparse = read_document(_SetupDoc, setup, path)
+        matrix = np.full((n + 1, n), float(sparse.default))
+        matrix[0] = 0.0
+        for k, (j1, j2, minutes) in enumerate(sparse.overrides):
             if not (0 <= j1 < n and 0 <= j2 < n):
-                raise InstanceFormatError(f"{where}: job ids must lie in 0..{n - 1}, "
-                                          f"not {j1} and {j2}")
-            setup[j1 + 1, j2] = _convert(_number, entry[2], where)
-    else:
-        rows = _convert(_list, raw, "setup")
-        for i, row in enumerate(rows):
-            # JSON numbers parse to int or float: a C-speed type scan clears a
-            # row, and check_instance reports a NaN or infinite entry
-            if not (isinstance(row, list) and set(map(type, row)) <= {int, float}):
-                for j, v in enumerate(_convert(_list, row, f"setup[{i}]")):
-                    _convert(_number, v, f"setup[{i}][{j}]")
-        setup = _convert(lambda rows: np.asarray(rows, dtype=float), rows, "setup")
+                raise DocumentError(f"{path}.overrides[{k}]: job ids must lie in "
+                                    f"0..{n - 1}, not {j1} and {j2}")
+            matrix[j1 + 1, j2] = minutes
+        return matrix
+    # JSON numbers parse to int or float: a C-speed type scan clears a row,
+    # where a _read per value would take seconds; check_instance reports a
+    # NaN or infinite entry and a wrong shape
+    if not all(isinstance(row, list) and set(map(type, row)) <= {int, float} for row in setup):
+        _read(tuple[tuple[float, ...], ...], setup, path)   # raises, naming the value
+    try:
+        return np.array(setup, dtype=float)
+    except (OverflowError, ValueError):             # an integer past the float range; ragged rows
+        raise DocumentError(f"{path} must be {n + 1} rows of {n} finite numbers") from None
 
-    inst = Instance(machines, tuple(sorted(orders, key=lambda o: o.id)),
-                    tuple(jobs), setup)
-    violations = check_instance(inst)
-    if violations:
-        raise InstanceFormatError("invalid instance: " + "; ".join(violations))
+
+def instance_from_doc(doc, label: str = "instance") -> Instance:
+    """Build and fully check an Instance from its parsed JSON form; a
+    malformed document raises DocumentError naming ``label`` and the JSON
+    path, as ``read_document`` does, or listing check_instance's violations."""
+    jobs = doc.get("jobs") if isinstance(doc, dict) else None
+    if isinstance(jobs, list) and len(jobs) > MAX_JOBS:   # before any record or the setup matrix
+        raise DocumentError(f"{label}.jobs: {len(jobs)} jobs exceed the cap of {MAX_JOBS}")
+    read = read_document(_InstanceDoc, doc, label)
+    owner = {}                          # job id -> (order id, product id, predecessors)
+    for o in read.orders:
+        for p in o.products:
+            owner[p.assembly_job] = (o.id, p.id, frozenset(p.processing_jobs))
+            owner.update((j, (o.id, p.id, frozenset())) for j in p.processing_jobs)
+    orders = [Order(o.id, o.arrival, o.due, tuple(
+        Product(p.id, p.assembly_job, p.processing_jobs) for p in o.products)) for o in read.orders]
+    # a job that no product claims has no owner, and check_instance names it
+    jobs = [Job(j.id, Stage(j.kind), *owner.get(j.id, (-1, -1, frozenset())), j.eligible)
+            for j in read.jobs]
+    inst = Instance(tuple(Machine(m.id, Stage(m.stage)) for m in read.machines),
+                    tuple(sorted(orders, key=lambda o: o.id)),
+                    tuple(sorted(jobs, key=lambda j: j.id)),
+                    _setup_matrix(read.setup, len(jobs), f"{label}.setup"))
+    if violations := check_instance(inst):
+        raise DocumentError(f"{label}: " + "; ".join(violations))
     return inst
 
 
@@ -441,19 +398,19 @@ def write_text(path, text: str, append: bool = False) -> None:
         fh.write(text)
 
 
-def load_json(path, error: type[ValueError] = DocumentError):
-    """The parsed JSON file; malformed JSON raises ``error`` naming the file,
-    line and column, and text that is not UTF-8, nesting too deep for the
-    parser or any other ValueError of the parser raises it naming the file."""
-    text = read_text(path, error)
+def load_json(path):
+    """The parsed JSON file; malformed JSON raises DocumentError naming the
+    file, line and column, and text that is not UTF-8, nesting too deep for
+    the parser or any other ValueError of the parser raises it naming the file."""
+    text = read_text(path, DocumentError)
     try:
         return json.loads(text)
     except RecursionError:
-        raise error(f"{path}: JSON nested too deep") from None
+        raise DocumentError(f"{path}: JSON nested too deep") from None
     except json.JSONDecodeError as e:
-        raise error(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+        raise DocumentError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except ValueError as e:             # e.g. an integer literal past the digit limit
-        raise error(f"{path}: {e}") from e
+        raise DocumentError(f"{path}: {e}") from e
 
 
 def read_json_lines(path, error: type[ValueError] = ValueError,
@@ -486,11 +443,12 @@ def json_lines(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-# -- config documents --------------------------------------------------------
+# -- outside documents -------------------------------------------------------
 #
-# Scenario, evolution-config and grid documents are JSON objects read into
-# dataclasses. Each field's annotation says what its value must be; range and
-# cross-field checks stay in each dataclass's validate().
+# Instance, scenario, evolution-config and grid documents are JSON objects
+# read into dataclasses. Each field's annotation says what its value must
+# be; range and cross-field checks stay in each dataclass's validate(), and
+# an instance's in check_instance.
 
 
 def _finite(v) -> bool:
@@ -507,22 +465,51 @@ _LEAVES = {bool: (lambda v: isinstance(v, bool), "true or false"),
            str: (lambda v: isinstance(v, str), "a string"),
            os.PathLike: (lambda v: isinstance(v, os.PathLike), "a path"),
            type(None): (lambda v: v is None, "null"),
-           tuple: (lambda v: isinstance(v, (list, tuple)), "a list")}
+           Stage: (lambda v, stages=tuple(Stage): v in stages, '"processing" or "assembly"'),
+           tuple: (lambda v: isinstance(v, (list, tuple)), "a list"),
+           dict: (lambda v: isinstance(v, dict), "an object")}
 
 _hints = functools.cache(typing.get_type_hints)     # annotations resolved once per class
 
 
+@functools.cache
+def _shape(tp):
+    """(origin, arguments, _LEAVES entries) of an annotation; no entries for
+    a dataclass."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    return origin, args, None if is_dataclass(tp) else [
+        _LEAVES[t] for t in ((origin,) if origin in (tuple, dict) else args or (tp,))]
+
+
 def _read(tp, value, path: str):
     """``value`` checked against the annotation ``tp``: a union of _LEAVES,
-    tuple[X, ...] read from a list, or a dataclass read from an object."""
-    if is_dataclass(tp):
+    tuple[X, ...] or tuple[X, Y, ...] read from a list, dict[int, X] read
+    from an object keyed by the plain text of integers, or a dataclass read
+    from an object."""
+    if (leaf := _LEAVES.get(tp)) and leaf[0](value):     # the common case, first
+        return value
+    origin, args, leaves = _shape(tp)
+    if leaves is None:
         return read_document(tp, value, path)
-    args, items = typing.get_args(tp), typing.get_origin(tp) is tuple
-    leaves = [_LEAVES[t] for t in ((tuple,) if items else args or (tp,))]
     if not any(test(value) for test, _ in leaves):
         raise DocumentError(f"{path} must be {' or '.join(w for _, w in leaves)}, "
                             f"not {json.dumps(value, default=repr):.60}")
-    return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)) if items else value
+    if origin is dict:
+        out, leaf = {}, _LEAVES.get(args[1])
+        for key, v in value.items():
+            try:
+                k = _key_id(key)
+            except ValueError:
+                raise DocumentError(f"{path} key {json.dumps(key):.60} must be "
+                                    f"the plain text of an integer") from None
+            out[k] = v if leaf and leaf[0](v) else _read(args[1], v, f'{path}["{key}"]')
+        return out
+    if origin is tuple:
+        items = (args[0],) * len(value) if args[1:] == (Ellipsis,) else args
+        if len(items) != len(value):
+            raise DocumentError(f"{path} must be a list of {len(items)} items, not {len(value)}")
+        return tuple(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    return value
 
 
 def read_document(cls, doc, label: str):
@@ -540,8 +527,8 @@ def read_document(cls, doc, label: str):
                             f"not {json.dumps(doc, default=repr):.60}")
     if unknown := [key for key in doc if key not in hints]:
         raise DocumentError(f"{label}: unknown key {unknown[0]!r}; choose from {', '.join(hints)}")
-    if missing := [f.name for f in fields(cls)
-                   if f.name not in doc and f.default is f.default_factory is MISSING]:
+    if len(doc) < len(hints) and (missing := [f.name for f in fields(cls) if f.name not in doc
+                                              and f.default is f.default_factory is MISSING]):
         raise DocumentError(f"{label} is missing key {missing[0]!r}")
     obj = cls(**{key: _read(hints[key], value, f"{label}.{key}") for key, value in doc.items()})
     try:
@@ -559,4 +546,4 @@ def check_fields(obj, label: str) -> None:
 
 
 def load_instance(path) -> Instance:
-    return instance_from_doc(load_json(path, InstanceFormatError))
+    return instance_from_doc(load_json(path), f"{path}: instance")

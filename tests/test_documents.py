@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fafsp.bench import _Grid
 from fafsp.cli import main
 from fafsp.evolve import EvolutionConfig
-from fafsp.generator import ScenarioConfig
+from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.model import DocumentError, instance_from_doc, instance_to_doc, read_document
 
 from helpers import minimal_instance
@@ -83,6 +83,8 @@ def test_mutated_documents_raise_only_document_errors(data, kind):
             read(doc)
         except DocumentError as e:
             assert str(e) and "\n" not in str(e)
+        else:
+            assert '"bogus":' not in json.dumps(doc)    # no document has such a key
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -95,7 +97,10 @@ def test_mutated_documents_raise_only_document_errors(data, kind):
      "grid.scenarios[1].phi must be a finite number, not true"),
     (["bench", "--rules", "EDD", "--grid"], {"scenarios": [{**SCENARIO, "phi": 1.5}]},
      "grid.scenarios[0]: phi must be in (0, 1], got 1.5"),
-], ids=["scenario", "evolution-config", "grid", "grid-range"])
+    (["run", "--rule", "EDD", "--instance"],
+     {**DOCUMENTS["instance"][1], "jobs": [{"id": None, "kind": "processing", "eligible": {}}]},
+     "instance.jobs[0].id must be an integer, not null"),
+], ids=["scenario", "evolution-config", "grid", "grid-range", "instance"])
 def test_cli_document_error_names_file_and_json_path(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -103,3 +108,27 @@ def test_cli_document_error_names_file_and_json_path(tmp_path, capsys, command, 
     assert main([*command, str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
+
+
+def _horizon_doc(pt=None, setup=None):
+    """A 17-job, 4-order instance with every processing time ``pt`` or the
+    setup ``setup``: each time is finite, the horizon is not."""
+    doc = instance_to_doc(generate_instance(ScenarioConfig(m1=1, m2=2, phi=0.7, alpha=1, mu=1.0,
+                                                           n_init=3, seed=1)))
+    for job in doc["jobs"]:
+        job["eligible"] = {m: pt or t for m, t in job["eligible"].items()}
+    return {**doc, "setup": setup or doc["setup"]}
+
+
+@pytest.mark.parametrize("doc", [_horizon_doc(pt=1e308), _horizon_doc(setup={"default": 1e308}),
+                                 _horizon_doc(pt=1e307)],
+                         ids=["processing-1e308", "setup-1e308", "processing-1e307"])
+def test_cli_refuses_an_instance_whose_horizon_is_not_finite(tmp_path, capsys, doc):
+    # an event time past the float range, or a tardiness sum of 1e307 per
+    # order, ended the rollout in a traceback
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--rule", "EDD", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: instance: horizon ")
+    assert err.count("error:") == 1 and "Traceback" not in err and "is not finite" in err

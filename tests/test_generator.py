@@ -1,12 +1,15 @@
 """Scenario generator: sampling laws, arrival model, structural validity."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fafsp.generator import (ScenarioConfig, generate_instance, order_lower_bound,
-                             sample_due_date, sample_product_count,
-                             schedule_arrivals)
-from fafsp.model import Stage, check_instance, instance_to_doc
+from fafsp.generator import (MAX_ORDERS, MAX_STAGE_MACHINES, ScenarioConfig,
+                             generate_instance, order_lower_bound, sample_due_date,
+                             sample_product_count, schedule_arrivals)
+from fafsp.model import MAX_JOBS, Stage, check_instance, instance_to_doc
 
 from helpers import make_instance
 
@@ -133,6 +136,33 @@ def test_config_validation():
         ScenarioConfig(m1=1, m2=1, phi=0.5, alpha=1, mu=0.0).validate()
     with pytest.warns(UserWarning):
         ScenarioConfig(m1=1, m2=1, phi=0.5, alpha=1, mu=1.0, T=0.9, R=0.9).validate()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"m1": 10**9}, "m1 and m2 must lie in 1..100, not 1000000000 and 2"),
+    ({"m2": MAX_STAGE_MACHINES + 1}, "m1 and m2 must lie in 1..100, not 1 and 101"),
+    ({"alpha": 10**12}, f"alpha + n_init must lie in 1..{MAX_ORDERS}, not 1000000000005"),
+    ({"alpha": MAX_ORDERS - 4},
+     f"alpha + n_init must lie in 1..{MAX_ORDERS}, not {MAX_ORDERS + 1}"),
+    # the order skeleton of seed 19 at the order cap holds 5,155 jobs
+    ({"alpha": MAX_ORDERS - 5, "seed": 19}, f"seed 19: 5155 jobs exceed the cap of {MAX_JOBS}"),
+], ids=["m1-huge", "m2-over", "orders-huge", "orders-over", "jobs-over"])
+def test_scenario_caps_refuse_before_allocation(fields, message):
+    cfg = ScenarioConfig(**{"m1": 1, "m2": 2, "phi": 0.7, "alpha": 1, "mu": 1.0, **fields})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_instance(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the machines, the job records or the 8(J+1)J-byte setup matrix would take more
+    assert peak < 8 * MAX_JOBS ** 2 / 100
+
+
+def test_scenario_caps_admit_values_at_the_cap():
+    ScenarioConfig(m1=MAX_STAGE_MACHINES, m2=MAX_STAGE_MACHINES, phi=0.5,
+                   alpha=MAX_ORDERS - 5, mu=1.0).validate()
 
 
 def test_n_init_zero_first_arrival_positive():

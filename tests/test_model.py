@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 import fafsp
 from fafsp import model
-from fafsp.model import (InstanceFormatError, Stage, check_instance,
+from fafsp.model import (DocumentError, Stage, check_instance,
                          instance_from_doc, instance_to_doc,
                          load_instance, save_instance)
 from fafsp.generator import ScenarioConfig, generate_instance
@@ -89,14 +91,14 @@ def test_assembly_without_kit_rejected_on_load():
     doc["orders"][0]["products"][0]["processing_jobs"] = []
     del doc["jobs"][0]
     doc["setup"] = [[0.0], [0.0]]
-    with pytest.raises(InstanceFormatError, match="assembly without kit"):
+    with pytest.raises(DocumentError, match="assembly without kit"):
         instance_from_doc(doc)
 
 
 def test_dangling_job_reference_named():
     doc = instance_to_doc(minimal_instance())
     doc["orders"][0]["products"][0]["assembly_job"] = 99
-    with pytest.raises(InstanceFormatError, match="99"):
+    with pytest.raises(DocumentError, match="order 0: unknown job 99"):
         instance_from_doc(doc)
 
 
@@ -110,7 +112,7 @@ def _overrides(*entries):
     (("orders", 0), {"arrival": None}, "orders[0].arrival"),
     (("orders", 0, "products", 0), {"processing_jobs": 5},
      "orders[0].products[0].processing_jobs"),
-    ((), _overrides([0, 1, None]), "setup.overrides[0]"),
+    ((), _overrides([0, 1, None]), "setup.overrides[0][2]"),
     (("jobs", 0), {"eligible": [1]}, "jobs[0].eligible"),
     ((), _overrides([0, 9, 1]), "setup.overrides[0]"),
     ((), _overrides([0, -1, 2.5]), "setup.overrides[0]"),
@@ -119,33 +121,35 @@ def _overrides(*entries):
     (("orders", 0, "products", 0), {"assembly_job": True},
      "orders[0].products[0].assembly_job"),
     (("orders", 0, "products", 0), {"processing_jobs": [0.7]},
-     "orders[0].products[0].processing_jobs"),
-    ((), _overrides([0.5, 1, 2.0]), "setup.overrides[0]"),
+     "orders[0].products[0].processing_jobs[0]"),
+    ((), _overrides([0.5, 1, 2.0]), "setup.overrides[0][0]"),
+    (("jobs", 0), {"id": 3.0}, "jobs[0].id"),
 ], ids=["machine-not-object", "job-id-null", "arrival-null", "processing-jobs-int",
         "override-value-null", "eligible-list", "override-index-too-big",
         "override-index-negative", "override-too-short", "job-id-bool",
-        "assembly-job-bool", "processing-job-fractional", "override-index-fractional"])
+        "assembly-job-bool", "processing-job-fractional", "override-index-fractional",
+        "job-id-integral-float"])
 def test_malformed_field_is_named(path, value, field):
     doc = instance_to_doc(minimal_instance())
     target = doc
     for key in path:
         target = target[key]
     target.update(value)
-    with pytest.raises(InstanceFormatError) as e:
+    with pytest.raises(DocumentError) as e:
         instance_from_doc(doc)
-    assert str(e.value).startswith(field + ":")
+    assert re.match(re.escape(f"instance.{field}") + "[ :]", str(e.value)), str(e.value)
 
 
 @pytest.mark.parametrize("path, value, field", [
     (("orders", 0), {"arrival": True}, "orders[0].arrival"),
     (("orders", 0), {"due": "7.5"}, "orders[0].due"),
     (("orders", 0), {"due": math.nan}, "orders[0].due"),
-    (("jobs", 0), {"eligible": {"0": "2.5"}}, "jobs[0].eligible['0']"),
-    (("jobs", 0), {"eligible": {"0": 10**400}}, "jobs[0].eligible['0']"),
+    (("jobs", 0), {"eligible": {"0": "2.5"}}, 'jobs[0].eligible["0"]'),
+    (("jobs", 0), {"eligible": {"0": 10**400}}, 'jobs[0].eligible["0"]'),
     ((), {"setup": [[0.0, 0.0], [0.0, True], [0.0, 0.0]]}, "setup[1][1]"),
     ((), {"setup": [[0.0, 0.0], "row", [0.0, 0.0]]}, "setup[1]"),
     ((), {"setup": {"default": False}}, "setup.default"),
-    ((), _overrides([0, 1, "1.5"]), "setup.overrides[0]"),
+    ((), _overrides([0, 1, "1.5"]), "setup.overrides[0][2]"),
 ], ids=["arrival-bool", "due-string", "due-nan", "eligible-string", "eligible-huge-int",
         "matrix-bool", "matrix-row-string", "default-bool", "override-string"])
 def test_instance_times_must_be_finite_numbers(path, value, field):
@@ -156,27 +160,46 @@ def test_instance_times_must_be_finite_numbers(path, value, field):
 def test_eligible_key_must_be_plain_integer_text(key):
     doc = instance_to_doc(minimal_instance())
     doc["jobs"][0]["eligible"] = {key: 5.0}
-    with pytest.raises(InstanceFormatError) as e:
+    with pytest.raises(DocumentError) as e:
         instance_from_doc(doc)
-    assert str(e.value).startswith("jobs[0].eligible:")
+    assert str(e.value) == (f"instance.jobs[0].eligible key {json.dumps(key)} "
+                            f"must be the plain text of an integer")
+
+
+@pytest.mark.parametrize("path, where", [
+    ((), "instance"), (("machines", 0), "instance.machines[0]"),
+    (("orders", 0), "instance.orders[0]"),
+    (("orders", 0, "products", 0), "instance.orders[0].products[0]"),
+    (("jobs", 0), "instance.jobs[0]"), (("setup",), "instance.setup"),
+])
+def test_unknown_key_is_refused_at_every_level(path, where):
+    doc = instance_to_doc(minimal_instance())
+    doc["setup"] = {"default": 0.5}
+    target = doc
+    for key in path:
+        target = target[key]
+    target["note"] = "hand-edited"
+    with pytest.raises(DocumentError) as e:
+        instance_from_doc(doc)
+    assert str(e.value).startswith(f"{where}: unknown key 'note'; choose from ")
 
 
 def test_non_object_document_rejected():
-    with pytest.raises(InstanceFormatError, match="top level: expected an object"):
+    with pytest.raises(DocumentError, match=r"^instance must be an object with keys machines, "):
         instance_from_doc([])
 
 
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"machines": [,]}', encoding="utf-8")
-    with pytest.raises(InstanceFormatError, match="line 1"):
+    with pytest.raises(DocumentError, match="line 1"):
         load_instance(path)
 
 
 def test_non_utf8_file_named(tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")
-    with pytest.raises(InstanceFormatError) as e:
+    with pytest.raises(DocumentError) as e:
         load_instance(path)
     assert str(e.value).startswith(f"{path}: not UTF-8 text")
 
@@ -333,8 +356,8 @@ def test_job_count_above_the_cap_is_refused_before_the_setup_matrix():
     doc = _kits_doc(model.MAX_JOBS // 2 + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(InstanceFormatError,
-                           match=f"^jobs: {model.MAX_JOBS + 2} jobs exceed the cap"):
+        with pytest.raises(DocumentError,
+                           match=f"^instance.jobs: {model.MAX_JOBS + 2} jobs exceed the cap"):
             instance_from_doc(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -346,5 +369,5 @@ def test_job_count_above_the_cap_is_refused_before_the_setup_matrix():
 def test_job_cap_admits_an_instance_at_the_cap(monkeypatch):
     monkeypatch.setattr(model, "MAX_JOBS", 4)
     assert instance_from_doc(_kits_doc(2)).num_jobs == 4
-    with pytest.raises(InstanceFormatError, match="^jobs: 6 jobs exceed the cap of 4$"):
+    with pytest.raises(DocumentError, match="^instance.jobs: 6 jobs exceed the cap of 4$"):
         instance_from_doc(_kits_doc(3))
