@@ -29,8 +29,8 @@ WORK_LOW, WORK_HIGH = 4.0, 12.0
 PROC_JOBS_LOW, PROC_JOBS_HIGH = 2, 5
 SETUP_FRACTION = 0.2
 #: caps on a scenario: orders average 9 jobs, so MAX_ORDERS orders average
-#: about 4,700 jobs, below MAX_JOBS; a rollout's (job x machine) tables take
-#: 8 bytes per job and machine, 4 MB per table and stage at both caps
+#: about 4,700 jobs, below MAX_JOBS; a rollout's one (job x machine) table,
+#: incidence, takes 8 bytes per job and machine, 4 MB per stage at both caps
 MAX_ORDERS = int(MAX_JOBS / 9.5)
 MAX_STAGE_MACHINES = 100
 

@@ -4,27 +4,27 @@ Decision epochs open at time zero and whenever a job completes or an order
 arrives. A decision enumerates the feasible (job, machine) arcs from the
 state, which keeps its ready jobs' pairs as a mask over the instance's
 flat array of (job, eligible machine) pairs: the arcs are the ready pairs
-whose machine is idle, and a decision's arcs are their indices into that
-array, from enumeration through ranking to dispatch. With the mask the
-state keeps a ready count and per-machine queue counts, and updates all
-three only when a job enters or leaves READY (arrival, kit completion,
-dispatch), so an epoch with no ready job costs nothing and the others scan
-no job status. The active rule ranks the arcs with the columns it reads,
-gathered from the current state by pair index in one call; when no
-feasible arc remains the clock jumps to the next event, and after a
-dispatch that provably leaves no arc it jumps without enumerating (see
-``_rollout``). Completions are processed before arrivals that share the
-same timestamp. Every rollout starts from a copy of the instance's
-time-zero state, built once next to the instance's static tables. One loop
-steps the rollout, and it takes the arc to dispatch from a chooser:
-``run_dispatch`` ranks the arcs with a rule, and the oracle replays its
-optimal arc log through the same loop to build its schedule. A rollout
-owns numpy's error state: ``run_dispatch`` sets it once, around the whole
-loop, and restores the caller's on return.
+whose machine is idle, and an arc is its index into that array from
+enumeration through ranking to dispatch. With the mask the state keeps a
+ready count and per-machine queue counts, and updates all three only when
+a job enters or leaves READY (arrival, kit completion, dispatch), so an
+epoch with no ready job costs nothing and the others scan no job status.
+The active rule ranks the arcs with the columns it reads, gathered from
+the current state by pair index in one call; when no feasible arc remains
+the clock jumps to the next event, and after a dispatch that provably
+leaves no arc it jumps without enumerating (see ``_rollout``). Completions
+are processed before arrivals that share the same timestamp. Every rollout
+starts from a copy of the instance's time-zero state, built once with the
+instance's static tables and cached on the instance, the engine's one
+per-instance cache. One loop steps the rollout, and it takes the arc to
+dispatch from a chooser: ``run_dispatch`` ranks the arcs with a rule, and
+the oracle replays its optimal arc log through the same loop to build its
+schedule. A rollout owns numpy's error state: ``run_dispatch`` sets it
+once, around the whole loop, and restores the caller's on return.
 
 The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
-``advance_clock``) speaks in (job, machine) arcs, and maps them to pair
-indices where it gathers columns.
+``advance_clock``) speaks in (job, machine) arcs; ``_pair_indices``, its one
+adapter, maps them to pair indices and refuses an arc it cannot map.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -90,7 +90,12 @@ def total_tardiness(sched: Schedule) -> float:
 
 
 class _Tables:
-    """Static per-instance arrays shared by every rollout of that instance."""
+    """Static per-instance arrays shared by every rollout of that instance.
+
+    Every (job, eligible machine) pair, sorted by job and then machine, is an
+    index into the flat ``pair_*`` arrays, job j's pairs being
+    ``pair_start[j]:pair_start[j + 1]``. An arc is its pair index from
+    enumeration to dispatch, and a static column is one gather by it."""
 
     def __init__(self, inst: Instance):
         violations = check_instance(inst)
@@ -105,37 +110,26 @@ class _Tables:
         self.job_order_list = [0] * J                       # for scalar reads
         self.succ = [-1] * J                                # feeding assembly job
         self.pred_count = [0] * J
-        rows: list[int] = []
-        cols: list[int] = []
+        self.pair_start = [0]
+        machs: list[int] = []
         pts: list[float] = []
-        for job in inst.jobs:
+        for job in sorted(inst.jobs, key=lambda job: job.id):
             ms = sorted(job.eligible)
-            rows += [job.id] * len(ms)
-            cols += ms
+            machs += ms
             pts += [job.eligible[m] for m in ms]
+            self.pair_start.append(len(machs))
             self.is_assembly[job.id] = job.kind == Stage.ASSEMBLY
             self.job_order_list[job.id] = job.order_id
             self.pred_count[job.id] = len(job.predecessors)
-        self.ptmat = np.full((J, M), np.nan)
-        self.ptmat[rows, cols] = pts
-        self.job_order = np.array(self.job_order_list, dtype=np.int64)
-
-        # check_instance guarantees finite times, so NaN marks ineligibility
-        eligible = ~np.isnan(self.ptmat)
-        n_mach = eligible.sum(axis=1)
-        self.incidence = eligible.astype(float)             # job -> 0/1 per machine
-        # every (job, eligible machine) pair, sorted by job and then machine;
-        # job j's pairs are pair_start[j]:pair_start[j + 1]. A decision's arcs
-        # are indices into these arrays, and each static column is one 1-D
-        # gather from its per-pair array. Contiguous copies, because nonzero
-        # returns strided views that gather slower.
-        self.pair_job, self.pair_mach = map(np.ascontiguousarray, eligible.nonzero())
-        self.pair_job_list = self.pair_job.tolist()         # for scalar reads
-        self.pair_mach_list = self.pair_mach.tolist()
-        self.pair_start = [0, *np.cumsum(n_mach).tolist()]
-        self.pair_pt = self.ptmat[eligible]
+        n_mach = np.diff(self.pair_start)
+        self.pair_job = np.repeat(np.arange(J), n_mach)
+        self.pair_mach = np.array(machs, dtype=np.intp)
+        self.pair_job_list, self.pair_mach_list = self.pair_job.tolist(), machs  # scalar reads
+        self.pair_order = np.repeat(self.job_order_list, n_mach)
+        self.pair_pt = np.array(pts, dtype=float)
         self.pair_n_mach = n_mach.astype(float)[self.pair_job]
-        self.pair_order = self.job_order[self.pair_job]
+        self.incidence = np.zeros((J, M))                   # job -> 0/1 per machine
+        self.incidence[self.pair_job, self.pair_mach] = 1.0
         # each job's mean time, one row reduction per machine count: the same
         # pairwise sum as the job's own pts.mean(), which a running sum is not.
         # The counts come from a set: np.unique imports numpy.ma (+1.6 MB RSS)
@@ -158,10 +152,8 @@ class _Tables:
                     self.succ[j] = p.assembly_job_id
                 self.order_asm_count[o.id] += 1
                 self.order_jobs[o.id].extend((*p.processing_job_ids, p.assembly_job_id))
-        self.job_arrival = self.order_arrival[self.job_order]
-        self.job_due = self.order_due[self.job_order]
-        self.pair_arrival = self.job_arrival[self.pair_job]
-        self.pair_due = self.job_due[self.pair_job]
+        self.pair_arrival = self.order_arrival[self.pair_order]
+        self.pair_due = self.order_due[self.pair_order]
         self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=float)
         mean_et = self.mean_et.tolist()
         self.order_init_work = np.array(
@@ -171,28 +163,35 @@ class _Tables:
     def pair_of(self) -> np.ndarray:
         """pair_of[j, m] is the index of the pair (j, m), or -1 when machine
         m is not eligible for job j. Only the (job, machine) step API reads
-        it, so a rollout never builds it."""
+        it, through ``_pair_indices``, so a rollout never builds it."""
         out = np.full((self.J, self.M), -1, dtype=np.int64)
         out[self.pair_job, self.pair_mach] = np.arange(len(self.pair_job))
         return out
 
 
-def _tables(inst: Instance) -> _Tables:
-    cache = inst.__dict__.get("_sim_tables")
-    if cache is None:
-        cache = _Tables(inst)
-        inst.__dict__["_sim_tables"] = cache
-    return cache
+def _pair_indices(t: _Tables, jobs, machines) -> np.ndarray:
+    """The pair indices of the (job, machine) arcs, the step API's one
+    adapter; an arc whose ids are out of range or whose machine is not
+    eligible for its job raises InfeasibleArcError naming the first one."""
+    k = []
+    for j, m in zip(np.asarray(jobs).tolist(), np.asarray(machines).tolist(), strict=True):
+        if not (0 <= j < t.J and 0 <= m < t.M):
+            raise InfeasibleArcError(f"arc (job {j}, machine {m}) is out of range")
+        k.append(t.pair_of.item(j, m))
+        if k[-1] < 0:
+            raise InfeasibleArcError(f"machine {m} is not eligible for job {j}")
+    return np.array(k, dtype=np.int64)
 
 
 def _start_state(inst: Instance) -> "SimState":
     """The instance's state at time zero, before any decision: the jobs of
     the orders that arrive at zero are ready and the later arrivals are on
-    the event heap. Built once per instance, cached next to its tables and
-    never rolled out; every ``SimState(inst)`` is a copy of it."""
+    the event heap. Built once per instance with the instance's tables
+    (``.t``, shared by every copy), cached on the instance and never rolled
+    out; every ``SimState(inst)`` is a copy of it."""
     start = inst.__dict__.get("_sim_start")
     if start is None:
-        t = _tables(inst)
+        t = _Tables(inst)
         start = object.__new__(SimState)
         start.t = t
         start.clock = 0.0
@@ -306,11 +305,7 @@ class FeatureView:
         self._gather = _gatherer(frozenset(_COLUMNS if reads is None else reads))
 
     def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        k = self._s.t.pair_of[jobs, machines]
-        if (k < 0).any():
-            i = int(np.argmin(k))
-            raise InfeasibleArcError(f"machine {machines[i]} is not eligible for job {jobs[i]}")
-        return self._gather(self._s, k)
+        return self._gather(self._s, _pair_indices(self._s.t, jobs, machines))
 
 
 #: accessor -> (names it is derived from, its per-arc column as a function of
@@ -384,19 +379,20 @@ def apply_arc(state: SimState, arc: tuple[int, int]) -> SimState:
     """Dispatch a feasible arc: charge setup, occupy the machine, enqueue the
     completion. Mutates and returns the state."""
     j, m = int(arc[0]), int(arc[1])
-    if (not (0 <= j < state.t.J and 0 <= m < state.t.M) or state.status[j] != READY
-            or np.isnan(state.t.ptmat[j, m]) or state.m_idle[m] > state.clock):
+    p = _pair_indices(state.t, (j,), (m,)).item()
+    if state.status[j] != READY or state.m_idle[m] > state.clock:
         raise InfeasibleArcError(f"arc (job {j}, machine {m}) is not feasible now")
-    _dispatch(state, j, m)
+    _dispatch(state, p)
     return state
 
 
-def _dispatch(state: SimState, j: int, m: int) -> float:
-    """State update of dispatching the feasible arc (j, m); returns its
-    completion time."""
+def _dispatch(state: SimState, p: int) -> float:
+    """State update of dispatching the feasible arc whose pair index is p;
+    returns its completion time."""
     t = state.t
+    j, m = t.pair_job_list[p], t.pair_mach_list[p]
     setup = t.setup_flat.item(state.m_row.item(m) + j)
-    pt = t.ptmat.item(j, m)
+    pt = t.pair_pt.item(p)
     st = state.clock
     ct = st + setup + pt
     old_et = state.et.item(j)
@@ -489,7 +485,7 @@ def _rollout(state: SimState, choose: Callable[[np.ndarray], int]) -> Schedule:
             p = k.item(choose(k))
             m = pair_mach[p]
             covered = pair_job[k.item(0)] == pair_job[k.item(-1)] or state.m_queue.item(m) == n
-            if _dispatch(state, pair_job[p], m) > state.clock and covered:
+            if _dispatch(state, p) > state.clock and covered:
                 _advance(state)
         else:
             _advance(state)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import Instance, Stage
 from .sim import (DONE, RUNNING, ArcRecord, Schedule, SimState, _advance, _dispatch,
-                  _rollout, _tables)
+                  _rollout, _start_state)
 
 TOL = 1e-6
 
@@ -161,9 +161,9 @@ def _tardiness_bound(inst: Instance):
     earlier than the clock and its parts' finish. The order's delivered
     products need no term of their own: they finished by the clock, and
     every remaining assembly finishes at or after it."""
-    t = _tables(inst)
-    pt_min = np.nanmin(t.ptmat, axis=1).tolist()
-    arrival = t.job_arrival.tolist()
+    t = _start_state(inst).t
+    pt_min = np.minimum.reduceat(t.pair_pt, t.pair_start[:-1]).tolist()
+    arrival = t.order_arrival[t.job_order_list].tolist()
     due = t.order_due.tolist()
     kits = [[(p.assembly_job_id, p.processing_job_ids) for p in o.products]
             for o in sorted(inst.orders, key=lambda o: o.id)]
@@ -233,8 +233,6 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
         raise OracleLimitError(f"{inst.num_machines} machines exceeds the limit of {MAX_MACHINES}")
 
     bound = _tardiness_bound(inst)
-    t = _tables(inst)
-    pair_job, pair_mach = t.pair_job_list, t.pair_mach_list
     memo: dict[tuple, tuple[float, tuple]] = {}
     visited = 0
     incumbent = math.inf
@@ -268,7 +266,7 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
                 if incumbent == 0.0:
                     break
                 child = state.clone()
-                _dispatch(child, pair_job[p], pair_mach[p])
+                _dispatch(child, p)
                 sub, log = dfs(child)
                 cand = (sub, (p,) + log)
                 if cand < best:

@@ -101,6 +101,8 @@ def test_one_job_two_idle_machines_two_arcs():
 def test_apply_arc_rejects_infeasible():
     inst = make_instance("ppa", [(0, 100, [([{0: 2.0, 1: 3.0}], {2: 1.0})])])
     state = SimState(inst)
+    with pytest.raises(InfeasibleArcError):
+        apply_arc(state, (0, 2))             # ready job, idle machine it is not eligible for
     apply_arc(state, (0, 0))
     with pytest.raises(InfeasibleArcError):
         apply_arc(state, (0, 1))             # same job again
@@ -108,20 +110,33 @@ def test_apply_arc_rejects_infeasible():
         apply_arc(state, (1, 2))             # blocked assembly
 
 
-@pytest.mark.parametrize("arc", [(-1, 0), (4, 0), (0, -1), (0, 3)])
+# 4 jobs on 3 machines: job 0 runs on the last machine and the last job on
+# machine 0, so a negative id that wrapped around would name an eligible pair
+WRAPPING = make_instance("app", [(1, 100, [([{2: 2.0}], {0: 1.0})]),
+                                 (0, 100, [([{1: 1.0}], {0: 1.0})])])
+OUT_OF_RANGE = [(-1, 0), (4, 0), (0, -1), (0, 3)]
+
+
+@pytest.mark.parametrize("arc", OUT_OF_RANGE)
 def test_apply_arc_rejects_out_of_range_ids(arc):
     # at t=1 job 0 is ready on the last machine and the last job on machine 0,
-    # so a negative id that wrapped around would name a feasible arc
-    inst = make_instance("app", [(1, 100, [([{2: 2.0}], {0: 1.0})]),
-                                 (0, 100, [([{1: 1.0}], {0: 1.0})])])
-    assert (inst.num_jobs, inst.num_machines) == (4, 3)
-    state = SimState(inst)
+    # so a wrapped id would name a feasible arc
+    assert (WRAPPING.num_jobs, WRAPPING.num_machines) == (4, 3)
+    state = SimState(WRAPPING)
     apply_arc(state, (2, 1))
     advance_clock(state)
     assert feasible_arcs(state) == [(0, 2), (3, 0)]
     with pytest.raises(InfeasibleArcError):
         apply_arc(state, arc)
     assert len(state.arc_log) == 1 and feasible_arcs(state) == [(0, 2), (3, 0)]
+
+
+@pytest.mark.parametrize("arc", OUT_OF_RANGE)
+def test_arc_columns_rejects_out_of_range_ids(arc):
+    view = FeatureView(SimState(WRAPPING))
+    with pytest.raises(InfeasibleArcError, match=fr"arc \(job {arc[0]}, machine {arc[1]}\) "
+                                                 "is out of range"):
+        view.arc_columns(np.array([0, arc[0]]), np.array([2, arc[1]]))
 
 
 def test_advance_requires_exhausted_epoch():
@@ -290,25 +305,31 @@ def test_unbound_view_gathers_every_accessor():
 # -- the rollout tables against a per-job build --------------------------------
 
 def _reference_tables(inst):
-    """The tables' job and order arrays, built one job at a time with the
-    job's own numpy reductions."""
-    J, M = inst.num_jobs, inst.num_machines
-    ref = {"ptmat": np.full((J, M), np.nan), "mean_et": np.empty(J),
-           "job_order": np.empty(J, dtype=np.int64),
-           "job_arrival": np.empty(J), "job_due": np.empty(J)}
-    for job in inst.jobs:
-        ms = np.array(sorted(job.eligible), dtype=np.int64)
-        pts = np.array([job.eligible[m] for m in ms])
-        ref["ptmat"][job.id, ms] = pts
-        ref["mean_et"][job.id] = pts.mean()
-        ref["job_order"][job.id] = job.order_id
+    """The tables' pair, job and order arrays, built one job at a time with
+    the job's own numpy reductions, and each pair's order read off the
+    order that lists the job."""
     orders = sorted(inst.orders, key=lambda o: o.id)
-    for o in orders:
-        for j in o.job_ids():
-            ref["job_arrival"][j] = o.arrival
-            ref["job_due"][j] = o.due
+    order_of = {j: o for o in orders for j in o.job_ids()}
+    per_job = {name: [] for name in ("pair_job", "pair_mach", "pair_pt", "pair_order",
+                                     "pair_arrival", "pair_due")}
+    pair_start, mean_et = [0], np.empty(inst.num_jobs)
+    for job in sorted(inst.jobs, key=lambda j: j.id):
+        ms = np.array(sorted(job.eligible), dtype=np.int64)
+        pts = np.array([job.eligible[m] for m in ms], dtype=float)
+        o = order_of[job.id]
+        per_job["pair_job"].append(np.full(len(ms), job.id, dtype=np.int64))
+        per_job["pair_mach"].append(ms)
+        per_job["pair_pt"].append(pts)
+        per_job["pair_order"].append(np.full(len(ms), o.id, dtype=np.int64))
+        per_job["pair_arrival"].append(np.full(len(ms), o.arrival))
+        per_job["pair_due"].append(np.full(len(ms), o.due))
+        pair_start.append(pair_start[-1] + len(ms))
+        mean_et[job.id] = pts.mean()
+    ref = {name: np.concatenate(parts) for name, parts in per_job.items()}
+    ref["pair_start"] = np.array(pair_start, dtype=np.int64)
+    ref["mean_et"] = mean_et
     ref["order_init_work"] = np.array(
-        [math.fsum(ref["mean_et"][j] for j in o.job_ids()) for o in orders])
+        [math.fsum(mean_et[j] for j in o.job_ids()) for o in orders])
     return ref
 
 
@@ -320,11 +341,23 @@ def test_tables_equal_a_per_job_build_bit_for_bit(phi, seed):
     # numpy's pairwise mean groups 8 or more values unlike a running sum
     assert max(len(j.eligible) for j in inst.jobs) >= 8
     t = SimState(inst).t
+    assert isinstance(t.pair_start, list)
     for name, want in _reference_tables(inst).items():
-        got = getattr(t, name)
+        got = np.asarray(getattr(t, name))
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
-    assert t.job_order_list == t.job_order.tolist()
+    assert t.pair_job_list == t.pair_job.tolist()
+    assert t.pair_mach_list == t.pair_mach.tolist()
+
+
+def test_a_rollout_caches_one_state_and_builds_no_job_by_machine_index():
+    inst = generate_instance(ScenarioConfig(m1=3, m2=4, phi=0.7, alpha=10, mu=2.0, seed=5))
+    run_dispatch(inst, EDD)
+    assert [name for name in inst.__dict__ if name.startswith("_sim")] == ["_sim_start"]
+    t = inst.__dict__["_sim_start"].t
+    assert "pair_of" not in t.__dict__
+    assert [name for name, value in vars(t).items()
+            if isinstance(value, np.ndarray) and value.ndim == 2] == ["incidence"]
 
 
 # -- the per-epoch kernel against re-enumeration after every arc ---------------
@@ -544,7 +577,7 @@ def _reenumerating_rollout(state, choose):
         k = state._arc_arrays()
         if len(k):
             p = k.item(choose(k))
-            _dispatch(state, state.t.pair_job_list[p], state.t.pair_mach_list[p])
+            _dispatch(state, p)
         else:
             _advance(state)
     return extract_schedule(state)
