@@ -28,7 +28,10 @@ adapter, maps them to pair indices and refuses an arc it cannot map.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
-clock. Rollouts are deterministic: same instance and rule, same schedule.
+clock; the arc log is the one record of completion times. An order's
+delivery time and tardiness read 0 until its last job, always an assembly,
+completes, and are written once then. Rollouts are deterministic: same
+instance and rule, same schedule.
 """
 
 from __future__ import annotations
@@ -143,14 +146,12 @@ class _Tables:
         self.order_arrival = np.empty(N)
         self.order_due = np.empty(N)
         self.order_jobs: list[list[int]] = [[] for _ in range(N)]
-        self.order_asm_count = [0] * N
         for o in inst.orders:
             self.order_arrival[o.id] = o.arrival
             self.order_due[o.id] = o.due
             for p in o.products:
                 for j in p.processing_job_ids:
                     self.succ[j] = p.assembly_job_id
-                self.order_asm_count[o.id] += 1
                 self.order_jobs[o.id].extend((*p.processing_job_ids, p.assembly_job_id))
         self.pair_arrival = self.order_arrival[self.pair_order]
         self.pair_due = self.order_due[self.pair_order]
@@ -188,7 +189,7 @@ def _start_state(inst: Instance) -> "SimState":
     the orders that arrive at zero are ready and the later arrivals are on
     the event heap. Built once per instance with the instance's tables
     (``.t``, shared by every copy), cached on the instance and never rolled
-    out; every ``SimState(inst)`` is a copy of it."""
+    out; every ``SimState(inst)`` copies its lists and arrays."""
     start = inst.__dict__.get("_sim_start")
     if start is None:
         t = _Tables(inst)
@@ -200,7 +201,6 @@ def _start_state(inst: Instance) -> "SimState":
         start.pred_remaining = t.pred_count.copy()
         start.order_ops_rem = t.order_njobs.copy()
         start.order_work_rem = t.order_init_work.copy()
-        start.order_asm_rem = t.order_asm_count.copy()
         start.order_ft = np.zeros(t.N)
         start.order_tt = np.zeros(t.N)
         start.m_idle = np.zeros(t.M)
@@ -211,7 +211,6 @@ def _start_state(inst: Instance) -> "SimState":
         start.m_queue = np.zeros(t.M)
         start.n_ready = 0
         start.pair_ready = np.zeros(len(t.pair_job), dtype=bool)
-        start.job_ct = np.full(t.J, np.nan)
         start.done_count = 0
         start.arc_log = []
         start.events = []
@@ -229,11 +228,6 @@ def _start_state(inst: Instance) -> "SimState":
 _NO_ARCS = np.zeros(0, dtype=np.intp)
 _NO_ARCS.flags.writeable = False
 
-#: the state's arrays and lists that a rollout mutates in place
-_MUTABLE = ("status", "et", "pred_remaining", "order_ops_rem", "order_work_rem",
-            "order_asm_rem", "order_ft", "order_tt", "m_idle", "m_row",
-            "m_busy", "m_queue", "job_ct", "pair_ready", "arc_log", "events")
-
 
 class SimState:
     """Mutable rollout state; one rollout per state, states never shared."""
@@ -242,13 +236,10 @@ class SimState:
         self._copy_from(_start_state(inst))
 
     def _copy_from(self, other: "SimState") -> None:
-        """Make this state an independent copy of ``other``."""
-        self.t, self.clock = other.t, other.clock
-        for name in _MUTABLE:
-            setattr(self, name, getattr(other, name).copy())
-        self.n_ready = other.n_ready
-        self.done_count = other.done_count
-        self._seq = other._seq
+        """Make this state an independent copy of ``other``: copy every list
+        and array attribute and share the rest (the tables and scalars)."""
+        for name, value in vars(other).items():
+            setattr(self, name, value.copy() if isinstance(value, (list, np.ndarray)) else value)
 
     def _push(self, time: float, prio: int, payload: int):
         heapq.heappush(self.events, (time, prio, self._seq, payload))
@@ -403,7 +394,6 @@ def _dispatch(state: SimState, p: int) -> float:
     state.m_idle[m] = ct
     state.m_row[m] = (j + 1) * t.J
     state.m_busy[m] += pt
-    state.job_ct[j] = ct
     state.arc_log.append(ArcRecord(j, m, setup, st, ct))
     state._push(ct, _COMPLETION, j)
     return ct
@@ -435,15 +425,14 @@ def _advance(state: SimState) -> SimState:
             state.order_ops_rem[oid] -= 1
             state.order_work_rem[oid] -= state.et.item(j)
             if t.is_assembly[j]:
-                state.order_asm_rem[oid] -= 1
-                if state.job_ct[j] > state.order_ft[oid]:
-                    state.order_ft[oid] = state.job_ct[j]
-                if state.order_asm_rem[oid] == 0:
-                    state.order_tt[oid] = max(0.0, state.order_ft[oid] - t.order_due[oid])
+                # kits precede assemblies: an order's last job is an assembly
+                if state.order_ops_rem.item(oid) == 0:
+                    state.order_ft[oid] = now
+                    state.order_tt[oid] = max(0.0, now - t.order_due[oid])
             else:
                 a = t.succ[j]
                 state.pred_remaining[a] -= 1
-                if state.pred_remaining[a] == 0 and state.status[a] == BLOCKED:
+                if state.pred_remaining[a] == 0:     # its kit is complete
                     state.status[a] = READY
                     state._set_ready(a, True)
         else:
@@ -543,12 +532,15 @@ def schedule_from_text(text: str) -> Schedule:
             if parts[0] == "arc" and len(parts) == 6:
                 arcs.append(ArcRecord(_key_id(parts[1]), _key_id(parts[2]),
                                       *map(_decimal, parts[3:])))
-            elif parts[0] == "order" and len(parts) == 4:
-                ft[_key_id(parts[1])], tt[_key_id(parts[1])] = map(_decimal, parts[2:])
-            else:
+                continue
+            if parts[0] != "order" or len(parts) != 4:
                 raise ValueError
+            oid, times = _key_id(parts[1]), tuple(map(_decimal, parts[2:]))
         except ValueError:
             raise ValueError(f"schedule line {ln}: cannot parse {raw!r}") from None
+        if oid in ft:
+            raise ValueError(f"schedule line {ln}: order {oid} is listed twice")
+        ft[oid], tt[oid] = times
     return Schedule(tuple(arcs), ft, tt, len(arcs), len(ft))
 
 

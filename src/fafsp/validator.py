@@ -133,6 +133,8 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             out.append(Violation(TARDINESS_MISMATCH,
                                  f"order {o.id}: recorded tardiness {sched.tt.get(o.id)} != "
                                  f"max(0, ft - due) = {tt}"))
+    for oid in sorted((sched.ft.keys() | sched.tt.keys()) - {o.id for o in inst.orders}):
+        out.append(Violation(DELIVERY_MISMATCH, f"order {oid} is not in the instance"))
     return out
 
 
@@ -142,7 +144,8 @@ class OracleLimitError(ValueError):
 
 def _state_key(state: SimState) -> tuple:
     # everything the future depends on: job statuses, machine occupancy and
-    # setup rows (last jobs), partial per-order delivery maxima, and the clock
+    # setup rows (last jobs), delivery times (0 until delivered: no partial
+    # maximum, as a delivery comes at or after the clock), and the clock
     return (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
             state.m_row.tobytes(), state.order_ft.tobytes())
 
@@ -156,7 +159,7 @@ def _tardiness_bound(inst: Instance):
     latest finish of the order's remaining assemblies over their kits'
     critical paths: minimum processing times, no setups, no machine
     contention. A running
-    job finishes at its recorded completion time. A processing job not yet
+    job finishes at its arc's completion time. A processing job not yet
     started starts no earlier than max(clock, arrival), and an assembly no
     earlier than the clock and its parts' finish. The order's delivered
     products need no term of their own: they finished by the clock, and
@@ -170,7 +173,7 @@ def _tardiness_bound(inst: Instance):
 
     def bound(state: SimState) -> float:
         clock = state.clock
-        status, ct = state.status.tolist(), state.job_ct.tolist()
+        status, ct = state.status.tolist(), {a.job: a.ct for a in state.arc_log}
         lb = math.fsum(state.order_tt.tolist())
         for o, kit in enumerate(kits):
             finish = -math.inf

@@ -604,10 +604,12 @@ def test_cli_validate_unknown_job_is_a_violation(tmp_path, capsys, job):
     (b"arc,0,0,0.0,0.0,1_0.5\n", "schedule line 1: cannot parse"),
     ("arc,0,0,0.0,0.0,\u0665\n".encode(), "schedule line 1: cannot parse"),
     (b"arc,0,0,0.0,0.0,.5\n", "schedule line 1: cannot parse"),
+    (b"arc,0,0,0.0,0.0,5.0\narc,1,1,0.0,5.0,8.0\norder,0,8.0,0.0\norder,0,9.0,1.0\n",
+     "schedule line 4: order 0 is listed twice"),
 ], ids=["non-utf8", "bad-job", "short-line", "form-feed", "nan-order", "inf-arc",
         "overflowing-arc", "underscore-job", "signed-machine", "arabic-indic-job",
         "zero-padded-job", "spaced-machine", "negative-zero-order", "underscore-time",
-        "arabic-indic-time", "bare-fraction"])
+        "arabic-indic-time", "bare-fraction", "duplicate-order"])
 def test_cli_validate_unreadable_schedule_exits_1(tmp_path, capsys, content, message):
     inst_path = tmp_path / "inst.json"
     save_instance(minimal_instance(), inst_path)

@@ -78,6 +78,18 @@ def test_delivery_and_tardiness_mismatches():
     assert TARDINESS_MISMATCH in kinds       # tt 5 != max(0, 9 - 10)
 
 
+def test_order_unknown_to_the_instance_is_a_delivery_mismatch():
+    inst = generate_instance(ScenarioConfig(m1=1, m2=2, phi=0.8, alpha=2, mu=4.0,
+                                            n_init=2, seed=11))
+    sched = run_dispatch(inst, RuleSpec.builtin("EDD"))
+    assert validate_schedule(inst, sched) == []
+    for ft, tt in (({99: 1000.0}, {99: 5000.0}), ({}, {99: 5000.0})):
+        forged = Schedule(sched.arcs, {**sched.ft, **ft}, {**sched.tt, **tt},
+                          sched.n_jobs, sched.n_orders + 1)
+        assert [(v.kind, v.message) for v in validate_schedule(inst, forged)] == [
+            (DELIVERY_MISMATCH, "order 99 is not in the instance")]
+
+
 def test_unassigned_and_unqualified():
     inst = _two_stage_instance()
     missing = _sched([ArcRecord(0, 0, 0.0, 0.0, 5.0)], {0: 5.0}, {0: 0.0})
@@ -331,8 +343,16 @@ def test_tardiness_bound_counts_late_delivered_products():
     apply_arc(state, (2, 0))
     advance_clock(state)                      # t = 5: job 2 done
     advance_clock(state)                      # t = 6: assembly 0 done
-    assert state.order_ft[0] == 6.0 and state.order_tt[0] == 0.0
+    assert state.order_ft[0] == 0.0           # not delivered: assembly 1 is left
     assert _tardiness_bound(inst)(state) == 1.0
+
+
+def test_tardiness_bound_reads_a_running_part_from_the_arc_log():
+    # at t = 0 the part runs until 4, so the assembly ends at 6 at the
+    # earliest, 6 after the due date
+    inst = make_instance("pa", [(0.0, 0.0, [([{0: 4.0}], {1: 2.0})])])
+    state = apply_arc(SimState(inst), (0, 0))
+    assert _tardiness_bound(inst)(state) == 6.0
 
 
 def test_tardiness_bound_is_exact_once_everything_runs():
