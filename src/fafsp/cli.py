@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bench import (export_traces, load_grid, run_benchmark, write_convergence,
                     journal_to_convergence, write_journal, write_per_instance)
-from .evolve import load_evolution_config, run_evolution
+from .evolve import load_evolution_config, load_training, run_evolution
 from .generator import generate_instance, load_scenario, scenario_to_doc
 from .llm import (LiveTransport, RecordingTransport, ReplayMiss, ReplayTransport,
                   TransportError)
@@ -90,7 +90,9 @@ def _cmd_evolve(args) -> int:
     cfg = load_evolution_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    instances = load_training(cfg)      # validates cfg, --seed included
     transport = _make_transport(args.transport, args.cassette)
+    # every input is read and checked before an earlier run's outputs go
     out = Path(args.out)
     os.makedirs(out, exist_ok=True)
     for name in ("best_rule.txt", "journal.jsonl", "convergence.csv", "per_instance.csv"):
@@ -101,7 +103,7 @@ def _cmd_evolve(args) -> int:
             and transcripts.samefile(args.cassette)):
         write_text(transcripts, "")
         transport = RecordingTransport(transport, transcripts)
-    result = run_evolution(cfg, transport)
+    result = run_evolution(cfg, transport, instances)
     save_rule_file(out / "best_rule.txt", result.best.spec,
                    description=result.best.description, fitness=result.best.fitness)
     write_journal(result.journal, out / "journal.jsonl")

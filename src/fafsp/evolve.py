@@ -80,7 +80,7 @@ class EvolutionConfig:
     def validate(self) -> None:
         check_fields(self, "config")
         for name, low in (("generations", 0), ("population", 2), ("tournament_k", 1),
-                          ("retry_budget", 1)):
+                          ("retry_budget", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, not {getattr(self, name)!r}")
         if not self.u_low < self.u_up:
@@ -171,15 +171,24 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def load_training(cfg: EvolutionConfig,
+                  instances: Sequence[Instance] | None = None) -> list[Instance]:
+    """The run's training instances: ``instances`` if given, else the
+    config's files, opened only once the config validates. ValueError if
+    there are none."""
+    cfg.validate()          # before a training path is opened
+    out = (list(instances) if instances is not None
+           else [load_instance(p) for p in cfg.training_instances])
+    if not out:
+        raise ValueError("no training instances")
+    return out
+
+
 class _Run:
     """Mutable context of one evolution run: counters, journal, incumbent."""
 
     def __init__(self, cfg: EvolutionConfig, transport, instances: Sequence[Instance] | None):
-        cfg.validate()          # before a training path is opened
-        self.instances = (list(instances) if instances is not None
-                          else [load_instance(p) for p in cfg.training_instances])
-        if not self.instances:
-            raise ValueError("no training instances")
+        self.instances = load_training(cfg, instances)
         self.cfg = cfg
         self.transport = transport
         self.rng = np.random.default_rng(cfg.seed)

@@ -361,6 +361,7 @@ def _constant(value) -> np.ndarray:
 
 
 _ZERO, _ONE = _constant(0.0), _constant(1.0)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _divide(left, right):
@@ -499,11 +500,13 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
 def scores(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
     """``evaluate`` under the caller's numpy error state, which should ignore
     floating-point errors: a rollout scores every decision by it inside one
-    ``np.errstate(all="ignore")``."""
+    ``np.errstate(all="ignore")``. A float64 result is returned as it is."""
     result = program.fn(columns)
-    if np.ndim(result) == 0:            # the program reads no column
+    if result.ndim == 0:                # the program reads no column
         return np.full(n, float(result))
-    return np.asarray(result, dtype=float)
+    if result.dtype is _FLOAT64:
+        return result
+    return result.astype(float)         # a comparison at the top, or integer columns
 
 
 @np.errstate(all="ignore")

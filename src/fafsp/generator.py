@@ -55,6 +55,8 @@ class ScenarioConfig:
             raise ValueError(f"phi must be in (0, 1], got {self.phi}")
         if self.alpha < 0 or self.n_init < 0:
             raise ValueError("alpha and n_init must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
         if not 1 <= self.alpha + self.n_init <= MAX_ORDERS:
             raise ValueError(f"alpha + n_init must lie in 1..{MAX_ORDERS}, "
                              f"not {self.alpha + self.n_init}")

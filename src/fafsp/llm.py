@@ -13,6 +13,7 @@ replays a whole run deterministically with zero network traffic.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import time
@@ -168,11 +169,19 @@ def request_digest(prompt: str, temperature: float) -> str:
 # -- transports ----------------------------------------------------------------
 
 
+#: most bytes of one reply body LiveTransport reads, after decoding
+MAX_REPLY_BYTES = 4 * 1024 * 1024
+_READ_BYTES = 64 * 1024
+
+
 class LiveTransport:
     """Plain chat-completion client with bounded exponential-backoff retries.
 
-    Connection errors, HTTP 429 and 5xx are retried; any other 4xx and a
-    reply without text content fail at once with TransportError."""
+    Each attempt reads its reply as it arrives and must finish within
+    ``timeout`` seconds, which also bounds each connect and each read, and
+    within MAX_REPLY_BYTES. Connection errors, a reply past either limit,
+    HTTP 429 and 5xx are retried; any other 4xx and a reply without text
+    content fail at once with TransportError."""
 
     def __init__(self, base_url: str, api_key: str, model: str,
                  max_attempts: int = 3, backoff: float = 1.0, timeout: float = 120.0):
@@ -192,6 +201,7 @@ class LiveTransport:
 
     def send(self, prompt: str, temperature: float, operator: str = "") -> str:
         import requests
+        import urllib3
 
         body = {"model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
@@ -200,27 +210,49 @@ class LiveTransport:
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
+            deadline = time.monotonic() + self.timeout
             try:
                 resp = requests.post(
                     self.base_url + "/chat/completions",
                     headers={"Authorization": f"Bearer {self.api_key}"},
-                    json=body, timeout=self.timeout)
-            except requests.RequestException as e:
+                    json=body, timeout=self.timeout, stream=True)
+                try:
+                    reply = self._read_reply(resp, deadline)
+                finally:
+                    resp.close()
+            except (requests.RequestException, urllib3.exceptions.HTTPError,
+                    TransportError) as e:
                 last_error = e
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                continue
             if resp.status_code >= 400:
-                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            return _message_content(resp)
+                error = TransportError(f"HTTP {resp.status_code}: "
+                                       f"{reply[:200].decode('utf-8', 'replace')}")
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    last_error = error
+                    continue
+                raise error
+            return _message_content(reply)
         raise TransportError(f"request failed after {self.max_attempts} attempts: {last_error}")
 
+    def _read_reply(self, resp, deadline: float) -> bytes:
+        """The reply body, read as it arrives (each read returns what one
+        network read brings); TransportError once it passes MAX_REPLY_BYTES
+        or the ``time.monotonic()`` deadline."""
+        chunks, size = [], 0
+        while chunk := resp.raw.read1(_READ_BYTES, decode_content=True):
+            size += len(chunk)
+            if size > MAX_REPLY_BYTES:
+                raise TransportError(f"reply longer than {MAX_REPLY_BYTES} bytes")
+            if time.monotonic() > deadline:
+                raise TransportError(f"reply not complete within {self.timeout} s")
+            chunks.append(chunk)
+        return b"".join(chunks)
 
-def _message_content(resp) -> str:
-    """Text of a chat-completion reply; TransportError if it has none."""
+
+def _message_content(reply: bytes) -> str:
+    """Text of a chat-completion reply body; TransportError if it has none."""
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        content = json.loads(reply)["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as e:   # bad JSON or shape
         raise TransportError(f"malformed chat-completion reply: {e!r}") from None
     if not isinstance(content, str):

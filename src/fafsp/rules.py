@@ -12,6 +12,7 @@ ranking is a total order and rollouts are reproducible.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -58,9 +59,9 @@ class RuleSpec:
     program: Program
     tie_break: Program | None = None
 
-    @property
+    @functools.cached_property
     def reads(self) -> frozenset[str]:
-        """Accessor names the rule reads."""
+        """Accessor names the rule reads, derived once per rule."""
         if self.tie_break is None:
             return self.program.reads
         return self.program.reads | self.tie_break.reads
@@ -108,21 +109,23 @@ def rank_columns(rule: RuleSpec, cols: dict, n: int, evaluate, jobs, machs,
 
     Reductions are ``argmin`` calls, which cost less per decision than
     ``min`` and ``all``: the first minimum's value is the minimum (NaN if
-    any key is NaN, as ``min`` gives), and the first False of the finite
-    mask is True only when every score is finite.
+    any key is NaN, as ``min`` gives). On the single-key path every score
+    is finite when that minimum is above -inf and the maximum below +inf
+    (a NaN fails both tests); only then is the finite mask built, to name
+    the first non-finite arc.
     """
     if rule.tie_break is not None:
         job_key = rule.program.fn(cols)
         ties = (job_key == job_key[job_key.argmin()]).nonzero()[0]
         return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
     scores = evaluate(rule.program, cols, n)
-    finite = np.isfinite(scores)
-    k = finite.argmin()                         # the first non-finite score, if any
-    if not finite.item(k):
-        p = k if pairs is None else pairs.item(k)
-        raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
-                          f"for arc (job {jobs[p]}, machine {machs[p]})")
-    return int(scores.argmin())
+    i = scores.argmin()                         # the first minimum, or the first NaN
+    if -math.inf < scores.item(i) and scores.max() < math.inf:
+        return int(i)
+    k = np.isfinite(scores).argmin()            # the first non-finite score
+    p = k if pairs is None else pairs.item(k)
+    raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
+                      f"for arc (job {jobs[p]}, machine {machs[p]})")
 
 
 def builtin_source(rule_id: str) -> str:

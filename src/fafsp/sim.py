@@ -32,6 +32,15 @@ clock; the arc log is the one record of completion times. An order's
 delivery time and tardiness read 0 until its last job, always an assembly,
 completes, and are written once then. Rollouts are deterministic: same
 instance and rule, same schedule.
+
+A step's cost is per-call Python overhead, so the state keeps numpy arrays
+only where a feature column gathers by index (``et``, the per-order and
+per-machine arrays, the ready-pair mask) or a row is added at once
+(``m_queue``); job statuses, kit counts and delivery times are read and
+written one element at a time and are plain Python lists, whose scalar
+access costs a fraction of a numpy scalar's. A scalar update of an array
+is written ``a[i] = a.item(i) + x``, the same IEEE sum as ``a[i] += x``
+without its numpy scalar.
 """
 
 from __future__ import annotations
@@ -44,8 +53,10 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .expr import scores
 from .model import (Instance, Stage, _decimal, _key_id, check_instance, read_text,
                     write_text)
+from .rules import rank_columns
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -133,6 +144,7 @@ class _Tables:
         self.pair_n_mach = n_mach.astype(float)[self.pair_job]
         self.incidence = np.zeros((J, M))                   # job -> 0/1 per machine
         self.incidence[self.pair_job, self.pair_mach] = 1.0
+        self.incidence_rows = list(self.incidence)          # row views, made once
         # each job's mean time, one row reduction per machine count: the same
         # pairwise sum as the job's own pts.mean(), which a running sum is not.
         # The counts come from a set: np.unique imports numpy.ma (+1.6 MB RSS)
@@ -196,13 +208,13 @@ def _start_state(inst: Instance) -> "SimState":
         start = object.__new__(SimState)
         start.t = t
         start.clock = 0.0
-        start.status = np.full(t.J, NOT_ARRIVED, dtype=np.int8)
+        start.status = [NOT_ARRIVED] * t.J
         start.et = t.mean_et.copy()
         start.pred_remaining = t.pred_count.copy()
         start.order_ops_rem = t.order_njobs.copy()
         start.order_work_rem = t.order_init_work.copy()
-        start.order_ft = np.zeros(t.N)
-        start.order_tt = np.zeros(t.N)
+        start.order_ft = [0.0] * t.N
+        start.order_tt = [0.0] * t.N
         start.m_idle = np.zeros(t.M)
         start.m_row = np.zeros(t.M, dtype=np.int64)   # (last job + 1) * J, a setup row
         start.m_busy = np.zeros(t.M)
@@ -261,10 +273,10 @@ class SimState:
         self.pair_ready[t.pair_start[j]:t.pair_start[j + 1]] = ready
         if ready:
             self.n_ready += 1
-            self.m_queue += t.incidence[j]
+            self.m_queue += t.incidence_rows[j]
         else:
             self.n_ready -= 1
-            self.m_queue -= t.incidence[j]
+            self.m_queue -= t.incidence_rows[j]
 
     def _arc_arrays(self) -> np.ndarray:
         """Feasible arcs now (ready job, idle qualified machine), ordered by
@@ -386,16 +398,19 @@ def _dispatch(state: SimState, p: int) -> float:
     pt = t.pair_pt.item(p)
     st = state.clock
     ct = st + setup + pt
-    old_et = state.et.item(j)
+    oid = t.job_order_list[j]
+    work = state.order_work_rem
+    work[oid] = work.item(oid) + (pt - state.et.item(j))
     state.et[j] = pt
-    state.order_work_rem[t.job_order_list[j]] += pt - old_et
     state.status[j] = RUNNING
     state._set_ready(j, False)
     state.m_idle[m] = ct
     state.m_row[m] = (j + 1) * t.J
-    state.m_busy[m] += pt
-    state.arc_log.append(ArcRecord(j, m, setup, st, ct))
-    state._push(ct, _COMPLETION, j)
+    state.m_busy[m] = state.m_busy.item(m) + pt
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    state.arc_log.append(tuple.__new__(ArcRecord, (j, m, setup, st, ct)))
+    heapq.heappush(state.events, (ct, _COMPLETION, state._seq, j))
+    state._seq += 1
     return ct
 
 
@@ -415,20 +430,22 @@ def _advance(state: SimState) -> SimState:
         raise EventTimeError(f"next event at {now} is not a finite time at or after "
                              f"the clock, {state.clock}")
     state.clock = now
-    while state.events and state.events[0][0] == now:
-        _, prio, _, payload = heapq.heappop(state.events)
+    events, ops, work = state.events, state.order_ops_rem, state.order_work_rem
+    while events and events[0][0] == now:
+        _, prio, _, payload = heapq.heappop(events)
         if prio == _COMPLETION:
             j = payload
             state.status[j] = DONE
             state.done_count += 1
             oid = t.job_order_list[j]
-            state.order_ops_rem[oid] -= 1
-            state.order_work_rem[oid] -= state.et.item(j)
+            left = ops.item(oid) - 1
+            ops[oid] = left
+            work[oid] = work.item(oid) - state.et.item(j)
             if t.is_assembly[j]:
                 # kits precede assemblies: an order's last job is an assembly
-                if state.order_ops_rem.item(oid) == 0:
+                if left == 0:
                     state.order_ft[oid] = now
-                    state.order_tt[oid] = max(0.0, now - t.order_due[oid])
+                    state.order_tt[oid] = max(0.0, now - t.order_due.item(oid))
             else:
                 a = t.succ[j]
                 state.pred_remaining[a] -= 1
@@ -445,9 +462,8 @@ def extract_schedule(state: SimState) -> Schedule:
     t = state.t
     if state.done_count < t.J:
         raise ValueError(f"rollout unfinished: {state.done_count}/{t.J} jobs done")
-    ft = {oid: float(state.order_ft[oid]) for oid in range(t.N)}
-    tt = {oid: float(state.order_tt[oid]) for oid in range(t.N)}
-    return Schedule(tuple(state.arc_log), ft, tt, t.J, t.N)
+    return Schedule(tuple(state.arc_log), dict(enumerate(state.order_ft)),
+                    dict(enumerate(state.order_tt)), t.J, t.N)
 
 
 def _rollout(state: SimState, choose: Callable[[np.ndarray], int]) -> Schedule:
@@ -488,9 +504,6 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
     The rollout runs inside one ``np.errstate(all="ignore")``, which scores
     the rule's programs quietly (see ``expr.scores``) and restores the
     caller's error state on return and on a raise."""
-    from .expr import scores
-    from .rules import rank_columns
-
     state = SimState(inst)
     gather, t = _gatherer(rule.reads), state.t
 

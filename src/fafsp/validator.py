@@ -145,9 +145,11 @@ class OracleLimitError(ValueError):
 def _state_key(state: SimState) -> tuple:
     # everything the future depends on: job statuses, machine occupancy and
     # setup rows (last jobs), delivery times (0 until delivered: no partial
-    # maximum, as a delivery comes at or after the clock), and the clock
-    return (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
-            state.m_row.tobytes(), state.order_ft.tobytes())
+    # maximum, as a delivery comes at or after the clock), and the clock.
+    # bytes(status) is the bytes of an int8 status array; delivery times are
+    # never -0.0 or NaN, so a tuple of them partitions as their bytes do
+    return (state.clock, bytes(state.status), state.m_idle.tobytes(),
+            state.m_row.tobytes(), tuple(state.order_ft))
 
 
 def _tardiness_bound(inst: Instance):
@@ -173,8 +175,8 @@ def _tardiness_bound(inst: Instance):
 
     def bound(state: SimState) -> float:
         clock = state.clock
-        status, ct = state.status.tolist(), {a.job: a.ct for a in state.arc_log}
-        lb = math.fsum(state.order_tt.tolist())
+        status, ct = state.status, {a.job: a.ct for a in state.arc_log}
+        lb = math.fsum(state.order_tt)
         for o, kit in enumerate(kits):
             finish = -math.inf
             for a, parts in kit:
@@ -245,7 +247,7 @@ def brute_force_optimum(inst: Instance, max_states: int = 2_000_000) -> tuple[fl
         owns its state."""
         nonlocal visited, incumbent
         if state.done_count == state.t.J:
-            total = math.fsum(state.order_tt.tolist())
+            total = math.fsum(state.order_tt)
             incumbent = min(incumbent, total)
             return total, ()
         key = _state_key(state)

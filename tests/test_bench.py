@@ -294,13 +294,17 @@ def test_cli_evolve_record_transport_is_gone(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def _run_files(run_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
 def test_cli_evolve_missing_training_file_exits_1(tmp_path, capsys):
-    # training files are opened by run_evolution, after the run directory is
-    # started, so that directory holds an empty transcripts.jsonl and nothing
-    # else, also where a finished run was
+    # training files are opened before the run directory is touched, so a
+    # finished run there stays whole
     run_dir = tmp_path / "r"
     assert _replay(*_recorded_run(tmp_path), run_dir) == 0
     capsys.readouterr()
+    before = _run_files(run_dir)
     cfg_path = tmp_path / "missing.json"
     cfg_path.write_text(json.dumps({"training_instances": [str(tmp_path / "none.json")]}),
                         encoding="utf-8")
@@ -308,8 +312,62 @@ def test_cli_evolve_missing_training_file_exits_1(tmp_path, capsys):
     cassette.write_text("", encoding="utf-8")
     assert _replay(cfg_path, cassette, run_dir) == 1
     _assert_one_error_line(capsys, "none.json")
-    assert [p.name for p in run_dir.iterdir()] == ["transcripts.jsonl"]
-    assert (run_dir / "transcripts.jsonl").read_bytes() == b""
+    assert _run_files(run_dir) == before
+
+
+@pytest.mark.parametrize("case", ["no training instances", "seed in the config", "seed option"])
+def test_cli_evolve_failed_start_leaves_an_earlier_run_byte_identical(tmp_path, capsys, case):
+    cfg_path, cassette = _recorded_run(tmp_path)
+    run_dir = tmp_path / "r"
+    assert _replay(cfg_path, cassette, run_dir) == 0
+    capsys.readouterr()
+    before = _run_files(run_dir)
+    assert set(before) >= {"best_rule.txt", "transcripts.jsonl"} and before["transcripts.jsonl"]
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    extra, names = [], ["seed"]
+    if case == "no training instances":
+        doc["training_instances"] = []
+        names = ["no training instances"]
+    elif case == "seed in the config":
+        doc["seed"] = -1
+    else:
+        extra = ["--seed", "-3"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evolve", "--config", str(bad), "--transport", "replay",
+                 "--cassette", str(cassette), "--out", str(run_dir), *extra]) == 1
+    _assert_one_error_line(capsys, *names)
+    assert _run_files(run_dir) == before
+
+
+@pytest.mark.parametrize("case", ["gen scenario", "gen option", "bench option",
+                                  "evolve config", "evolve option"])
+def test_cli_negative_seed_names_the_seed(tmp_path, capsys, case):
+    scen = tmp_path / "scen.json"
+    _write_scenario(scen)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"replications": 2, "scenarios": [
+        {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2, "seed": 7}]}),
+        encoding="utf-8")
+    evo = tmp_path / "evo.json"
+    evo.write_text(json.dumps({"seed": -1 if case == "evolve config" else 0}), encoding="utf-8")
+    if case == "gen scenario":
+        scen.write_text(scen.read_text(encoding="utf-8").replace('"seed": 42', '"seed": -1'),
+                        encoding="utf-8")
+    argv = {"gen scenario": ["gen", "--scenario", str(scen), "--out", str(tmp_path / "g")],
+            "gen option": ["gen", "--scenario", str(scen), "--out", str(tmp_path / "g"),
+                           "--seed", "-4"],
+            "bench option": ["bench", "--grid", str(grid), "--rules", "EDD", "--seed", "-10"],
+            "evolve config": ["evolve", "--config", str(evo), "--transport", "replay",
+                              "--cassette", str(tmp_path / "none.jsonl"),
+                              "--out", str(tmp_path / "r")],
+            "evolve option": ["evolve", "--config", str(evo), "--transport", "replay",
+                              "--cassette", str(tmp_path / "none.jsonl"),
+                              "--out", str(tmp_path / "r"), "--seed", "-3"]}[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: (.*: )?seed must be >= 0, not -\d+\n", err), err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_evolve_replay_miss_is_transport_failure(tmp_path, capsys):

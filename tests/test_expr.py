@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
-                        Neg, Num, NodeLimitExceeded, ParseError, UnknownAccessor,
-                        _fold, evaluate, parse, to_source)
+                        Neg, Num, NodeLimitExceeded, ParseError, Program, UnknownAccessor,
+                        _fold, evaluate, parse, scores, to_source)
 from fafsp.rules import BUILTIN_IDS, RuleSpec
 
 from test_golden import RULES
@@ -152,6 +152,20 @@ def test_evaluate_returns_float64_of_length_n_in_callers_error_state(source, col
         assert np.geterr() == before
     assert out.dtype == np.float64 and out.shape == (3,)
     assert out.tobytes() == np.array(expected).tobytes()
+
+
+def test_scores_cast_only_what_is_not_float64():
+    # the grammar allows a comparison only inside if(), but a Program built
+    # from nodes may have one at the top; it scores as the cast it always had
+    cols = {"due": np.array([4.0, 5.0, np.nan, -np.inf])}
+    top = Program(Cmp("<", Acc("due"), Num(5.0)), 3)
+    raw = top.fn(cols)
+    assert raw.dtype == np.bool_
+    out = scores(top, cols, 4)
+    assert out.dtype == np.float64
+    assert out.tobytes() == np.asarray(raw, dtype=float).tobytes()
+    # a float64 result is returned as it is, not copied
+    assert scores(parse("due"), cols, 4) is cols["due"]
 
 
 def test_evaluate_restores_error_state_when_the_program_raises():

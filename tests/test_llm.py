@@ -1,12 +1,15 @@
 """Prompt rendering, transports, cassette record/replay, extraction."""
 
+import itertools
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+import fafsp.llm as llm
 from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
                        Critique, LiveTransport, MissingBlock, MissingSection,
                        MultipleBlocks, RecordingTransport, ReplayMiss, ReplayTransport,
@@ -214,32 +217,55 @@ def test_extract_critique_missing_section():
     assert e.value.section == "suggestions"
 
 
+class StubBody:
+    """``requests.Response.raw`` stand-in: ``read1`` returns the next chunk,
+    then b"" at the end of the body."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+
+    def read1(self, amt, decode_content=None):
+        chunk = next(self._chunks, b"")
+        assert len(chunk) <= amt
+        return chunk
+
+
+class StubResponse:
+    """requests.Response stand-in: a status code and a streamed body, the
+    JSON of ``body`` (bytes that are not JSON for an exception) or, for an
+    iterable of bytes, its chunks."""
+
+    def __init__(self, status, body):
+        self.status_code = status
+        if isinstance(body, Exception):
+            body = [b"not JSON"]
+        elif not isinstance(body, Iterator):
+            body = [json.dumps(body).encode()]
+        self.raw = StubBody(body)
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def _chat_reply(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
 def test_live_transport_retries_then_succeeds(monkeypatch):
     import requests
 
     calls = []
 
-    class FakeResponse:
-        def __init__(self, status, content=""):
-            self.status_code = status
-            self.text = "err"
-            self._content = content
-
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"choices": [{"message": {"content": self._content}}]}
-
-    def fake_post(url, headers=None, json=None, timeout=None):
+    def fake_post(url, headers=None, json=None, timeout=None, stream=False):
+        assert stream
         calls.append(json["temperature"])
         if len(calls) < 3:
-            return FakeResponse(500)
-        return FakeResponse(200, "answer")
+            return StubResponse(500, "err")
+        return StubResponse(200, _chat_reply("answer"))
 
     monkeypatch.setattr(requests, "post", fake_post)
-    import fafsp.llm as llm_mod
-    monkeypatch.setattr(llm_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(llm.time, "sleep", lambda s: None)
     t = LiveTransport("http://example.test/v1", "key", "model")
     assert t.send("p", 0.4) == "answer"
     assert len(calls) == 3
@@ -248,40 +274,27 @@ def test_live_transport_retries_then_succeeds(monkeypatch):
 def test_live_transport_exhausts_retries(monkeypatch):
     import requests
 
-    def fake_post(url, headers=None, json=None, timeout=None):
+    def fake_post(url, headers=None, json=None, timeout=None, stream=False):
         raise requests.ConnectionError("refused")
 
     monkeypatch.setattr(requests, "post", fake_post)
-    import fafsp.llm as llm_mod
-    monkeypatch.setattr(llm_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(llm.time, "sleep", lambda s: None)
     t = LiveTransport("http://example.test/v1", "key", "model")
     with pytest.raises(TransportError, match="3 attempts"):
         t.send("p", 0.4)
 
 
-class StubResponse:
-    """requests.Response stand-in: a status code and a JSON body (or a
-    decode error)."""
-
-    def __init__(self, status, body):
-        self.status_code = status
-        self.text = "stub"
-        self._body = body
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
-
-
 def _stub_transport(monkeypatch, status, body):
+    """A LiveTransport whose every post is answered by StubResponse(status,
+    body()) when ``body`` is callable, else by StubResponse(status, body)."""
     import requests
 
     calls = []
 
-    def fake_post(url, headers=None, json=None, timeout=None):
-        calls.append(url)
-        return StubResponse(status, body)
+    def fake_post(url, headers=None, json=None, timeout=None, stream=False):
+        assert stream
+        calls.append(StubResponse(status, body() if callable(body) else body))
+        return calls[-1]
 
     monkeypatch.setattr(requests, "post", fake_post)
     return LiveTransport("http://example.test/v1", "key", "model", backoff=0), calls
@@ -312,6 +325,48 @@ def test_live_transport_reply_without_text_is_a_transport_error(monkeypatch, bod
     with pytest.raises(TransportError):
         t.send("p", 0.4)
     assert len(calls) == 1
+
+
+def test_live_transport_reads_a_reply_in_chunks(monkeypatch):
+    text = json.dumps(_chat_reply("é" * 100), ensure_ascii=False).encode()
+    cut = text.index("é".encode()) + 1      # inside a two-byte character
+    t, calls = _stub_transport(monkeypatch, 200, lambda: iter([text[:cut], text[cut:]]))
+    assert t.send("p", 0.4) == "é" * 100
+    assert len(calls) == 1 and calls[0].closed
+
+
+def test_live_transport_refuses_a_reply_that_never_ends(monkeypatch):
+    chunk = b" " * llm._READ_BYTES
+    t, calls = _stub_transport(monkeypatch, 200, lambda: itertools.repeat(chunk))
+    with pytest.raises(TransportError, match=f"3 attempts: reply longer than "
+                                             f"{llm.MAX_REPLY_BYTES} bytes"):
+        t.send("p", 0.4)
+    assert len(calls) == 3 and all(r.closed for r in calls)
+
+
+def test_live_transport_refuses_a_reply_that_trickles_past_the_deadline(monkeypatch):
+    now = [0.0]
+
+    def trickle():                          # a byte a second, without end
+        while True:
+            now[0] += 1.0
+            yield b" "
+
+    monkeypatch.setattr(llm.time, "monotonic", lambda: now[0])
+    t, calls = _stub_transport(monkeypatch, 200, trickle)
+    t.timeout = 30.0
+    with pytest.raises(TransportError, match=r"3 attempts: reply not complete within 30.0 s"):
+        t.send("p", 0.4)
+    assert len(calls) == 3 and all(r.closed for r in calls)
+    assert now[0] == 3 * 31                 # each attempt stops at its own deadline
+
+
+def test_live_transport_limits_hold_for_an_error_reply(monkeypatch):
+    # the body of a retried HTTP error is read under the same cap
+    t, calls = _stub_transport(monkeypatch, 503, lambda: itertools.repeat(b"x" * llm._READ_BYTES))
+    with pytest.raises(TransportError, match="reply longer than"):
+        t.send("p", 0.4)
+    assert len(calls) == 3
 
 
 def test_live_transport_from_env_requires_vars(monkeypatch):

@@ -315,6 +315,10 @@ def edge_scored_arcs(draw):
                np.array([-0.0, 0.0, np.inf]), np.array([0.0, -0.0, 1.0])))
 @example(arcs=(np.arange(2), np.zeros(2, dtype=np.int64),       # -inf is the minimum
                np.array([1.0, -np.inf]), np.zeros(2)))
+@example(arcs=(np.arange(3), np.zeros(3, dtype=np.int64),       # only the max sees +inf
+               np.array([np.inf, -3.5, 1.0]), np.zeros(3)))
+@example(arcs=(np.arange(4), np.zeros(4, dtype=np.int64),       # first non-finite: +inf
+               np.array([1.0, np.inf, np.nan, -np.inf]), np.zeros(4)))
 def test_argmin_reductions_match_min_and_all(arcs):
     jobs, machs, job_key, mach_key = arcs
     fv = FakeView({"due": job_key, "pt": mach_key})

@@ -219,9 +219,11 @@ def _exhaustive_optimum(inst):
 
     def dfs(state):
         if state.done_count == state.t.J:
-            return math.fsum(state.order_tt.tolist()), ()
-        key = (state.clock, state.status.tobytes(), state.m_idle.tobytes(),
-               state.m_row.tobytes(), state.order_ft.tobytes())
+            return math.fsum(state.order_tt), ()
+        # the bytes an int8 status array and a float64 delivery array hold
+        key = (state.clock, np.array(state.status, dtype=np.int8).tobytes(),
+               state.m_idle.tobytes(), state.m_row.tobytes(),
+               np.array(state.order_ft).tobytes())
         if key in memo:
             return memo[key]
         arcs = feasible_arcs(state)
