@@ -51,6 +51,8 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--count must be >= 1, not {args.count!r}")
     cfg = load_scenario(args.scenario)
     base = cfg.seed if args.seed is None else args.seed
+    for seed in (base, base + args.count - 1):     # refused before --out is made
+        replace(cfg, seed=seed).validate()
     os.makedirs(args.out, exist_ok=True)
     files, seeds = [], []
     for k in range(args.count):
@@ -125,6 +127,12 @@ def _cmd_bench(args) -> int:
         replications = args.replications
     if args.seed is not None:
         scenarios = [replace(s, seed=s.seed + args.seed) for s in scenarios]
+        for i, s in enumerate(scenarios):
+            try:
+                s.validate()
+            except ValueError as e:
+                raise ValueError(f"{args.grid}: grid.scenarios[{i}] with --seed {args.seed}: "
+                                 f"{e}") from None
     rules = [resolve_rule(r.strip()) for r in args.rules.split(",") if r.strip()]
     report = run_benchmark(scenarios, rules, replications)
     text = report.to_text()

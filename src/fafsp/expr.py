@@ -13,7 +13,8 @@ Grammar (whitespace-insensitive):
 NUMBER is a decimal with optional fraction and exponent. Accessors are the
 fixed feature names below; anything else is rejected. Programs are pure,
 loop-free and evaluate in one vectorized pass over all candidate arcs; each
-is compiled once, when it is built, into one straight-line Python function.
+is compiled once, when it is built, into straight-line code that serves as
+``Program.fn`` and is inlined into a rollout's chooser (``Program.inline``).
 A long +/- chain of terms that read a column, such as a weighted sum of
 features, compiles into one scaled row-wise reduce with the same bits as
 the chain's left fold.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -117,15 +118,35 @@ Node = Union[Num, Acc, Neg, Bin, Cmp, Call]
 class Program:
     root: Node
     n_nodes: int
-    #: root compiled once into a straight-line function of a column mapping
+    #: root compiled once into straight-line code (see ``inline``)
+    code: "_Code" = field(init=False, repr=False, compare=False)
+    #: the code as a function of a column mapping
     fn: Callable = field(init=False, repr=False, compare=False)
     #: accessor names the program reads
     reads: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fn, reads = _compile(self.root)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "reads", reads)
+        code = _compile(self.root)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "reads", frozenset(code.reads))
+        lines, result, namespace = self.inline()
+        fetch = [f"{name} = columns[{name!r}]" for name in code.reads]
+        object.__setattr__(self, "fn", _define("program", "columns", [*fetch, *lines],
+                                               result, namespace))
+
+    def inline(self, prefix: str = "") -> tuple[list[str], str, dict]:
+        """(lines, result, namespace) of the program's code with ``prefix``
+        before every name it makes: straight-line assignments that read
+        each accessor as a local named after it and leave the scores in
+        ``result``, a local or a constant; ``namespace`` holds the operators
+        and constants the lines use. ``fn`` and a rollout's chooser
+        (``sim.build_chooser``) are both built from it."""
+        code = self.code
+        namespace = dict(_OPS)
+        namespace.update((name.replace("{p}", prefix), value) for name, value in code.constants)
+        return ([line.replace("{p}", prefix) for line in code.lines],
+                code.result.replace("{p}", prefix),
+                namespace)
 
     def __reduce__(self):               # generated code does not pickle; recompile
         return Program, (self.root, self.n_nodes)
@@ -333,14 +354,16 @@ def to_source(program: Program) -> str:
 
 # -- vectorized evaluation ---------------------------------------------------
 #
-# Each program compiles to one straight-line function of the column mapping:
-# one local per node, every accessor read once, the same numpy operations in
-# the same order as a walk of the tree. Constants are read-only 0-d float64
-# arrays and broadcast, which gives the same values as full columns; numpy
-# takes a slower path for a Python float operand (a weak scalar) than for an
-# array. The generated text holds only names the generator makes and the
-# operator names below; constants reach the function through its namespace,
-# never as text.
+# Each program compiles once to straight-line code (``_Code``): one local
+# per node, every accessor read as the local of its name, the same numpy
+# operations in the same order as a walk of the tree. ``Program.fn`` runs
+# it on a column mapping; a rollout's chooser inlines it after its own
+# gather of the columns (``sim.build_chooser``). Constants are read-only 0-d
+# float64 arrays and broadcast, which gives the same values as full
+# columns; numpy takes a slower path for a Python float operand (a weak
+# scalar) than for an array. The code holds only names the generator makes,
+# accessor names and the operator names below; constants reach it through
+# the namespace, never as text.
 #
 # One exception to the node-by-node code: the leading terms of a +/- chain
 # t0 ± t1 ± ... ± tk that read a column, when they would take _FOLD_MIN or
@@ -426,15 +449,39 @@ def _scaled(op: str, term: Node) -> tuple[float, Node]:
     return (-coef if op == "-" else coef), row
 
 
-def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
-    """(function of the column mapping, accessors it reads)."""
-    namespace = dict(_OPS)
+class _Code(NamedTuple):
+    """A program's straight-line code. Each name it makes, a local ``v<i>``
+    or a constant ``c<i>``, starts with the placeholder ``{p}``, which
+    ``Program.inline`` fills with a prefix."""
+
+    lines: tuple[str, ...]              # assignments, in order
+    result: str                         # the local or constant returned
+    constants: tuple[tuple[str, np.ndarray], ...]
+    reads: tuple[str, ...]              # accessors, in the order first read
+
+
+def _define(name: str, params: str, lines: list[str], result: str, namespace: dict) -> Callable:
+    """The function ``name(params)`` that runs ``lines`` and returns ``result``,
+    compiled with ``namespace`` as its globals."""
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def {name}({params}):\n{body}    return {result}\n",
+                 f"<fafsp {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _compile(root: Node) -> _Code:
+    constants: dict[str, np.ndarray] = {}
     lines: list[str] = []
-    reads: dict[str, str] = {}
+    reads: dict[str, None] = {}         # an ordered set
 
     def local(text: str) -> str:
-        name = f"v{len(lines)}"
-        lines.append(f"    {name} = {text}")
+        name = f"{{p}}v{len(lines)}"
+        lines.append(f"{name} = {text}")
+        return name
+
+    def constant(value) -> str:
+        name = f"{{p}}c{len(constants)}"
+        constants[name] = _constant(value)
         return name
 
     def chain(node: Bin) -> str:
@@ -449,9 +496,8 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
         scalings = sum(row is not t for (_, row), (_, t) in zip(head, terms))
         if run - 1 + scalings >= _FOLD_MIN:        # the calls one _fold takes over
             coefs, rows = zip(*head)
-            name = f"k{len(namespace)}"
-            namespace[name] = _constant([[c] for c in coefs])
-            acc = local(f"_fold({name}, ({', '.join(emit(r) for r in rows)},))")
+            coef = constant([[c] for c in coefs])
+            acc = local(f"_fold({coef}, ({', '.join(emit(r) for r in rows)},))")
         else:
             run, acc = 1, emit(node)
         for op, term in terms[run:]:
@@ -460,15 +506,12 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
 
     def emit(node: Node) -> str:
         if isinstance(node, Num):
-            name = f"k{len(namespace)}"
-            namespace[name] = _constant(node.value)
-            return name
+            return constant(node.value)
         if isinstance(node, Acc):
             if node.name not in ACCESSORS:
                 raise UnknownAccessor(node.name, 0)
-            if node.name not in reads:
-                reads[node.name] = local(f"c[{node.name!r}]")
-            return reads[node.name]
+            reads[node.name] = None
+            return node.name
         if isinstance(node, Neg):
             return local(f"-{emit(node.operand)}")
         if isinstance(node, Bin) and node.op in "+-":
@@ -492,31 +535,25 @@ def _compile(root: Node) -> tuple[Callable, frozenset[str]]:
         raise TypeError(node)
 
     result = emit(root)
-    source = "def program(c):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    exec(compile(source, "<fafsp.expr program>", "exec"), namespace)
-    return namespace["program"], frozenset(reads)
-
-
-def scores(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
-    """``evaluate`` under the caller's numpy error state, which should ignore
-    floating-point errors: a rollout scores every decision by it inside one
-    ``np.errstate(all="ignore")``. A float64 result is returned as it is."""
-    result = program.fn(columns)
-    if result.ndim == 0:                # the program reads no column
-        return np.full(n, float(result))
-    if result.dtype is _FLOAT64:
-        return result
-    return result.astype(float)         # a comparison at the top, or integer columns
+    return _Code(tuple(lines), result, tuple(constants.items()), tuple(reads))
 
 
 @np.errstate(all="ignore")
 def evaluate(program: Program, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
     """Evaluate over n candidate arcs; columns maps accessor name -> float array.
 
-    Returns a float array of length n. Division by zero, log of a
-    non-positive value and sqrt of a negative value yield 0; other
-    non-finite results (e.g. exp overflow) are passed through for the
-    caller to reject. Numpy's floating-point errors are ignored for the
-    call, whatever the caller's error state, which the decorator restores.
+    Returns a float array of length n: a float64 result as it is, a program
+    that reads no column as a full column of its value, and any other
+    result (a comparison at the top, or integer columns) cast to float.
+    Division by zero, log of a non-positive value and sqrt of a negative
+    value yield 0; other non-finite results (e.g. exp overflow) are passed
+    through for the caller to reject. Numpy's floating-point errors are
+    ignored for the call, whatever the caller's error state, which the
+    decorator restores.
     """
-    return scores(program, columns, n)
+    result = program.fn(columns)
+    if result.ndim == 0:                # the program reads no column
+        return np.full(n, float(result))
+    if result.dtype is _FLOAT64:
+        return result
+    return result.astype(float)

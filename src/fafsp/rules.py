@@ -15,6 +15,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +67,18 @@ class RuleSpec:
             return self.program.reads
         return self.program.reads | self.tie_break.reads
 
+    @functools.cached_property
+    def chooser(self) -> Callable:
+        """The rule's chooser, code generated once per rule and kept on it
+        (``sim.build_chooser``): ``chooser(state, rule)`` is the function
+        from a decision's arcs, as pair indices, to the index of the arc
+        the rule dispatches in a rollout of ``state``."""
+        from .sim import build_chooser          # sim imports this module
+        return build_chooser(self.program, self.tie_break)
+
+    def __reduce__(self):               # the generated chooser does not pickle
+        return RuleSpec, (self.name, self.source, self.program, self.tie_break)
+
     @staticmethod
     def builtin(rule_id: str) -> "RuleSpec":
         if rule_id not in BUILTIN_IDS:
@@ -80,21 +93,8 @@ class RuleSpec:
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
     """Index of the dispatched arc among the candidate (job, machine) arcs,
     which must be in (job, machine) order; ``fv.arc_columns`` gathers their
-    columns and ``expr.evaluate`` scores them, as ``rank_columns`` says."""
-    n = len(jobs)
-    if n == 0:
-        raise ValueError("no arcs to rank")
-    if n == 1:
-        return 0
-    return rank_columns(rule, fv.arc_columns(jobs, machs), n, expr.evaluate, jobs, machs)
-
-
-def rank_columns(rule: RuleSpec, cols: dict, n: int, evaluate, jobs, machs,
-                 pairs: np.ndarray | None = None) -> int:
-    """Index of the dispatched arc among n >= 2 arcs in (job, machine)
-    order, from their columns. ``evaluate`` scores the rule's program:
-    ``expr.evaluate``, or ``expr.scores`` inside the caller's quiet error
-    state, as in a rollout.
+    columns and ``expr.evaluate`` scores them. The step API's ranking, and
+    the reference for a rollout's generated chooser (``RuleSpec.chooser``).
 
     ``argmin`` returns the first of tied arcs, which is then the one with
     the smallest (job id, machine id): a rule without a tie-break ranks by
@@ -102,10 +102,9 @@ def rank_columns(rule: RuleSpec, cols: dict, n: int, evaluate, jobs, machs,
     on the program's key.
 
     Only the single-key path checks that scores are finite; a non-finite
-    score for arc i raises RuleInvalid naming (jobs[p], machs[p]), with p
-    the arc's pair index ``pairs[i]`` when given, else i. The two-key path
-    needs no check: only ``RuleSpec.builtin`` sets a tie-break, and builtin
-    keys are finite on every valid instance.
+    score for arc i raises RuleInvalid naming (jobs[i], machs[i]). The
+    two-key path needs no check: only ``RuleSpec.builtin`` sets a
+    tie-break, and builtin keys are finite on every valid instance.
 
     Reductions are ``argmin`` calls, which cost less per decision than
     ``min`` and ``all``: the first minimum's value is the minimum (NaN if
@@ -114,18 +113,23 @@ def rank_columns(rule: RuleSpec, cols: dict, n: int, evaluate, jobs, machs,
     (a NaN fails both tests); only then is the finite mask built, to name
     the first non-finite arc.
     """
+    n = len(jobs)
+    if n == 0:
+        raise ValueError("no arcs to rank")
+    if n == 1:
+        return 0
+    cols = fv.arc_columns(jobs, machs)
     if rule.tie_break is not None:
         job_key = rule.program.fn(cols)
         ties = (job_key == job_key[job_key.argmin()]).nonzero()[0]
         return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
-    scores = evaluate(rule.program, cols, n)
+    scores = expr.evaluate(rule.program, cols, n)
     i = scores.argmin()                         # the first minimum, or the first NaN
     if -math.inf < scores.item(i) and scores.max() < math.inf:
         return int(i)
     k = np.isfinite(scores).argmin()            # the first non-finite score
-    p = k if pairs is None else pairs.item(k)
     raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
-                      f"for arc (job {jobs[p]}, machine {machs[p]})")
+                      f"for arc (job {jobs[k]}, machine {machs[k]})")
 
 
 def builtin_source(rule_id: str) -> str:

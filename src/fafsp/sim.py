@@ -9,18 +9,21 @@ enumeration through ranking to dispatch. With the mask the state keeps a
 ready count and per-machine queue counts, and updates all three only when
 a job enters or leaves READY (arrival, kit completion, dispatch), so an
 epoch with no ready job costs nothing and the others scan no job status.
-The active rule ranks the arcs with the columns it reads, gathered from
-the current state by pair index in one call; when no feasible arc remains
-the clock jumps to the next event, and after a dispatch that provably
-leaves no arc it jumps without enumerating (see ``_rollout``). Completions
-are processed before arrivals that share the same timestamp. Every rollout
+Each decision is one call of the rule's chooser (``build_chooser``), code
+generated once per rule from the column table (``_COLUMNS``, source text)
+and the rule's programs: it gathers the columns the rule reads by pair
+index, runs the programs inline and takes the arg-min, as the step API's
+``rules.rank_arc_arrays`` ranks. When no feasible arc remains the clock
+jumps to the next event, and after a dispatch that provably leaves no arc
+it jumps without enumerating (see ``_rollout``). Completions are
+processed before arrivals that share the same timestamp. Every rollout
 starts from a copy of the instance's time-zero state, built once with the
 instance's static tables and cached on the instance, the engine's one
 per-instance cache. One loop steps the rollout, and it takes the arc to
-dispatch from a chooser: ``run_dispatch`` ranks the arcs with a rule, and
-the oracle replays its optimal arc log through the same loop to build its
-schedule. A rollout owns numpy's error state: ``run_dispatch`` sets it
-once, around the whole loop, and restores the caller's on return.
+dispatch from a chooser: ``run_dispatch`` uses the rule's, and the oracle
+replays its optimal arc log through the same loop to build its schedule.
+A rollout owns numpy's error state: ``run_dispatch`` sets it once, around
+the whole loop, and restores the caller's on return.
 
 The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
 ``advance_clock``) speaks in (job, machine) arcs; ``_pair_indices``, its one
@@ -53,10 +56,10 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .expr import scores
+from .expr import _FLOAT64, Program, _define
 from .model import (Instance, Stage, _decimal, _key_id, check_instance, read_text,
                     write_text)
-from .rules import rank_columns
+from .rules import RuleInvalid
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -300,7 +303,7 @@ class FeatureView:
     (job, machine) arcs at the state's clock, gathered in one call: bound to
     a rule's read set (``reads``), those columns and the ones they derive
     from; unbound, every accessor. It maps each arc to its pair index and
-    gathers as a rollout does.
+    gathers with the lines a rollout's chooser runs (``_gather_lines``).
     """
 
     def __init__(self, state: SimState, reads: Iterable[str] | None = None):
@@ -311,34 +314,35 @@ class FeatureView:
         return self._gather(self._s, _pair_indices(self._s.t, jobs, machines))
 
 
-#: accessor -> (names it is derived from, its per-arc column as a function of
-#: the state, the arcs' pair indices k and the columns gathered so far). The
-#: one definition of every column. A base column derives from no accessor
-#: and comes before every column derived from it. The state columns of a
-#: job or a machine gather through the arcs' job or machine ids (``_INDEXES``).
-_COLUMNS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "due": ((), lambda s, k, c: s.t.pair_due[k]),
-    "arrival": ((), lambda s, k, c: s.t.pair_arrival[k]),
-    "now": ((), lambda s, k, c: _filled(len(k), s.clock)),
-    "work_rem": ((), lambda s, k, c: s.order_work_rem[s.t.pair_order[k]]),
-    "slack": (("due", "now", "work_rem"),
-              lambda s, k, c: c["due"] - c["now"] - c["work_rem"]),
-    "wait": (("now", "arrival"), lambda s, k, c: c["now"] - c["arrival"]),
-    "et": (("job",), lambda s, k, c: s.et[c["job"]]),
-    "n_mach": ((), lambda s, k, c: s.t.pair_n_mach[k]),
-    "ops_rem": ((), lambda s, k, c: s.order_ops_rem[s.t.pair_order[k]]),
-    "pt": ((), lambda s, k, c: s.t.pair_pt[k]),
-    "setup": (("job", "mach"), lambda s, k, c: s.t.setup_flat[s.m_row[c["mach"]] + c["job"]]),
-    "avail": (("mach",), lambda s, k, c: s.m_idle[c["mach"]]),
-    "queue": (("mach",), lambda s, k, c: s.m_queue[c["mach"]]),
-    "util": (("mach",), lambda s, k, c: s.m_busy[c["mach"]]),
+#: accessor -> (names it is derived from, its per-arc column as source text).
+#: The one definition of every column. The text reads the state ``s``, its
+#: tables ``t``, the arcs' pair indices ``k``, their count ``n`` and the
+#: columns it derives from, as locals named after them. A base column
+#: derives from no accessor and comes before every column derived from it.
+#: The state columns of a job or a machine gather through the arcs' job or
+#: machine ids (``_INDEXES``).
+_COLUMNS: dict[str, tuple[tuple[str, ...], str]] = {
+    "due": ((), "t.pair_due[k]"),
+    "arrival": ((), "t.pair_arrival[k]"),
+    "now": ((), "_filled(n, s.clock)"),
+    "work_rem": ((), "s.order_work_rem[t.pair_order[k]]"),
+    "slack": (("due", "now", "work_rem"), "due - now - work_rem"),
+    "wait": (("now", "arrival"), "now - arrival"),
+    "et": (("job",), "s.et[job]"),
+    "n_mach": ((), "t.pair_n_mach[k]"),
+    "ops_rem": ((), "s.order_ops_rem[t.pair_order[k]]"),
+    "pt": ((), "t.pair_pt[k]"),
+    "setup": (("job", "mach"), "t.setup_flat[s.m_row[mach] + job]"),
+    "avail": (("mach",), "s.m_idle[mach]"),
+    "queue": (("mach",), "s.m_queue[mach]"),
+    "util": (("mach",), "s.m_busy[mach]"),
 }
 
 #: the arcs' job and machine ids, gathered only for a column that reads
-#: them and left out of the columns returned
-_INDEXES: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "job": ((), lambda s, k, c: s.t.pair_job[k]),
-    "mach": ((), lambda s, k, c: s.t.pair_mach[k]),
+#: them and left out of the columns ``arc_columns`` returns
+_INDEXES: dict[str, tuple[tuple[str, ...], str]] = {
+    "job": ((), "t.pair_job[k]"),
+    "mach": ((), "t.pair_mach[k]"),
 }
 
 
@@ -349,27 +353,72 @@ def _filled(n: int, value: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _gatherer(names: frozenset[str]) -> Callable:
-    """Function (state, pair indices k) -> {accessor: column} over the named
-    accessors and those they derive from."""
+def _gather_lines(names: frozenset[str]) -> tuple[list[str], list[str]]:
+    """(lines, columns): the lines that gather the named accessors' columns
+    and those they derive from into locals named after them, and the names
+    of those columns, in table order. An unknown name raises KeyError."""
     unknown = names - _COLUMNS.keys()
     if unknown:
         raise KeyError(sorted(unknown)[0])
     needed = names.union(*(_COLUMNS[name][0] for name in names))
-    steps = tuple((name, fn) for name, (_, fn) in {**_INDEXES, **_COLUMNS}.items()
-                  if name in needed)
-    indexes = tuple(needed.intersection(_INDEXES))
+    lines = [f"{name} = {text}" for name, (_, text) in {**_INDEXES, **_COLUMNS}.items()
+             if name in needed]
+    return lines, [name for name in _COLUMNS if name in needed]
 
-    def gather(s: SimState, k: np.ndarray) -> dict:
-        cols: dict[str, np.ndarray] = {}
-        for name, fn in steps:
-            cols[name] = fn(s, k, cols)
-        for name in indexes:
-            del cols[name]
-        return cols
 
-    return gather
+@functools.lru_cache(maxsize=256)
+def _gatherer(names: frozenset[str]) -> Callable:
+    """Function (state, pair indices k) -> {accessor: column} over the named
+    accessors and those they derive from."""
+    lines, columns = _gather_lines(names)
+    return _define("gather", "s, k", ["t = s.t", "n = len(k)", *lines],
+                   "{" + ", ".join(f"{name!r}: {name}" for name in columns) + "}",
+                   {"_filled": _filled})
+
+
+def build_chooser(program: Program, tie_break: Program | None = None) -> Callable:
+    """The chooser of the rule that ranks arcs by ``program``, and arcs
+    tied on it by ``tie_break``, generated once per rule: a function
+    (state, rule) -> choose. ``choose(k)`` takes a decision's arcs k, pair
+    indices in (job, machine) order, and returns the index of the arc the
+    rule dispatches in one call: it gathers the columns the rule reads,
+    runs the programs' code inline and takes the arg-min, as
+    ``rules.rank_arc_arrays`` does, bit for bit. A single arc is chosen
+    unscored, the first minimum wins, a builtin ranks by the tie-break
+    among the arcs tied on the program's key, and a single-key rule scores
+    as ``expr.evaluate`` does and raises RuleInvalid naming the first arc
+    whose score is not finite. The generated text holds only column-table
+    text, generated names and namespace constants; the rule's name reaches
+    it at run time, through ``rule``."""
+    lines, _ = _gather_lines(program.reads | (tie_break.reads if tie_break else frozenset()))
+    code, key, namespace = program.inline()
+    lines += code
+    if tie_break is None:
+        lines += [f"score = {key}" if program.reads else f"score = _filled(n, float({key}))",
+                  "if score.dtype is not _FLOAT64:",
+                  "    score = score.astype(float)",
+                  "i = score.argmin()",                # the first minimum, or the first NaN
+                  "if -_INF < score.item(i) and score.max() < _INF:",
+                  "    return i",
+                  "raise _non_finite(rule, score, k, t)"]
+    else:
+        code, tie_key, tie_namespace = tie_break.inline("tie_")
+        namespace.update(tie_namespace)
+        lines += [f"ties = ({key} == {key}[{key}.argmin()]).nonzero()[0]", *code,
+                  f"return ties[{tie_key}[ties].argmin()]"]
+    namespace.update(_filled=_filled, _non_finite=_non_finite, _FLOAT64=_FLOAT64, _INF=math.inf)
+    choose = ["n = len(k)", "if n == 1:", "    return 0", *lines]
+    return _define("bind", "s, rule", ["t = s.t", "def choose(k):",
+                                       *(f"    {line}" for line in choose)],
+                   "choose", namespace)
+
+
+def _non_finite(rule, score: np.ndarray, k: np.ndarray, t: _Tables) -> RuleInvalid:
+    """RuleInvalid naming the first of the arcs k whose score is not finite."""
+    i = np.isfinite(score).argmin()
+    p = k.item(i)
+    return RuleInvalid(f"rule {rule.name!r}: non-finite score {score[i]} "
+                       f"for arc (job {t.pair_job_list[p]}, machine {t.pair_mach_list[p]})")
 
 
 def feasible_arcs(state: SimState) -> list[tuple[int, int]]:
@@ -501,19 +550,13 @@ def run_dispatch(inst: Instance, rule) -> Schedule:
     """Roll the instance out to completion under the rule and return the
     realized schedule. Deterministic for a given (instance, rule).
 
-    The rollout runs inside one ``np.errstate(all="ignore")``, which scores
-    the rule's programs quietly (see ``expr.scores``) and restores the
-    caller's error state on return and on a raise."""
+    Each decision is one call of the rule's generated chooser
+    (``RuleSpec.chooser``, built by ``build_chooser``). The rollout runs inside
+    one ``np.errstate(all="ignore")``, which scores the rule's programs
+    quietly and restores the caller's error state on return and on a
+    raise."""
     state = SimState(inst)
-    gather, t = _gatherer(rule.reads), state.t
-
-    def choose(k: np.ndarray) -> int:
-        n = len(k)
-        if n == 1:
-            return 0
-        return rank_columns(rule, gather(state, k), n, scores,
-                            t.pair_job_list, t.pair_mach_list, k)
-
+    choose = rule.chooser(state, rule)
     with np.errstate(all="ignore"):
         return _rollout(state, choose)
 

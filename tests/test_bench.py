@@ -368,6 +368,19 @@ def test_cli_negative_seed_names_the_seed(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: (.*: )?seed must be >= 0, not -\d+\n", err), err
     assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "g").exists()
+
+
+def test_cli_bench_seed_offset_names_the_option_the_file_and_the_scenario(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    scenario = {"m1": 1, "m2": 2, "phi": 0.8, "alpha": 2, "mu": 2.0, "n_init": 2}
+    grid.write_text(json.dumps({"replications": 1, "scenarios": [
+        {**scenario, "seed": 12}, {**scenario, "seed": 7}]}), encoding="utf-8")
+    assert main(["bench", "--grid", str(grid), "--rules", "EDD", "--seed", "-10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {grid}: grid.scenarios[1] with --seed -10: "
+                   "seed must be >= 0, not -3\n")
 
 
 def test_cli_evolve_replay_miss_is_transport_failure(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
                         Neg, Num, NodeLimitExceeded, ParseError, Program, UnknownAccessor,
-                        _fold, evaluate, parse, scores, to_source)
+                        _fold, evaluate, parse, to_source)
 from fafsp.rules import BUILTIN_IDS, RuleSpec
 
 from test_golden import RULES
@@ -161,11 +161,11 @@ def test_scores_cast_only_what_is_not_float64():
     top = Program(Cmp("<", Acc("due"), Num(5.0)), 3)
     raw = top.fn(cols)
     assert raw.dtype == np.bool_
-    out = scores(top, cols, 4)
+    out = evaluate(top, cols, 4)
     assert out.dtype == np.float64
     assert out.tobytes() == np.asarray(raw, dtype=float).tobytes()
     # a float64 result is returned as it is, not copied
-    assert scores(parse("due"), cols, 4) is cols["due"]
+    assert evaluate(parse("due"), cols, 4) is cols["due"]
 
 
 def test_evaluate_restores_error_state_when_the_program_raises():

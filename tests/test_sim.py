@@ -1,7 +1,9 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fafsp import sim
-from fafsp.expr import ACCESSORS
+from fafsp.expr import ACCESSORS, Acc, Cmp, Program, parse
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.rules import BUILTIN_IDS, RuleInvalid, RuleSpec, rank_arc_arrays
 from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
@@ -21,6 +23,7 @@ from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeE
 from fafsp.validator import validate_schedule
 
 from helpers import make_instance, minimal_instance, pick_arc
+from test_expr import programs
 from test_golden import RULES
 
 EDD = RuleSpec.builtin("EDD")
@@ -692,32 +695,60 @@ def test_single_arc_step_skips_enumerations():
 BASES = {"slack": {"due", "now", "work_rem"}, "wait": {"now", "arrival"}}
 
 
+class _Capture:
+    """Stand-in program for ``sim.build_chooser``: its code hands the columns the
+    chooser gathered, named as ``names``, to ``seen`` and scores every arc 0."""
+
+    def __init__(self, reads, names):
+        self.reads = frozenset(reads)
+        self.names = sorted(names)
+        self.seen = []
+
+    def inline(self, prefix=""):
+        columns = ", ".join(f"{name!r}: {name}" for name in self.names)
+        return [f"v0 = _seen({{{columns}}}, n)"], "v0", {"_seen": self._seen}
+
+    def _seen(self, columns, n):
+        self.seen.append(columns)
+        return np.zeros(n) if self.reads else np.zeros(())
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=st.one_of(hand_built_instances(), generated_instances),
        seed=st.integers(0, 2**16), reads=st.sets(st.sampled_from(sorted(ACCESSORS))))
 @example(inst=ZERO_LENGTH, seed=0, reads=set())
 def test_arc_columns_equal_the_pair_gather(inst, seed, reads):
     # at every decision of a random non-delay rollout, the step API's
-    # arc_columns, unbound and bound to a read set, gives the columns the
-    # engine gathers by pair index, bit for bit; and a bound column is the
-    # unbound one
+    # arc_columns, unbound and bound to a read set, gives float columns, one
+    # entry per arc, and a bound column is the unbound one, bit for bit; at a
+    # decision of two arcs or more they are also the columns a rule's
+    # generated chooser gathers by pair index from the same column table
     state = SimState(inst)
-    views = [(FeatureView(state), sim._gatherer(frozenset(ACCESSORS)), set(ACCESSORS)),
-             (FeatureView(state, reads), sim._gatherer(frozenset(reads)),
-              reads.union(*(BASES.get(name, set()) for name in reads)))]
+    names = reads.union(*(BASES.get(name, set()) for name in reads))
+    views = [(FeatureView(state), _Capture(ACCESSORS, ACCESSORS), set(ACCESSORS)),
+             (FeatureView(state, reads), _Capture(reads, names), names)]
+    choosers = [sim.build_chooser(capture)(state, None) for _, capture, _ in views]
     rng = random.Random(seed)
     decisions = []
 
     def checked(k):
         jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
-        columns = [(view.arc_columns(jobs, machs), gather(state, k), names)
-                   for view, gather, names in views]
-        full = columns[0][0]
-        for got, want, names in columns:
-            assert set(got) == set(want) == names
+        for choose in choosers:
+            assert choose(k) == 0                   # every score is 0
+        full = views[0][0].arc_columns(jobs, machs)
+        for view, capture, names in views:
+            got = view.arc_columns(jobs, machs)
+            assert set(got) == names
             for name, col in got.items():
-                assert col.dtype == want[name].dtype == float and col.shape == (len(k),)
-                assert col.tobytes() == want[name].tobytes() == full[name].tobytes(), name
+                assert col.dtype == float and col.shape == (len(k),)
+                assert col.tobytes() == full[name].tobytes(), name
+            assert len(capture.seen) == (len(k) > 1)    # a single arc is chosen unscored
+            for want in capture.seen:
+                assert set(want) == names
+                for name, col in got.items():
+                    assert want[name].dtype == float
+                    assert want[name].tobytes() == col.tobytes(), name
+            capture.seen.clear()
         decisions.append(len(k))
         return rng.randrange(len(k))
 
@@ -761,17 +792,25 @@ OVERFLOW = make_instance("ppa", [(0.0, 100.0, [([{0: 1.0, 1: 2.0}], {2: 1.0})]),
                                  (0.0, 50.0, [([{0: 9.0}], {2: 1.0})])])
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(inst=st.one_of(hand_built_instances(), generated_instances),
-       source=st.sampled_from(["exp(100*pt)", "due + exp(1000*(wait - 2))",
-                               "slack + 1/exp(1000*(et - pt))"]))
-@example(inst=OVERFLOW, source="exp(100*pt)")
-def test_both_paths_give_the_same_schedule_or_name_the_same_arc(inst, source):
-    # run_dispatch ranks by pair index, the step API by (job, machine) arc;
-    # a rule either gives the same schedule on both or is rejected on both
-    # with the same message, naming the same (job, machine) arc
-    rule = RuleSpec.expression(source)
+#: rules whose scores the chooser must keep: overflows, a rule that reads no
+#: column, a comparison at the top (only a Program built from nodes has one)
+#: and the nine builtins, which rank by two keys
+CHOOSER_RULES = [*map(RuleSpec.expression, ["exp(100*pt)", "due + exp(1000*(wait - 2))",
+                                            "slack + 1/exp(1000*(et - pt))", "2.5"]),
+                 RuleSpec("comparison", "due < now + pt",
+                          Program(Cmp("<", Acc("due"), parse("now + pt").root), 4)),
+                 *map(RuleSpec.builtin, BUILTIN_IDS)]
 
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       rule=st.one_of(st.sampled_from(CHOOSER_RULES), programs.map(RuleSpec.expression)))
+@example(inst=OVERFLOW, rule=CHOOSER_RULES[0])
+def test_both_paths_give_the_same_schedule_or_name_the_same_arc(inst, rule):
+    # run_dispatch ranks with the rule's generated chooser by pair index,
+    # the step API with rank_arc_arrays by (job, machine) arc; a rule either
+    # gives the same schedule on both or is rejected on both with the same
+    # message, naming the same (job, machine) arc
     def outcome(rollout):
         try:
             return schedule_to_text(rollout(inst, rule))
@@ -780,8 +819,20 @@ def test_both_paths_give_the_same_schedule_or_name_the_same_arc(inst, source):
 
     got = outcome(run_dispatch)
     assert got == outcome(_reference_dispatch)
-    if inst is OVERFLOW:
+    if inst is OVERFLOW and rule is CHOOSER_RULES[0]:
         assert got == "rule 'expression': non-finite score inf for arc (job 2, machine 0)"
+
+
+@pytest.mark.parametrize("rule", [EDD, KERNEL_RULES[1]], ids=["builtin", "expression"])
+def test_a_rolled_out_rule_pickles_and_copies(rule):
+    # the chooser a rollout generates is kept on the rule; a pickled or
+    # copied rule goes without it and builds its own
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                            n_init=2, seed=5))
+    want = schedule_to_text(run_dispatch(inst, rule))
+    for again in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert again == rule
+        assert schedule_to_text(run_dispatch(inst, again)) == want
 
 
 def test_unknown_read_is_rejected():
@@ -818,6 +869,14 @@ def test_overflowing_rule_is_rejected_in_any_error_state():
             run_dispatch(ERRSTATE_INSTANCE, rule)
         assert np.geterr() == before
     assert str(raising.value) == str(quiet.value)
+
+
+def test_the_rule_name_reaches_the_chooser_only_at_run_time():
+    # a name that would break the generated source, were it pasted into it
+    rule = RuleSpec("x'\"\n{p}", "exp(1000*pt)", parse("exp(1000*pt)"))
+    with pytest.raises(RuleInvalid) as e:
+        run_dispatch(ERRSTATE_INSTANCE, rule)
+    assert str(e.value).startswith(f"rule {rule.name!r}: non-finite score inf for arc (job ")
 
 
 # -- replaying an arc log through the epoch loop ----------------------------------
