@@ -146,7 +146,7 @@ def test_golden_oracle():
     assert not changed, f"oracle results changed: {changed}"
 
 
-# both grid parks, phi 0.5 / 0.7 / 1.0, alpha 0..50, n_init 0 and 5, and off-default T, R
+# 1-2 and both grid parks, phi 0.05 .. 1.0, alpha 0..50, n_init 0, 2 and 5, off-default T, R
 INSTANCE_SCENARIOS = {
     f"{c.m1}-{c.m2}-{c.phi}-{c.alpha}-{c.mu}-n{c.n_init}-s{c.seed}": c for c in (
         ScenarioConfig(m1=3, m2=6, phi=0.5, alpha=0, mu=1.0, seed=0),
@@ -161,6 +161,14 @@ INSTANCE_SCENARIOS = {
         ScenarioConfig(m1=5, m2=12, phi=0.7, alpha=10, mu=1.0, n_init=0, seed=9),
         ScenarioConfig(m1=5, m2=12, phi=1.0, alpha=50, mu=4.0, n_init=0, seed=10),
         ScenarioConfig(m1=5, m2=12, phi=0.5, alpha=50, mu=2.0, T=0.4, R=0.2, seed=11),
+        # low phi: many jobs pick no machine and take the eligibility stream's
+        # fallback draw, which interleaves with its per-job uniforms
+        ScenarioConfig(m1=1, m2=2, phi=0.05, alpha=0, mu=1.0, n_init=2, seed=20),
+        ScenarioConfig(m1=1, m2=2, phi=0.2, alpha=10, mu=2.0, n_init=0, seed=21),
+        ScenarioConfig(m1=1, m2=2, phi=0.05, alpha=4, mu=4.0, n_init=2, seed=22),
+        ScenarioConfig(m1=3, m2=6, phi=0.05, alpha=10, mu=2.0, n_init=2, seed=23),
+        ScenarioConfig(m1=5, m2=12, phi=0.05, alpha=5, mu=1.0, n_init=0, seed=24),
+        ScenarioConfig(m1=5, m2=12, phi=0.2, alpha=10, mu=4.0, n_init=2, seed=25),
     )}
 
 
