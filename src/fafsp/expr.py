@@ -13,8 +13,9 @@ Grammar (whitespace-insensitive):
 NUMBER is a decimal with optional fraction and exponent. Accessors are the
 fixed feature names below; anything else is rejected. Programs are pure,
 loop-free and evaluate in one vectorized pass over all candidate arcs; each
-is compiled once, when it is built, into straight-line code that serves as
-``Program.fn`` and is inlined into a rollout's chooser (``Program.inline``).
+is compiled once, when it is built, into straight-line code that is
+inlined into a rollout's chooser (``Program.inline``) and, on first use,
+defined as ``Program.fn``.
 A long +/- chain of terms that read a column, such as a weighted sum of
 features, compiles into one scaled row-wise reduce with the same bits as
 the chain's left fold.
@@ -26,6 +27,7 @@ engine rejects rules whose final scores are non-finite.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Union
@@ -120,8 +122,6 @@ class Program:
     n_nodes: int
     #: root compiled once into straight-line code (see ``inline``)
     code: "_Code" = field(init=False, repr=False, compare=False)
-    #: the code as a function of a column mapping
-    fn: Callable = field(init=False, repr=False, compare=False)
     #: accessor names the program reads
     reads: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -129,10 +129,14 @@ class Program:
         code = _compile(self.root)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "reads", frozenset(code.reads))
+
+    @functools.cached_property
+    def fn(self) -> Callable:
+        """The code as a function of a column mapping, defined on first use:
+        a rollout runs the code inlined in its chooser and never calls it."""
         lines, result, namespace = self.inline()
-        fetch = [f"{name} = columns[{name!r}]" for name in code.reads]
-        object.__setattr__(self, "fn", _define("program", "columns", [*fetch, *lines],
-                                               result, namespace))
+        fetch = [f"{name} = columns[{name!r}]" for name in self.code.reads]
+        return _define("program", "columns", [*fetch, *lines], result, namespace)
 
     def inline(self, prefix: str = "") -> tuple[list[str], str, dict]:
         """(lines, result, namespace) of the program's code with ``prefix``

@@ -86,14 +86,16 @@ def _order_loads(jobs: Iterable[Job], machines: Sequence[Machine]) -> tuple[floa
     """(completion estimate, makespan lower bound) of one order, from each
     machine's serial load: the total processing time of the order's jobs of
     its stage there, added in job order (an ineligible pair adds nothing)."""
-    loads = {s: {m.id: 0.0 for m in machines if m.stage == s} for s in Stage}
+    processing, assembly = Stage.PROCESSING, Stage.ASSEMBLY      # an enum member read is slow
+    stage = {m.id: m.stage for m in machines}
+    load = dict.fromkeys(stage, 0.0)
     for job in jobs:
-        row = loads[job.kind]
+        kind = job.kind
         for m, pt in job.eligible.items():
-            if m in row:
-                row[m] += pt
-    proc = [loads[Stage.PROCESSING][m.id] for m in machines if m.stage == Stage.PROCESSING]
-    asm = [loads[Stage.ASSEMBLY][m.id] for m in machines if m.stage == Stage.ASSEMBLY]
+            if stage.get(m) == kind:
+                load[m] += pt
+    proc = [load[m.id] for m in machines if m.stage == processing]
+    asm = [load[m.id] for m in machines if m.stage == assembly]
     estimate = max(proc) + min(asm)
     return estimate, max(estimate, max(asm))
 
@@ -187,36 +189,46 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
     orders_raw: list[list[Product]] = []
     pid = 0
 
+    # one work draw per job in id order, taken at once: the same doubles as
+    # a scalar draw per job. The eligibility stream cannot be batched: a job
+    # that picks no machine takes a fallback draw between two jobs' uniforms
+    works = rng_work.uniform(WORK_LOW, WORK_HIGH, size=n_jobs).tolist()
+
+    phi = cfg.phi
+
     def make_job(jid: int, kind: Stage, oid: int, prod: int, preds: frozenset[int]) -> Job:
         cands = stage_ids[kind]
-        picked = [m for m, u in zip(cands, rng_elig.random(len(cands)).tolist()) if u < cfg.phi]
+        picked = [m for m, u in zip(cands, rng_elig.random(len(cands)).tolist()) if u < phi]
         if not picked:
             picked = [cands[int(rng_elig.integers(len(cands)))]]
-        work = float(rng_work.uniform(WORK_LOW, WORK_HIGH))
+        work = works[jid]
         eligible = {m: work / rate[m] for m in picked}
         return Job(jid, kind, oid, prod, preds, eligible)
 
+    processing, assembly = Stage.PROCESSING, Stage.ASSEMBLY
+    no_preds: frozenset[int] = frozenset()
+    by_order: list[list[Job]] = []          # each order's jobs, which are made in a row
     jid = 0
     for oid, prods in enumerate(skeleton):
         products = []
+        first = jid
         for n_proc in prods:
             proc_ids = tuple(range(jid, jid + n_proc))
             for j in proc_ids:
-                jobs.append(make_job(j, Stage.PROCESSING, oid, pid, frozenset()))
+                jobs.append(make_job(j, processing, oid, pid, no_preds))
             jid += n_proc
-            jobs.append(make_job(jid, Stage.ASSEMBLY, oid, pid, frozenset(proc_ids)))
+            jobs.append(make_job(jid, assembly, oid, pid, frozenset(proc_ids)))
             products.append(Product(pid, jid, proc_ids))
             jid += 1
             pid += 1
         orders_raw.append(products)
+        by_order.append(jobs[first:])
 
     all_pt = [pt for j in jobs for pt in j.eligible.values()]
     mean_pt = math.fsum(all_pt) / len(all_pt)
     setup = rng_setup.uniform(0.0, SETUP_FRACTION * mean_pt, size=(n_jobs + 1, n_jobs))
     setup[0, :] = 0.0
 
-    by_order = [[jobs[j] for p in prods for j in (*p.processing_job_ids, p.assembly_job_id)]
-                for prods in orders_raw]
     loads = [_order_loads(js, machines) for js in by_order]
     arrivals = schedule_arrivals([est for est, _ in loads], cfg.n_init, cfg.mu, rng_arr)
 

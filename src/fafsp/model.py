@@ -121,76 +121,11 @@ class Instance:
         return float(self.setup[row, job_id])
 
 
-def check_instance(inst: Instance) -> list[str]:
-    """Return a list of human-readable invariant violations (empty = valid)."""
-    out: list[str] = []
-
-    mach_ids = [m.id for m in inst.machines]
-    if sorted(mach_ids) != list(range(len(mach_ids))):
-        out.append(f"machine ids not dense 0..{len(mach_ids) - 1}: {sorted(mach_ids)}")
-    for stage in Stage:
-        if not any(m.stage == stage for m in inst.machines):
-            out.append(f"no {stage.value} machine")
-    stage_of = {m.id: m.stage for m in inst.machines}
-
-    if not inst.orders:
-        out.append("no orders")
-    order_ids = [o.id for o in inst.orders]
-    if sorted(order_ids) != list(range(len(order_ids))):
-        out.append(f"order ids not dense 0..{len(order_ids) - 1}")
-
-    job_ids = [j.id for j in inst.jobs]
-    if sorted(job_ids) != list(range(len(job_ids))):
-        out.append(f"job ids not dense 0..{len(job_ids) - 1}")
-    known_jobs = set(job_ids)
-
-    # orders -> products -> jobs must partition the job set
-    seen: dict[int, tuple[int, int]] = {}
-    for o in inst.orders:
-        for name, value in (("arrival", o.arrival), ("due", o.due)):
-            if not math.isfinite(value):
-                out.append(f"order {o.id}: {name} {value} is not finite")
-        if o.arrival < 0:
-            out.append(f"order {o.id}: arrival < 0")
-        if o.due < o.arrival:
-            out.append(f"order {o.id}: due {o.due} before arrival {o.arrival}")
-        if not o.products:
-            out.append(f"order {o.id}: no products")
-        for p in o.products:
-            if not p.processing_job_ids:
-                out.append(f"assembly without kit: product {p.id} (order {o.id})")
-            for j in (*p.processing_job_ids, p.assembly_job_id):
-                if j not in known_jobs:
-                    out.append(f"order {o.id}: unknown job {j}")
-                elif j in seen:
-                    out.append(f"job {j} claimed by two products ({seen[j][1]} and {p.id})")
-                else:
-                    seen[j] = (o.id, p.id)
-
-    for j in inst.jobs:
-        if j.id not in seen:
-            out.append(f"job {j.id} belongs to no product")
-            continue
-        oid, pid = seen[j.id]
-        if (j.order_id, j.product_id) != (oid, pid):
-            out.append(f"job {j.id}: order/product ids {j.order_id}/{j.product_id} "
-                       f"disagree with nesting {oid}/{pid}")
-
-    for o in inst.orders:
-        for p in o.products:
-            asm = inst._job_index.get(p.assembly_job_id)
-            if asm is not None and asm.kind != Stage.ASSEMBLY:
-                out.append(f"product {p.id}: assembly_job {p.assembly_job_id} is a {asm.kind.value} job")
-            if asm is not None and asm.predecessors != frozenset(p.processing_job_ids):
-                out.append(f"job {p.assembly_job_id}: predecessors differ from product {p.id} kit")
-            for jid in p.processing_job_ids:
-                job = inst._job_index.get(jid)
-                if job is not None and job.kind != Stage.PROCESSING:
-                    out.append(f"product {p.id}: kit job {jid} is a {job.kind.value} job")
-                if job is not None and job.predecessors:
-                    out.append(f"processing job {jid} has predecessors")
-
-    for j in inst.jobs:
+def _machine_faults(jobs, stage_of: dict) -> list[str]:
+    """Each job's faults in its eligible machines and processing times, in
+    job order, one machine at a time."""
+    out = []
+    for j in jobs:
         if not j.eligible:
             out.append(f"job {j.id}: no eligible machine")
         for m, pt in j.eligible.items():
@@ -200,27 +135,141 @@ def check_instance(inst: Instance) -> list[str]:
                 out.append(f"stage mismatch job {j.id} machine {m}")
             if pt < 0 or not math.isfinite(pt):
                 out.append(f"job {j.id}: processing time {pt} on machine {m}")
+    return out
 
-    n = len(inst.jobs)
-    if inst.setup.shape != (n + 1, n):
-        out.append(f"setup shape {inst.setup.shape} != {(n + 1, n)}")
+
+def check_instance(inst: Instance) -> list[str]:
+    """Return a list of human-readable invariant violations (empty = valid).
+
+    The checks take one pass over the orders and one over the jobs, each
+    gathering two kinds of violation, listed nesting first, then kits, then
+    machines. A job's eligible machines and times are first tested at once
+    and only read one by one, to name each fault, when that test fails."""
+    out: list[str] = []
+    machines, orders, jobs = inst.machines, inst.orders, inst.jobs
+
+    mach_ids = [m.id for m in machines]
+    if sorted(mach_ids) != list(range(len(mach_ids))):
+        out.append(f"machine ids not dense 0..{len(mach_ids) - 1}: {sorted(mach_ids)}")
+    for stage in Stage:
+        if not any(m.stage == stage for m in machines):
+            out.append(f"no {stage.value} machine")
+    stage_of = {m.id: m.stage for m in machines}
+
+    if not orders:
+        out.append("no orders")
+    order_ids = [o.id for o in orders]
+    if sorted(order_ids) != list(range(len(order_ids))):
+        out.append(f"order ids not dense 0..{len(order_ids) - 1}")
+
+    job_ids = [j.id for j in jobs]
+    if sorted(job_ids) != list(range(len(job_ids))):
+        out.append(f"job ids not dense 0..{len(job_ids) - 1}")
+    index = inst._job_index                         # job id -> job
+    isfinite = math.isfinite
+    PROCESSING, ASSEMBLY = Stage.PROCESSING, Stage.ASSEMBLY     # an enum member read is slow
+
+    # orders -> products -> jobs must partition the job set, each product
+    # listing its kit and then its assembly job; each job's kind and
+    # predecessors must fit its place, and those faults are listed later
+    kits: list[str] = []
+    seen: dict[int, tuple[int, int]] = {}
+    for o in orders:
+        oid, arrival, due = o.id, o.arrival, o.due
+        if not isfinite(arrival):
+            out.append(f"order {oid}: arrival {arrival} is not finite")
+        if not isfinite(due):
+            out.append(f"order {oid}: due {due} is not finite")
+        if arrival < 0:
+            out.append(f"order {oid}: arrival < 0")
+        if due < arrival:
+            out.append(f"order {oid}: due {due} before arrival {arrival}")
+        if not o.products:
+            out.append(f"order {oid}: no products")
+        for p in o.products:
+            pid, kit, a = p.id, p.processing_job_ids, p.assembly_job_id
+            if not kit:
+                out.append(f"assembly without kit: product {pid} (order {oid})")
+            owner = (oid, pid)
+            asm = index.get(a)
+            if asm is not None:
+                if asm.kind != ASSEMBLY:
+                    kits.append(f"product {pid}: assembly_job {a} is a {asm.kind.value} job")
+                if asm.predecessors != frozenset(kit):
+                    kits.append(f"job {a}: predecessors differ from product {pid} kit")
+            for j in kit:
+                job = index.get(j)
+                if job is None:
+                    out.append(f"order {oid}: unknown job {j}")
+                    continue
+                if j in seen:
+                    out.append(f"job {j} claimed by two products ({seen[j][1]} and {pid})")
+                else:
+                    seen[j] = owner
+                if job.kind != PROCESSING:
+                    kits.append(f"product {pid}: kit job {j} is a {job.kind.value} job")
+                if job.predecessors:
+                    kits.append(f"processing job {j} has predecessors")
+            if asm is None:
+                out.append(f"order {oid}: unknown job {a}")
+            elif a in seen:
+                out.append(f"job {a} claimed by two products ({seen[a][1]} and {pid})")
+            else:
+                seen[a] = owner
+
+    # each job's nesting ids, and whether all its eligible machines are of
+    # its stage; its processing times are tested with all the others' and
+    # its longest one feeds the horizon below
+    proc_ids, asm_ids = ({m for m, s in stage_of.items() if s == stage}
+                         for stage in (PROCESSING, ASSEMBLY))
+    fits, times, longest = True, [], []
+    for j in jobs:
+        jid, kind, eligible = j.id, j.kind, j.eligible
+        owner = seen.get(jid)
+        if owner is None:
+            out.append(f"job {jid} belongs to no product")
+        elif j.order_id != owner[0] or j.product_id != owner[1]:
+            out.append(f"job {jid}: order/product ids {j.order_id}/{j.product_id} "
+                       f"disagree with nesting {owner[0]}/{owner[1]}")
+        if not eligible:
+            fits = False
+            continue
+        times += eligible.values()
+        longest.append(max(eligible.values()))
+        fits = fits and eligible.keys() <= (proc_ids if kind == PROCESSING else
+                                            asm_ids if kind == ASSEMBLY else set())
+    out += kits
+    # a NaN or infinite time makes the sum NaN or infinite, and a negative
+    # one is the least unless there is a NaN
+    if not (fits and min(times, default=0.0) >= 0 and isfinite(sum(times))):
+        out += _machine_faults(jobs, stage_of)
+
+    n = len(jobs)
+    setup = inst.setup
+    if setup.shape != (n + 1, n):
+        out.append(f"setup shape {setup.shape} != {(n + 1, n)}")
     else:
-        if np.any(inst.setup[0] != 0):
+        if np.any(setup[0] != 0):
             out.append("setup: virtual row not all zero")
-        if np.any(inst.setup < 0):
+        # NaN spreads through both reductions: with both finite, every
+        # entry is, and the minimum says whether one is negative
+        into = setup.max(axis=0)                        # the largest setup into each job
+        least = setup.min(initial=0.0)
+        finite = isfinite(least) and np.isfinite(into).all()
+        if (least < 0) if finite else np.any(setup < 0):
             out.append("setup < 0")
-        if not np.isfinite(inst.setup).all():
-            i, j = np.argwhere(~np.isfinite(inst.setup))[0]
-            out.append(f"setup[{i}, {j}] = {inst.setup[i, j]} is not finite")
+        if not finite:
+            i, j = np.argwhere(~np.isfinite(setup))[0]
+            out.append(f"setup[{i}, {j}] = {setup[i, j]} is not finite")
 
     if not out:
         # no completion time passes the horizon, and no sum of order
         # tardiness passes (orders + 1) x horizon: both must be finite
-        into = inst.setup.max(axis=0).tolist()             # the largest setup into each job
-        horizon = max(o.arrival for o in inst.orders) + sum(
-            max(j.eligible.values()) + into[j.id] for j in inst.jobs)
-        if not math.isfinite((len(inst.orders) + 1) * horizon):
-            out.append(f"horizon {horizon} times {len(inst.orders) + 1} (orders + 1) is not finite")
+        into = into.tolist()
+        horizon = max(o.arrival for o in orders) + sum(
+            [top + into[jid] for top, jid in zip(longest, job_ids)])
+        if not isfinite((len(orders) + 1) * horizon):
+            out.append(f"horizon {horizon} times {len(orders) + 1} (orders + 1) is not finite")
     return out
 
 
@@ -348,7 +397,9 @@ def _setup_matrix(setup, n: int, path: str) -> np.ndarray:
 def instance_from_doc(doc, label: str = "instance") -> Instance:
     """Build and fully check an Instance from its parsed JSON form; a
     malformed document raises DocumentError naming ``label`` and the JSON
-    path, as ``read_document`` does, or listing check_instance's violations."""
+    path, as ``read_document`` does, or listing check_instance's violations.
+    The instance is marked checked (``_checked``), so the rollout engine,
+    which checks every instance it builds tables for, does not check it twice."""
     jobs = doc.get("jobs") if isinstance(doc, dict) else None
     if isinstance(jobs, list) and len(jobs) > MAX_JOBS:   # before any record or the setup matrix
         raise DocumentError(f"{label}.jobs: {len(jobs)} jobs exceed the cap of {MAX_JOBS}")
@@ -369,6 +420,7 @@ def instance_from_doc(doc, label: str = "instance") -> Instance:
                     _setup_matrix(read.setup, len(jobs), f"{label}.setup"))
     if violations := check_instance(inst):
         raise DocumentError(f"{label}: " + "; ".join(violations))
+    inst.__dict__["_checked"] = True    # a rollout's tables need not check it again
     return inst
 
 
@@ -459,8 +511,8 @@ def _finite(v) -> bool:
 
 #: annotation -> (test, what a value must be)
 _LEAVES = {bool: (lambda v: isinstance(v, bool), "true or false"),
-           int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-                 "an integer"),
+           int: (lambda v: type(v) is int                 # the common case, first
+                 or isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
            float: (_finite, "a finite number"),
            str: (lambda v: isinstance(v, str), "a string"),
            os.PathLike: (lambda v: isinstance(v, os.PathLike), "a path"),
@@ -481,16 +533,17 @@ def _shape(tp):
         _LEAVES[t] for t in ((origin,) if origin in (tuple, dict) else args or (tp,))]
 
 
-def _read(tp, value, path: str):
+def _read(tp, value, path: str | None):
     """``value`` checked against the annotation ``tp``: a union of _LEAVES,
     tuple[X, ...] or tuple[X, Y, ...] read from a list, dict[int, X] read
     from an object keyed by the plain text of integers, or a dataclass read
-    from an object."""
+    from an object. ``path`` names the value in a DocumentError; with None,
+    no path is formatted and the error names none (see ``read_document``)."""
     if (leaf := _LEAVES.get(tp)) and leaf[0](value):     # the common case, first
         return value
     origin, args, leaves = _shape(tp)
     if leaves is None:
-        return read_document(tp, value, path)
+        return _read_object(tp, value, path)
     if not any(test(value) for test, _ in leaves):
         raise DocumentError(f"{path} must be {' or '.join(w for _, w in leaves)}, "
                             f"not {json.dumps(value, default=repr):.60}")
@@ -502,23 +555,20 @@ def _read(tp, value, path: str):
             except ValueError:
                 raise DocumentError(f"{path} key {json.dumps(key):.60} must be "
                                     f"the plain text of an integer") from None
-            out[k] = v if leaf and leaf[0](v) else _read(args[1], v, f'{path}["{key}"]')
+            out[k] = v if leaf and leaf[0](v) else _read(
+                args[1], v, None if path is None else f'{path}["{key}"]')
         return out
     if origin is tuple:
         items = (args[0],) * len(value) if args[1:] == (Ellipsis,) else args
         if len(items) != len(value):
             raise DocumentError(f"{path} must be a list of {len(items)} items, not {len(value)}")
-        return tuple(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+        return tuple(_read(t, v, None if path is None else f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
     return value
 
 
-def read_document(cls, doc, label: str):
-    """The dataclass ``cls`` built from a parsed JSON object and validated,
-    its values kept as they are (an int stays an int). ``label`` names the
-    document, as in ``grid.json: grid``. An unknown or missing key, a wrongly
-    typed value or a ValueError from ``validate()`` raises DocumentError
-    naming the label and the JSON path, as in
-    ``grid.json: grid.scenarios[3].phi must be a finite number, not true``."""
+def _read_object(cls, doc, label: str | None):
+    """The dataclass ``cls`` read from ``doc``, as ``_read`` reads a value."""
     hints = _hints(cls)
     if isinstance(doc, cls):                        # built in Python
         doc = vars(doc)
@@ -530,12 +580,28 @@ def read_document(cls, doc, label: str):
     if len(doc) < len(hints) and (missing := [f.name for f in fields(cls) if f.name not in doc
                                               and f.default is f.default_factory is MISSING]):
         raise DocumentError(f"{label} is missing key {missing[0]!r}")
-    obj = cls(**{key: _read(hints[key], value, f"{label}.{key}") for key, value in doc.items()})
+    obj = cls(**{key: _read(hints[key], value, None if label is None else f"{label}.{key}")
+                 for key, value in doc.items()})
     try:
         getattr(obj, "validate", lambda: None)()
     except ValueError as e:
         raise DocumentError(f"{label}: {e}") from None
     return obj
+
+
+def read_document(cls, doc, label: str):
+    """The dataclass ``cls`` built from a parsed JSON object and validated,
+    its values kept as they are (an int stays an int). ``label`` names the
+    document, as in ``grid.json: grid``. An unknown or missing key, a wrongly
+    typed value or a ValueError from ``validate()`` raises DocumentError
+    naming the label and the JSON path, as in
+    ``grid.json: grid.scenarios[3].phi must be a finite number, not true``.
+    A document is read once without formatting any path; only one that
+    fails is read again, with its paths, to name the value at fault."""
+    try:
+        return _read_object(cls, doc, None)
+    except DocumentError:
+        return _read_object(cls, doc, label)        # raises again, naming the path
 
 
 def check_fields(obj, label: str) -> None:

@@ -50,7 +50,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -106,6 +108,9 @@ def total_tardiness(sched: Schedule) -> float:
     return math.fsum(sched.tt.values())
 
 
+_BY_ID = operator.attrgetter("id")
+
+
 class _Tables:
     """Static per-instance arrays shared by every rollout of that instance.
 
@@ -115,36 +120,38 @@ class _Tables:
     enumeration to dispatch, and a static column is one gather by it."""
 
     def __init__(self, inst: Instance):
-        violations = check_instance(inst)
-        if violations:
-            raise ValueError("invalid instance: " + "; ".join(violations))
+        if "_checked" not in inst.__dict__:          # the reader checked what it built
+            violations = check_instance(inst)
+            if violations:
+                raise ValueError("invalid instance: " + "; ".join(violations))
         J, M = inst.num_jobs, inst.num_machines
         self.J, self.M = J, M
         # setup[r, j] is setup_flat[r * J + j]; a state keeps each machine's
         # row offset, so the setup column gathers with one flat index
         self.setup_flat = inst.setup.ravel()
-        self.is_assembly = [False] * J
-        self.job_order_list = [0] * J                       # for scalar reads
-        self.succ = [-1] * J                                # feeding assembly job
-        self.pred_count = [0] * J
-        self.pair_start = [0]
-        machs: list[int] = []
-        pts: list[float] = []
-        for job in sorted(inst.jobs, key=lambda job: job.id):
-            ms = sorted(job.eligible)
-            machs += ms
-            pts += [job.eligible[m] for m in ms]
-            self.pair_start.append(len(machs))
-            self.is_assembly[job.id] = job.kind == Stage.ASSEMBLY
-            self.job_order_list[job.id] = job.order_id
-            self.pred_count[job.id] = len(job.predecessors)
-        n_mach = np.diff(self.pair_start)
+        jobs = sorted(inst.jobs, key=_BY_ID)
+        assembly = Stage.ASSEMBLY
+        self.is_assembly = [job.kind == assembly for job in jobs]
+        self.job_order_list = [job.order_id for job in jobs]      # for scalar reads
+        self.pred_count = [len(job.predecessors) for job in jobs]
+        eligible = [job.eligible for job in jobs]
+        counts = list(map(len, eligible))
+        self.pair_start = list(itertools.accumulate(counts, initial=0))
+        n_mach = np.array(counts)
         self.pair_job = np.repeat(np.arange(J), n_mach)
-        self.pair_mach = np.array(machs, dtype=np.intp)
-        self.pair_job_list, self.pair_mach_list = self.pair_job.tolist(), machs  # scalar reads
+        # the jobs' machines and times as each job lists them, then sorted by
+        # (job, machine): one stable sort, which keeps pairs already in order
+        n_pairs = self.pair_start[-1]
+        machs = np.fromiter(itertools.chain.from_iterable(eligible), np.intp, n_pairs)
+        pts = np.fromiter(itertools.chain.from_iterable(map(dict.values, eligible)), float,
+                          n_pairs)
+        by_pair = np.argsort(self.pair_job * M + machs, kind="stable")
+        self.pair_mach = machs[by_pair]
+        self.pair_pt = pts[by_pair]
+        self.pair_job_list = self.pair_job.tolist()                # scalar reads
+        self.pair_mach_list = self.pair_mach.tolist()
         self.pair_order = np.repeat(self.job_order_list, n_mach)
-        self.pair_pt = np.array(pts, dtype=float)
-        self.pair_n_mach = n_mach.astype(float)[self.pair_job]
+        self.pair_n_mach = np.repeat(n_mach.astype(float), n_mach)
         self.incidence = np.zeros((J, M))                   # job -> 0/1 per machine
         self.incidence[self.pair_job, self.pair_mach] = 1.0
         self.incidence_rows = list(self.incidence)          # row views, made once
@@ -152,28 +159,31 @@ class _Tables:
         # pairwise sum as the job's own pts.mean(), which a running sum is not.
         # The counts come from a set: np.unique imports numpy.ma (+1.6 MB RSS)
         self.mean_et = np.empty(J)
-        for k in set(n_mach.tolist()):
-            has_k = n_mach == k
-            self.mean_et[has_k] = self.pair_pt[has_k[self.pair_job]].reshape(-1, k).mean(axis=1)
+        for k in set(counts):
+            self.mean_et[n_mach == k] = (
+                self.pair_pt[self.pair_n_mach == k].reshape(-1, k).mean(axis=1))
 
-        N = len(inst.orders)
-        self.N = N
-        self.order_arrival = np.empty(N)
-        self.order_due = np.empty(N)
-        self.order_jobs: list[list[int]] = [[] for _ in range(N)]
-        for o in inst.orders:
-            self.order_arrival[o.id] = o.arrival
-            self.order_due[o.id] = o.due
+        orders = sorted(inst.orders, key=_BY_ID)
+        self.N = len(orders)
+        self.order_arrival = np.array([o.arrival for o in orders], dtype=float)
+        self.order_due = np.array([o.due for o in orders], dtype=float)
+        self.succ = succ = [-1] * J                         # feeding assembly job
+        self.order_jobs: list[list[int]] = []
+        for o in orders:
+            js: list[int] = []
             for p in o.products:
-                for j in p.processing_job_ids:
-                    self.succ[j] = p.assembly_job_id
-                self.order_jobs[o.id].extend((*p.processing_job_ids, p.assembly_job_id))
+                kit, a = p.processing_job_ids, p.assembly_job_id
+                for j in kit:
+                    succ[j] = a
+                js += kit
+                js.append(a)
+            self.order_jobs.append(js)
         self.pair_arrival = self.order_arrival[self.pair_order]
         self.pair_due = self.order_due[self.pair_order]
         self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=float)
         mean_et = self.mean_et.tolist()
         self.order_init_work = np.array(
-            [math.fsum(mean_et[j] for j in js) for js in self.order_jobs])
+            [math.fsum(map(mean_et.__getitem__, js)) for js in self.order_jobs])
 
     @functools.cached_property
     def pair_of(self) -> np.ndarray:

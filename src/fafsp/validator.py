@@ -98,12 +98,14 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                                      f"changeover table says {expected}"))
             prev = a
 
-    # kit precedence and arrival
+    # kit precedence and arrival; orders are found by id, whatever their
+    # place in the instance's tuple
+    arrival_of = {o.id: o.arrival for o in inst.orders}
     for job in inst.jobs:
         a = by_job.get(job.id)
         if a is None:
             continue
-        arrival = inst.orders[job.order_id].arrival
+        arrival = arrival_of[job.order_id]
         if not a.st >= arrival - TOL:
             out.append(Violation(ARRIVAL_BREACH,
                                  f"job {job.id} starts at {a.st} before order arrival {arrival}"))

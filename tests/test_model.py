@@ -4,10 +4,12 @@ import ast
 import dataclasses
 import json
 import math
+import random
 import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fafsp
@@ -16,7 +18,9 @@ from fafsp.model import (DocumentError, Stage, check_instance,
                          instance_from_doc, instance_to_doc,
                          load_instance, save_instance)
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.sim import SimState
+from fafsp import sim
+from fafsp.rules import RuleSpec
+from fafsp.sim import SimState, run_dispatch
 
 from helpers import make_instance, minimal_instance
 
@@ -282,6 +286,38 @@ def test_save_load_round_trip(tmp_path):
     assert instance_to_doc(again) == instance_to_doc(inst)
 
 
+def test_a_loaded_instance_is_checked_once_per_rollout_set_up(tmp_path, monkeypatch):
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=1.0,
+                                            n_init=2, seed=3))
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return check_instance(instance)
+
+    monkeypatch.setattr(model, "check_instance", counted)
+    monkeypatch.setattr(sim, "check_instance", counted)
+    loaded = load_instance(path)
+    assert run_dispatch(loaded, RuleSpec.builtin("EDD")).arcs == \
+        run_dispatch(inst, RuleSpec.builtin("EDD")).arcs
+    # the reader's check for the loaded instance, the tables' for the generated one
+    assert calls == [loaded, inst]
+
+
+def test_an_invalid_instance_built_in_python_is_refused_by_the_engine():
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=1.0,
+                                            n_init=2, seed=3))
+    bad = dataclasses.replace(inst, orders=inst.orders[:-1])
+    with pytest.raises(ValueError, match="invalid instance: .*belongs to no product"):
+        SimState(bad)
+    # an instance built from a loaded one is checked again
+    loaded = instance_from_doc(instance_to_doc(inst))
+    with pytest.raises(ValueError, match="invalid instance: .*belongs to no product"):
+        SimState(dataclasses.replace(loaded, orders=loaded.orders[:-1]))
+
+
 def test_two_saves_byte_identical(tmp_path):
     inst = generate_instance(ScenarioConfig(m1=1, m2=2, phi=0.5, alpha=2, mu=1.0,
                                             n_init=2, seed=4))
@@ -371,3 +407,197 @@ def test_job_cap_admits_an_instance_at_the_cap(monkeypatch):
     assert instance_from_doc(_kits_doc(2)).num_jobs == 4
     with pytest.raises(DocumentError, match="^instance.jobs: 6 jobs exceed the cap of 4$"):
         instance_from_doc(_kits_doc(3))
+
+
+# -- check_instance against a reference --------------------------------------
+
+def _reference_check_instance(inst):
+    """check_instance as it was written before its passes were merged: one
+    pass per kind of check. The rewrite must return this list, in this order."""
+    out = []
+    mach_ids = [m.id for m in inst.machines]
+    if sorted(mach_ids) != list(range(len(mach_ids))):
+        out.append(f"machine ids not dense 0..{len(mach_ids) - 1}: {sorted(mach_ids)}")
+    for stage in Stage:
+        if not any(m.stage == stage for m in inst.machines):
+            out.append(f"no {stage.value} machine")
+    stage_of = {m.id: m.stage for m in inst.machines}
+    if not inst.orders:
+        out.append("no orders")
+    order_ids = [o.id for o in inst.orders]
+    if sorted(order_ids) != list(range(len(order_ids))):
+        out.append(f"order ids not dense 0..{len(order_ids) - 1}")
+    job_ids = [j.id for j in inst.jobs]
+    if sorted(job_ids) != list(range(len(job_ids))):
+        out.append(f"job ids not dense 0..{len(job_ids) - 1}")
+    known_jobs = set(job_ids)
+    seen = {}
+    for o in inst.orders:
+        for name, value in (("arrival", o.arrival), ("due", o.due)):
+            if not math.isfinite(value):
+                out.append(f"order {o.id}: {name} {value} is not finite")
+        if o.arrival < 0:
+            out.append(f"order {o.id}: arrival < 0")
+        if o.due < o.arrival:
+            out.append(f"order {o.id}: due {o.due} before arrival {o.arrival}")
+        if not o.products:
+            out.append(f"order {o.id}: no products")
+        for p in o.products:
+            if not p.processing_job_ids:
+                out.append(f"assembly without kit: product {p.id} (order {o.id})")
+            for j in (*p.processing_job_ids, p.assembly_job_id):
+                if j not in known_jobs:
+                    out.append(f"order {o.id}: unknown job {j}")
+                elif j in seen:
+                    out.append(f"job {j} claimed by two products ({seen[j][1]} and {p.id})")
+                else:
+                    seen[j] = (o.id, p.id)
+    for j in inst.jobs:
+        if j.id not in seen:
+            out.append(f"job {j.id} belongs to no product")
+            continue
+        oid, pid = seen[j.id]
+        if (j.order_id, j.product_id) != (oid, pid):
+            out.append(f"job {j.id}: order/product ids {j.order_id}/{j.product_id} "
+                       f"disagree with nesting {oid}/{pid}")
+    for o in inst.orders:
+        for p in o.products:
+            asm = inst._job_index.get(p.assembly_job_id)
+            if asm is not None and asm.kind != Stage.ASSEMBLY:
+                out.append(f"product {p.id}: assembly_job {p.assembly_job_id} is a {asm.kind.value} job")
+            if asm is not None and asm.predecessors != frozenset(p.processing_job_ids):
+                out.append(f"job {p.assembly_job_id}: predecessors differ from product {p.id} kit")
+            for jid in p.processing_job_ids:
+                job = inst._job_index.get(jid)
+                if job is not None and job.kind != Stage.PROCESSING:
+                    out.append(f"product {p.id}: kit job {jid} is a {job.kind.value} job")
+                if job is not None and job.predecessors:
+                    out.append(f"processing job {jid} has predecessors")
+    for j in inst.jobs:
+        if not j.eligible:
+            out.append(f"job {j.id}: no eligible machine")
+        for m, pt in j.eligible.items():
+            if m not in stage_of:
+                out.append(f"job {j.id}: unknown machine {m}")
+            elif stage_of[m] != j.kind:
+                out.append(f"stage mismatch job {j.id} machine {m}")
+            if pt < 0 or not math.isfinite(pt):
+                out.append(f"job {j.id}: processing time {pt} on machine {m}")
+    n = len(inst.jobs)
+    if inst.setup.shape != (n + 1, n):
+        out.append(f"setup shape {inst.setup.shape} != {(n + 1, n)}")
+    else:
+        if np.any(inst.setup[0] != 0):
+            out.append("setup: virtual row not all zero")
+        if np.any(inst.setup < 0):
+            out.append("setup < 0")
+        if not np.isfinite(inst.setup).all():
+            i, j = np.argwhere(~np.isfinite(inst.setup))[0]
+            out.append(f"setup[{i}, {j}] = {inst.setup[i, j]} is not finite")
+    if not out:
+        into = inst.setup.max(axis=0).tolist()
+        horizon = max(o.arrival for o in inst.orders) + sum(
+            max(j.eligible.values()) + into[j.id] for j in inst.jobs)
+        if not math.isfinite((len(inst.orders) + 1) * horizon):
+            out.append(f"horizon {horizon} times {len(inst.orders) + 1} (orders + 1) is not finite")
+    return out
+
+
+_BAD = (-1.0, math.nan, math.inf, -math.inf, 1e308)
+
+
+def _mutate(inst, rng):
+    """A copy of ``inst`` with one to three random faults, built in Python."""
+    machines, orders, jobs = list(inst.machines), list(inst.orders), list(inst.jobs)
+    setup = inst.setup.copy()
+    replace = dataclasses.replace
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(16)
+        i = rng.randrange(len(jobs)) if jobs else 0
+        if kind == 0 and machines:                      # machine id or stage
+            k = rng.randrange(len(machines))
+            m = machines[k]
+            machines[k] = (replace(m, id=rng.choice([m.id + 7, 0, -1])) if rng.random() < 0.5
+                           else replace(m, stage=Stage.ASSEMBLY if m.stage == Stage.PROCESSING
+                                        else Stage.PROCESSING))
+        elif kind == 1:                                 # a stage without machines
+            stage = rng.choice(list(Stage))
+            machines = [m for m in machines if m.stage != stage]
+        elif kind == 2 and orders:                      # order times
+            k = rng.randrange(len(orders))
+            name = rng.choice(["arrival", "due"])
+            orders[k] = replace(orders[k], **{name: rng.choice(_BAD + (-5.0,))})
+        elif kind == 3 and orders:                      # an order's id, or no order
+            k = rng.randrange(len(orders))
+            if rng.random() < 0.5:
+                orders[k] = replace(orders[k], id=orders[k].id + rng.choice([1, 50]))
+            else:
+                del orders[k]
+        elif kind == 4 and orders:                      # a product's kit or assembly
+            k = rng.randrange(len(orders))
+            o = orders[k]
+            if not o.products:
+                continue
+            ps = list(o.products)
+            q = rng.randrange(len(ps))
+            p = ps[q]
+            ps[q] = rng.choice([
+                replace(p, processing_job_ids=()),
+                replace(p, processing_job_ids=(*p.processing_job_ids, len(jobs) + 3)),
+                replace(p, processing_job_ids=(*p.processing_job_ids, rng.randrange(len(jobs)))),
+                replace(p, assembly_job_id=p.processing_job_ids[0]) if p.processing_job_ids
+                else p,
+                replace(p, id=p.id + 1)])
+            orders[k] = replace(o, products=tuple(ps) if rng.random() < 0.9 else ())
+        elif kind == 5 and jobs:                        # a job's id
+            jobs[i] = replace(jobs[i], id=rng.choice([jobs[i].id + 1, len(jobs) + 9, 0]))
+        elif kind == 6 and jobs:                        # a job's kind
+            j = jobs[i]
+            jobs[i] = replace(j, kind=Stage.ASSEMBLY if j.kind == Stage.PROCESSING
+                              else Stage.PROCESSING)
+        elif kind == 7 and jobs:                        # a job's nesting ids
+            name = rng.choice(["order_id", "product_id"])
+            jobs[i] = replace(jobs[i], **{name: getattr(jobs[i], name) + 1})
+        elif kind == 8 and jobs:                        # a job's predecessors
+            jobs[i] = replace(jobs[i], predecessors=rng.choice(
+                [frozenset(), frozenset({0}), jobs[i].predecessors | {i}]))
+        elif kind == 9 and jobs:                        # no eligible machine
+            jobs[i] = replace(jobs[i], eligible={})
+        elif kind == 10 and jobs:                       # an unknown or other-stage machine
+            m = rng.choice([len(machines) + 4, rng.randrange(max(len(machines), 1))])
+            jobs[i] = replace(jobs[i], eligible={**jobs[i].eligible, m: 1.0})
+        elif kind == 11 and jobs and jobs[i].eligible:  # a bad processing time
+            m = rng.choice(list(jobs[i].eligible))
+            jobs[i] = replace(jobs[i], eligible={**jobs[i].eligible, m: rng.choice(_BAD)})
+        elif kind == 12 and jobs:                       # a job that no product claims
+            del jobs[i]
+        elif kind == 13:                                # setup shape
+            setup = setup[:, :-1] if rng.random() < 0.5 else setup[1:]
+        elif kind == 14 and setup.size:                 # a setup entry, the virtual row too
+            r = rng.randrange(setup.shape[0]) if rng.random() < 0.8 else 0
+            setup[r, rng.randrange(setup.shape[1])] = rng.choice(_BAD + (2.0,))
+        elif kind == 15:                                # a horizon past the float range
+            where = rng.randrange(3)
+            if where == 0:
+                setup[1:] = 1e306
+            elif where == 1:
+                jobs = [replace(j, eligible={m: 1e307 for m in j.eligible}) for j in jobs]
+            elif jobs:                                  # each time finite, their sum not
+                jobs[i] = replace(jobs[i], eligible={m: 1.5e308 for m in range(len(machines))
+                                                     if m in jobs[i].eligible or m < 2})
+    return model.Instance(tuple(machines), tuple(orders), tuple(jobs), setup)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_instance_matches_the_reference_on_mutated_instances(seed):
+    rng = random.Random(seed)
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.6, alpha=3, mu=2.0,
+                                            n_init=2, seed=seed))
+    assert check_instance(inst) == _reference_check_instance(inst) == []
+    faults = 0
+    for _ in range(60):
+        bad = _mutate(inst, rng)
+        want = _reference_check_instance(bad)
+        assert check_instance(bad) == want
+        faults += bool(want)
+    assert faults >= 50

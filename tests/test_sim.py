@@ -1,6 +1,7 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from fafsp import sim
 from fafsp.expr import ACCESSORS, Acc, Cmp, Program, parse
 from fafsp.generator import ScenarioConfig, generate_instance
+from fafsp.model import Stage
 from fafsp.rules import BUILTIN_IDS, RuleInvalid, RuleSpec, rank_arc_arrays
 from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeError,
                        FeatureView, InfeasibleArcError, SimState, _advance, _dispatch,
@@ -272,7 +274,6 @@ def test_total_tardiness_rejects_incomplete():
 
 def test_job_tuple_permutation_is_harmless():
     # job ids must be dense but the tuple order is free
-    import dataclasses
     inst = generate_instance(ScenarioConfig(m1=1, m2=2, phi=0.8, alpha=2, mu=2.0,
                                             n_init=2, seed=11))
     shuffled = dataclasses.replace(inst, jobs=tuple(reversed(inst.jobs)))
@@ -308,15 +309,23 @@ def test_unbound_view_gathers_every_accessor():
 # -- the rollout tables against a per-job build --------------------------------
 
 def _reference_tables(inst):
-    """The tables' pair, job and order arrays, built one job at a time with
-    the job's own numpy reductions, and each pair's order read off the
-    order that lists the job."""
+    """Every attribute of the tables, built one job and one order at a time
+    with the job's own numpy reductions, each pair's order read off the
+    order that lists the job: arrays, lists and counts by name."""
+    jobs = sorted(inst.jobs, key=lambda j: j.id)
     orders = sorted(inst.orders, key=lambda o: o.id)
+    J, M, N = len(jobs), inst.num_machines, len(orders)
     order_of = {j: o for o in orders for j in o.job_ids()}
     per_job = {name: [] for name in ("pair_job", "pair_mach", "pair_pt", "pair_order",
-                                     "pair_arrival", "pair_due")}
-    pair_start, mean_et = [0], np.empty(inst.num_jobs)
-    for job in sorted(inst.jobs, key=lambda j: j.id):
+                                     "pair_arrival", "pair_due", "pair_n_mach")}
+    pair_start, mean_et = [0], np.empty(J)
+    incidence = np.zeros((J, M))
+    succ = [-1] * J
+    for o in orders:
+        for p in o.products:
+            for j in p.processing_job_ids:
+                succ[j] = p.assembly_job_id
+    for job in jobs:
         ms = np.array(sorted(job.eligible), dtype=np.int64)
         pts = np.array([job.eligible[m] for m in ms], dtype=float)
         o = order_of[job.id]
@@ -326,14 +335,42 @@ def _reference_tables(inst):
         per_job["pair_order"].append(np.full(len(ms), o.id, dtype=np.int64))
         per_job["pair_arrival"].append(np.full(len(ms), o.arrival))
         per_job["pair_due"].append(np.full(len(ms), o.due))
+        per_job["pair_n_mach"].append(np.full(len(ms), float(len(ms))))
         pair_start.append(pair_start[-1] + len(ms))
         mean_et[job.id] = pts.mean()
+        incidence[job.id, ms] = 1.0
     ref = {name: np.concatenate(parts) for name, parts in per_job.items()}
-    ref["pair_start"] = np.array(pair_start, dtype=np.int64)
-    ref["mean_et"] = mean_et
-    ref["order_init_work"] = np.array(
-        [math.fsum(mean_et[j] for j in o.job_ids()) for o in orders])
+    ref.update(
+        J=J, M=M, N=N, setup_flat=inst.setup.reshape(-1), pair_start=pair_start,
+        pair_job_list=ref["pair_job"].tolist(), pair_mach_list=ref["pair_mach"].tolist(),
+        mean_et=mean_et, incidence=incidence, incidence_rows=list(incidence),
+        is_assembly=[job.kind == Stage.ASSEMBLY for job in jobs],
+        job_order_list=[job.order_id for job in jobs], succ=succ,
+        pred_count=[len(job.predecessors) for job in jobs],
+        order_jobs=[o.job_ids() for o in orders],
+        order_njobs=np.array([float(len(o.job_ids())) for o in orders]),
+        order_arrival=np.array([o.arrival for o in orders]),
+        order_due=np.array([o.due for o in orders]),
+        order_init_work=np.array([math.fsum(mean_et[j] for j in o.job_ids()) for o in orders]))
     return ref
+
+
+def _assert_tables_equal(t, ref):
+    """Every attribute of the tables ``t`` has the reference's type and value,
+    an array its dtype, shape and bytes; there is no attribute beyond them."""
+    assert sorted(vars(t)) == sorted(ref)
+    for name, want in ref.items():
+        got = getattr(t, name)
+        assert type(got) is type(want), name
+        if isinstance(want, list) and want and isinstance(want[0], np.ndarray):
+            got, want = np.array(got), np.array(want)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+    # the row views share the incidence table's memory
+    assert all(np.shares_memory(row, t.incidence) for row in t.incidence_rows)
 
 
 @pytest.mark.parametrize("phi", [0.7, 1.0])
@@ -343,14 +380,29 @@ def test_tables_equal_a_per_job_build_bit_for_bit(phi, seed):
                                             seed=seed))
     # numpy's pairwise mean groups 8 or more values unlike a running sum
     assert max(len(j.eligible) for j in inst.jobs) >= 8
-    t = SimState(inst).t
-    assert isinstance(t.pair_start, list)
-    for name, want in _reference_tables(inst).items():
-        got = np.asarray(getattr(t, name))
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
-    assert t.pair_job_list == t.pair_job.tolist()
-    assert t.pair_mach_list == t.pair_mach.tolist()
+    _assert_tables_equal(SimState(inst).t, _reference_tables(inst))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tables_do_not_depend_on_the_order_of_jobs_orders_and_machines(seed):
+    inst = generate_instance(ScenarioConfig(m1=3, m2=6, phi=0.5, alpha=10, mu=2.0,
+                                            seed=seed))
+    rng = random.Random(seed)
+    # each job lists its eligible machines in a random order
+    jobs = [dataclasses.replace(j, eligible=dict(rng.sample(list(j.eligible.items()),
+                                                            len(j.eligible))))
+            for j in inst.jobs]
+    assert any(list(j.eligible) != sorted(j.eligible) for j in jobs)
+    orders, machines = list(inst.orders), list(inst.machines)
+    for items in (jobs, orders, machines):
+        rng.shuffle(items)
+    shuffled = dataclasses.replace(inst, jobs=tuple(jobs), orders=tuple(orders),
+                                   machines=tuple(machines))
+    assert [o.id for o in shuffled.orders] != sorted(o.id for o in shuffled.orders)
+    ref = _reference_tables(inst)
+    _assert_tables_equal(SimState(shuffled).t, ref)
+    _assert_tables_equal(SimState(inst).t, ref)
+    assert run_dispatch(shuffled, EDD).arcs == run_dispatch(inst, EDD).arcs
 
 
 def test_a_rollout_caches_one_state_and_builds_no_job_by_machine_index():

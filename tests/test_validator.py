@@ -1,5 +1,6 @@
 """Independent schedule checks and the branch-and-bound non-delay oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,25 @@ def test_arrival_breach_detected():
                    {0: 8.0}, {0: 0.0})
     kinds = {v.kind for v in validate_schedule(inst, sched)}
     assert ARRIVAL_BREACH in kinds
+
+
+def test_orders_out_of_id_order_are_found_by_id():
+    # the orders tuple need not be in id order: the rollout and the
+    # validator both find a job's order by its id, not by its place
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=6, mu=2.0,
+                                            n_init=1, seed=3))
+    flipped = dataclasses.replace(inst, orders=tuple(reversed(inst.orders)))
+    sched = run_dispatch(flipped, RuleSpec.builtin("EDD"))
+    assert sched.arcs == run_dispatch(inst, RuleSpec.builtin("EDD")).arcs
+    assert validate_schedule(flipped, sched) == []
+    # a job of the last order to arrive, moved to time zero, is a breach
+    late = max(inst.orders, key=lambda o: o.arrival)
+    assert late.arrival > 0
+    j = late.products[0].assembly_job_id
+    moved = [a._replace(st=0.0, ct=a.ct - a.st) if a.job == j else a for a in sched.arcs]
+    breaches = [v.message for v in validate_schedule(flipped, _sched(moved, sched.ft, sched.tt))
+                if v.kind == ARRIVAL_BREACH]
+    assert breaches == [f"job {j} starts at 0.0 before order arrival {late.arrival}"]
 
 
 def test_delivery_and_tardiness_mismatches():
