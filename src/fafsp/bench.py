@@ -191,8 +191,12 @@ def write_gantt(sched: Schedule, path) -> None:
 
 def export_traces(run_dir, out_dir) -> list[str]:
     """Turn a run directory (journal, per-instance table, schedules) into
-    plot-ready delimited files; re-exporting is byte-identical."""
+    plot-ready delimited files; re-exporting is byte-identical. A run
+    directory that does not exist raises FileNotFoundError and writes
+    nothing."""
     run_dir, out_dir = Path(run_dir), Path(out_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"{run_dir}: no such run directory")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 

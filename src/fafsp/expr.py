@@ -132,8 +132,10 @@ class Program:
 
     @functools.cached_property
     def fn(self) -> Callable:
-        """The code as a function of a column mapping, defined on first use:
-        a rollout runs the code inlined in its chooser and never calls it."""
+        """The code as a function of a column mapping, defined on first use
+        by ``evaluate``, its one caller: no ranking calls it, since a
+        rollout and the step API both rank through the rule's chooser,
+        which runs the code inline (``sim.build_chooser``)."""
         lines, result, namespace = self.inline()
         fetch = [f"{name} = columns[{name!r}]" for name in self.code.reads]
         return _define("program", "columns", [*fetch, *lines], result, namespace)

@@ -12,7 +12,6 @@ ranking is a total order and rollouts are reproducible.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -92,44 +91,20 @@ class RuleSpec:
 
 def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> int:
     """Index of the dispatched arc among the candidate (job, machine) arcs,
-    which must be in (job, machine) order; ``fv.arc_columns`` gathers their
-    columns and ``expr.evaluate`` scores them. The step API's ranking, and
-    the reference for a rollout's generated chooser (``RuleSpec.chooser``).
-
-    ``argmin`` returns the first of tied arcs, which is then the one with
-    the smallest (job id, machine id): a rule without a tie-break ranks by
-    its program's score, a builtin by the tie-break key among the arcs tied
-    on the program's key.
-
-    Only the single-key path checks that scores are finite; a non-finite
-    score for arc i raises RuleInvalid naming (jobs[i], machs[i]). The
-    two-key path needs no check: only ``RuleSpec.builtin`` sets a
-    tie-break, and builtin keys are finite on every valid instance.
-
-    Reductions are ``argmin`` calls, which cost less per decision than
-    ``min`` and ``all``: the first minimum's value is the minimum (NaN if
-    any key is NaN, as ``min`` gives). On the single-key path every score
-    is finite when that minimum is above -inf and the maximum below +inf
-    (a NaN fails both tests); only then is the finite mask built, to name
-    the first non-finite arc.
+    which must be in (job, machine) order, at the state of the FeatureView
+    ``fv``: the step API's ranking. It maps every arc to its pair index
+    (``sim._pair_indices``, which raises InfeasibleArcError for an arc it
+    cannot map) and calls the rule's generated chooser
+    (``RuleSpec.chooser``), as a rollout does, under the same quiet numpy
+    error state: the same arc, or the same RuleInvalid naming the same arc.
     """
-    n = len(jobs)
-    if n == 0:
+    if len(jobs) == 0:
         raise ValueError("no arcs to rank")
-    if n == 1:
-        return 0
-    cols = fv.arc_columns(jobs, machs)
-    if rule.tie_break is not None:
-        job_key = rule.program.fn(cols)
-        ties = (job_key == job_key[job_key.argmin()]).nonzero()[0]
-        return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
-    scores = expr.evaluate(rule.program, cols, n)
-    i = scores.argmin()                         # the first minimum, or the first NaN
-    if -math.inf < scores.item(i) and scores.max() < math.inf:
-        return int(i)
-    k = np.isfinite(scores).argmin()            # the first non-finite score
-    raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
-                      f"for arc (job {jobs[k]}, machine {machs[k]})")
+    from .sim import _pair_indices          # sim imports this module
+    state = fv._s
+    k = _pair_indices(state.t, jobs, machs)
+    with np.errstate(all="ignore"):
+        return int(rule.chooser(state, rule)(k))
 
 
 def builtin_source(rule_id: str) -> str:

@@ -12,8 +12,9 @@ epoch with no ready job costs nothing and the others scan no job status.
 Each decision is one call of the rule's chooser (``build_chooser``), code
 generated once per rule from the column table (``_COLUMNS``, source text)
 and the rule's programs: it gathers the columns the rule reads by pair
-index, runs the programs inline and takes the arg-min, as the step API's
-``rules.rank_arc_arrays`` ranks. When no feasible arc remains the clock
+index, runs the programs inline and takes the arg-min. It is the one
+ranking: the step API's ``rules.rank_arc_arrays`` maps its arcs to pair
+indices and calls the same chooser. When no feasible arc remains the clock
 jumps to the next event, and after a dispatch that provably leaves no arc
 it jumps without enumerating (see ``_rollout``). Completions are
 processed before arrivals that share the same timestamp. Every rollout
@@ -26,8 +27,9 @@ A rollout owns numpy's error state: ``run_dispatch`` sets it once, around
 the whole loop, and restores the caller's on return.
 
 The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
-``advance_clock``) speaks in (job, machine) arcs; ``_pair_indices``, its one
-adapter, maps them to pair indices and refuses an arc it cannot map.
+``advance_clock``, ``rules.rank_arc_arrays``) speaks in (job, machine) arcs;
+``_pair_indices``, its one adapter, maps them to pair indices by a search
+of the job's pairs and refuses an arc it cannot map.
 
 A dispatched job occupies its machine for setup + processing; the setup is
 charged at dispatch, so ct = st + setup + pt with st equal to the decision
@@ -48,13 +50,13 @@ without its numpy scalar.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,15 +187,6 @@ class _Tables:
         self.order_init_work = np.array(
             [math.fsum(map(mean_et.__getitem__, js)) for js in self.order_jobs])
 
-    @functools.cached_property
-    def pair_of(self) -> np.ndarray:
-        """pair_of[j, m] is the index of the pair (j, m), or -1 when machine
-        m is not eligible for job j. Only the (job, machine) step API reads
-        it, through ``_pair_indices``, so a rollout never builds it."""
-        out = np.full((self.J, self.M), -1, dtype=np.int64)
-        out[self.pair_job, self.pair_mach] = np.arange(len(self.pair_job))
-        return out
-
 
 def _pair_indices(t: _Tables, jobs, machines) -> np.ndarray:
     """The pair indices of the (job, machine) arcs, the step API's one
@@ -203,9 +196,11 @@ def _pair_indices(t: _Tables, jobs, machines) -> np.ndarray:
     for j, m in zip(np.asarray(jobs).tolist(), np.asarray(machines).tolist(), strict=True):
         if not (0 <= j < t.J and 0 <= m < t.M):
             raise InfeasibleArcError(f"arc (job {j}, machine {m}) is out of range")
-        k.append(t.pair_of.item(j, m))
-        if k[-1] < 0:
+        end = t.pair_start[j + 1]           # job j's pairs, sorted by machine, end here
+        p = bisect.bisect_left(t.pair_mach_list, m, t.pair_start[j], end)
+        if p == end or t.pair_mach_list[p] != m:
             raise InfeasibleArcError(f"machine {m} is not eligible for job {j}")
+        k.append(p)
     return np.array(k, dtype=np.int64)
 
 
@@ -307,21 +302,16 @@ class SimState:
 
 
 class FeatureView:
-    """Per-arc columns of the rule language's accessors (``expr.ACCESSORS``).
+    """Per-arc columns of every accessor of the rule language
+    (``expr.ACCESSORS``) for candidate (job, machine) arcs at the state's
+    clock: ``arc_columns`` maps each arc to its pair index and gathers with
+    the lines a rollout's chooser runs (``_gather_lines``)."""
 
-    ``arc_columns`` maps accessor names to per-arc columns for the candidate
-    (job, machine) arcs at the state's clock, gathered in one call: bound to
-    a rule's read set (``reads``), those columns and the ones they derive
-    from; unbound, every accessor. It maps each arc to its pair index and
-    gathers with the lines a rollout's chooser runs (``_gather_lines``).
-    """
-
-    def __init__(self, state: SimState, reads: Iterable[str] | None = None):
+    def __init__(self, state: SimState):
         self._s = state
-        self._gather = _gatherer(frozenset(_COLUMNS if reads is None else reads))
 
     def arc_columns(self, jobs: np.ndarray, machines: np.ndarray) -> dict[str, np.ndarray]:
-        return self._gather(self._s, _pair_indices(self._s.t, jobs, machines))
+        return _gather_all(self._s, _pair_indices(self._s.t, jobs, machines))
 
 
 #: accessor -> (names it is derived from, its per-arc column as source text).
@@ -363,27 +353,20 @@ def _filled(n: int, value: float) -> np.ndarray:
     return out
 
 
-def _gather_lines(names: frozenset[str]) -> tuple[list[str], list[str]]:
-    """(lines, columns): the lines that gather the named accessors' columns
-    and those they derive from into locals named after them, and the names
-    of those columns, in table order. An unknown name raises KeyError."""
-    unknown = names - _COLUMNS.keys()
-    if unknown:
-        raise KeyError(sorted(unknown)[0])
+def _gather_lines(names: frozenset[str]) -> list[str]:
+    """The lines that gather the named accessors' columns and those they
+    derive from into locals named after them, in table order."""
     needed = names.union(*(_COLUMNS[name][0] for name in names))
-    lines = [f"{name} = {text}" for name, (_, text) in {**_INDEXES, **_COLUMNS}.items()
-             if name in needed]
-    return lines, [name for name in _COLUMNS if name in needed]
+    return [f"{name} = {text}" for name, (_, text) in {**_INDEXES, **_COLUMNS}.items()
+            if name in needed]
 
 
-@functools.lru_cache(maxsize=256)
-def _gatherer(names: frozenset[str]) -> Callable:
-    """Function (state, pair indices k) -> {accessor: column} over the named
-    accessors and those they derive from."""
-    lines, columns = _gather_lines(names)
-    return _define("gather", "s, k", ["t = s.t", "n = len(k)", *lines],
-                   "{" + ", ".join(f"{name!r}: {name}" for name in columns) + "}",
-                   {"_filled": _filled})
+#: the step API's gather: function (state, pair indices k) -> {accessor:
+#: column} over every accessor
+_gather_all = _define("gather", "s, k",
+                      ["t = s.t", "n = len(k)", *_gather_lines(frozenset(_COLUMNS))],
+                      "{" + ", ".join(f"{name!r}: {name}" for name in _COLUMNS) + "}",
+                      {"_filled": _filled})
 
 
 def build_chooser(program: Program, tie_break: Program | None = None) -> Callable:
@@ -392,15 +375,16 @@ def build_chooser(program: Program, tie_break: Program | None = None) -> Callabl
     (state, rule) -> choose. ``choose(k)`` takes a decision's arcs k, pair
     indices in (job, machine) order, and returns the index of the arc the
     rule dispatches in one call: it gathers the columns the rule reads,
-    runs the programs' code inline and takes the arg-min, as
-    ``rules.rank_arc_arrays`` does, bit for bit. A single arc is chosen
+    runs the programs' code inline and takes the arg-min. It is the
+    package's one ranking: the step API's ``rules.rank_arc_arrays`` calls
+    it too, and there is no second arg-min. A single arc is chosen
     unscored, the first minimum wins, a builtin ranks by the tie-break
     among the arcs tied on the program's key, and a single-key rule scores
     as ``expr.evaluate`` does and raises RuleInvalid naming the first arc
     whose score is not finite. The generated text holds only column-table
     text, generated names and namespace constants; the rule's name reaches
     it at run time, through ``rule``."""
-    lines, _ = _gather_lines(program.reads | (tie_break.reads if tie_break else frozenset()))
+    lines = _gather_lines(program.reads | (tie_break.reads if tie_break else frozenset()))
     code, key, namespace = program.inline()
     lines += code
     if tie_break is None:

@@ -1,7 +1,11 @@
 """Hand-construction helpers shared across the test modules."""
 
+import math
+from functools import reduce
+
 import numpy as np
 
+from fafsp.expr import Acc, Bin, Call, Cmp, Neg, Num
 from fafsp.model import Instance, Job, Machine, Order, Product, Stage
 
 
@@ -49,14 +53,83 @@ def minimal_instance(due=10.0, proc_pt=5.0, asm_pt=3.0, arrival=0.0):
     return make_instance("pa", [(arrival, due, [([{0: proc_pt}], {1: asm_pt})])])
 
 
+def tree_walk(node, columns, n):
+    """Reference interpreter: walks the AST on every call."""
+    def compare(node):
+        return {"<": np.less, "<=": np.less_equal, ">": np.greater,
+                ">=": np.greater_equal, "==": np.equal,
+                "!=": np.not_equal}[node.op](ev(node.left), ev(node.right))
+
+    def ev(node):
+        if isinstance(node, Num):
+            return np.full(n, node.value)
+        if isinstance(node, Acc):
+            return columns[node.name]
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Bin):
+            left, right = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return np.where(right == 0.0, 0.0, left / np.where(right == 0.0, 1.0, right))
+        if isinstance(node, Cmp):                   # only a Program built from nodes
+            return compare(node)                    # has one at the top
+        assert isinstance(node, Call)
+        if node.name == "if":
+            cond = node.args[0]
+            assert isinstance(cond, Cmp)
+            return np.where(compare(cond), ev(node.args[1]), ev(node.args[2]))
+        args = [ev(a) for a in node.args]
+        x = args[0]
+        # min and max fold pairwise, left to right: np.minimum.reduce over the
+        # stacked arguments drops the sign bit of a NaN that np.minimum keeps
+        return {"min": lambda: reduce(np.minimum, args),
+                "max": lambda: reduce(np.maximum, args),
+                "abs": lambda: np.abs(x),
+                "sqrt": lambda: np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0))),
+                "exp": lambda: np.exp(x),
+                "log": lambda: np.where(x <= 0.0, 0.0, np.log(np.where(x <= 0.0, 1.0, x))),
+                }[node.name]()
+
+    with np.errstate(all="ignore"):
+        return ev(node)
+
+
+def reference_rank(rule, columns, jobs, machs):
+    """Reference ranking, sharing no code with the rule's generated chooser:
+    the index of the arc the rule dispatches among the (job, machine) arcs,
+    in (job, machine) order, whose columns are ``columns``. A single arc is
+    chosen unscored. The program's and tie-break's keys come from the tree
+    walk, and the first arc with the least (key, tie key) wins. A rule
+    without a tie-break raises RuleInvalid naming the first arc whose score
+    is not finite."""
+    from fafsp.rules import RuleInvalid
+
+    n = len(jobs)
+    if n == 1:
+        return 0
+    key = tree_walk(rule.program.root, columns, n).astype(float).tolist()
+    if rule.tie_break is None:
+        for i, score in enumerate(key):
+            if not math.isfinite(score):
+                raise RuleInvalid(f"rule {rule.name!r}: non-finite score {score} "
+                                  f"for arc (job {jobs[i]}, machine {machs[i]})")
+        return min(range(n), key=key.__getitem__)
+    tie = tree_walk(rule.tie_break.root, columns, n).tolist()
+    return min(range(n), key=lambda i: (key[i], tie[i]))
+
+
 def pick_arc(rule, fv, arcs):
     """The arc the rule dispatches among arcs listed in (job, machine) order,
-    as feasible_arcs lists them."""
-    from fafsp.rules import rank_arc_arrays
-
-    jobs = np.array([j for j, _ in arcs], dtype=np.int64)
-    machs = np.array([m for _, m in arcs], dtype=np.int64)
-    return arcs[rank_arc_arrays(rule, fv, jobs, machs)]
+    as feasible_arcs lists them, by the reference ranking over the
+    FeatureView's columns."""
+    jobs = [j for j, _ in arcs]
+    machs = [m for _, m in arcs]
+    return arcs[reference_rank(rule, fv.arc_columns(jobs, machs), jobs, machs)]
 
 
 def tiny_oracle_instance(seed, max_jobs=8):

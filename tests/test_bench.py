@@ -597,6 +597,13 @@ def test_cli_export_non_utf8_file_names_it(tmp_path, capsys, name):
     _assert_one_error_line(capsys, f"error: {run_dir / name}: not UTF-8 text (")
 
 
+def test_cli_export_missing_run_dir_names_it_and_writes_nothing(tmp_path, capsys):
+    run_dir, out = tmp_path / "no-such-run", tmp_path / "out"
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir}: ")
+    assert not out.exists()
+
+
 def test_journal_line_separators_inside_strings_keep_line_numbers(tmp_path):
     # U+2028 and U+0085 end a line for str.splitlines() but not for a file
     journal = tmp_path / "journal.jsonl"

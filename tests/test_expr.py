@@ -3,18 +3,18 @@
 import pickle
 import re
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Call, Cmp,
-                        Neg, Num, NodeLimitExceeded, ParseError, Program, UnknownAccessor,
-                        _fold, evaluate, parse, to_source)
+from fafsp.expr import (ACCESSORS, MAX_DEPTH, MAX_NODES, Acc, Bin, Cmp, Num,
+                        NodeLimitExceeded, ParseError, Program, UnknownAccessor, _fold,
+                        evaluate, parse, to_source)
 from fafsp.rules import BUILTIN_IDS, RuleSpec
 
+from helpers import tree_walk
 from test_golden import RULES
 
 
@@ -204,48 +204,6 @@ def test_every_accessor_parses():
         assert parse(name).root == Acc(name)
 
 
-def _tree_walk(node, columns, n):
-    """Reference interpreter: walks the AST on every call."""
-    def ev(node):
-        if isinstance(node, Num):
-            return np.full(n, node.value)
-        if isinstance(node, Acc):
-            return columns[node.name]
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Bin):
-            left, right = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return np.where(right == 0.0, 0.0, left / np.where(right == 0.0, 1.0, right))
-        assert isinstance(node, Call)
-        if node.name == "if":
-            cond = node.args[0]
-            assert isinstance(cond, Cmp)
-            mask = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-                    ">=": np.greater_equal, "==": np.equal,
-                    "!=": np.not_equal}[cond.op](ev(cond.left), ev(cond.right))
-            return np.where(mask, ev(node.args[1]), ev(node.args[2]))
-        args = [ev(a) for a in node.args]
-        x = args[0]
-        # min and max fold pairwise, left to right: np.minimum.reduce over the
-        # stacked arguments drops the sign bit of a NaN that np.minimum keeps
-        return {"min": lambda: reduce(np.minimum, args),
-                "max": lambda: reduce(np.maximum, args),
-                "abs": lambda: np.abs(x),
-                "sqrt": lambda: np.where(x < 0.0, 0.0, np.sqrt(np.maximum(x, 0.0))),
-                "exp": lambda: np.exp(x),
-                "log": lambda: np.where(x <= 0.0, 0.0, np.log(np.where(x <= 0.0, 1.0, x))),
-                }[node.name]()
-
-    with np.errstate(all="ignore"):
-        return ev(node)
-
-
 def _sources(children):
     return st.one_of(
         st.tuples(children, st.sampled_from("+-*/"), children).map(
@@ -273,7 +231,7 @@ def test_compiled_evaluation_matches_tree_walk(src, seed):
     prog = parse(src)
     got = evaluate(prog, cols, n)
     assert got.shape == (n,) and got.dtype == float
-    assert np.array_equal(got, _tree_walk(prog.root, cols, n), equal_nan=True)
+    assert np.array_equal(got, tree_walk(prog.root, cols, n), equal_nan=True)
 
 
 def test_program_pickles_and_still_evaluates():
@@ -313,7 +271,7 @@ def test_generated_program_matches_tree_walk_bit_for_bit(src, seed):
     prog = parse(src)
     got = evaluate(prog, cols, n)
     assert got.shape == (n,) and got.dtype == float
-    assert _same_bits(got, _tree_walk(prog.root, cols, n))
+    assert _same_bits(got, tree_walk(prog.root, cols, n))
     assert prog.reads == set(re.findall(r"[a-z_]+", src)) & set(ACCESSORS)
 
 
@@ -327,7 +285,7 @@ def test_chain_at_the_node_limit_matches_tree_walk():
     cols = {name: rng.normal(size=4) * 1e300 for name in ACCESSORS}
     cols["queue"][0] = 0.0
     got = evaluate(prog, cols, 4)
-    assert _same_bits(got, _tree_walk(prog.root, cols, 4))
+    assert _same_bits(got, tree_walk(prog.root, cols, 4))
     assert prog.reads == set(ACCESSORS)
 
 
@@ -405,7 +363,7 @@ def test_long_chains_match_tree_walk_bit_for_bit(terms, constant, n, seed):
         assume(False)
     got = evaluate(prog, cols, n)
     assert got.shape == (n,) and got.dtype == float
-    assert _same_bits(got, _tree_walk(prog.root, cols, n))
+    assert _same_bits(got, tree_walk(prog.root, cols, n))
 
 
 def _folds(program) -> bool:

@@ -17,6 +17,7 @@ import pytest
 from fafsp.evolve import EvolutionConfig, run_evolution
 from fafsp.generator import generate_instance
 from fafsp.llm import ScriptedTransport
+from fafsp.rules import RuleInvalid, RuleSpec
 from fafsp.sim import run_dispatch, schedule_to_text
 from fafsp.validator import brute_force_optimum
 
@@ -39,6 +40,19 @@ def test_traced_rollout_matches_untraced(rule):
     with shims(probe):
         traced = [schedule_to_text(probe.rollout(inst, rule)) for inst in instances]
     assert traced == expected
+
+
+def test_traced_rollout_names_the_same_non_finite_arc():
+    # a score that overflows is rejected on both paths with the same message
+    rule = RuleSpec.expression("exp(1000*pt)")
+    inst = generate_instance(next(iter(SCENARIOS.values())))
+    with pytest.raises(RuleInvalid) as plain:
+        run_dispatch(inst, rule)
+    probe = TracedProbe(Timeline())
+    with shims(probe), pytest.raises(RuleInvalid) as traced:
+        probe.rollout(inst, rule)
+    assert str(traced.value) == str(plain.value)
+    assert "non-finite score inf for arc (job " in str(plain.value)
 
 
 def test_oracle_under_shims_matches_untraced():

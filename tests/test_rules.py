@@ -1,72 +1,83 @@
 """Rule engine: builtin semantics, DSL equivalence, ranking determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fafsp.expr import NodeLimitExceeded, ParseError, evaluate, parse
+from fafsp.expr import ACCESSORS, NodeLimitExceeded, ParseError, evaluate, parse
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import extract_individual
 from fafsp.rules import (BUILTIN_IDS, BUILTINS, RuleInvalid, RuleSpec, builtin_source,
                          load_rule_file, rank_arc_arrays, save_rule_file, validate_rule)
 from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch
 
-from helpers import make_instance, pick_arc
+from helpers import make_instance, pick_arc, tree_walk
 
 
-class FakeView:
-    """Duck-typed FeatureView serving fixed per-arc columns."""
+def columns(n=1, **given):
+    """Every accessor's column for n arcs: the given values, the rest 0."""
+    out = {name: np.zeros(n) for name in ACCESSORS}
+    out.update((name, np.asarray(v, dtype=float)) for name, v in given.items())
+    return out
 
-    def __init__(self, table):
-        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
 
-    def arc_columns(self, jobs, machines):
-        n = len(jobs)
-        base = {name: np.zeros(n) for name in
-                ("due", "arrival", "now", "slack", "wait", "et", "n_mach",
-                 "ops_rem", "work_rem", "pt", "setup", "avail", "queue", "util")}
-        base.update({k: v[:n] for k, v in self.table.items()})
-        return base
+def stand_in(arcs, due=None, pt=None):
+    """A state for the chooser of a rule that reads due, pt, now, avail and
+    setup: its pairs are the (job, machine) arcs, with ``due`` and ``pt`` as
+    their keys (0 if not given), at clock 0 with every machine idle since 0
+    and no setup."""
+    n = len(arcs)
+    jobs = np.array([j for j, _ in arcs], dtype=np.int64)
+    machs = np.array([m for _, m in arcs], dtype=np.int64)
+    t = SimpleNamespace(pair_job=jobs, pair_mach=machs, pair_job_list=jobs.tolist(),
+                        pair_mach_list=machs.tolist(),
+                        pair_due=np.zeros(n) if due is None else np.asarray(due, dtype=float),
+                        pair_pt=np.zeros(n) if pt is None else np.asarray(pt, dtype=float),
+                        setup_flat=np.zeros(int(jobs.max()) + 1))
+    m = int(machs.max()) + 1
+    return SimpleNamespace(t=t, clock=0.0, m_idle=np.zeros(m), m_row=np.zeros(m, dtype=np.int64))
+
+
+def choose(rule, state):
+    """Index of the arc the rule's generated chooser dispatches among all of
+    the stand-in's pairs, under the quiet error state a rollout sets."""
+    with np.errstate(all="ignore"):
+        return int(rule.chooser(state, rule)(np.arange(len(state.t.pair_job))))
 
 
 def test_edd_prefers_earlier_due():
-    fv = FakeView({"due": [20.0, 15.0], "now": [0.0, 0.0]})
-    best = pick_arc(RuleSpec.builtin("EDD"), fv, [(0, 0), (1, 0)])
-    assert best == (1, 0)
+    assert choose(RuleSpec.builtin("EDD"), stand_in([(0, 0), (1, 0)], due=[20.0, 15.0])) == 1
 
 
-def score_of_first_arc(source, fv):
-    return evaluate(parse(source), fv.arc_columns([0], [0]), 1)[0]
+def score_of_first_arc(source, cols):
+    return evaluate(parse(source), cols, 1)[0]
 
 
 def test_expression_arithmetic():
-    fv = FakeView({"pt": [3.0], "setup": [1.0]})
-    assert score_of_first_arc("2*pt + setup", fv) == pytest.approx(7.0)
+    assert score_of_first_arc("2*pt + setup", columns(pt=[3.0], setup=[1.0])) == pytest.approx(7.0)
 
 
 def test_protected_division_in_priority():
-    fv = FakeView({"due": [12.0], "util": [0.0]})
-    assert score_of_first_arc("due/util", fv) == 0.0
+    assert score_of_first_arc("due/util", columns(due=[12.0], util=[0.0])) == 0.0
 
 
 def test_tie_breaks_on_job_then_machine():
-    fv = FakeView({"due": [5.0, 5.0, 5.0]})
-    best = pick_arc(RuleSpec.builtin("EDD"), fv, [(1, 1), (1, 2), (2, 1)])
-    assert best == (1, 1)
+    state = stand_in([(1, 1), (1, 2), (2, 1)], due=[5.0, 5.0, 5.0])
+    assert choose(RuleSpec.builtin("EDD"), state) == 0
 
 
 def test_singleton_arc_wins_regardless_of_rule():
-    fv = FakeView({"et": [50.0]})
-    rule = RuleSpec.expression("exp(exp(exp(et)))")     # would overflow
-    assert pick_arc(rule, fv, [(3, 2)]) == (3, 2)
+    rule = RuleSpec.expression("exp(exp(exp(pt)))")     # would overflow
+    assert choose(rule, stand_in([(3, 2)], pt=[50.0])) == 0
 
 
 def test_nonfinite_score_raises_rule_invalid():
-    fv = FakeView({"et": [50.0, 50.0]})
-    rule = RuleSpec.expression("exp(exp(exp(et)))")
-    with pytest.raises(RuleInvalid, match="job"):
-        pick_arc(rule, fv, [(0, 0), (0, 1)])
+    rule = RuleSpec.expression("exp(exp(exp(pt)))")
+    with pytest.raises(RuleInvalid, match=r"non-finite score inf for arc \(job 0, machine 0\)"):
+        choose(rule, stand_in([(0, 0), (0, 1)], pt=[50.0, 50.0]))
 
 
 def test_builtin_semantics_on_live_state():
@@ -214,9 +225,7 @@ def test_rule_file_fitness_is_ascii_decimal_text(tmp_path, text, fitness):
 
 
 def test_builtin_composite_keys():
-    fv = FakeView({"due": [15.0], "now": [2.0], "avail": [1.0],
-                   "setup": [0.5], "pt": [3.0]})
-    cols = fv.arc_columns([0], [0])
+    cols = columns(due=[15.0], now=[2.0], avail=[1.0], setup=[0.5], pt=[3.0])
     edd = BUILTINS["EDD"]
     assert (edd.program.fn(cols)[0], edd.tie_break.fn(cols)[0]) == (15.0, 2.0 + 0.5 + 3.0)
 
@@ -260,30 +269,29 @@ def ranked_arcs(draw):
 def test_argmin_by_arc_order_matches_cascade(arcs):
     jobs, machs, job_key, mach_key = arcs
     # EDD ranks by due, then by max(avail, now) + setup + pt, which is pt here
-    fv = FakeView({"due": job_key, "pt": mach_key})
-    k = rank_arc_arrays(RuleSpec.builtin("EDD"), fv, jobs, machs)
+    state = stand_in(list(zip(jobs.tolist(), machs.tolist())), due=job_key, pt=mach_key)
+    k = choose(RuleSpec.builtin("EDD"), state)
     assert k == _argmin_cascade([job_key, mach_key, jobs, machs])
-    k = rank_arc_arrays(RuleSpec.expression("due"), fv, jobs, machs)
+    k = choose(RuleSpec.expression("due"), state)
     assert k == _argmin_cascade([job_key, jobs, machs])
 
 
 # -- argmin-based reductions against min- and all-based ones -----------------------
 
-def _min_all_rank(rule, fv, jobs, machs):
-    """Reference: rank_arc_arrays with the job-key minimum taken by min and the
-    finite check by all."""
-    cols = fv.arc_columns(jobs, machs)
+def _min_all_rank(rule, cols, jobs, machs):
+    """Reference: the rule's keys by the tree walk, the job-key minimum taken
+    by min and the finite check by all."""
+    n = len(jobs)
+    job_key = tree_walk(rule.program.root, cols, n)
     if rule.tie_break is not None:
-        job_key = rule.program.fn(cols)
         ties = (job_key == job_key.min()).nonzero()[0]
-        return int(ties[rule.tie_break.fn(cols)[ties].argmin()])
-    scores = evaluate(rule.program, cols, len(jobs))
-    finite = np.isfinite(scores)
+        return int(ties[tree_walk(rule.tie_break.root, cols, n)[ties].argmin()])
+    finite = np.isfinite(job_key)
     if not finite.all():
         k = int(finite.argmin())
-        raise RuleInvalid(f"rule {rule.name!r}: non-finite score {scores[k]} "
+        raise RuleInvalid(f"rule {rule.name!r}: non-finite score {job_key[k]} "
                           f"for arc (job {jobs[k]}, machine {machs[k]})")
-    return int(scores.argmin())
+    return int(job_key.argmin())
 
 
 def _outcome(rank, *args):
@@ -321,10 +329,11 @@ def edge_scored_arcs(draw):
                np.array([1.0, np.inf, np.nan, -np.inf]), np.zeros(4)))
 def test_argmin_reductions_match_min_and_all(arcs):
     jobs, machs, job_key, mach_key = arcs
-    fv = FakeView({"due": job_key, "pt": mach_key})
+    state = stand_in(list(zip(jobs.tolist(), machs.tolist())), due=job_key, pt=mach_key)
+    cols = columns(len(jobs), due=job_key, pt=mach_key)
     for rule in (RuleSpec.expression("due"), RuleSpec.builtin("EDD")):
-        got = _outcome(rank_arc_arrays, rule, fv, jobs, machs)
-        assert got == _outcome(_min_all_rank, rule, fv, jobs, machs)
+        got = _outcome(choose, rule, state)
+        assert got == _outcome(_min_all_rank, rule, cols, jobs, machs)
         if rule.tie_break is None and np.isfinite(job_key).all():
             assert got == int(job_key.argmin())
         elif rule.tie_break is None:

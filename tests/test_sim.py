@@ -142,6 +142,10 @@ def test_arc_columns_rejects_out_of_range_ids(arc):
     with pytest.raises(InfeasibleArcError, match=fr"arc \(job {arc[0]}, machine {arc[1]}\) "
                                                  "is out of range"):
         view.arc_columns(np.array([0, arc[0]]), np.array([2, arc[1]]))
+    # a lone arc is mapped too, though the chooser ranks it unscored
+    with pytest.raises(InfeasibleArcError, match=fr"arc \(job {arc[0]}, machine {arc[1]}\) "
+                                                 "is out of range"):
+        rank_arc_arrays(EDD, view, np.array([arc[0]]), np.array([arc[1]]))
 
 
 def test_advance_requires_exhausted_epoch():
@@ -410,7 +414,6 @@ def test_a_rollout_caches_one_state_and_builds_no_job_by_machine_index():
     run_dispatch(inst, EDD)
     assert [name for name in inst.__dict__ if name.startswith("_sim")] == ["_sim_start"]
     t = inst.__dict__["_sim_start"].t
-    assert "pair_of" not in t.__dict__
     assert [name for name, value in vars(t).items()
             if isinstance(value, np.ndarray) and value.ndim == 2] == ["incidence"]
 
@@ -437,7 +440,7 @@ def _arcs_of(state, k):
 def _ranked(state, rule):
     """Chooser that ranks the arcs k with the rule through the (job,
     machine) step API, as a traced rollout does."""
-    fv = FeatureView(state, rule.reads)
+    fv = FeatureView(state)
     return lambda k: rank_arc_arrays(rule, fv, state.t.pair_job[k], state.t.pair_mach[k])
 
 
@@ -771,35 +774,32 @@ class _Capture:
 @example(inst=ZERO_LENGTH, seed=0, reads=set())
 def test_arc_columns_equal_the_pair_gather(inst, seed, reads):
     # at every decision of a random non-delay rollout, the step API's
-    # arc_columns, unbound and bound to a read set, gives float columns, one
-    # entry per arc, and a bound column is the unbound one, bit for bit; at a
-    # decision of two arcs or more they are also the columns a rule's
-    # generated chooser gathers by pair index from the same column table
+    # arc_columns gives every accessor's column as floats, one entry per
+    # arc; at a decision of two arcs or more, the columns a rule's generated
+    # chooser gathers by pair index from the same column table, for a rule
+    # that reads every accessor and for one that reads the drawn set, are
+    # those columns, bit for bit
     state = SimState(inst)
+    view = FeatureView(state)
     names = reads.union(*(BASES.get(name, set()) for name in reads))
-    views = [(FeatureView(state), _Capture(ACCESSORS, ACCESSORS), set(ACCESSORS)),
-             (FeatureView(state, reads), _Capture(reads, names), names)]
-    choosers = [sim.build_chooser(capture)(state, None) for _, capture, _ in views]
+    captures = [_Capture(ACCESSORS, ACCESSORS), _Capture(reads, names)]
+    choosers = [sim.build_chooser(capture)(state, None) for capture in captures]
     rng = random.Random(seed)
     decisions = []
 
     def checked(k):
-        jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
-        for choose in choosers:
+        got = view.arc_columns(state.t.pair_job[k], state.t.pair_mach[k])
+        assert set(got) == set(ACCESSORS)
+        for col in got.values():
+            assert col.dtype == float and col.shape == (len(k),)
+        for choose, capture in zip(choosers, captures):
             assert choose(k) == 0                   # every score is 0
-        full = views[0][0].arc_columns(jobs, machs)
-        for view, capture, names in views:
-            got = view.arc_columns(jobs, machs)
-            assert set(got) == names
-            for name, col in got.items():
-                assert col.dtype == float and col.shape == (len(k),)
-                assert col.tobytes() == full[name].tobytes(), name
             assert len(capture.seen) == (len(k) > 1)    # a single arc is chosen unscored
             for want in capture.seen:
-                assert set(want) == names
-                for name, col in got.items():
-                    assert want[name].dtype == float
-                    assert want[name].tobytes() == col.tobytes(), name
+                assert set(want) == set(capture.names)
+                for name, col in want.items():
+                    assert col.dtype == float
+                    assert col.tobytes() == got[name].tobytes(), name
             capture.seen.clear()
         decisions.append(len(k))
         return rng.randrange(len(k))
@@ -808,33 +808,13 @@ def test_arc_columns_equal_the_pair_gather(inst, seed, reads):
     assert len(decisions) >= 1
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(inst=generated_instances, steps=st.integers(0, 60),
-       reads=st.sets(st.sampled_from(sorted(ACCESSORS))))
-def test_bound_gather_equals_full_gather(inst, steps, reads):
-    state = SimState(inst)
-    for _ in range(steps):                  # walk to a random mid-rollout state
-        if state.done_count == state.t.J:
-            break
-        arcs = feasible_arcs(state)
-        if arcs:
-            apply_arc(state, pick_arc(EDD, FeatureView(state), arcs))
-        else:
-            advance_clock(state)
-    k = state._arc_arrays()
-    jobs, machs = state.t.pair_job[k], state.t.pair_mach[k]
-    bound = FeatureView(state, reads).arc_columns(jobs, machs)
-    full = FeatureView(state).arc_columns(jobs, machs)
-    assert set(bound) == reads.union(*(BASES.get(name, set()) for name in reads))
-    for name, col in bound.items():
-        assert col.dtype == full[name].dtype == float
-        assert np.array_equal(col, full[name])
-
-
 def test_arc_columns_rejects_a_pair_that_is_not_eligible():
     state = SimState(SHARED_JOB)
     with pytest.raises(InfeasibleArcError, match="machine 2 is not eligible for job 0"):
         FeatureView(state).arc_columns(np.array([0, 0]), np.array([1, 2]))
+    # a lone arc is mapped too, though the chooser ranks it unscored
+    with pytest.raises(InfeasibleArcError, match="machine 2 is not eligible for job 0"):
+        rank_arc_arrays(EDD, FeatureView(state), np.array([0]), np.array([2]))
 
 
 # for a rule whose score overflows on a long processing time: at time 0 the
@@ -859,10 +839,11 @@ CHOOSER_RULES = [*map(RuleSpec.expression, ["exp(100*pt)", "due + exp(1000*(wait
        rule=st.one_of(st.sampled_from(CHOOSER_RULES), programs.map(RuleSpec.expression)))
 @example(inst=OVERFLOW, rule=CHOOSER_RULES[0])
 def test_both_paths_give_the_same_schedule_or_name_the_same_arc(inst, rule):
-    # run_dispatch ranks with the rule's generated chooser by pair index,
-    # the step API with rank_arc_arrays by (job, machine) arc; a rule either
-    # gives the same schedule on both or is rejected on both with the same
-    # message, naming the same (job, machine) arc
+    # run_dispatch ranks with the rule's generated chooser, the reference
+    # rollout with the tree walk and a first minimum taken in Python, which
+    # share no scoring or arg-min code with it; a rule either gives the same
+    # schedule on both or is rejected on both with the same message, naming
+    # the same (job, machine) arc
     def outcome(rollout):
         try:
             return schedule_to_text(rollout(inst, rule))
@@ -885,11 +866,6 @@ def test_a_rolled_out_rule_pickles_and_copies(rule):
     for again in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
         assert again == rule
         assert schedule_to_text(run_dispatch(inst, again)) == want
-
-
-def test_unknown_read_is_rejected():
-    with pytest.raises(KeyError):
-        FeatureView(SimState(minimal_instance()), {"due", "deadline"})
 
 
 # -- numpy's error state: set once per rollout, the caller's restored ------------
@@ -938,8 +914,8 @@ def test_the_rule_name_reaches_the_chooser_only_at_run_time():
 @example(inst=ZERO_LENGTH)
 def test_replay_reproduces_rollout(inst):
     sched = run_dispatch(inst, KERNEL_RULES[1])
-    pair_of = SimState(inst).t.pair_of
-    arcs = iter(pair_of[a.job, a.machine] for a in sched.arcs)
+    arcs = iter(sim._pair_indices(SimState(inst).t, [a.job for a in sched.arcs],
+                                  [a.machine for a in sched.arcs]).tolist())
 
     def logged(k):
         return int(np.flatnonzero(k == next(arcs))[0])
