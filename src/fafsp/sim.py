@@ -38,14 +38,20 @@ delivery time and tardiness read 0 until its last job, always an assembly,
 completes, and are written once then. Rollouts are deterministic: same
 instance and rule, same schedule.
 
-A step's cost is per-call Python overhead, so the state keeps numpy arrays
-only where a feature column gathers by index (``et``, the per-order and
-per-machine arrays, the ready-pair mask) or a row is added at once
-(``m_queue``); job statuses, kit counts and delivery times are read and
-written one element at a time and are plain Python lists, whose scalar
-access costs a fraction of a numpy scalar's. A scalar update of an array
-is written ``a[i] = a.item(i) + x``, the same IEEE sum as ``a[i] += x``
-without its numpy scalar.
+A step's cost is its numpy calls, so the transition keeps three pieces of
+bookkeeping in step with ``status``, ``m_idle`` and the clock instead of
+deriving them at each decision: the ready-pair mask, the queue counts and
+the idle-machine mask ``m_free`` (``m_idle <= clock``). A dispatch that
+takes time clears its machine's flag, and the completion sets it again
+unless the machine was taken once more at that clock; a completion event
+carries its arc's pair index so the transition finds the machine. The
+state keeps numpy arrays only where a feature column gathers by index
+(``et``, the per-order and per-machine arrays, the two masks) or a row is
+added at once (``m_queue``); job statuses, kit counts and delivery times
+are read and written one element at a time and are plain Python lists,
+whose scalar access costs a fraction of a numpy scalar's. A scalar update
+of an array is written ``a[i] = a.item(i) + x``, the same IEEE sum as
+``a[i] += x`` without its numpy scalar.
 """
 
 from __future__ import annotations
@@ -224,6 +230,7 @@ def _start_state(inst: Instance) -> "SimState":
         start.order_ft = [0.0] * t.N
         start.order_tt = [0.0] * t.N
         start.m_idle = np.zeros(t.M)
+        start.m_free = np.ones(t.M, dtype=bool)       # m_idle <= clock, per machine
         start.m_row = np.zeros(t.M, dtype=np.int64)   # (last job + 1) * J, a setup row
         start.m_busy = np.zeros(t.M)
         # ready jobs eligible per machine; float counts (exact at these sizes)
@@ -292,7 +299,7 @@ class SimState:
         if not self.n_ready:                # about half the epochs of a dynamic rollout
             return _NO_ARCS
         k = self.pair_ready.nonzero()[0]
-        return k[(self.m_idle <= self.clock)[self.t.pair_mach[k]]]
+        return k[self.m_free[self.t.pair_mach[k]]]
 
     def clone(self) -> "SimState":
         """Independent copy (used by the oracle's search)."""
@@ -319,18 +326,18 @@ class FeatureView:
 #: tables ``t``, the arcs' pair indices ``k``, their count ``n`` and the
 #: columns it derives from, as locals named after them. A base column
 #: derives from no accessor and comes before every column derived from it.
-#: The state columns of a job or a machine gather through the arcs' job or
-#: machine ids (``_INDEXES``).
+#: The state columns of a job, a machine or an order gather through the
+#: arcs' job, machine or order ids (``_INDEXES``).
 _COLUMNS: dict[str, tuple[tuple[str, ...], str]] = {
     "due": ((), "t.pair_due[k]"),
     "arrival": ((), "t.pair_arrival[k]"),
     "now": ((), "_filled(n, s.clock)"),
-    "work_rem": ((), "s.order_work_rem[t.pair_order[k]]"),
+    "work_rem": (("order",), "s.order_work_rem[order]"),
     "slack": (("due", "now", "work_rem"), "due - now - work_rem"),
     "wait": (("now", "arrival"), "now - arrival"),
     "et": (("job",), "s.et[job]"),
     "n_mach": ((), "t.pair_n_mach[k]"),
-    "ops_rem": ((), "s.order_ops_rem[t.pair_order[k]]"),
+    "ops_rem": (("order",), "s.order_ops_rem[order]"),
     "pt": ((), "t.pair_pt[k]"),
     "setup": (("job", "mach"), "t.setup_flat[s.m_row[mach] + job]"),
     "avail": (("mach",), "s.m_idle[mach]"),
@@ -338,11 +345,13 @@ _COLUMNS: dict[str, tuple[tuple[str, ...], str]] = {
     "util": (("mach",), "s.m_busy[mach]"),
 }
 
-#: the arcs' job and machine ids, gathered only for a column that reads
-#: them and left out of the columns ``arc_columns`` returns
+#: the arcs' job, machine and order ids, gathered only for a column that
+#: reads them and left out of the columns ``arc_columns`` returns; a rule
+#: that reads both ``work_rem`` and ``ops_rem`` gathers the order ids once
 _INDEXES: dict[str, tuple[tuple[str, ...], str]] = {
     "job": ((), "t.pair_job[k]"),
     "mach": ((), "t.pair_mach[k]"),
+    "order": ((), "t.pair_order[k]"),
 }
 
 
@@ -354,11 +363,17 @@ def _filled(n: int, value: float) -> np.ndarray:
 
 
 def _gather_lines(names: frozenset[str]) -> list[str]:
-    """The lines that gather the named accessors' columns and those they
-    derive from into locals named after them, in table order."""
-    needed = names.union(*(_COLUMNS[name][0] for name in names))
-    return [f"{name} = {text}" for name, (_, text) in {**_INDEXES, **_COLUMNS}.items()
-            if name in needed]
+    """The lines that gather the named accessors' columns and everything they
+    derive from, transitively (``slack`` needs ``work_rem``, which needs
+    ``order``), into locals named after them, in table order. The tables list
+    every name after the names it derives from, so one pass from the end
+    closes the set."""
+    table = {**_INDEXES, **_COLUMNS}
+    needed = set(names)
+    for name in reversed(table):
+        if name in needed:
+            needed.update(table[name][0])
+    return [f"{name} = {text}" for name, (_, text) in table.items() if name in needed]
 
 
 #: the step API's gather: function (state, pair indices k) -> {accessor:
@@ -392,7 +407,8 @@ def build_chooser(program: Program, tie_break: Program | None = None) -> Callabl
                   "if score.dtype is not _FLOAT64:",
                   "    score = score.astype(float)",
                   "i = score.argmin()",                # the first minimum, or the first NaN
-                  "if -_INF < score.item(i) and score.max() < _INF:",
+                  # argmax gives the first +inf or NaN too, for less than max
+                  "if -_INF < score.item(i) and score.item(score.argmax()) < _INF:",
                   "    return i",
                   "raise _non_finite(rule, score, k, t)"]
     else:
@@ -448,11 +464,13 @@ def _dispatch(state: SimState, p: int) -> float:
     state.status[j] = RUNNING
     state._set_ready(j, False)
     state.m_idle[m] = ct
+    if ct > st:                         # a zero-length dispatch leaves m idle
+        state.m_free[m] = False
     state.m_row[m] = (j + 1) * t.J
     state.m_busy[m] = state.m_busy.item(m) + pt
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     state.arc_log.append(tuple.__new__(ArcRecord, (j, m, setup, st, ct)))
-    heapq.heappush(state.events, (ct, _COMPLETION, state._seq, j))
+    heapq.heappush(state.events, (ct, _COMPLETION, state._seq, p))
     state._seq += 1
     return ct
 
@@ -477,7 +495,9 @@ def _advance(state: SimState) -> SimState:
     while events and events[0][0] == now:
         _, prio, _, payload = heapq.heappop(events)
         if prio == _COMPLETION:
-            j = payload
+            j, m = t.pair_job_list[payload], t.pair_mach_list[payload]
+            # m is idle unless a later dispatch at this clock took it again
+            state.m_free[m] = state.m_idle.item(m) <= now
             state.status[j] = DONE
             state.done_count += 1
             oid = t.job_order_list[j]

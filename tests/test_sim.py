@@ -1,18 +1,20 @@
 """Engine semantics: epochs, arc application, event ordering, rollouts."""
 
+import contextlib
 import copy
 import dataclasses
 import itertools
 import math
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fafsp import sim
+from fafsp import sim, validator
 from fafsp.expr import ACCESSORS, Acc, Cmp, Program, parse
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.model import Stage
@@ -24,7 +26,8 @@ from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeE
                        schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
-from helpers import make_instance, minimal_instance, pick_arc
+from helpers import (make_instance, minimal_instance, pick_arc, reference_rank,
+                     tiny_dynamic_instance)
 from test_expr import programs
 from test_golden import RULES
 
@@ -456,6 +459,7 @@ def _check_ready_bookkeeping(inst, state):
     assert state.pair_ready.tolist() == [state.status[j.id] == READY
                                          for j in jobs for _ in j.eligible]
     assert state.m_queue.dtype == state.order_ops_rem.dtype == float
+    _check_idle_mask(state)
     assert state.m_queue.tolist() == [sum(m in j.eligible for j in ready)
                                       for m in range(inst.num_machines)]
     assert state.order_ops_rem.tolist() == [
@@ -471,6 +475,12 @@ def _check_ready_bookkeeping(inst, state):
         done = left.isdisjoint([*asm, *(j for p in o.products for j in p.processing_job_ids)])
         assert state.order_ft[o.id] == (max(ct[a] for a in asm) if done else 0.0), o.id
         assert state.order_tt[o.id] == max(0.0, state.order_ft[o.id] - o.due), o.id
+
+
+def _check_idle_mask(state):
+    """The idle-machine mask the transition keeps against the idle times."""
+    assert state.m_free.dtype == bool
+    assert state.m_free.tolist() == (state.m_idle <= state.clock).tolist()
 
 
 def _reference_dispatch(inst, rule, state=None):
@@ -552,6 +562,58 @@ def test_zero_length_dispatch_leaves_machine_idle():
     assert validate_schedule(ZERO_LENGTH, sched) == []
 
 
+def test_a_zero_length_completion_leaves_a_machine_taken_again_busy():
+    # job 0 takes no time on machine 0, and job 2 then takes machine 0 for 3
+    # at the same clock: job 0's completion, at time 0, must not free it
+    state = SimState(ZERO_LENGTH)
+    apply_arc(state, (0, 0))
+    assert state.m_free.tolist() == [True, True]
+    assert feasible_arcs(state) == [(2, 0)]
+    apply_arc(state, (2, 0))
+    assert state.m_free.tolist() == [False, True]
+    advance_clock(state)
+    assert (state.clock, state.status[0]) == (0.0, DONE)
+    assert state.m_free.tolist() == [False, True]
+    assert feasible_arcs(state) == [(1, 1)]
+    apply_arc(state, (1, 1))                # takes no time either
+    assert feasible_arcs(state) == []
+    advance_clock(state)                    # job 1's completion, at time 0
+    assert state.m_free.tolist() == [False, True]
+    advance_clock(state)                    # job 2 completes at 3
+    assert (state.clock, state.m_free.tolist()) == (3.0, [True, True])
+
+
+@contextlib.contextmanager
+def _idle_mask_checked_after_every_advance():
+    """Check the idle mask after every advance of the engine and the oracle."""
+    def checked(state):
+        _advance(state)
+        _check_idle_mask(state)
+        return state
+
+    with mock.patch.object(sim, "_advance", checked), \
+            mock.patch.object(validator, "_advance", checked):
+        yield
+
+
+@pytest.mark.parametrize("inst", [ZERO_LENGTH, SHARED_MACHINE,
+                                  *map(tiny_dynamic_instance, range(3))])
+def test_the_oracles_cloned_states_keep_the_idle_mask(inst):
+    # the oracle enumerates in every state it visits, clones among them
+    enumerate_arcs, states = SimState._arc_arrays, []
+
+    def checked(state):
+        _check_idle_mask(state)
+        states.append(state)
+        return enumerate_arcs(state)
+
+    with _idle_mask_checked_after_every_advance(), \
+            mock.patch.object(SimState, "_arc_arrays", checked):
+        value, sched = validator.brute_force_optimum(inst)
+    assert validate_schedule(inst, sched) == [] and value == total_tardiness(sched)
+    assert len({id(state) for state in states}) > 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_clones_keep_their_own_ready_bookkeeping(seed):
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
@@ -604,7 +666,8 @@ def test_rollouts_leave_the_start_state_as_built():
 @example(inst=ZERO_LENGTH, seed=0)
 def test_enumeration_matches_python_loop_at_every_step(inst, seed):
     # the epoch loop enumerates before every decision, after zero-length
-    # dispatches too; check each enumeration and the bookkeeping it reads
+    # dispatches too; check each enumeration and the bookkeeping it reads,
+    # and the idle mask after every advance
     state = SimState(inst)
     enumerate_arcs = state._arc_arrays
     steps = []
@@ -618,7 +681,8 @@ def test_enumeration_matches_python_loop_at_every_step(inst, seed):
 
     state._arc_arrays = checked
     rng = random.Random(seed)
-    sched = _rollout(state, lambda k: rng.randrange(len(k)))
+    with _idle_mask_checked_after_every_advance():
+        sched = _rollout(state, lambda k: rng.randrange(len(k)))
     assert len(sched.arcs) == sum(n > 0 for n in steps) == inst.num_jobs
 
 
@@ -815,6 +879,51 @@ def test_arc_columns_rejects_a_pair_that_is_not_eligible():
     # a lone arc is mapped too, though the chooser ranks it unscored
     with pytest.raises(InfeasibleArcError, match="machine 2 is not eligible for job 0"):
         rank_arc_arrays(EDD, FeatureView(state), np.array([0]), np.array([2]))
+
+
+# -- a chooser gathers what its rule reads, closed over the column table --------
+
+def test_the_column_table_lists_each_name_after_what_it_derives_from():
+    names = [*sim._INDEXES, *sim._COLUMNS]
+    for name, (bases, _) in {**sim._INDEXES, **sim._COLUMNS}.items():
+        assert all(names.index(base) < names.index(name) for base in bases), name
+
+
+def test_work_rem_and_ops_rem_share_one_order_gather():
+    lines = sim._gather_lines(frozenset({"slack", "ops_rem"}))
+    assert [line.partition(" = ")[0] for line in lines] == [
+        "order", "due", "now", "work_rem", "slack", "ops_rem"]
+
+
+CLOSURE_INSTANCE = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                                    n_init=2, seed=0))
+
+
+@pytest.mark.parametrize("source", [*sorted(ACCESSORS), "slack + ops_rem", "slack * work_rem"])
+def test_a_one_accessor_chooser_ranks_as_the_reference(source):
+    # the chooser gathers only what the rule reads and what that derives
+    # from, transitively (slack needs work_rem, which needs the order ids);
+    # at every decision of two arcs or more of a random non-delay rollout it
+    # ranks as the reference does over the step API's columns, which the
+    # step API gathers for every accessor
+    rule = RuleSpec.expression(source)
+    state = SimState(CLOSURE_INSTANCE)
+    choose = rule.chooser(state, rule)
+    view = FeatureView(state)
+    rng = random.Random(0)
+    ranked = []
+
+    def checked(k):
+        if len(k) > 1:
+            jobs, machs = state.t.pair_job[k].tolist(), state.t.pair_mach[k].tolist()
+            want = reference_rank(rule, view.arc_columns(jobs, machs), jobs, machs)
+            assert choose(k) == want
+            ranked.append(want)
+        return rng.randrange(len(k))
+
+    with np.errstate(all="ignore"):
+        _rollout(state, checked)
+    assert len(ranked) >= 20
 
 
 # for a rule whose score overflows on a long processing time: at time 0 the
