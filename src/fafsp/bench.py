@@ -160,10 +160,11 @@ def read_journal(path) -> list[dict]:
     return entries
 
 
-def journal_to_convergence(entries: Sequence[dict]) -> list[tuple[int, float | None]]:
-    """(sample index, best fitness so far) with one row per LLM call."""
+def journal_to_convergence(entries: Sequence[dict],
+                           best: float | None = None) -> list[tuple[int, float | None]]:
+    """(sample index, best fitness so far) with one row per LLM call,
+    starting from ``best``: a run's elite fitness, which no sample logs."""
     rows = []
-    best: float | None = None
     for i, e in enumerate(entries, start=1):
         fit = e.get("fitness")
         if fit is not None and (best is None or fit < best):
@@ -190,8 +191,10 @@ def write_gantt(sched: Schedule, path) -> None:
 
 
 def export_traces(run_dir, out_dir) -> list[str]:
-    """Turn a run directory (journal, per-instance table, schedules) into
-    plot-ready delimited files; re-exporting is byte-identical. A run
+    """Turn a run directory (journal, convergence and per-instance tables,
+    schedules) into plot-ready delimited files; re-exporting is
+    byte-identical. The journal is read and checked, but convergence rows
+    come from it only when the run has no convergence table. A run
     directory that does not exist raises FileNotFoundError and writes
     nothing."""
     run_dir, out_dir = Path(run_dir), Path(out_dir)
@@ -202,7 +205,11 @@ def export_traces(run_dir, out_dir) -> list[str]:
 
     journal_path = run_dir / "journal.jsonl"
     entries = read_journal(journal_path) if journal_path.exists() else []
-    write_convergence(journal_to_convergence(entries), out_dir / "convergence.csv")
+    conv_path, out_conv = run_dir / "convergence.csv", out_dir / "convergence.csv"
+    if conv_path.exists():              # its rows start from the run's elite
+        write_text(out_conv, read_text(conv_path))
+    else:
+        write_convergence(journal_to_convergence(entries), out_conv)
     written.append("convergence.csv")
 
     per_path = run_dir / "per_instance.csv"

@@ -109,7 +109,8 @@ def _cmd_evolve(args) -> int:
     save_rule_file(out / "best_rule.txt", result.best.spec,
                    description=result.best.description, fitness=result.best.fitness)
     write_journal(result.journal, out / "journal.jsonl")
-    write_convergence(journal_to_convergence(result.journal), out / "convergence.csv")
+    write_convergence(journal_to_convergence(result.journal, result.elite.fitness),
+                      out / "convergence.csv")
     write_per_instance(result.per_instance, out / "per_instance.csv")
     print(f"samples: {result.samples}")
     print(f"u0: {result.u0!r}")

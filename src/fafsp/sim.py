@@ -24,7 +24,9 @@ per-instance cache. One loop steps the rollout, and it takes the arc to
 dispatch from a chooser: ``run_dispatch`` uses the rule's, and the oracle
 replays its optimal arc log through the same loop to build its schedule.
 A rollout owns numpy's error state: ``run_dispatch`` sets it once, around
-the whole loop, and restores the caller's on return.
+the whole loop, and restores the caller's on return. The engine owns
+``RuleInvalid``, which a non-finite score raises, and imports no rule
+module: ``fafsp.rules`` depends on this module, not the reverse.
 
 The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
 ``advance_clock``, ``rules.rank_arc_arrays``) speaks in (job, machine) arcs;
@@ -69,7 +71,6 @@ import numpy as np
 from .expr import _FLOAT64, Program, _define
 from .model import (Instance, Stage, _decimal, _key_id, check_instance, read_text,
                     write_text)
-from .rules import RuleInvalid
 
 NOT_ARRIVED, READY, BLOCKED, RUNNING, DONE = range(5)
 
@@ -83,6 +84,10 @@ class DeadlockError(RuntimeError):
 class EventTimeError(RuntimeError):
     """The next event is not at a finite time at or after the clock;
     indicates a corrupted event queue."""
+
+
+class RuleInvalid(RuntimeError):
+    """An expression produced a non-finite priority for some arc."""
 
 
 class InfeasibleArcError(ValueError):
@@ -176,16 +181,11 @@ class _Tables:
         self.order_arrival = np.array([o.arrival for o in orders], dtype=float)
         self.order_due = np.array([o.due for o in orders], dtype=float)
         self.succ = succ = [-1] * J                         # feeding assembly job
-        self.order_jobs: list[list[int]] = []
         for o in orders:
-            js: list[int] = []
             for p in o.products:
-                kit, a = p.processing_job_ids, p.assembly_job_id
-                for j in kit:
-                    succ[j] = a
-                js += kit
-                js.append(a)
-            self.order_jobs.append(js)
+                for j in p.processing_job_ids:
+                    succ[j] = p.assembly_job_id
+        self.order_jobs = [o.job_ids() for o in orders]
         self.pair_arrival = self.order_arrival[self.pair_order]
         self.pair_due = self.order_due[self.pair_order]
         self.order_njobs = np.array([len(js) for js in self.order_jobs], dtype=float)

@@ -12,7 +12,7 @@ from fafsp.bench import (compute_ari, default_grid, export_traces,
                          scenario_label, write_journal, write_per_instance)
 from fafsp.cli import main
 from fafsp.generator import ScenarioConfig
-from fafsp.rules import RuleSpec
+from fafsp.rules import RuleSpec, load_rule_file
 from fafsp.llm import RecordingTransport, ScriptedTransport
 from fafsp.model import instance_to_doc, save_instance
 from fafsp.sim import run_dispatch, save_schedule
@@ -201,9 +201,13 @@ def test_cli_bench_with_no_late_rule(tmp_path, capsys):
     assert lines[-2].split() == ["ARI", "0.00%", "0.00%"]
 
 
-def _recorded_run(tmp_path):
+CRITIQUE = "Advantages: a.\nLimitations: b.\nSuggestions: c.\n"
+
+
+def _recorded_run(tmp_path, responses=None):
     """An evolution config on two generated instances and the cassette of
-    its run, recorded through the library: (config path, cassette path)."""
+    its run, recorded through the library from the scripted ``responses``
+    (a fixed script by default): (config path, cassette path)."""
     scen = tmp_path / "scen.json"
     _write_scenario(scen)
     main(["gen", "--scenario", str(scen), "--count", "2", "--out", str(tmp_path / "tr")])
@@ -216,8 +220,7 @@ def _recorded_run(tmp_path):
         "strategies": [{"operator": "C2", "parents": 2, "critique": False}],
     }), encoding="utf-8")
 
-    crit = "Advantages: a.\nLimitations: b.\nSuggestions: c.\n"
-    responses = [crit,
+    responses = responses or [CRITIQUE,
                  "Description: r1\n```\ndue + pt\n```",
                  "Description: r2\n```\ndue - now + 2*pt\n```",
                  "Description: r3\n```\ndue*0.5 + work_rem\n```",
@@ -249,6 +252,26 @@ def test_cli_evolve_replay_and_export(tmp_path, capsys):
     out_dir = tmp_path / "traces"
     assert main(["export", "--run", str(run_dir), "--out", str(out_dir)]) == 0
     assert (out_dir / "convergence.csv").exists()
+
+
+def test_convergence_starts_from_the_elite_when_no_sample_beats_it(tmp_path):
+    # every generated rule is far worse than the EDD elite, so the run's
+    # best is the elite, which no journal entry logs
+    def respond(prompt, temperature, operator):
+        return CRITIQUE if operator == "Eval" else "Description: w.\n```\n-due + 1000*pt\n```"
+
+    cfg_path, cassette = _recorded_run(tmp_path, respond)
+    run_dir, out_dir = tmp_path / "run", tmp_path / "traces"
+    assert _replay(cfg_path, cassette, run_dir) == 0
+    best = load_rule_file(run_dir / "best_rule.txt")
+    assert best.name == "EDD"
+    journal = read_journal(run_dir / "journal.jsonl")
+    assert min(e["fitness"] for e in journal if e["fitness"] is not None) > best.fitness
+    assert main(["export", "--run", str(run_dir), "--out", str(out_dir)]) == 0
+    for path in (run_dir / "convergence.csv", out_dir / "convergence.csv"):
+        rows = path.read_text().splitlines()
+        assert len(rows) == 1 + len(journal)
+        assert rows[-1] == f"{len(journal)},{best.fitness!r}"
 
 
 def test_cli_replay_miss_keeps_every_reply_served_before_it(tmp_path, capsys):

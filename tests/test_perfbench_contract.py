@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import fafsp.sim as sim
 from fafsp.evolve import EvolutionConfig, run_evolution
 from fafsp.generator import generate_instance
 from fafsp.llm import ScriptedTransport
@@ -27,7 +28,7 @@ from test_golden import RULES, SCENARIOS
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from probe import TracedProbe, shims  # noqa: E402
+from probe import Probe, TracedProbe, shims  # noqa: E402
 from speed import Timeline  # noqa: E402
 
 
@@ -77,3 +78,21 @@ def test_evolution_under_shims_matches_untraced():
     assert traced.best.source == plain.best.source
     assert {"llm.render", "llm.extract", "rules.validate_rule",
             "evolve.evaluate_fitness"} <= set(probe.names)
+
+
+def test_untraced_probe_sees_every_rollout(monkeypatch):
+    # the end-to-end metrics time and check each rollout at the run_dispatch
+    # the shims patch; a caller that bound run_dispatch at import would
+    # roll out past them, untimed and unchecked
+    rollout, calls = sim._rollout, []
+
+    def counted(*args):
+        calls.append(None)
+        return rollout(*args)
+
+    monkeypatch.setattr(sim, "_rollout", counted)
+    cfg = EvolutionConfig(generations=1, population=2, seed=17)
+    probe = Probe(Timeline())
+    with shims(probe):
+        run_evolution(cfg, ScriptedTransport(_mock_responses()), _training_instances())
+    assert probe.rollouts == len(calls) > 0
