@@ -13,6 +13,7 @@ from .llm import (Critique, LiveTransport, RecordingTransport, ReplayTransport,
 from .evolve import (EvolutionConfig, EvolutionResult, RuleIndividual,
                      evaluate_fitness, run_evolution, summarize_features,
                      tournament_select)
-from .bench import BenchReport, compute_ari, default_grid, export_traces, run_benchmark
+from .bench import BenchReport, compute_ari, default_grid, run_benchmark
+from .rundir import export_traces
 
 __version__ = "0.1.0"

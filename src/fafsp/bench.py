@@ -1,4 +1,4 @@
-"""Benchmark grids, relative-improvement tables and trace exports.
+"""Benchmark grids and relative-improvement tables.
 
 A benchmark evaluates a set of rules over replicated instances of each
 scenario and reports per-scenario mean/sd tardiness plus aggregate rows:
@@ -10,16 +10,14 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .generator import ScenarioConfig, generate_instance
-from .model import (_finite, check_fields, json_lines, load_json, read_document,
-                    read_json_lines, read_text, write_text)
+from .model import check_fields, load_json, read_document
 from .rules import RuleSpec
-from .sim import Schedule, load_schedule, run_dispatch, total_tardiness
+from .rundir import write_journal  # noqa: F401 -- perfbench/workloads.py imports it from here
+from .sim import run_dispatch, total_tardiness
 
 
 def compute_ari(value: float, worst: float) -> float:
@@ -137,94 +135,3 @@ def load_grid(path) -> tuple[list[ScenarioConfig], int]:
     """The grid file's scenarios and replication count (20 if absent)."""
     grid = read_document(_Grid, load_json(path), f"{path}: grid")
     return list(grid.scenarios), grid.replications
-
-
-# -- run directory and trace export --------------------------------------------
-
-
-def write_journal(entries: Sequence[dict], path) -> None:
-    write_text(path, json_lines(entries))
-
-
-def read_journal(path) -> list[dict]:
-    """The journal's entries. A line that is not a JSON object, or whose
-    fitness is neither a finite number nor null, raises ValueError naming
-    the file and the line."""
-    entries = []
-    for ln, entry in read_json_lines(path):
-        fit = entry.get("fitness")
-        if fit is not None and not _finite(fit):
-            raise ValueError(f"{path} line {ln}: fitness must be a finite number "
-                             f"or null, not {fit!r}")
-        entries.append(entry)
-    return entries
-
-
-def journal_to_convergence(entries: Sequence[dict],
-                           best: float | None = None) -> list[tuple[int, float | None]]:
-    """(sample index, best fitness so far) with one row per LLM call,
-    starting from ``best``: a run's elite fitness, which no sample logs."""
-    rows = []
-    for i, e in enumerate(entries, start=1):
-        fit = e.get("fitness")
-        if fit is not None and (best is None or fit < best):
-            best = fit
-        rows.append((i, best))
-    return rows
-
-
-def write_convergence(rows: Sequence[tuple[int, float | None]], path) -> None:
-    write_text(path, "sample,best_fitness\n" + "".join(
-        f"{i},{'' if best is None else repr(best)}\n" for i, best in rows))
-
-
-def write_per_instance(values: Sequence[float], path) -> None:
-    write_text(path, "instance,tardiness\n" + "".join(
-        f"{i},{v!r}\n" for i, v in enumerate(values)))
-
-
-def write_gantt(sched: Schedule, path) -> None:
-    """Machine-major arc log, ready for Gantt plotting."""
-    rows = sorted(sched.arcs, key=lambda a: (a.machine, a.st, a.job))
-    write_text(path, "machine,job,setup,st,ct\n" + "".join(
-        f"{a.machine},{a.job},{a.setup!r},{a.st!r},{a.ct!r}\n" for a in rows))
-
-
-def export_traces(run_dir, out_dir) -> list[str]:
-    """Turn a run directory (journal, convergence and per-instance tables,
-    schedules) into plot-ready delimited files; re-exporting is
-    byte-identical. The journal is read and checked, but convergence rows
-    come from it only when the run has no convergence table. A run
-    directory that does not exist raises FileNotFoundError and writes
-    nothing."""
-    run_dir, out_dir = Path(run_dir), Path(out_dir)
-    if not run_dir.is_dir():
-        raise FileNotFoundError(f"{run_dir}: no such run directory")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    journal_path = run_dir / "journal.jsonl"
-    entries = read_journal(journal_path) if journal_path.exists() else []
-    conv_path, out_conv = run_dir / "convergence.csv", out_dir / "convergence.csv"
-    if conv_path.exists():              # its rows start from the run's elite
-        write_text(out_conv, read_text(conv_path))
-    else:
-        write_convergence(journal_to_convergence(entries), out_conv)
-    written.append("convergence.csv")
-
-    per_path = run_dir / "per_instance.csv"
-    out_per = out_dir / "tardiness.csv"
-    if per_path.exists():
-        write_text(out_per, read_text(per_path))
-    else:
-        write_per_instance([], out_per)
-    written.append("tardiness.csv")
-
-    sched_dir = run_dir / "schedules"
-    if sched_dir.is_dir():
-        for name in sorted(os.listdir(sched_dir)):
-            sched = load_schedule(sched_dir / name)
-            out_name = f"gantt_{Path(name).stem}.csv"
-            write_gantt(sched, out_dir / out_name)
-            written.append(out_name)
-    return written

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: gen (emit instances for a scenario), run (one rollout), evolve
-(rule evolution, replayable from its transcripts.jsonl), bench (grid report),
+(rule evolution, replayable from the transcripts it records), bench (grid report),
 validate (check a schedule against an instance), export (plot-ready traces).
 Exit codes: 0 ok, 1 usage or input error, 2 validation failure, 3 transport
 failure.
@@ -16,14 +16,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import (export_traces, load_grid, run_benchmark, write_convergence,
-                    journal_to_convergence, write_journal, write_per_instance)
+from . import rundir
+from .bench import load_grid, run_benchmark
 from .evolve import load_evolution_config, load_training, run_evolution
 from .generator import generate_instance, load_scenario, scenario_to_doc
-from .llm import (LiveTransport, RecordingTransport, ReplayMiss, ReplayTransport,
-                  TransportError)
+from .llm import LiveTransport, ReplayMiss, ReplayTransport, TransportError
 from .model import load_instance, save_instance, write_text
-from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, load_rule_file, save_rule_file
+from .rules import BUILTIN_IDS, RuleInvalid, RuleSpec, load_rule_file
 from .sim import load_schedule, run_dispatch, save_schedule, total_tardiness
 from .validator import validate_schedule
 
@@ -94,28 +93,14 @@ def _cmd_evolve(args) -> int:
         cfg.seed = args.seed
     instances = load_training(cfg)      # validates cfg, --seed included
     transport = _make_transport(args.transport, args.cassette)
-    # every input is read and checked before an earlier run's outputs go
-    out = Path(args.out)
-    os.makedirs(out, exist_ok=True)
-    for name in ("best_rule.txt", "journal.jsonl", "convergence.csv", "per_instance.csv"):
-        (out / name).unlink(missing_ok=True)    # no output of an earlier run stays
-    transcripts = out / "transcripts.jsonl"
-    # replaying the run's own transcripts serves only records already there: keep them whole
-    if not (args.transport == "replay" and transcripts.exists()
-            and transcripts.samefile(args.cassette)):
-        write_text(transcripts, "")
-        transport = RecordingTransport(transport, transcripts)
+    transport = rundir.start(args.out, transport,
+                             args.cassette if args.transport == "replay" else None)
     result = run_evolution(cfg, transport, instances)
-    save_rule_file(out / "best_rule.txt", result.best.spec,
-                   description=result.best.description, fitness=result.best.fitness)
-    write_journal(result.journal, out / "journal.jsonl")
-    write_convergence(journal_to_convergence(result.journal, result.elite.fitness),
-                      out / "convergence.csv")
-    write_per_instance(result.per_instance, out / "per_instance.csv")
+    rundir.finish(args.out, result)
     print(f"samples: {result.samples}")
     print(f"u0: {result.u0!r}")
     print(f"best fitness: {result.best.fitness!r}")
-    print(f"outputs in {out}")
+    print(f"outputs in {Path(args.out)}")
     if result.error is not None:
         print(f"transport error: {result.error}", file=sys.stderr)
         return EXIT_TRANSPORT
@@ -157,7 +142,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    written = export_traces(args.run, args.out)
+    written = rundir.export_traces(args.run, args.out)
     print(f"wrote {', '.join(written)} to {args.out}")
     return EXIT_OK
 

@@ -1,0 +1,106 @@
+"""The evolution run directory; only this module names its files. ``start``
+opens a run and ``finish`` writes its end-of-run files (a run cut short holds
+only ``transcripts.jsonl``); ``export_traces`` turns a finished run into
+plot-ready files."""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+from typing import Sequence
+
+from .llm import RecordingTransport
+from .model import _finite, json_lines, read_json_lines, read_text, write_text
+from .rules import save_rule_file
+from .sim import load_schedule
+
+BEST_RULE, JOURNAL, CONVERGENCE, PER_INSTANCE = (
+    "best_rule.txt", "journal.jsonl", "convergence.csv", "per_instance.csv")
+
+
+def start(out, transport, cassette: str | None):
+    """Called once every input is read and checked: remove an earlier run's
+    outputs from ``out``; return ``transport`` recording into an emptied
+    ``transcripts.jsonl``, or as is when ``cassette`` (None if live) is that file."""
+    out = Path(out)
+    os.makedirs(out, exist_ok=True)
+    for name in (BEST_RULE, JOURNAL, CONVERGENCE, PER_INSTANCE):
+        (out / name).unlink(missing_ok=True)
+    transcripts = out / "transcripts.jsonl"
+    if cassette is not None and transcripts.exists() and transcripts.samefile(cassette):
+        return transport
+    write_text(transcripts, "")
+    return RecordingTransport(transport, transcripts)
+
+
+def finish(out, result) -> None:
+    """Write the end-of-run files of an ``EvolutionResult`` into ``out``."""
+    out, best = Path(out), result.best
+    save_rule_file(out / BEST_RULE, best.spec, description=best.description, fitness=best.fitness)
+    write_journal(result.journal, out / JOURNAL)
+    rows = journal_to_convergence(result.journal, result.elite.fitness)
+    write_text(out / CONVERGENCE, "sample,best_fitness\n" + "".join(
+        f"{i},{fit!r}\n" for i, fit in rows))
+    write_text(out / PER_INSTANCE, "instance,tardiness\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(result.per_instance)))
+
+
+def write_journal(entries: Sequence[dict], path) -> None:
+    write_text(path, json_lines(entries))
+
+
+def read_journal(path) -> list[dict]:
+    """The journal's entries. A line that is not a JSON object, or whose
+    fitness is neither a finite number nor null, raises ValueError naming
+    the file and the line."""
+    entries = read_json_lines(path)
+    for ln, entry in entries:
+        fit = entry.get("fitness")
+        if fit is not None and not _finite(fit):
+            raise ValueError(f"{path} line {ln}: fitness must be a finite number "
+                             f"or null, not {fit!r}")
+    return [entry for _, entry in entries]
+
+
+def journal_to_convergence(entries: Sequence[dict], best: float) -> list[tuple[int, float]]:
+    """(sample index, best fitness so far) with one row per LLM call,
+    starting from ``best``: a run's elite fitness, which no sample logs."""
+    rows = []
+    for i, e in enumerate(entries, start=1):
+        fit = e.get("fitness")
+        if fit is not None and fit < best:
+            best = fit
+        rows.append((i, best))
+    return rows
+
+
+def export_traces(run_dir, out_dir) -> list[str]:
+    """Write a finished run's convergence and per-instance (``tardiness.csv``)
+    tables and a machine-major ``gantt_<stem>.csv`` per file in its
+    ``schedules/`` into ``out_dir`` and return their names. Every input, the
+    journal included, is read and checked first, so a missing run file, an
+    input that does not parse or two schedules with one stem write nothing."""
+    run_dir, out_dir = Path(run_dir), Path(out_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"{run_dir}: no such run directory")
+    for name in (JOURNAL, CONVERGENCE, PER_INSTANCE):
+        if not (run_dir / name).is_file():
+            raise FileNotFoundError(f"{run_dir / name}: no such file; the run did not finish")
+    read_journal(run_dir / JOURNAL)
+    files = {CONVERGENCE: read_text(run_dir / CONVERGENCE),
+             "tardiness.csv": read_text(run_dir / PER_INSTANCE)}
+    sched_dir, source = run_dir / "schedules", {}
+    for name in sorted(os.listdir(sched_dir)) if sched_dir.is_dir() else ():
+        out_name = f"gantt_{Path(name).stem}.csv"
+        if out_name in source:
+            raise ValueError(f"{sched_dir / source[out_name]} and {sched_dir / name} "
+                             f"would both export as {out_name}")
+        source[out_name] = name
+        arcs = sorted(load_schedule(sched_dir / name).arcs,
+                      key=lambda a: (a.machine, a.st, a.job))
+        files[out_name] = "machine,job,setup,st,ct\n" + "".join(
+            f"{a.machine},{a.job},{a.setup!r},{a.st!r},{a.ct!r}\n" for a in arcs)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        write_text(out_dir / name, text)
+    return list(files)

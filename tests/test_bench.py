@@ -3,15 +3,20 @@
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
-from fafsp import cli
-from fafsp.bench import (compute_ari, default_grid, export_traces,
-                         journal_to_convergence, read_journal, run_benchmark,
-                         scenario_label, write_journal, write_per_instance)
+from fafsp import cli, rundir
+from fafsp.bench import compute_ari, default_grid, run_benchmark, scenario_label
 from fafsp.cli import main
+from fafsp.evolve import RuleIndividual
 from fafsp.generator import ScenarioConfig
+from fafsp.rundir import export_traces, journal_to_convergence, read_journal
 from fafsp.rules import RuleSpec, load_rule_file
 from fafsp.llm import RecordingTransport, ScriptedTransport
 from fafsp.model import instance_to_doc, save_instance
@@ -83,39 +88,48 @@ def test_default_grid_covers_24_scenarios():
 def test_journal_to_convergence_carries_best():
     entries = [{"fitness": None}, {"fitness": 5.0}, {"fitness": 7.0},
                {"fitness": None}, {"fitness": 3.0}]
-    rows = journal_to_convergence(entries)
-    assert rows == [(1, None), (2, 5.0), (3, 5.0), (4, 5.0), (5, 3.0)]
+    rows = journal_to_convergence(entries, 6.0)
+    assert rows == [(1, 6.0), (2, 5.0), (3, 5.0), (4, 5.0), (5, 3.0)]
 
 
-def test_export_traces_empty_run(tmp_path):
-    run_dir = tmp_path / "run"
-    out = tmp_path / "out"
+JOURNAL = [{"generation": 0, "operator": "Init", "digest": "d1",
+            "temperature": "0.600000", "fitness": 12.5},
+           {"generation": 1, "operator": "C1", "digest": "d2",
+            "temperature": "0.600000", "fitness": None}]
+
+
+EDD_SCHEDULE = run_dispatch(minimal_instance(), RuleSpec.builtin("EDD"))
+
+
+def _finished_run(run_dir):
+    """A run directory as ``fafsp evolve`` finishes it, with empty
+    transcripts and the EDD rule as its elite and its best."""
+    edd = RuleIndividual("earliest due date", RuleSpec.builtin("EDD"), 20.0)
+    rundir.start(run_dir, ScriptedTransport([]), None)
+    rundir.finish(run_dir, SimpleNamespace(best=edd, elite=edd, journal=JOURNAL,
+                                           per_instance=[3.0, 4.5]))
+
+
+def test_export_traces_refuses_an_incomplete_run(tmp_path, capsys):
+    # a run cut short by a replay miss or a kill holds only its transcripts
+    run_dir, out = tmp_path / "run", tmp_path / "out"
     os.makedirs(run_dir)
-    write_journal([], run_dir / "journal.jsonl")
-    written = export_traces(run_dir, out)
-    assert "convergence.csv" in written
-    assert (out / "convergence.csv").read_text() == "sample,best_fitness\n"
-    assert (out / "tardiness.csv").read_text() == "instance,tardiness\n"
+    (run_dir / "transcripts.jsonl").write_text('{"response": "r"}\n', encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir / 'journal.jsonl'}: no such file")
+    assert not out.exists()
 
 
 def test_export_traces_rows_and_idempotence(tmp_path):
     run_dir = tmp_path / "run"
+    _finished_run(run_dir)
     os.makedirs(run_dir / "schedules")
-    entries = [{"generation": 0, "operator": "Init", "digest": "d1",
-                "temperature": "0.600000", "fitness": 12.5},
-               {"generation": 1, "operator": "C1", "digest": "d2",
-                "temperature": "0.600000", "fitness": None}]
-    write_journal(entries, run_dir / "journal.jsonl")
-    write_per_instance([3.0, 4.5], run_dir / "per_instance.csv")
-
-    from helpers import minimal_instance
-    sched = run_dispatch(minimal_instance(), RuleSpec.builtin("EDD"))
-    save_schedule(sched, run_dir / "schedules" / "edd.csv")
+    save_schedule(EDD_SCHEDULE, run_dir / "schedules" / "edd.csv")
 
     out = tmp_path / "out"
     export_traces(run_dir, out)
     conv = (out / "convergence.csv").read_text().splitlines()
-    assert len(conv) == 1 + len(entries)        # one row per LLM sample
+    assert len(conv) == 1 + len(JOURNAL)        # one row per LLM sample
     first = {p: (out / p).read_bytes() for p in os.listdir(out)}
     export_traces(run_dir, out)
     again = {p: (out / p).read_bytes() for p in os.listdir(out)}
@@ -604,7 +618,7 @@ def test_cli_gen_deeply_nested_scenario_names_the_file(tmp_path, capsys):
         "bool-fitness"])
 def test_cli_export_bad_journal_line_names_file_and_line(tmp_path, capsys, line, message):
     run_dir = tmp_path / "run"
-    os.makedirs(run_dir)
+    _finished_run(run_dir)
     journal = run_dir / "journal.jsonl"
     journal.write_text('{"fitness": 4.5}\n\n' + line + "\n", encoding="utf-8")
     assert main(["export", "--run", str(run_dir), "--out", str(tmp_path / "out")]) == 1
@@ -614,7 +628,7 @@ def test_cli_export_bad_journal_line_names_file_and_line(tmp_path, capsys, line,
 @pytest.mark.parametrize("name", ["journal.jsonl", "per_instance.csv"])
 def test_cli_export_non_utf8_file_names_it(tmp_path, capsys, name):
     run_dir = tmp_path / "run"
-    os.makedirs(run_dir)
+    _finished_run(run_dir)
     (run_dir / name).write_bytes(b"\xff\xfe{\x00}\x00\n")
     assert main(["export", "--run", str(run_dir), "--out", str(tmp_path / "out")]) == 1
     _assert_one_error_line(capsys, f"error: {run_dir / name}: not UTF-8 text (")
@@ -625,6 +639,106 @@ def test_cli_export_missing_run_dir_names_it_and_writes_nothing(tmp_path, capsys
     assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
     _assert_one_error_line(capsys, f"error: {run_dir}: ")
     assert not out.exists()
+
+
+def _tree(path):
+    """Each file under ``path`` and its bytes; None when there is no ``path``."""
+    if not path.exists():
+        return None
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def _earlier_out(out):
+    """An ``--out`` holding an earlier export and a file of the user's."""
+    os.makedirs(out)
+    (out / "convergence.csv").write_text("sample,best_fitness\n1,9.0\n", encoding="utf-8")
+    (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("broken, message", [
+    ("schedules/b.csv", "cannot parse 'arc,0,1'"),
+    ("journal.jsonl", "line 3: not a JSON object"),
+])
+def test_cli_export_error_writes_nothing(tmp_path, capsys, broken, message, out_exists):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    _finished_run(run_dir)
+    os.makedirs(run_dir / "schedules")
+    for name in ("a.csv", "b.csv"):     # a.csv exports first
+        save_schedule(EDD_SCHEDULE, run_dir / "schedules" / name)
+    with open(run_dir / broken, "a", encoding="utf-8") as fh:
+        fh.write("arc,0,1\n" if broken.endswith(".csv") else "[1]\n")
+    if out_exists:
+        _earlier_out(out)
+    before = _tree(out)
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir / broken}", message)
+    assert _tree(out) == before
+
+
+def test_cli_export_refuses_two_schedules_with_one_stem(tmp_path, capsys):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    _finished_run(run_dir)
+    os.makedirs(run_dir / "schedules")
+    for name in ("a.csv", "a.txt"):
+        save_schedule(EDD_SCHEDULE, run_dir / "schedules" / name)
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, str(run_dir / "schedules" / "a.csv"),
+                           str(run_dir / "schedules" / "a.txt"), "gantt_a.csv")
+    assert not out.exists()
+
+
+RUN_FILES = st.sampled_from(["best_rule.txt", "journal.jsonl", "convergence.csv",
+                             "per_instance.csv", "transcripts.jsonl", "schedules/a.csv"])
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), RUN_FILES),
+    st.tuples(st.just("not UTF-8"), RUN_FILES),
+    st.tuples(st.just("journal line"),
+              st.sampled_from(['{"fitness": NaN}', '{"fitness": true}', '{"fitness": "4.5"}',
+                               "not json", "[1]"]) | st.text(max_size=12)),
+    st.tuples(st.just("schedule line"), st.text(max_size=12)),
+    st.tuples(st.just("same stem"), st.sampled_from(["a", "a.txt", "b.csv"])),
+)
+
+
+def _mutate(run_dir, mutation):
+    kind, arg = mutation
+    if kind == "drop":
+        (run_dir / arg).unlink()
+    elif kind == "not UTF-8":
+        (run_dir / arg).write_bytes(b"\xff\xfe{\x00}\x00\n")
+    elif kind == "same stem":
+        save_schedule(EDD_SCHEDULE, run_dir / "schedules" / arg)
+    else:
+        name = "journal.jsonl" if kind == "journal line" else "schedules/a.csv"
+        with open(run_dir / name, "a", encoding="utf-8", newline="") as fh:
+            fh.write(arg + "\n")
+
+
+@seed(31)
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=MUTATIONS, out_exists=st.booleans())
+def test_cli_export_of_a_broken_run_writes_all_or_nothing(capsys, mutation, out_exists):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir, out = Path(tmp) / "run", Path(tmp) / "out"
+        _finished_run(run_dir)
+        os.makedirs(run_dir / "schedules")
+        save_schedule(EDD_SCHEDULE, run_dir / "schedules" / "a.csv")
+        _mutate(run_dir, mutation)
+        if out_exists:
+            _earlier_out(out)
+        before = _tree(out)
+        capsys.readouterr()
+        code = main(["export", "--run", str(run_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 0:
+            assert err == "" and {"convergence.csv", "tardiness.csv"} <= set(_tree(out))
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert _tree(out) == before
 
 
 def test_journal_line_separators_inside_strings_keep_line_numbers(tmp_path):

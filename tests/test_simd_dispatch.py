@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fafsp.bench import write_journal
+from fafsp.rundir import write_journal
 
 from test_acceptance import _record_mock_cassette
 
@@ -69,7 +69,7 @@ def test_mock_cassette_replays_without_avx512_kernels(tmp_path):
     write_journal(recorded.journal, here)
     child = _run_without_avx512(
         "import json\n"
-        "from fafsp.bench import write_journal\n"
+        "from fafsp.rundir import write_journal\n"
         "from fafsp.evolve import EvolutionConfig, run_evolution\n"
         "from fafsp.llm import ReplayTransport\n"
         "from test_acceptance import _training_instances\n"
