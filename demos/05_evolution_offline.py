@@ -16,6 +16,7 @@ from pathlib import Path
 from fafsp.evolve import EvolutionConfig, run_evolution
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import RecordingTransport, ReplayTransport, ScriptedTransport
+from fafsp.rundir import journal_to_convergence
 
 # -- 1. training instances and a scripted pair of experts -------------------------
 
@@ -67,9 +68,11 @@ tmp.cleanup()
 
 # -- 4. the convergence trace --------------------------------------------------------
 
+# one row per expert call, from the journal; no call produced the elite, so
+# the curve starts from its fitness at sample 0
 print("\nsamples -> best fitness so far:")
-last = None
-for samples, best in r1.history:
+last, elite = None, r1.elite.fitness
+for samples, best in [(0, elite)] + journal_to_convergence(r1.journal, elite):
     if best != last:
         print(f"  {samples:3d} -> {best:.3f}")
         last = best

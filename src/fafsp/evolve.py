@@ -22,25 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .expr import NodeLimitExceeded, ParseError, UnknownAccessor
-from .llm import (CRITIQUE_REQUIRED, PARENT_COUNT, Critique, MissingBlock,
-                  MissingSection, MultipleBlocks, TransportError, extract_critique,
-                  extract_individual, render_evaluator_prompt, render_generator_prompt,
-                  request_digest)
+from .llm import (OPERATORS, Critique, MissingBlock, MissingSection, MultipleBlocks,
+                  TransportError, extract_critique, extract_individual,
+                  render_evaluator_prompt, render_generator_prompt, request_digest)
 from .model import Instance, Stage, check_fields, load_instance, load_json, read_document
 from .generator import order_lower_bound
 from .rules import RuleInvalid, RuleSpec, builtin_source, validate_rule
 from .sim import run_dispatch, total_tardiness
-
-
-@dataclass
-class Strategy:
-    operator: str
-    parents: int
-    critique: bool
-
-
-DEFAULT_STRATEGIES = (Strategy("C1", 2, True), Strategy("C2", 2, False),
-                      Strategy("M1", 1, True), Strategy("M2", 1, False))
 
 
 @dataclass
@@ -75,27 +63,24 @@ class EvolutionConfig:
     seed: int = 0
     mu: float | None = None          # scenario load factor, if known
     training_instances: tuple[str | os.PathLike, ...] = ()
-    strategies: tuple[Strategy, ...] = DEFAULT_STRATEGIES
+    strategies: tuple[str, ...] = ("C1", "C2", "M1", "M2")    # names in llm.OPERATORS
 
     def validate(self) -> None:
         check_fields(self, "config")
         for name, low in (("generations", 0), ("population", 2), ("tournament_k", 1),
-                          ("retry_budget", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, not {getattr(self, name)!r}")
+                          ("retry_budget", 1), ("seed", 0), ("sample_budget", 0),
+                          ("u_low", 0), ("u0", 0)):
+            if (value := getattr(self, name)) is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, not {value!r}")
+        if self.mu is not None and self.mu <= 0:
+            raise ValueError(f"mu must be > 0, not {self.mu!r}")
         if not self.u_low < self.u_up:
             raise ValueError("need u_low < u_up")
         if not self.strategies:
             raise ValueError("strategy list must be non-empty")
         for s in self.strategies:
-            if not isinstance(s, Strategy) or s.operator not in PARENT_COUNT:
-                raise ValueError(f"unknown strategy {s!r}; operators are {sorted(PARENT_COUNT)}")
-            if s.parents != PARENT_COUNT[s.operator]:
-                raise ValueError(f"operator {s.operator} takes {PARENT_COUNT[s.operator]} "
-                                 f"parent(s), not {s.parents!r}")
-            if s.critique and not CRITIQUE_REQUIRED[s.operator]:
-                # C2 and M2 prompts drop a critique
-                raise ValueError(f"critique of {s.operator} must be false, not true")
+            if s not in OPERATORS:
+                raise ValueError(f"unknown strategy {s!r}; operators are {sorted(OPERATORS)}")
 
 
 def load_evolution_config(path) -> EvolutionConfig:
@@ -185,16 +170,14 @@ def load_training(cfg: EvolutionConfig,
 
 
 class _Run:
-    """Mutable context of one evolution run: counters, journal, incumbent."""
+    """Mutable context of one evolution run: journal, outcomes, incumbent."""
 
     def __init__(self, cfg: EvolutionConfig, transport, instances: Sequence[Instance] | None):
         self.instances = load_training(cfg, instances)
         self.cfg = cfg
         self.transport = transport
         self.rng = np.random.default_rng(cfg.seed)
-        self.samples = 0
-        self.journal: list[dict] = []
-        self.history: list[tuple[int, float]] = []
+        self.journal: list[dict] = []       # one entry per LLM call
         self.outcomes: list[tuple[int, str]] = []
         self.features = summarize_features(self.instances, cfg.mu)
         self.population: list[RuleIndividual] = []
@@ -205,10 +188,9 @@ class _Run:
 
     def call(self, prompt: str, temperature: float, operator: str, generation: int) -> tuple[str, int]:
         """The reply and the index of its journal entry."""
-        if self.cfg.sample_budget is not None and self.samples >= self.cfg.sample_budget:
+        if self.cfg.sample_budget is not None and len(self.journal) >= self.cfg.sample_budget:
             raise _BudgetExhausted
         response = self.transport.send(prompt, temperature, operator)
-        self.samples += 1
         self.journal.append({"generation": generation, "operator": operator,
                              "digest": request_digest(prompt, temperature),
                              "temperature": f"{temperature:.6f}", "fitness": None})
@@ -217,7 +199,6 @@ class _Run:
     def admit(self, indiv: RuleIndividual) -> None:
         if self.incumbent is None or indiv.fitness < self.incumbent.fitness:
             self.incumbent = indiv
-        self.history.append((self.samples, self.incumbent.fitness))
 
 
 def _critique_of(run: _Run, candidate: RuleIndividual,
@@ -308,15 +289,16 @@ def _evolve_generation(run: _Run, generation: int) -> None:
     population = run.population
     offspring: list[RuleIndividual] = []
     for slot in range(cfg.population):
-        strat = cfg.strategies[slot % len(cfg.strategies)]
-        parents = tournament_select(population, strat.parents, cfg.tournament_k, run.rng)
+        name = cfg.strategies[slot % len(cfg.strategies)]
+        op = OPERATORS[name]
+        parents = tournament_select(population, op.parents, cfg.tournament_k, run.rng)
         critique = None
-        if strat.critique:
+        if op.critique:
             critique = _critique_of(run, parents[0], population, generation)
             if critique is None:        # one fresh evaluator retry
                 critique = _critique_of(run, parents[0], population, generation)
             parents[0].critique = critique
-        offspring.append(_fill_slot(run, strat.operator, parents, critique,
+        offspring.append(_fill_slot(run, name, parents, critique,
                                     run.u0, generation, ("Copy", run.u0)))
     run.population = offspring
 
@@ -327,12 +309,14 @@ class EvolutionResult:
     elite: RuleIndividual
     population: list[RuleIndividual]
     u0: float
-    samples: int
-    history: list[tuple[int, float]]
-    journal: list[dict]
+    journal: list[dict]            # one entry per LLM call
     outcomes: list[tuple[int, str]]  # (journal index, outcome) per slot attempt and copy
     per_instance: list[float]      # incumbent's tardiness on each training instance
     error: str | None = None        # the TransportError that cut the run short
+
+    @property
+    def samples(self) -> int:
+        return len(self.journal)
 
 
 def run_evolution(cfg: EvolutionConfig, transport,
@@ -351,8 +335,7 @@ def run_evolution(cfg: EvolutionConfig, transport,
         pass
     except TransportError as e:
         error = str(e)
-    best = run.incumbent if run.incumbent is not None else run.elite
+    best = run.incumbent            # the elite is admitted before the first call
     per_instance = [total_tardiness(run_dispatch(x, best.spec)) for x in run.instances]
-    return EvolutionResult(best, run.elite, run.population, run.u0, run.samples,
-                           run.history, run.journal, run.outcomes,
-                           per_instance, error)
+    return EvolutionResult(best, run.elite, run.population, run.u0, run.journal,
+                           run.outcomes, per_instance, error)

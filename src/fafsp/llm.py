@@ -28,20 +28,27 @@ ENV_BASE_URL = "FAFSP_LLM_BASE_URL"
 ENV_API_KEY = "FAFSP_LLM_API_KEY"
 ENV_MODEL = "FAFSP_LLM_MODEL"
 
-OPERATOR_INSTRUCTIONS = {
-    "Init": ("Please design a new algorithm guided by the provided algorithm "
-             "and the expert review of it."),
-    "C1": ("Please design a new algorithm by combining the advantages of the "
-           "two provided algorithms."),
-    "C2": ("Please help me create a new algorithm that is completely "
-           "different in form from the given one."),
-    "M1": "Please improve the given algorithm based on the suggested enhancements.",
-    "M2": ("Please identify the main algorithm parameters, then create a new "
-           "algorithm that has a different parameter settings of the score "
-           "function provided."),
+
+@dataclass(frozen=True)
+class Operator:
+    parents: int        # rules its prompt shows
+    critique: bool      # its prompt carries the critique of the first parent
+    instruction: str
+
+
+OPERATORS = {
+    "Init": Operator(1, True, "Please design a new algorithm guided by the provided "
+                              "algorithm and the expert review of it."),
+    "C1": Operator(2, True, "Please design a new algorithm by combining the "
+                            "advantages of the two provided algorithms."),
+    "C2": Operator(2, False, "Please help me create a new algorithm that is "
+                             "completely different in form from the given one."),
+    "M1": Operator(1, True, "Please improve the given algorithm based on the "
+                            "suggested enhancements."),
+    "M2": Operator(1, False, "Please identify the main algorithm parameters, then "
+                             "create a new algorithm that has a different parameter "
+                             "settings of the score function provided."),
 }
-PARENT_COUNT = {"Init": 1, "C1": 2, "C2": 2, "M1": 1, "M2": 1}
-CRITIQUE_REQUIRED = {"Init": True, "C1": True, "C2": False, "M1": True, "M2": False}
 
 GRAMMAR_TEXT = """\
 A rule is ONE arithmetic expression; the feasible (job, machine) pair with
@@ -132,10 +139,11 @@ def render_generator_prompt(operator: str, features: str, parents: Sequence,
                             critique: Critique | None = None) -> str:
     """Request for one new rule under an evolutionary operator (Init, C1,
     C2, M1 or M2); the critique is of the first parent."""
-    if operator not in OPERATOR_INSTRUCTIONS:
+    op = OPERATORS.get(operator)
+    if op is None:
         raise ValueError(f"unknown operator {operator!r}")
-    if len(parents) != PARENT_COUNT[operator]:
-        raise ValueError(f"operator {operator} takes {PARENT_COUNT[operator]} "
+    if len(parents) != op.parents:
+        raise ValueError(f"operator {operator} takes {op.parents} "
                          f"parent(s), got {len(parents)}")
     parts = [
         "You are an algorithm designer for online scheduling in a flexible "
@@ -148,12 +156,12 @@ def render_generator_prompt(operator: str, features: str, parents: Sequence,
     for i, parent in enumerate(parents, start=1):
         label = "provided algorithm:" if len(parents) == 1 else f"provided algorithm {i}:"
         parts.append("\n" + _rule_block(label, parent))
-    if CRITIQUE_REQUIRED[operator] and critique is not None:
+    if op.critique and critique is not None:
         parts.append("\nExpert review of the provided algorithm:\n"
                      f"Advantages: {critique.advantages}\n"
                      f"Limitations: {critique.limitations}\n"
                      f"Suggestions: {critique.suggestions}\n")
-    parts.append("\nTask: " + OPERATOR_INSTRUCTIONS[operator] + "\n")
+    parts.append("\nTask: " + op.instruction + "\n")
     parts.append(
         "\nAnswer in exactly this form:\n"
         "Description: <one or two sentences on the idea>\n"

@@ -10,12 +10,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .llm import RecordingTransport
-from .model import _finite, json_lines, read_json_lines, read_text, write_text
+from .model import _decimal, _finite, json_lines, read_json_lines, read_text, write_text
 from .rules import save_rule_file
 from .sim import load_schedule
 
 BEST_RULE, JOURNAL, CONVERGENCE, PER_INSTANCE = (
     "best_rule.txt", "journal.jsonl", "convergence.csv", "per_instance.csv")
+CONVERGENCE_HEADER, PER_INSTANCE_HEADER = "sample,best_fitness", "instance,tardiness"
 
 
 def start(out, transport, cassette: str | None):
@@ -38,11 +39,35 @@ def finish(out, result) -> None:
     out, best = Path(out), result.best
     save_rule_file(out / BEST_RULE, best.spec, description=best.description, fitness=best.fitness)
     write_journal(result.journal, out / JOURNAL)
-    rows = journal_to_convergence(result.journal, result.elite.fitness)
-    write_text(out / CONVERGENCE, "sample,best_fitness\n" + "".join(
-        f"{i},{fit!r}\n" for i, fit in rows))
-    write_text(out / PER_INSTANCE, "instance,tardiness\n" + "".join(
-        f"{i},{v!r}\n" for i, v in enumerate(result.per_instance)))
+    _write_table(out / CONVERGENCE, CONVERGENCE_HEADER,
+                 journal_to_convergence(result.journal, result.elite.fitness))
+    _write_table(out / PER_INSTANCE, PER_INSTANCE_HEADER, enumerate(result.per_instance))
+
+
+def _write_table(path, header: str, rows) -> None:
+    write_text(path, header + "\n" + "".join(f"{k},{v!r}\n" for k, v in rows))
+
+
+def _read_table(path, header: str, start: int) -> tuple[str, list[float]]:
+    """The text of a table ``_write_table`` wrote and its values: ``header``,
+    then rows ``k,<finite decimal>`` with k = start, start + 1, ... Anything
+    else raises ValueError naming the file and the line."""
+    text = read_text(path)
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != header:
+        raise ValueError(f"{path} line 1: expected the header {header!r}, "
+                         f"not {lines[0]!r:.60}")
+    values: list[float] = []
+    for ln, line in enumerate(lines[1:], start=2):
+        k, _, value = line.partition(",")
+        if k != str(start + len(values)):
+            raise ValueError(f"{path} line {ln}: expected row {start + len(values)}, "
+                             f"not {line!r:.60}")
+        try:
+            values.append(_decimal(value))
+        except ValueError as e:
+            raise ValueError(f"{path} line {ln}: {e}") from None
+    return text, values
 
 
 def write_journal(entries: Sequence[dict], path) -> None:
@@ -77,18 +102,29 @@ def journal_to_convergence(entries: Sequence[dict], best: float) -> list[tuple[i
 def export_traces(run_dir, out_dir) -> list[str]:
     """Write a finished run's convergence and per-instance (``tardiness.csv``)
     tables and a machine-major ``gantt_<stem>.csv`` per file in its
-    ``schedules/`` into ``out_dir`` and return their names. Every input, the
-    journal included, is read and checked first, so a missing run file, an
-    input that does not parse or two schedules with one stem write nothing."""
+    ``schedules/`` into ``out_dir`` and return their names. Every input is
+    read and checked first: the journal, each table as ``finish`` writes it,
+    and the convergence rows against the journal, one per line, re-derived
+    from the first row's fitness. So a missing run file, an input that does
+    not parse or disagrees, or two schedules with one stem write nothing."""
     run_dir, out_dir = Path(run_dir), Path(out_dir)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"{run_dir}: no such run directory")
     for name in (JOURNAL, CONVERGENCE, PER_INSTANCE):
         if not (run_dir / name).is_file():
             raise FileNotFoundError(f"{run_dir / name}: no such file; the run did not finish")
-    read_journal(run_dir / JOURNAL)
-    files = {CONVERGENCE: read_text(run_dir / CONVERGENCE),
-             "tardiness.csv": read_text(run_dir / PER_INSTANCE)}
+    journal = read_journal(run_dir / JOURNAL)
+    convergence, best = _read_table(run_dir / CONVERGENCE, CONVERGENCE_HEADER, 1)
+    expected = journal_to_convergence(journal, best[0]) if best else []
+    for ln, (got, (_, want)) in enumerate(zip(best, expected), start=2):
+        if got != want:
+            raise ValueError(f"{run_dir / CONVERGENCE} line {ln}: best fitness {got!r}, "
+                             f"but the journal gives {want!r}")
+    if len(best) != len(journal):
+        raise ValueError(f"{run_dir / CONVERGENCE} line {min(len(best), len(journal)) + 2}: "
+                         f"{len(best)} rows for {len(journal)} journal lines")
+    files = {CONVERGENCE: convergence,
+             "tardiness.csv": _read_table(run_dir / PER_INSTANCE, PER_INSTANCE_HEADER, 0)[0]}
     sched_dir, source = run_dir / "schedules", {}
     for name in sorted(os.listdir(sched_dir)) if sched_dir.is_dir() else ():
         out_name = f"gantt_{Path(name).stem}.csv"

@@ -22,6 +22,7 @@ from fafsp.llm import (LiveTransport, RecordingTransport, ReplayTransport,
                        ScriptedTransport)
 from fafsp.expr import parse
 from fafsp.rules import BUILTIN_IDS, RuleSpec, builtin_source, validate_rule
+from fafsp.rundir import journal_to_convergence
 from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch, total_tardiness
 from fafsp.validator import brute_force_optimum, validate_schedule
 
@@ -123,7 +124,7 @@ def test_3_determinism(tmp_path):
     r2 = run_evolution(cfg, ReplayTransport(cassette), insts)
     assert json.dumps(r1.journal, sort_keys=True) == json.dumps(r2.journal, sort_keys=True)
     assert r1.best.source == r2.best.source
-    assert r1.history == r2.history and r1.per_instance == r2.per_instance
+    assert r1.outcomes == r2.outcomes and r1.per_instance == r2.per_instance
 
     inst = insts[0]
     from fafsp.sim import schedule_to_text
@@ -204,8 +205,9 @@ def test_7_mock_evolution(tmp_path):
     result = run_evolution(cfg, ReplayTransport(cassette), _training_instances())
     assert result.best.source == recorded.best.source
 
-    fits = [f for _, f in result.history]
-    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:])), "incumbent regressed"
+    fits = [f for _, f in journal_to_convergence(result.journal, result.elite.fitness)]
+    assert all(b <= a for a, b in zip(fits, fits[1:])), "incumbent regressed"
+    assert fits[-1] == result.best.fitness
 
     for ind in result.population + [result.best]:
         assert math.isfinite(ind.fitness)

@@ -231,7 +231,7 @@ def _recorded_run(tmp_path, responses=None):
     cfg_path.write_text(json.dumps({
         "generations": 1, "population": 2, "seed": 4, "retry_budget": 2,
         "training_instances": inst_files,
-        "strategies": [{"operator": "C2", "parents": 2, "critique": False}],
+        "strategies": ["C2"],
     }), encoding="utf-8")
 
     responses = responses or [CRITIQUE,
@@ -265,7 +265,8 @@ def test_cli_evolve_replay_and_export(tmp_path, capsys):
 
     out_dir = tmp_path / "traces"
     assert main(["export", "--run", str(run_dir), "--out", str(out_dir)]) == 0
-    assert (out_dir / "convergence.csv").exists()
+    # its rows re-derive from the journal, so export copies them unchanged
+    assert (out_dir / "convergence.csv").read_bytes() == (run_dir / "convergence.csv").read_bytes()
 
 
 def test_convergence_starts_from_the_elite_when_no_sample_beats_it(tmp_path):
@@ -689,6 +690,35 @@ def test_cli_export_refuses_two_schedules_with_one_stem(tmp_path, capsys):
     assert not out.exists()
 
 
+#: (table, line named in the error, text in it, its replacement): junk in
+#: place of a table, a dropped row, an edited value or header
+TABLE_EDITS = [
+    ("convergence.csv", 1, "sample,best_fitness\n1,12.5\n2,12.5\n", "not,a\ncsv at all\n"),
+    ("per_instance.csv", 1, "instance,tardiness\n0,3.0\n1,4.5\n", "\x00"),
+    ("per_instance.csv", 1, "instance,", "Instance,"),
+    ("convergence.csv", 2, "1,12.5\n", ""),
+    ("convergence.csv", 3, "2,12.5\n", ""),
+    ("per_instance.csv", 2, "0,3.0\n", ""),
+    ("convergence.csv", 3, "2,12.5", "2,11.5"),        # the journal's best is 12.5
+    ("convergence.csv", 2, "1,12.5", "1,13.5"),        # not the journal's first fitness
+    ("convergence.csv", 4, "2,12.5\n", "2,12.5\n3,12.5\n"),
+    ("convergence.csv", 2, "1,12.5", "1,nan"),
+    ("per_instance.csv", 3, "1,4.5", "1,inf"),
+    ("per_instance.csv", 3, "1,4.5", "1,4.5,0"),
+    ("per_instance.csv", 2, "0,", "00,"),
+]
+
+
+@pytest.mark.parametrize("name, line, old, new", TABLE_EDITS)
+def test_cli_export_refuses_a_broken_table(tmp_path, capsys, name, line, old, new):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    _finished_run(run_dir)
+    _mutate(run_dir, ("table", (name, line, old, new)))
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir / name} line {line}: ")
+    assert not out.exists()
+
+
 RUN_FILES = st.sampled_from(["best_rule.txt", "journal.jsonl", "convergence.csv",
                              "per_instance.csv", "transcripts.jsonl", "schedules/a.csv"])
 MUTATIONS = st.one_of(
@@ -699,6 +729,7 @@ MUTATIONS = st.one_of(
                                "not json", "[1]"]) | st.text(max_size=12)),
     st.tuples(st.just("schedule line"), st.text(max_size=12)),
     st.tuples(st.just("same stem"), st.sampled_from(["a", "a.txt", "b.csv"])),
+    st.tuples(st.just("table"), st.sampled_from(TABLE_EDITS)),
 )
 
 
@@ -710,6 +741,11 @@ def _mutate(run_dir, mutation):
         (run_dir / arg).write_bytes(b"\xff\xfe{\x00}\x00\n")
     elif kind == "same stem":
         save_schedule(EDD_SCHEDULE, run_dir / "schedules" / arg)
+    elif kind == "table":
+        name, _, old, new = arg
+        text = (run_dir / name).read_text(encoding="utf-8")
+        assert old in text
+        (run_dir / name).write_text(text.replace(old, new, 1), encoding="utf-8")
     else:
         name = "journal.jsonl" if kind == "journal line" else "schedules/a.csv"
         with open(run_dir / name, "a", encoding="utf-8", newline="") as fh:
@@ -734,6 +770,7 @@ def test_cli_export_of_a_broken_run_writes_all_or_nothing(capsys, mutation, out_
         code = main(["export", "--run", str(run_dir), "--out", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 1) and "Traceback" not in err
+        assert code == 1 or mutation[0] != "table"
         if code == 0:
             assert err == "" and {"convergence.csv", "tardiness.csv"} <= set(_tree(out))
         else:

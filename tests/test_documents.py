@@ -25,8 +25,7 @@ DOCUMENTS = {
     "config": (lambda doc: read_document(EvolutionConfig, doc, "config"), {
         "generations": 3, "population": 4, "u_low": 0.3, "u_up": 1.5, "u0": None,
         "sample_budget": 10, "mu": 2.0, "training_instances": ["a.json"],
-        "strategies": [{"operator": "C1", "parents": 2, "critique": True},
-                       {"operator": "M2", "parents": 1, "critique": False}]}),
+        "strategies": ["C1", "M2"]}),
     "grid": (lambda doc: read_document(_Grid, doc, "grid"),
              {"scenarios": [SCENARIO, {**SCENARIO, "T": 0.3}], "replications": 2}),
     "instance": (instance_from_doc, instance_to_doc(minimal_instance())),
@@ -91,8 +90,9 @@ def test_mutated_documents_raise_only_document_errors(data, kind):
     (["gen", "--scenario"], {**SCENARIO, "m1": "1"},
      'scenario.m1 must be an integer, not "1"'),
     (["evolve", "--transport", "replay", "--config"],
-     {"strategies": [{"operator": "C1", "parents": 2.0, "critique": True}]},
-     "config.strategies[0].parents must be an integer, not 2.0"),
+     {"strategies": [{"operator": "C1", "parents": 2, "critique": True}]},
+     'config.strategies[0] must be a string, '
+     'not {"operator": "C1", "parents": 2, "critique": true}'),
     (["bench", "--rules", "EDD", "--grid"], {"scenarios": [SCENARIO, {**SCENARIO, "phi": True}]},
      "grid.scenarios[1].phi must be a finite number, not true"),
     (["bench", "--rules", "EDD", "--grid"], {"scenarios": [{**SCENARIO, "phi": 1.5}]},

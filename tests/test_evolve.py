@@ -1,19 +1,23 @@
 """Evolution loop: initialization sweep, strategies, incumbent, determinism."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from fafsp.evolve import (DEFAULT_STRATEGIES, EvolutionConfig, RuleIndividual,
-                          Strategy, _critique_of, _Run, evaluate_fitness, run_evolution,
-                          summarize_features, tournament_select)
+from fafsp.evolve import (EvolutionConfig, RuleIndividual, _critique_of, _Run,
+                          evaluate_fitness, run_evolution, summarize_features,
+                          tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
-from fafsp.llm import (Critique, RecordingTransport, ReplayMiss, ReplayTransport,
-                       ScriptedTransport, load_cassette, request_digest)
+from fafsp.llm import (OPERATORS, Critique, RecordingTransport, ReplayMiss, ReplayTransport,
+                       ScriptedTransport, TransportError, load_cassette, request_digest)
 from fafsp.model import DocumentError, read_document
 from fafsp.rules import RuleInvalid, RuleSpec, builtin_source
+from fafsp.rundir import journal_to_convergence
 from fafsp.sim import DeadlockError
 
 from helpers import make_instance, minimal_instance
@@ -241,7 +245,7 @@ def test_generation_round_robin_and_critique_calls():
 
 def test_invalid_candidates_retried_then_copied():
     insts = training_instances()
-    strategies = (Strategy("C2", 2, False),)
+    strategies = ("C2",)
     cfg = EvolutionConfig(generations=1, population=2, retry_budget=3,
                           strategies=strategies, seed=5)
     responses = [CRIT] + [gen_response("due + pt")] * 2       # init
@@ -267,7 +271,7 @@ def test_every_slot_outcome_is_recorded(monkeypatch):
     monkeypatch.setattr("fafsp.evolve.evaluate_fitness", fitness)
     insts = training_instances()
     cfg = EvolutionConfig(generations=1, population=2, retry_budget=3,
-                          strategies=(Strategy("C2", 2, False),), seed=5)
+                          strategies=("C2",), seed=5)
     responses = [CRIT,
                  "no code fence", "Description: d\n```\ndue\n```\n```\npt\n```",
                  gen_response("due +"),                                # init slot 1
@@ -311,7 +315,7 @@ def test_deeply_nested_reply_does_not_abort_run():
     # such a reply used to escape the parser as RecursionError and end the run
     insts = training_instances()
     deep = "(" * 300 + "due" + ")" * 300
-    strategies = (Strategy("C2", 2, False),)
+    strategies = ("C2",)
     cfg = EvolutionConfig(generations=1, population=2, retry_budget=3,
                           strategies=strategies, seed=5)
     responses = [CRIT] + [gen_response("due + pt")] * 2       # init
@@ -324,7 +328,7 @@ def test_deeply_nested_reply_does_not_abort_run():
 
 def test_malformed_critique_gets_one_fresh_evaluator_call():
     insts = training_instances()
-    strategies = (Strategy("M1", 1, True),)
+    strategies = ("M1",)
     cfg = EvolutionConfig(generations=1, population=2, strategies=strategies, seed=5)
     responses = [CRIT] + [gen_response("due + pt")] * 2          # init
     responses += [BAD_CRIT, CRIT, gen_response("due + 2*pt")]    # slot 1: retry works
@@ -351,8 +355,9 @@ def test_incumbent_only_improves_strictly():
     assert result.best.operator == "Init"
     # population was still replaced wholesale
     assert {ind.operator for ind in result.population} == {"C1", "C2", "M1", "M2"}
-    fits = [f for _, f in result.history]
-    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
+    fits = [f for _, f in journal_to_convergence(result.journal, result.elite.fitness)]
+    assert all(b <= a for a, b in zip(fits, fits[1:]))
+    assert fits[-1] == result.best.fitness
 
 
 def test_k0_returns_best_of_initialization():
@@ -408,7 +413,7 @@ def test_record_replay_bit_determinism(tmp_path):
     assert j1 == j2
     assert json.dumps(first.journal, sort_keys=True) == j1
     assert r1.best.source == r2.best.source == first.best.source
-    assert r1.history == r2.history
+    assert r1.outcomes == r2.outcomes and r1.per_instance == r2.per_instance
     assert r1.u0 == r2.u0
 
 
@@ -437,10 +442,9 @@ def test_recorded_transcripts_match_the_journal_call_for_call(tmp_path):
 def test_config_round_trip_and_validation():
     doc = {"generations": 3, "population": 4, "u_low": 0.3, "u_up": 1.5,
            "tournament_k": 2, "retry_budget": 2, "seed": 5,
-           "strategies": [{"operator": "C1", "parents": 2, "critique": True},
-                          {"operator": "M2", "parents": 1, "critique": False}]}
+           "strategies": ["C1", "M2"]}
     cfg = read_document(EvolutionConfig, doc, "config")
-    assert cfg.strategies[0] == Strategy("C1", 2, True)
+    assert cfg.strategies == ("C1", "M2")
     with pytest.raises(ValueError):
         read_document(EvolutionConfig, {"population": 1}, "config")
     with pytest.raises(ValueError):
@@ -448,11 +452,9 @@ def test_config_round_trip_and_validation():
 
 
 @pytest.mark.parametrize("strategy", [
-    Strategy("C1", 1, True),            # C1 takes two parents
-    Strategy("M2", 2, False),           # M2 takes one
-    Strategy("X9", 1, False),           # no such operator
-    Strategy("C2", 2, True),            # C2's prompt drops the critique
-    Strategy("M2", 1, True),            # so does M2's
+    "X9",                               # no such operator
+    "Eval",                             # a journal's operator, not a generator's
+    "c1",                               # names are case-sensitive
 ])
 def test_strategy_disagreeing_with_operator_table_rejected_before_any_call(strategy):
     cfg = EvolutionConfig(generations=1, population=2, strategies=(strategy,))
@@ -462,25 +464,25 @@ def test_strategy_disagreeing_with_operator_table_rejected_before_any_call(strat
     with pytest.raises(ValueError):
         run_evolution(cfg, t, training_instances())
     assert t.calls == []
-    doc = {"strategies": [{"operator": strategy.operator, "parents": strategy.parents,
-                           "critique": strategy.critique}]}
-    with pytest.raises(ValueError):
-        read_document(EvolutionConfig, doc, "config")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        read_document(EvolutionConfig, {"strategies": [strategy]}, "config")
 
 
 def test_default_strategy_table():
-    assert [s.operator for s in DEFAULT_STRATEGIES] == ["C1", "C2", "M1", "M2"]
-    assert [s.parents for s in DEFAULT_STRATEGIES] == [2, 2, 1, 1]
-    assert [s.critique for s in DEFAULT_STRATEGIES] == [True, False, True, False]
+    strategies = EvolutionConfig().strategies
+    assert strategies == ("C1", "C2", "M1", "M2")
+    assert [OPERATORS[s].parents for s in strategies] == [2, 2, 1, 1]
+    assert [OPERATORS[s].critique for s in strategies] == [True, False, True, False]
+    assert OPERATORS["Init"].parents == 1 and OPERATORS["Init"].critique
 
 
 # -- config errors -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("doc, key", [
-    ({"strategies": [{"operator": "C1", "critique": True}]}, "parents"),
-    ({"strategies": [{"operator": "C1", "parents": 2, "critique": True, "x": 1}]}, "'x'"),
-    ({"strategies": ["C1"]}, "operator"),
+    ({"strategies": [{"operator": "C1", "parents": 2}]}, "parents"),    # refused, shown whole
+    ({"strategies": ["x"]}, "'x'"),
+    ({"strategies": ["Eval"]}, "operator"),
     ({"bogus": 1}, "bogus"),
     ({"strategies": "C1"}, "strategies"),
     ({"training_instances": "a.json"}, "training_instances"),
@@ -493,10 +495,16 @@ def test_default_strategy_table():
     ({"u_up": float("nan")}, "u_up"),
     ({"u0": float("inf")}, "u0"),
     ({"mu": [2.0]}, "mu"),
-    ({"strategies": [{"operator": ["C1"], "parents": 2, "critique": True}]}, "operator"),
+    ({"strategies": ["c1"]}, "operator"),
     ({"strategies": [{"operator": "C1", "parents": 2.0, "critique": True}]}, "parent"),
     ({"strategies": [{"operator": "C1", "parents": 2, "critique": "yes"}]}, "critique"),
     ([{"generations": 1}], "object"),
+    ({"sample_budget": -3}, "sample_budget"),           # values no run can use
+    ({"u_low": -1.0}, "u_low"),
+    ({"u0": -2.0}, "u0"),
+    ({"mu": 0.0}, "mu"),
+    ({"mu": -1.0}, "mu"),
+    ({"strategies": []}, "strategy list"),
 ])
 def test_bad_config_is_a_value_error_naming_the_key(doc, key):
     with pytest.raises(ValueError, match=key):
@@ -512,8 +520,8 @@ def test_wrongly_typed_config_rejected_before_any_call():
 
 
 def test_strategy_given_as_a_plain_dict_rejected():
-    # a document's strategy is an object, but a config built in Python needs Strategy
-    with pytest.raises(ValueError, match="unknown strategy"):
+    # a strategy is an operator name; the operator's table entry says the rest
+    with pytest.raises(ValueError, match=r"config\.strategies\[0\] must be a string"):
         EvolutionConfig(strategies=({"operator": "C1", "parents": 2, "critique": True},)).validate()
 
 
@@ -544,7 +552,7 @@ def test_transport_failure_keeps_the_partial_run():
     assert [e["operator"] for e in result.journal] == ["Eval", "Init", "Init", "Eval", "C1"]
     assert [i.operator for i in result.population] == ["Init", "Init"]
     assert result.best.fitness == pytest.approx(1.616211778921738)
-    assert result.per_instance and result.history
+    assert result.per_instance
 
 
 def test_replay_miss_still_propagates(tmp_path):
@@ -553,3 +561,56 @@ def test_replay_miss_still_propagates(tmp_path):
     cfg = EvolutionConfig(generations=0, population=2, seed=1)
     with pytest.raises(ReplayMiss):
         run_evolution(cfg, ReplayTransport(cassette), training_instances())
+
+
+# -- one property over the loop --------------------------------------------------------
+
+TRAINING = training_instances()
+TWO_BLOCKS = "Description: d\n```\ndue\n```\n```\npt\n```"
+#: what the scripted expert answers a generator call with: a valid rule, a
+#: parse error, an unknown accessor, a score that overflows on the smoke
+#: instances, or as is: no block, two blocks; BAD_CRIT, a malformed
+#: critique, also answers an evaluator call
+REPLIES = ["due + pt", "0 - due", "due - now + 2*pt", "due +", "foo + 1",
+           "exp(exp(exp(et)))", "no code here", TWO_BLOCKS, BAD_CRIT]
+
+
+def _scripted_expert(script, fail_at, failed):
+    """The expert answers call i from ``script[i % len(script)]`` and raises
+    TransportError at call ``fail_at``, noting it in ``failed``."""
+    calls = itertools.count()
+
+    def respond(prompt, temperature, operator):
+        i = next(calls)
+        if i == fail_at:
+            failed.append(i)
+            raise TransportError("link down")
+        reply = script[i % len(script)]
+        if operator == "Eval":
+            return BAD_CRIT if reply == BAD_CRIT else CRIT
+        return reply if reply in ("no code here", TWO_BLOCKS, BAD_CRIT) else gen_response(reply)
+
+    return respond
+
+
+@seed(14)
+@settings(max_examples=60, deadline=None, database=None)
+@given(generations=st.integers(0, 3), population=st.integers(2, 4),
+       retry_budget=st.integers(1, 3), sample_budget=st.none() | st.integers(0, 15),
+       script=st.lists(st.sampled_from(REPLIES), min_size=1, max_size=6),
+       fail_at=st.none() | st.integers(0, 40))
+def test_every_run_keeps_its_journal_outcomes_and_curve_in_step(
+        generations, population, retry_budget, sample_budget, script, fail_at):
+    cfg = EvolutionConfig(generations=generations, population=population,
+                          retry_budget=retry_budget, sample_budget=sample_budget, seed=2)
+    failed = []
+    result = run_evolution(cfg, ScriptedTransport(_scripted_expert(script, fail_at, failed)),
+                           TRAINING)
+    assert result.samples == len(result.journal)
+    assert sample_budget is None or result.samples <= sample_budget
+    ok = {i for i, outcome in result.outcomes if outcome == "ok"}
+    assert {i for i, e in enumerate(result.journal) if e["fitness"] is not None} == ok
+    rows = [f for _, f in journal_to_convergence(result.journal, result.elite.fitness)]
+    assert all(b <= a for a, b in zip(rows, rows[1:]))
+    assert (rows[-1] if rows else result.elite.fitness) == result.best.fitness
+    assert (result.error is not None) == bool(failed)

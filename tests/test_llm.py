@@ -10,12 +10,11 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import fafsp.llm as llm
-from fafsp.llm import (OPERATOR_INSTRUCTIONS, PARENT_COUNT, CassetteFormatError,
-                       Critique, LiveTransport, MissingBlock, MissingSection,
-                       MultipleBlocks, RecordingTransport, ReplayMiss, ReplayTransport,
-                       ScriptedTransport, TransportError, extract_critique,
-                       extract_individual, load_cassette, render_evaluator_prompt,
-                       render_generator_prompt, request_digest)
+from fafsp.llm import (OPERATORS, CassetteFormatError, Critique, LiveTransport,
+                       MissingBlock, MissingSection, MultipleBlocks, RecordingTransport,
+                       ReplayMiss, ReplayTransport, ScriptedTransport, TransportError,
+                       extract_critique, extract_individual, load_cassette,
+                       render_evaluator_prompt, render_generator_prompt, request_digest)
 from fafsp.evolve import RuleIndividual, _rejection
 from fafsp.expr import ACCESSORS, FUNCTIONS
 from fafsp.rules import RuleSpec
@@ -45,7 +44,7 @@ def eval_prompt():
 
 
 def gen_prompt(op):
-    parents = (ELITE,) if PARENT_COUNT[op] == 1 else (ELITE, OTHER)
+    parents = (ELITE,) if OPERATORS[op].parents == 1 else (ELITE, OTHER)
     return render_generator_prompt(op, FEATURES, parents, CRITIQUE)
 
 
@@ -64,15 +63,15 @@ def test_evaluator_prompt_golden():
     assert eval_prompt() == (DATA / "evaluator_prompt.txt").read_text()
 
 
-@pytest.mark.parametrize("op", sorted(OPERATOR_INSTRUCTIONS))
+@pytest.mark.parametrize("op", sorted(OPERATORS))
 def test_generator_prompt_golden(op):
     assert gen_prompt(op) == (DATA / f"generator_{op}.txt").read_text()
 
 
-@pytest.mark.parametrize("op", sorted(OPERATOR_INSTRUCTIONS))
+@pytest.mark.parametrize("op", sorted(OPERATORS))
 def test_generator_prompt_embeds_instruction_and_grammar(op):
     text = gen_prompt(op)
-    assert OPERATOR_INSTRUCTIONS[op] in text
+    assert OPERATORS[op].instruction in text
     assert "ONE arithmetic expression" in text       # names the grammar
     assert "def " not in text                        # never a host-language function
 

@@ -17,7 +17,7 @@ import pytest
 import fafsp.sim as sim
 from fafsp.evolve import EvolutionConfig, run_evolution
 from fafsp.generator import generate_instance
-from fafsp.llm import ScriptedTransport
+from fafsp.llm import OPERATORS, ScriptedTransport
 from fafsp.rules import RuleInvalid, RuleSpec
 from fafsp.sim import run_dispatch, schedule_to_text
 from fafsp.validator import brute_force_optimum
@@ -28,6 +28,7 @@ from test_golden import RULES, SCENARIOS
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import layers  # noqa: E402
 from probe import Probe, TracedProbe, shims  # noqa: E402
 from speed import Timeline  # noqa: E402
 
@@ -96,3 +97,9 @@ def test_untraced_probe_sees_every_rollout(monkeypatch):
     with shims(probe):
         run_evolution(cfg, ScriptedTransport(_mock_responses()), _training_instances())
     assert probe.rollouts == len(calls) > 0
+
+
+def test_rejected_share_counts_every_generator_operator():
+    # evolve.rejected_frac is taken over the journal entries whose operator
+    # perfbench lists as a generator's; a renamed operator would drop out
+    assert layers.GENERATOR_OPS == set(OPERATORS)
