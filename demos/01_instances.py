@@ -21,12 +21,9 @@ from fafsp.generator import ScenarioConfig, generate_instance
 
 machines = (Machine(0, Stage.PROCESSING), Machine(1, Stage.ASSEMBLY))
 jobs = (
-    Job(0, Stage.PROCESSING, order_id=0, product_id=0, predecessors=frozenset(),
-        eligible={0: 4.0}),
-    Job(1, Stage.PROCESSING, order_id=0, product_id=0, predecessors=frozenset(),
-        eligible={0: 3.0}),
-    Job(2, Stage.ASSEMBLY, order_id=0, product_id=0, predecessors=frozenset({0, 1}),
-        eligible={1: 2.0}),
+    Job(0, Stage.PROCESSING, eligible={0: 4.0}),
+    Job(1, Stage.PROCESSING, eligible={0: 3.0}),
+    Job(2, Stage.ASSEMBLY, eligible={1: 2.0}),
 )
 order = Order(0, arrival=0.0, due=12.0, products=(Product(0, 2, (0, 1)),))
 inst = Instance(machines, (order,), jobs, np.zeros((4, 3)))

@@ -97,7 +97,9 @@ def evaluate_fitness(rule: RuleSpec, instances: Sequence[Instance]) -> float:
 def summarize_features(instances: Sequence[Instance], mu: float | None = None) -> str:
     """Fixed statistical digest of a training set (the c^f prompt block).
 
-    Pooled over all instances, so permuting the list changes nothing.
+    Pooled over all instances, so permuting the list changes nothing. An
+    order whose lower bound is zero (its times are all zero) has no
+    due-date tightness and is left out of that mean.
     """
     if not instances:
         raise ValueError("need at least one instance")
@@ -119,8 +121,9 @@ def summarize_features(instances: Sequence[Instance], mu: float | None = None) -
         orders += len(x.orders)
         jobs += x.num_jobs
         for o in x.orders:
-            js = [x.job(j) for j in o.job_ids()]
-            tightness.append((o.due - o.arrival) / order_lower_bound(js, x.machines))
+            bound = order_lower_bound([x.job(j) for j in o.job_ids()], x.machines)
+            if bound > 0:
+                tightness.append((o.due - o.arrival) / bound)
 
     def mean(v):
         return math.fsum(v) / len(v) if v else 0.0

@@ -196,28 +196,27 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
 
     phi = cfg.phi
 
-    def make_job(jid: int, kind: Stage, oid: int, prod: int, preds: frozenset[int]) -> Job:
+    def make_job(jid: int, kind: Stage) -> Job:
         cands = stage_ids[kind]
         picked = [m for m, u in zip(cands, rng_elig.random(len(cands)).tolist()) if u < phi]
         if not picked:
             picked = [cands[int(rng_elig.integers(len(cands)))]]
         work = works[jid]
         eligible = {m: work / rate[m] for m in picked}
-        return Job(jid, kind, oid, prod, preds, eligible)
+        return Job(jid, kind, eligible)
 
     processing, assembly = Stage.PROCESSING, Stage.ASSEMBLY
-    no_preds: frozenset[int] = frozenset()
     by_order: list[list[Job]] = []          # each order's jobs, which are made in a row
     jid = 0
-    for oid, prods in enumerate(skeleton):
+    for prods in skeleton:
         products = []
         first = jid
         for n_proc in prods:
             proc_ids = tuple(range(jid, jid + n_proc))
             for j in proc_ids:
-                jobs.append(make_job(j, processing, oid, pid, no_preds))
+                jobs.append(make_job(j, processing))
             jid += n_proc
-            jobs.append(make_job(jid, assembly, oid, pid, frozenset(proc_ids)))
+            jobs.append(make_job(jid, assembly))
             products.append(Product(pid, jid, proc_ids))
             jid += 1
             pid += 1

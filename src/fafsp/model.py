@@ -73,21 +73,20 @@ class Job:
     """One processing or assembly task.
 
     ``eligible`` maps machine id to processing time in minutes; a machine is
-    qualified iff it has an entry. ``predecessors`` is empty for processing
-    jobs and equals the product's processing jobs for assembly jobs.
+    qualified iff it has an entry. The job's order and product are the ones
+    that list it, and an assembly job's kit is its product's
+    ``processing_job_ids``.
     """
 
     id: int
     kind: Stage
-    order_id: int
-    product_id: int
-    predecessors: frozenset[int]
     eligible: dict[int, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
-    """Immutable-by-convention problem instance; safe to share between rollouts."""
+    """Immutable-by-convention problem instance; safe to share between
+    rollouts. Two instances are equal only if they are the same object."""
 
     machines: tuple[Machine, ...]
     orders: tuple[Order, ...]
@@ -96,7 +95,7 @@ class Instance:
     # is the changeover from job j1 to job j2, in minutes.
     setup: np.ndarray
 
-    _job_index: dict[int, Job] = field(default_factory=dict, repr=False)
+    _job_index: dict[int, Job] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._job_index = {j.id: j for j in self.jobs}
@@ -170,10 +169,10 @@ def check_instance(inst: Instance) -> list[str]:
     PROCESSING, ASSEMBLY = Stage.PROCESSING, Stage.ASSEMBLY     # an enum member read is slow
 
     # orders -> products -> jobs must partition the job set, each product
-    # listing its kit and then its assembly job; each job's kind and
-    # predecessors must fit its place, and those faults are listed later
+    # listing its kit and then its assembly job; each job's kind must fit
+    # its place, and those faults are listed later
     kits: list[str] = []
-    seen: dict[int, tuple[int, int]] = {}
+    seen: dict[int, int] = {}                       # job id -> product id
     for o in orders:
         oid, arrival, due = o.id, o.arrival, o.due
         if not isfinite(arrival):
@@ -190,34 +189,28 @@ def check_instance(inst: Instance) -> list[str]:
             pid, kit, a = p.id, p.processing_job_ids, p.assembly_job_id
             if not kit:
                 out.append(f"assembly without kit: product {pid} (order {oid})")
-            owner = (oid, pid)
             asm = index.get(a)
-            if asm is not None:
-                if asm.kind != ASSEMBLY:
-                    kits.append(f"product {pid}: assembly_job {a} is a {asm.kind.value} job")
-                if asm.predecessors != frozenset(kit):
-                    kits.append(f"job {a}: predecessors differ from product {pid} kit")
+            if asm is not None and asm.kind != ASSEMBLY:
+                kits.append(f"product {pid}: assembly_job {a} is a {asm.kind.value} job")
             for j in kit:
                 job = index.get(j)
                 if job is None:
                     out.append(f"order {oid}: unknown job {j}")
                     continue
                 if j in seen:
-                    out.append(f"job {j} claimed by two products ({seen[j][1]} and {pid})")
+                    out.append(f"job {j} claimed by two products ({seen[j]} and {pid})")
                 else:
-                    seen[j] = owner
+                    seen[j] = pid
                 if job.kind != PROCESSING:
                     kits.append(f"product {pid}: kit job {j} is a {job.kind.value} job")
-                if job.predecessors:
-                    kits.append(f"processing job {j} has predecessors")
             if asm is None:
                 out.append(f"order {oid}: unknown job {a}")
             elif a in seen:
-                out.append(f"job {a} claimed by two products ({seen[a][1]} and {pid})")
+                out.append(f"job {a} claimed by two products ({seen[a]} and {pid})")
             else:
-                seen[a] = owner
+                seen[a] = pid
 
-    # each job's nesting ids, and whether all its eligible machines are of
+    # whether each job has a product and all its eligible machines are of
     # its stage; its processing times are tested with all the others' and
     # its longest one feeds the horizon below
     proc_ids, asm_ids = ({m for m, s in stage_of.items() if s == stage}
@@ -225,12 +218,8 @@ def check_instance(inst: Instance) -> list[str]:
     fits, times, longest = True, [], []
     for j in jobs:
         jid, kind, eligible = j.id, j.kind, j.eligible
-        owner = seen.get(jid)
-        if owner is None:
+        if jid not in seen:
             out.append(f"job {jid} belongs to no product")
-        elif j.order_id != owner[0] or j.product_id != owner[1]:
-            out.append(f"job {jid}: order/product ids {j.order_id}/{j.product_id} "
-                       f"disagree with nesting {owner[0]}/{owner[1]}")
         if not eligible:
             fits = False
             continue
@@ -351,13 +340,6 @@ class _OrderDoc:
 
 
 @dataclass
-class _JobDoc:
-    id: int
-    kind: Stage
-    eligible: dict[int, float]
-
-
-@dataclass
 class _SetupDoc:
     default: float
     overrides: tuple[tuple[int, int, float], ...] = ()    # [from job, to job, minutes]
@@ -367,7 +349,7 @@ class _SetupDoc:
 class _InstanceDoc:
     machines: tuple[Machine, ...]       # its stage read as text
     orders: tuple[_OrderDoc, ...]
-    jobs: tuple[_JobDoc, ...]
+    jobs: tuple[Job, ...]               # its kind read as text
     setup: dict | tuple                 # a _SetupDoc, or the dense rows
 
 
@@ -404,16 +386,9 @@ def instance_from_doc(doc, label: str = "instance") -> Instance:
     if isinstance(jobs, list) and len(jobs) > MAX_JOBS:   # before any record or the setup matrix
         raise DocumentError(f"{label}.jobs: {len(jobs)} jobs exceed the cap of {MAX_JOBS}")
     read = read_document(_InstanceDoc, doc, label)
-    owner = {}                          # job id -> (order id, product id, predecessors)
-    for o in read.orders:
-        for p in o.products:
-            owner[p.assembly_job] = (o.id, p.id, frozenset(p.processing_jobs))
-            owner.update((j, (o.id, p.id, frozenset())) for j in p.processing_jobs)
     orders = [Order(o.id, o.arrival, o.due, tuple(
         Product(p.id, p.assembly_job, p.processing_jobs) for p in o.products)) for o in read.orders]
-    # a job that no product claims has no owner, and check_instance names it
-    jobs = [Job(j.id, Stage(j.kind), *owner.get(j.id, (-1, -1, frozenset())), j.eligible)
-            for j in read.jobs]
+    jobs = [Job(j.id, Stage(j.kind), j.eligible) for j in read.jobs]
     inst = Instance(tuple(Machine(m.id, Stage(m.stage)) for m in read.machines),
                     tuple(sorted(orders, key=lambda o: o.id)),
                     tuple(sorted(jobs, key=lambda j: j.id)),

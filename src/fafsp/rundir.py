@@ -5,13 +5,14 @@ plot-ready files."""
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Sequence
 
 from .llm import RecordingTransport
 from .model import _decimal, _finite, json_lines, read_json_lines, read_text, write_text
-from .rules import save_rule_file
+from .rules import load_rule_file, save_rule_file
 from .sim import load_schedule
 
 BEST_RULE, JOURNAL, CONVERGENCE, PER_INSTANCE = (
@@ -103,14 +104,16 @@ def export_traces(run_dir, out_dir) -> list[str]:
     """Write a finished run's convergence and per-instance (``tardiness.csv``)
     tables and a machine-major ``gantt_<stem>.csv`` per file in its
     ``schedules/`` into ``out_dir`` and return their names. Every input is
-    read and checked first: the journal, each table as ``finish`` writes it,
-    and the convergence rows against the journal, one per line, re-derived
-    from the first row's fitness. So a missing run file, an input that does
-    not parse or disagrees, or two schedules with one stem write nothing."""
+    read and checked first: the journal, the best rule, each table as
+    ``finish`` writes it, the convergence rows against the journal, one per
+    line, re-derived from the first row's fitness, and the best rule's
+    fitness against the per-instance mean, which it is exactly. So a missing
+    run file, an input that does not parse or disagrees, or two schedules
+    with one stem write nothing."""
     run_dir, out_dir = Path(run_dir), Path(out_dir)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"{run_dir}: no such run directory")
-    for name in (JOURNAL, CONVERGENCE, PER_INSTANCE):
+    for name in (JOURNAL, CONVERGENCE, PER_INSTANCE, BEST_RULE):
         if not (run_dir / name).is_file():
             raise FileNotFoundError(f"{run_dir / name}: no such file; the run did not finish")
     journal = read_journal(run_dir / JOURNAL)
@@ -123,8 +126,13 @@ def export_traces(run_dir, out_dir) -> list[str]:
     if len(best) != len(journal):
         raise ValueError(f"{run_dir / CONVERGENCE} line {min(len(best), len(journal)) + 2}: "
                          f"{len(best)} rows for {len(journal)} journal lines")
-    files = {CONVERGENCE: convergence,
-             "tardiness.csv": _read_table(run_dir / PER_INSTANCE, PER_INSTANCE_HEADER, 0)[0]}
+    tardiness, per_instance = _read_table(run_dir / PER_INSTANCE, PER_INSTANCE_HEADER, 0)
+    fitness = load_rule_file(run_dir / BEST_RULE).fitness
+    mean = math.fsum(per_instance) / len(per_instance) if per_instance else None
+    if fitness is None or fitness != mean:
+        raise ValueError(f"{run_dir / BEST_RULE}: fitness {fitness!r}, but the mean "
+                         f"tardiness in {run_dir / PER_INSTANCE} is {mean!r}")
+    files = {CONVERGENCE: convergence, "tardiness.csv": tardiness}
     sched_dir, source = run_dir / "schedules", {}
     for name in sorted(os.listdir(sched_dir)) if sched_dir.is_dir() else ():
         out_name = f"gantt_{Path(name).stem}.csv"

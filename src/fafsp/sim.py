@@ -145,8 +145,22 @@ class _Tables:
         jobs = sorted(inst.jobs, key=_BY_ID)
         assembly = Stage.ASSEMBLY
         self.is_assembly = [job.kind == assembly for job in jobs]
-        self.job_order_list = [job.order_id for job in jobs]      # for scalar reads
-        self.pred_count = [len(job.predecessors) for job in jobs]
+        # each job's order and feeding assembly job, and each assembly job's
+        # kit size, from the orders' nesting
+        orders = sorted(inst.orders, key=_BY_ID)
+        self.N = len(orders)
+        self.job_order_list = job_order = [0] * J       # for scalar reads
+        self.succ = succ = [-1] * J                     # feeding assembly job
+        self.pred_count = pred_count = [0] * J
+        for o in orders:
+            oid = o.id
+            for p in o.products:
+                a, kit = p.assembly_job_id, p.processing_job_ids
+                job_order[a] = oid
+                pred_count[a] = len(kit)
+                for j in kit:
+                    job_order[j] = oid
+                    succ[j] = a
         eligible = [job.eligible for job in jobs]
         counts = list(map(len, eligible))
         self.pair_start = list(itertools.accumulate(counts, initial=0))
@@ -176,15 +190,8 @@ class _Tables:
             self.mean_et[n_mach == k] = (
                 self.pair_pt[self.pair_n_mach == k].reshape(-1, k).mean(axis=1))
 
-        orders = sorted(inst.orders, key=_BY_ID)
-        self.N = len(orders)
         self.order_arrival = np.array([o.arrival for o in orders], dtype=float)
         self.order_due = np.array([o.due for o in orders], dtype=float)
-        self.succ = succ = [-1] * J                         # feeding assembly job
-        for o in orders:
-            for p in o.products:
-                for j in p.processing_job_ids:
-                    succ[j] = p.assembly_job_id
         self.order_jobs = [o.job_ids() for o in orders]
         self.pair_arrival = self.order_arrival[self.pair_order]
         self.pair_due = self.order_due[self.pair_order]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Stage
+from .model import Instance
 from .sim import (DONE, RUNNING, ArcRecord, Schedule, SimState, _advance, _dispatch,
                   _rollout, _start_state)
 
@@ -98,24 +98,26 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                                      f"changeover table says {expected}"))
             prev = a
 
-    # kit precedence and arrival; orders are found by id, whatever their
-    # place in the instance's tuple
-    arrival_of = {o.id: o.arrival for o in inst.orders}
+    # kit precedence and arrival, in job order; each job's order arrival
+    # and each assembly job's kit come from the orders' nesting
+    arrival_of, kit_of = {}, {}
+    for o in inst.orders:
+        arrival_of.update(dict.fromkeys(o.job_ids(), o.arrival))
+        kit_of.update((p.assembly_job_id, p.processing_job_ids) for p in o.products)
     for job in inst.jobs:
         a = by_job.get(job.id)
         if a is None:
             continue
-        arrival = arrival_of[job.order_id]
+        arrival = arrival_of[job.id]
         if not a.st >= arrival - TOL:
             out.append(Violation(ARRIVAL_BREACH,
                                  f"job {job.id} starts at {a.st} before order arrival {arrival}"))
-        if job.kind == Stage.ASSEMBLY:
-            for p in job.predecessors:
-                pa = by_job.get(p)
-                if pa is not None and not a.st >= pa.ct - TOL:
-                    out.append(Violation(PRECEDENCE,
-                                         f"assembly job {job.id} starts at {a.st} before "
-                                         f"kit part {p} ends at {pa.ct}"))
+        for p in kit_of.get(job.id, ()):
+            pa = by_job.get(p)
+            if pa is not None and not a.st >= pa.ct - TOL:
+                out.append(Violation(PRECEDENCE,
+                                     f"assembly job {job.id} starts at {a.st} before "
+                                     f"kit part {p} ends at {pa.ct}"))
 
     # delivery and tardiness bookkeeping
     for o in inst.orders:

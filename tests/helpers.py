@@ -26,11 +26,10 @@ def make_instance(machine_stages, orders, setup=None):
         for proc_eligibles, asm_eligible in prods:
             proc_ids = []
             for elig in proc_eligibles:
-                jobs.append(Job(jid, Stage.PROCESSING, oid, pid, frozenset(), dict(elig)))
+                jobs.append(Job(jid, Stage.PROCESSING, dict(elig)))
                 proc_ids.append(jid)
                 jid += 1
-            jobs.append(Job(jid, Stage.ASSEMBLY, oid, pid, frozenset(proc_ids),
-                            dict(asm_eligible)))
+            jobs.append(Job(jid, Stage.ASSEMBLY, dict(asm_eligible)))
             products.append(Product(pid, jid, tuple(proc_ids)))
             jid += 1
             pid += 1

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -103,10 +104,12 @@ EDD_SCHEDULE = run_dispatch(minimal_instance(), RuleSpec.builtin("EDD"))
 
 def _finished_run(run_dir):
     """A run directory as ``fafsp evolve`` finishes it, with empty
-    transcripts and the EDD rule as its elite and its best."""
+    transcripts, the EDD rule as its elite and a best rule whose fitness is
+    its per-instance mean."""
     edd = RuleIndividual("earliest due date", RuleSpec.builtin("EDD"), 20.0)
+    best = RuleIndividual("due plus time", RuleSpec.expression("due + pt"), 3.75)
     rundir.start(run_dir, ScriptedTransport([]), None)
-    rundir.finish(run_dir, SimpleNamespace(best=edd, elite=edd, journal=JOURNAL,
+    rundir.finish(run_dir, SimpleNamespace(best=best, elite=edd, journal=JOURNAL,
                                            per_instance=[3.0, 4.5]))
 
 
@@ -716,6 +719,27 @@ def test_cli_export_refuses_a_broken_table(tmp_path, capsys, name, line, old, ne
     _mutate(run_dir, ("table", (name, line, old, new)))
     assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
     _assert_one_error_line(capsys, f"error: {run_dir / name} line {line}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("per_instance.csv", "1,4.5", "1,4.25"),
+    ("per_instance.csv", "1,4.5", "1,4.500000000000001"),
+    ("best_rule.txt", "# fitness: 3.75", "# fitness: -"),
+    ("best_rule.txt", "# fitness: 3.75", "# fitness: 3.7"),
+], ids=["value", "last-bit", "no-fitness", "fitness"])
+def test_cli_export_refuses_a_fitness_that_is_not_the_per_instance_mean(
+        tmp_path, capsys, name, old, new):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    _finished_run(run_dir)
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 0
+    shutil.rmtree(out)
+    text = (run_dir / name).read_text(encoding="utf-8")
+    assert old in text
+    (run_dir / name).write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {run_dir / 'best_rule.txt'}: fitness ",
+                           str(run_dir / "per_instance.csv"))
     assert not out.exists()
 
 

@@ -3,19 +3,21 @@
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fafsp.evolve import (EvolutionConfig, RuleIndividual, _critique_of, _Run,
+from fafsp.evolve import (_REJECTIONS, EvolutionConfig, RuleIndividual, _critique_of, _Run,
                           evaluate_fitness, run_evolution, summarize_features,
                           tournament_select)
 from fafsp.generator import ScenarioConfig, generate_instance
 from fafsp.llm import (OPERATORS, Critique, RecordingTransport, ReplayMiss, ReplayTransport,
                        ScriptedTransport, TransportError, load_cassette, request_digest)
-from fafsp.model import DocumentError, read_document
+from fafsp.model import DocumentError, check_instance, read_document
 from fafsp.rules import RuleInvalid, RuleSpec, builtin_source
 from fafsp.rundir import journal_to_convergence
 from fafsp.sim import DeadlockError
@@ -98,6 +100,16 @@ def test_summarize_features_hand_values():
     expected = ((8 / 6) + (12 / 9)) / 2
     assert f"due-date tightness (due - arrival over order lower bound): {expected:.3f}" in text
     assert "load factor: 2.000" in text
+
+
+def test_summarize_features_leaves_zero_bound_orders_out_of_tightness():
+    # order 0's times are all zero, so its lower bound is zero; a valid instance
+    zero = (0.0, 5.0, [([{0: 0.0}], {1: 0.0})])
+    mixed = make_instance("pa", [zero, (6.0, 18.0, [([{0: 6.0}], {1: 3.0})])])
+    assert check_instance(mixed) == []
+    tightness = "due-date tightness (due - arrival over order lower bound):"
+    assert f"{tightness} {12 / 9:.3f}" in summarize_features([mixed])
+    assert f"{tightness} 0.000" in summarize_features([make_instance("pa", [zero])])
 
 
 def test_summarize_features_unknown_mu():
@@ -604,8 +616,21 @@ def test_every_run_keeps_its_journal_outcomes_and_curve_in_step(
     cfg = EvolutionConfig(generations=generations, population=population,
                           retry_budget=retry_budget, sample_budget=sample_budget, seed=2)
     failed = []
-    result = run_evolution(cfg, ScriptedTransport(_scripted_expert(script, fail_at, failed)),
-                           TRAINING)
+    with tempfile.TemporaryDirectory() as tmp:
+        cassette = Path(tmp) / "cassette.jsonl"
+        cassette.write_text("", encoding="utf-8")
+        result = run_evolution(cfg, RecordingTransport(
+            ScriptedTransport(_scripted_expert(script, fail_at, failed)), cassette), TRAINING)
+        # the recorded replies replay to the same run; a replay of a run the
+        # transport cut short misses at the call that failed
+        if failed:
+            with pytest.raises(ReplayMiss):
+                run_evolution(cfg, ReplayTransport(cassette), TRAINING)
+        else:
+            replayed = run_evolution(cfg, ReplayTransport(cassette), TRAINING)
+            assert (replayed.journal, replayed.outcomes) == (result.journal, result.outcomes)
+            assert ((replayed.best.uid, replayed.best.spec.source, replayed.best.fitness)
+                    == (result.best.uid, result.best.spec.source, result.best.fitness))
     assert result.samples == len(result.journal)
     assert sample_budget is None or result.samples <= sample_budget
     ok = {i for i, outcome in result.outcomes if outcome == "ok"}
@@ -614,3 +639,27 @@ def test_every_run_keeps_its_journal_outcomes_and_curve_in_step(
     assert all(b <= a for a, b in zip(rows, rows[1:]))
     assert (rows[-1] if rows else result.elite.fitness) == result.best.fitness
     assert (result.error is not None) == bool(failed)
+    # every outcome names a generator call; a finished slot is up to
+    # retry_budget - 1 rejections and an ok, or retry_budget rejections and
+    # a copy at the last one's journal index; only a run cut short leaves a
+    # slot unfinished
+    assert all(result.journal[i]["operator"] != "Eval" for i, _ in result.outcomes)
+    rejections = {name for _, name in _REJECTIONS} | {"smoke_invalid", "engine_error"}
+    slots, attempts = [], []
+    for index, outcome in result.outcomes:
+        attempts.append((index, outcome))
+        if outcome in ("ok", "copy_fallback"):
+            slots.append(attempts)
+            attempts = []
+    for *rejected, (index, last) in slots:
+        assert {outcome for _, outcome in rejected} <= rejections
+        if last == "ok":
+            assert len(rejected) < retry_budget
+        else:
+            assert len(rejected) == retry_budget and index == rejected[-1][0]
+    cut_short = failed or result.samples == sample_budget
+    assert {outcome for _, outcome in attempts} <= rejections
+    assert len(attempts) < retry_budget and (cut_short or not attempts)
+    # initialization fills the population, and a generation replaces it whole
+    assert len(result.population) == min(len(slots), population)
+    assert cut_short or len(slots) == population * (generations + 1)

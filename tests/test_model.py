@@ -357,10 +357,17 @@ def test_job_product_order_partition():
                 assert j not in seen
                 seen.add(j)
     assert seen == {j.id for j in inst.jobs}
-    for o in inst.orders:
-        for p in o.products:
-            for j in (*p.processing_job_ids, p.assembly_job_id):
-                assert (inst.job(j).order_id, inst.job(j).product_id) == (o.id, p.id)
+
+
+def test_instances_are_equal_only_to_themselves_and_build_their_job_index():
+    a, b = minimal_instance(), minimal_instance()
+    assert a == a and a != b and not (a == b)
+    # the job index is built from the jobs, never passed in
+    with pytest.raises(TypeError):
+        model.Instance(a.machines, a.orders, a.jobs, a.setup, {})
+    assert "_job_index" not in repr(a)
+    c = dataclasses.replace(a, jobs=a.jobs[::-1])
+    assert [c.job(j.id) for j in a.jobs] == list(a.jobs)
 
 
 def test_accessors_and_setup_lookup():
@@ -449,30 +456,21 @@ def _reference_check_instance(inst):
                 if j not in known_jobs:
                     out.append(f"order {o.id}: unknown job {j}")
                 elif j in seen:
-                    out.append(f"job {j} claimed by two products ({seen[j][1]} and {p.id})")
+                    out.append(f"job {j} claimed by two products ({seen[j]} and {p.id})")
                 else:
-                    seen[j] = (o.id, p.id)
+                    seen[j] = p.id
     for j in inst.jobs:
         if j.id not in seen:
             out.append(f"job {j.id} belongs to no product")
-            continue
-        oid, pid = seen[j.id]
-        if (j.order_id, j.product_id) != (oid, pid):
-            out.append(f"job {j.id}: order/product ids {j.order_id}/{j.product_id} "
-                       f"disagree with nesting {oid}/{pid}")
     for o in inst.orders:
         for p in o.products:
             asm = inst._job_index.get(p.assembly_job_id)
             if asm is not None and asm.kind != Stage.ASSEMBLY:
                 out.append(f"product {p.id}: assembly_job {p.assembly_job_id} is a {asm.kind.value} job")
-            if asm is not None and asm.predecessors != frozenset(p.processing_job_ids):
-                out.append(f"job {p.assembly_job_id}: predecessors differ from product {p.id} kit")
             for jid in p.processing_job_ids:
                 job = inst._job_index.get(jid)
                 if job is not None and job.kind != Stage.PROCESSING:
                     out.append(f"product {p.id}: kit job {jid} is a {job.kind.value} job")
-                if job is not None and job.predecessors:
-                    out.append(f"processing job {jid} has predecessors")
     for j in inst.jobs:
         if not j.eligible:
             out.append(f"job {j.id}: no eligible machine")
@@ -512,7 +510,7 @@ def _mutate(inst, rng):
     setup = inst.setup.copy()
     replace = dataclasses.replace
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(16)
+        kind = rng.randrange(14)
         i = rng.randrange(len(jobs)) if jobs else 0
         if kind == 0 and machines:                      # machine id or stage
             k = rng.randrange(len(machines))
@@ -555,28 +553,22 @@ def _mutate(inst, rng):
             j = jobs[i]
             jobs[i] = replace(j, kind=Stage.ASSEMBLY if j.kind == Stage.PROCESSING
                               else Stage.PROCESSING)
-        elif kind == 7 and jobs:                        # a job's nesting ids
-            name = rng.choice(["order_id", "product_id"])
-            jobs[i] = replace(jobs[i], **{name: getattr(jobs[i], name) + 1})
-        elif kind == 8 and jobs:                        # a job's predecessors
-            jobs[i] = replace(jobs[i], predecessors=rng.choice(
-                [frozenset(), frozenset({0}), jobs[i].predecessors | {i}]))
-        elif kind == 9 and jobs:                        # no eligible machine
+        elif kind == 7 and jobs:                        # no eligible machine
             jobs[i] = replace(jobs[i], eligible={})
-        elif kind == 10 and jobs:                       # an unknown or other-stage machine
+        elif kind == 8 and jobs:                        # an unknown or other-stage machine
             m = rng.choice([len(machines) + 4, rng.randrange(max(len(machines), 1))])
             jobs[i] = replace(jobs[i], eligible={**jobs[i].eligible, m: 1.0})
-        elif kind == 11 and jobs and jobs[i].eligible:  # a bad processing time
+        elif kind == 9 and jobs and jobs[i].eligible:   # a bad processing time
             m = rng.choice(list(jobs[i].eligible))
             jobs[i] = replace(jobs[i], eligible={**jobs[i].eligible, m: rng.choice(_BAD)})
-        elif kind == 12 and jobs:                       # a job that no product claims
+        elif kind == 10 and jobs:                       # a job that no product claims
             del jobs[i]
-        elif kind == 13:                                # setup shape
+        elif kind == 11:                                # setup shape
             setup = setup[:, :-1] if rng.random() < 0.5 else setup[1:]
-        elif kind == 14 and setup.size:                 # a setup entry, the virtual row too
+        elif kind == 12 and setup.size:                 # a setup entry, the virtual row too
             r = rng.randrange(setup.shape[0]) if rng.random() < 0.8 else 0
             setup[r, rng.randrange(setup.shape[1])] = rng.choice(_BAD + (2.0,))
-        elif kind == 15:                                # a horizon past the float range
+        elif kind == 13:                                # a horizon past the float range
             where = rng.randrange(3)
             if where == 0:
                 setup[1:] = 1e306

@@ -327,9 +327,10 @@ def _reference_tables(inst):
                                      "pair_arrival", "pair_due", "pair_n_mach")}
     pair_start, mean_et = [0], np.empty(J)
     incidence = np.zeros((J, M))
-    succ = [-1] * J
+    succ, kit_size = [-1] * J, [0] * J
     for o in orders:
         for p in o.products:
+            kit_size[p.assembly_job_id] = len(p.processing_job_ids)
             for j in p.processing_job_ids:
                 succ[j] = p.assembly_job_id
     for job in jobs:
@@ -352,8 +353,8 @@ def _reference_tables(inst):
         pair_job_list=ref["pair_job"].tolist(), pair_mach_list=ref["pair_mach"].tolist(),
         mean_et=mean_et, incidence=incidence, incidence_rows=list(incidence),
         is_assembly=[job.kind == Stage.ASSEMBLY for job in jobs],
-        job_order_list=[job.order_id for job in jobs], succ=succ,
-        pred_count=[len(job.predecessors) for job in jobs],
+        job_order_list=[order_of[job.id].id for job in jobs], succ=succ,
+        pred_count=kit_size,
         order_jobs=[o.job_ids() for o in orders],
         order_njobs=np.array([float(len(o.job_ids())) for o in orders]),
         order_arrival=np.array([o.arrival for o in orders]),
@@ -466,7 +467,8 @@ def _check_ready_bookkeeping(inst, state):
         sum(j in left for p in o.products for j in (*p.processing_job_ids, p.assembly_job_id))
         for o in orders]
     assert isinstance(state.pred_remaining, list)
-    assert state.pred_remaining == [len(left.intersection(j.predecessors)) for j in jobs]
+    kit = {p.assembly_job_id: p.processing_job_ids for o in orders for p in o.products}
+    assert state.pred_remaining == [len(left.intersection(kit.get(j.id, ()))) for j in jobs]
     # an order is undelivered (0) until every job of it is done, and then
     # delivered at its latest assembly completion
     ct = {a.job: a.ct for a in state.arc_log}
