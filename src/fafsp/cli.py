@@ -91,7 +91,7 @@ def _cmd_evolve(args) -> int:
     cfg = load_evolution_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    instances = load_training(cfg)      # validates cfg, --seed included
+    instances, _ = load_training(cfg)   # validates cfg, --seed included, and describes the set
     transport = _make_transport(args.transport, args.cassette)
     transport = rundir.start(args.out, transport,
                              args.cassette if args.transport == "replay" else None)

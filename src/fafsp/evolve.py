@@ -99,7 +99,9 @@ def summarize_features(instances: Sequence[Instance], mu: float | None = None) -
 
     Pooled over all instances, so permuting the list changes nothing. An
     order whose lower bound is zero (its times are all zero) has no
-    due-date tightness and is left out of that mean.
+    due-date tightness and is left out of that mean. Any set of valid
+    instances is described: a mean or deviation whose plain sum or square
+    would pass the largest float is taken in scaled terms.
     """
     if not instances:
         raise ValueError("need at least one instance")
@@ -126,10 +128,17 @@ def summarize_features(instances: Sequence[Instance], mu: float | None = None) -
                 tightness.append((o.due - o.arrival) / bound)
 
     def mean(v):
-        return math.fsum(v) / len(v) if v else 0.0
+        try:
+            return math.fsum(v) / len(v) if v else 0.0
+        except OverflowError:       # the sum passes the largest float; the mean does not
+            return math.fsum(x / len(v) for x in v)
 
     pt_mean = mean(pts)
-    pt_sd = math.sqrt(mean([(p - pt_mean) ** 2 for p in pts]))
+    try:
+        pt_sd = math.sqrt(mean([(p - pt_mean) ** 2 for p in pts]))
+    except OverflowError:           # a squared deviation passes the largest float
+        top = max(pts)
+        pt_sd = top * math.sqrt(mean([((p - pt_mean) / top) ** 2 for p in pts]))
     lines = [
         f"instances: {len(instances)}; orders per instance: {orders / len(instances):.3f}; "
         f"jobs per order: {jobs / orders:.3f}",
@@ -160,29 +169,29 @@ class _BudgetExhausted(Exception):
 
 
 def load_training(cfg: EvolutionConfig,
-                  instances: Sequence[Instance] | None = None) -> list[Instance]:
-    """The run's training instances: ``instances`` if given, else the
-    config's files, opened only once the config validates. ValueError if
-    there are none."""
+                  instances: Sequence[Instance] | None = None) -> tuple[list[Instance], str]:
+    """The run's training instances, ``instances`` if given, else the
+    config's files, opened only once the config validates, and their
+    feature digest (``summarize_features``). ValueError if there are none.
+    ``fafsp evolve`` calls it before it touches the run directory."""
     cfg.validate()          # before a training path is opened
     out = (list(instances) if instances is not None
            else [load_instance(p) for p in cfg.training_instances])
     if not out:
         raise ValueError("no training instances")
-    return out
+    return out, summarize_features(out, cfg.mu)
 
 
 class _Run:
     """Mutable context of one evolution run: journal, outcomes, incumbent."""
 
     def __init__(self, cfg: EvolutionConfig, transport, instances: Sequence[Instance] | None):
-        self.instances = load_training(cfg, instances)
+        self.instances, self.features = load_training(cfg, instances)
         self.cfg = cfg
         self.transport = transport
         self.rng = np.random.default_rng(cfg.seed)
         self.journal: list[dict] = []       # one entry per LLM call
         self.outcomes: list[tuple[int, str]] = []
-        self.features = summarize_features(self.instances, cfg.mu)
         self.population: list[RuleIndividual] = []
         self.incumbent: RuleIndividual | None = None
         self.elite: RuleIndividual | None = None

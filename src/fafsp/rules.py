@@ -90,13 +90,16 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
     cannot map) and calls the rule's generated chooser
     (``RuleSpec.chooser``), as a rollout does, under the same quiet numpy
     error state: the same arc, or the same RuleInvalid naming the same arc.
+    The chooser of a dispatch-invariant rule returns a ranking, whose head
+    is that arc.
     """
     if len(jobs) == 0:
         raise ValueError("no arcs to rank")
     state = fv._s
     k = _pair_indices(state.t, jobs, machs)
     with np.errstate(all="ignore"):
-        return int(rule.chooser(state, rule)(k))
+        pick = rule.chooser(state, rule)(k)
+    return int(pick[0] if type(pick) is np.ndarray else pick)
 
 
 def builtin_source(rule_id: str) -> str:

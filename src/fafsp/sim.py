@@ -16,17 +16,31 @@ index, runs the programs inline and takes the arg-min. It is the one
 ranking: the step API's ``rules.rank_arc_arrays`` maps its arcs to pair
 indices and calls the same chooser. When no feasible arc remains the clock
 jumps to the next event, and after a dispatch that provably leaves no arc
-it jumps without enumerating (see ``_rollout``). Completions are
-processed before arrivals that share the same timestamp. Every rollout
-starts from a copy of the instance's time-zero state, built once with the
-instance's static tables and cached on the instance, the engine's one
-per-instance cache. One loop steps the rollout, and it takes the arc to
-dispatch from a chooser: ``run_dispatch`` uses the rule's, and the oracle
-replays its optimal arc log through the same loop to build its schedule.
-A rollout owns numpy's error state: ``run_dispatch`` sets it once, around
-the whole loop, and restores the caller's on return. The engine owns
-``RuleInvalid``, which a non-finite score raises, and imports no rule
-module: ``fafsp.rules`` depends on this module, not the reverse.
+it jumps without enumerating (see ``_rollout``).
+
+A dispatch of arc (j, m) that takes time changes, for the arcs it leaves
+feasible, only the columns that read the machines' queue counts and the
+orders' remaining work (``_DISPATCH_VARIANT``: ``queue`` on j's machines,
+``work_rem`` and ``slack`` on its order's arcs). Every other column of a
+surviving arc keeps its bits: it reads the state of the arc's own job or
+machine, which only their own dispatch changes, or the clock, or counts
+that change at completions, or static data. So a rule whose programs read
+neither, through what they derive from (``_closure``), is
+dispatch-invariant: its chooser ranks an epoch's arcs once and the loop
+dispatches down that ranking (see ``_rollout``). EDD, FIFO and MOPNR with
+either machine rule qualify; LWKR and MWKR do not. Any other rule, and
+any index chooser, takes one arc per enumeration.
+
+Completions are processed before arrivals that share the same timestamp.
+Every rollout starts from a copy of the instance's time-zero state, built
+once with the instance's static tables and cached on the instance, the
+engine's one per-instance cache. One loop steps the rollout, and it takes
+the arc to dispatch from a chooser: ``run_dispatch`` uses the rule's, and
+the oracle replays its optimal arc log through the same loop to build its
+schedule. A rollout owns numpy's error state: ``run_dispatch`` sets it
+once, around the whole loop, and restores the caller's on return. The
+engine owns ``RuleInvalid``, which a non-finite score raises, and imports
+no rule module: ``fafsp.rules`` depends on this module, not the reverse.
 
 The step API (``feasible_arcs``, ``FeatureView.arc_columns``, ``apply_arc``,
 ``advance_clock``, ``rules.rank_arc_arrays``) speaks in (job, machine) arcs;
@@ -352,6 +366,10 @@ _COLUMNS: dict[str, tuple[tuple[str, ...], str]] = {
     "util": (("mach",), "s.m_busy[mach]"),
 }
 
+#: the dispatch-variant columns of the table: a dispatch for a positive time
+#: changes these, and no other column, for the arcs it leaves at its clock
+_DISPATCH_VARIANT = frozenset({"queue", "work_rem"})
+
 #: the arcs' job, machine and order ids, gathered only for a column that
 #: reads them and left out of the columns ``arc_columns`` returns; a rule
 #: that reads both ``work_rem`` and ``ops_rem`` gathers the order ids once
@@ -369,18 +387,26 @@ def _filled(n: int, value: float) -> np.ndarray:
     return out
 
 
+#: every name of the two tables, in table order
+_TABLE = {**_INDEXES, **_COLUMNS}
+
+
+def _closure(names: frozenset[str]) -> list[str]:
+    """The named accessors and everything they derive from, transitively
+    (``slack`` needs ``work_rem``, which needs ``order``), in table order.
+    The tables list every name after the names it derives from, so one pass
+    from the end closes the set."""
+    needed = set(names)
+    for name in reversed(_TABLE):
+        if name in needed:
+            needed.update(_TABLE[name][0])
+    return [name for name in _TABLE if name in needed]
+
+
 def _gather_lines(names: frozenset[str]) -> list[str]:
     """The lines that gather the named accessors' columns and everything they
-    derive from, transitively (``slack`` needs ``work_rem``, which needs
-    ``order``), into locals named after them, in table order. The tables list
-    every name after the names it derives from, so one pass from the end
-    closes the set."""
-    table = {**_INDEXES, **_COLUMNS}
-    needed = set(names)
-    for name in reversed(table):
-        if name in needed:
-            needed.update(table[name][0])
-    return [f"{name} = {text}" for name, (_, text) in table.items() if name in needed]
+    derive from (``_closure``) into locals named after them, in table order."""
+    return [f"{name} = {_TABLE[name][1]}" for name in _closure(names)]
 
 
 #: the step API's gather: function (state, pair indices k) -> {accessor:
@@ -403,10 +429,20 @@ def build_chooser(program: Program, tie_break: Program | None = None) -> Callabl
     unscored, the first minimum wins, a builtin ranks by the tie-break
     among the arcs tied on the program's key, and a single-key rule scores
     as ``expr.evaluate`` does and raises RuleInvalid naming the first arc
-    whose score is not finite. The generated text holds only column-table
+    whose score is not finite.
+
+    A dispatch-invariant rule, one that reads no ``_DISPATCH_VARIANT``
+    column even through what it derives from, returns the epoch's ranking
+    instead of an index when it has two arcs or more: the indices of all
+    of k, best first, whose head is the index above. A single-key rule
+    checks its scores as above and sorts them stably; a builtin sorts by
+    (key, tie key, arc order) only when both keys are finite, and returns
+    the one index otherwise. The generated text holds only column-table
     text, generated names and namespace constants; the rule's name reaches
     it at run time, through ``rule``."""
-    lines = _gather_lines(program.reads | (tie_break.reads if tie_break else frozenset()))
+    reads = program.reads | (tie_break.reads if tie_break else frozenset())
+    ranks = _DISPATCH_VARIANT.isdisjoint(_closure(reads))
+    lines = _gather_lines(reads)
     code, key, namespace = program.inline()
     lines += code
     if tie_break is None:
@@ -416,14 +452,20 @@ def build_chooser(program: Program, tie_break: Program | None = None) -> Callabl
                   "i = score.argmin()",                # the first minimum, or the first NaN
                   # argmax gives the first +inf or NaN too, for less than max
                   "if -_INF < score.item(i) and score.item(score.argmax()) < _INF:",
-                  "    return i",
+                  "    return score.argsort(kind='stable')" if ranks else "    return i",
                   "raise _non_finite(rule, score, k, t)"]
     else:
         code, tie_key, tie_namespace = tie_break.inline("tie_")
         namespace.update(tie_namespace)
-        lines += [f"ties = ({key} == {key}[{key}.argmin()]).nonzero()[0]", *code,
+        lines += code
+        if ranks:
+            finite = " and ".join(f"-_INF < {x}.item({x}.argmin()) and "
+                                  f"{x}.item({x}.argmax()) < _INF" for x in (key, tie_key))
+            lines += [f"if {finite}:", f"    return _lexsort(({tie_key}, {key}))"]
+        lines += [f"ties = ({key} == {key}[{key}.argmin()]).nonzero()[0]",
                   f"return ties[{tie_key}[ties].argmin()]"]
-    namespace.update(_filled=_filled, _non_finite=_non_finite, _FLOAT64=_FLOAT64, _INF=math.inf)
+    namespace.update(_filled=_filled, _non_finite=_non_finite, _FLOAT64=_FLOAT64, _INF=math.inf,
+                     _lexsort=np.lexsort)
     choose = ["n = len(k)", "if n == 1:", "    return 0", *lines]
     return _define("bind", "s, rule", ["t = s.t", "def choose(k):",
                                        *(f"    {line}" for line in choose)],
@@ -550,20 +592,43 @@ def _rollout(state: SimState, choose: Callable[[np.ndarray], int]) -> Schedule:
     job (this covers a single arc); and m is idle, so every ready job
     eligible on m is an arc, and they are all on m when m's queue count
     equals the number of arcs. A zero-length dispatch leaves its machine
-    idle and is followed by an enumeration."""
+    idle and is followed by an enumeration.
+
+    The chooser of a dispatch-invariant rule returns the epoch's ranking
+    instead (``build_chooser``). Such a dispatch changes no score the rule
+    reads for the arcs it leaves (``_DISPATCH_VARIANT``), and it removes
+    arcs without reordering the rest, so the rule's next pick is the first
+    arc of the ranking still feasible. The loop walks the ranking, skipping
+    an arc whose job or machine a dispatch of the walk took, and advances
+    the clock once the walk ends: every arc was then dispatched or taken. A
+    zero-length dispatch changes its machine's ``setup`` and ``avail`` and
+    leaves the machine idle, so the walk stops there and the loop
+    enumerates and ranks again."""
     t = state.t
     n_jobs, pair_job, pair_mach = t.J, t.pair_job_list, t.pair_mach_list
+    status, m_free = state.status, state.m_free
     while state.done_count < n_jobs:
         k = state._arc_arrays()
         n = len(k)
-        if n:
-            p = k.item(choose(k))
+        if not n:
+            _advance(state)
+            continue
+        pick = choose(k)
+        if type(pick) is np.ndarray:             # a ranking
+            clock = state.clock
+            for p in k[pick].tolist():
+                if status[pair_job[p]] != READY or not m_free.item(pair_mach[p]):
+                    continue                     # taken by a dispatch of this walk
+                if _dispatch(state, p) == clock:
+                    break
+            else:
+                _advance(state)
+        else:
+            p = k.item(pick)
             m = pair_mach[p]
             covered = pair_job[k.item(0)] == pair_job[k.item(-1)] or state.m_queue.item(m) == n
             if _dispatch(state, p) > state.clock and covered:
                 _advance(state)
-        else:
-            _advance(state)
     return extract_schedule(state)
 
 

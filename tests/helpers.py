@@ -122,6 +122,12 @@ def reference_rank(rule, columns, jobs, machs):
     return min(range(n), key=lambda i: (key[i], tie[i]))
 
 
+def first_pick(pick):
+    """The index a rule's chooser names: the index itself, or the head of
+    the ranking a dispatch-invariant rule's chooser returns."""
+    return int(pick[0] if isinstance(pick, np.ndarray) else pick)
+
+
 def pick_arc(rule, fv, arcs):
     """The arc the rule dispatches among arcs listed in (job, machine) order,
     as feasible_arcs lists them, by the reference ranking over the

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from fafsp import cli, rundir
+from fafsp import cli, evolve, rundir
 from fafsp.bench import compute_ari, default_grid, run_benchmark, scenario_label
 from fafsp.cli import main
 from fafsp.evolve import RuleIndividual
@@ -23,7 +23,7 @@ from fafsp.llm import RecordingTransport, ScriptedTransport
 from fafsp.model import instance_to_doc, save_instance
 from fafsp.sim import run_dispatch, save_schedule
 
-from helpers import minimal_instance
+from helpers import make_instance, minimal_instance
 
 
 def test_compute_ari_published_style_pair():
@@ -378,6 +378,56 @@ def test_cli_evolve_failed_start_leaves_an_earlier_run_byte_identical(tmp_path, 
     assert main(["evolve", "--config", str(bad), "--transport", "replay",
                  "--cassette", str(cassette), "--out", str(run_dir), *extra]) == 1
     _assert_one_error_line(capsys, *names)
+    assert _run_files(run_dir) == before
+
+
+def test_cli_evolve_on_a_training_set_of_huge_times(tmp_path, capsys):
+    # a valid instance with a 1e200-minute job, whose squared deviation from
+    # the mean time passes the largest float: the run either succeeds or is
+    # refused with one error line before an earlier run's files are touched
+    run_dir = tmp_path / "r"
+    assert _replay(*_recorded_run(tmp_path), run_dir) == 0
+    capsys.readouterr()
+    before = _run_files(run_dir)
+    huge = tmp_path / "huge.json"
+    save_instance(make_instance("pa", [(0.0, 5.0, [([{0: 1e200}], {1: 2.0})])]), huge)
+    cfg_path = tmp_path / "huge-evo.json"
+    cfg_path.write_text(json.dumps({"generations": 1, "population": 2, "seed": 4,
+                                    "training_instances": [str(huge)]}), encoding="utf-8")
+    cassette = tmp_path / "huge.jsonl"
+
+    def respond(prompt, temperature, operator):
+        return CRITIQUE if operator == "Eval" else "Description: r.\n```\ndue + pt\n```"
+
+    try:
+        evolve.run_evolution(evolve.load_evolution_config(cfg_path),
+                             RecordingTransport(ScriptedTransport(respond), cassette))
+    except ValueError:
+        pass                            # a refused set makes no call
+    code = _replay(cfg_path, cassette, run_dir)
+    if code == 1:
+        _assert_one_error_line(capsys)
+        assert _run_files(run_dir) == before
+    else:
+        assert code == 0
+        assert (run_dir / "transcripts.jsonl").read_bytes() == cassette.read_bytes()
+        assert load_rule_file(run_dir / "best_rule.txt").fitness == pytest.approx(1e200)
+
+
+def test_cli_evolve_describes_the_training_set_before_it_touches_the_run(
+        tmp_path, capsys, monkeypatch):
+    cfg_path, cassette = _recorded_run(tmp_path)
+    run_dir = tmp_path / "r"
+    assert _replay(cfg_path, cassette, run_dir) == 0
+    capsys.readouterr()
+    before = _run_files(run_dir)
+
+    def refused(instances, mu=None):
+        raise ValueError("cannot describe the training set")
+
+    monkeypatch.setattr(evolve, "summarize_features", refused)
+    assert _replay(cfg_path, cassette, run_dir) == 1
+    _assert_one_error_line(capsys, "cannot describe")
     assert _run_files(run_dir) == before
 
 

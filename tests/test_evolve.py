@@ -112,6 +112,20 @@ def test_summarize_features_leaves_zero_bound_orders_out_of_tightness():
     assert f"{tightness} 0.000" in summarize_features([make_instance("pa", [zero])])
 
 
+def test_summarize_features_describes_times_whose_squares_or_sums_overflow():
+    # a 1e200-minute job: its squared deviation from the mean passes the
+    # largest float; three 8e307-minute jobs: their pooled sum does
+    huge = make_instance("pa", [(0.0, 5.0, [([{0: 1e200}], {1: 2.0})])])
+    assert check_instance(huge) == []
+    assert f"mean {5e199:.3f}, sd {5e199:.3f} minutes" in summarize_features([huge])
+    big = make_instance("pa", [(0.0, 5.0, [([{0: 8e307}], {1: 0.0})])])
+    assert check_instance(big) == []
+    text = summarize_features([big] * 3)
+    line = next(x for x in text.splitlines() if x.startswith("processing"))
+    mean, sd = (float(x.split(" ")[-1]) for x in line.removesuffix(" minutes").split(", "))
+    assert mean == pytest.approx(4e307) and sd == pytest.approx(4e307)
+
+
 def test_summarize_features_unknown_mu():
     assert "load factor: unknown" in summarize_features(training_instances())
 

@@ -14,7 +14,7 @@ from fafsp.rules import (BUILTIN_IDS, BUILTINS, RuleInvalid, RuleSpec, builtin_s
                          load_rule_file, rank_arc_arrays, save_rule_file, validate_rule)
 from fafsp.sim import FeatureView, SimState, feasible_arcs, run_dispatch
 
-from helpers import make_instance, pick_arc, tree_walk
+from helpers import first_pick, make_instance, pick_arc, tree_walk
 
 
 def columns(n=1, **given):
@@ -45,7 +45,7 @@ def choose(rule, state):
     """Index of the arc the rule's generated chooser dispatches among all of
     the stand-in's pairs, under the quiet error state a rollout sets."""
     with np.errstate(all="ignore"):
-        return int(rule.chooser(state, rule)(np.arange(len(state.t.pair_job))))
+        return first_pick(rule.chooser(state, rule)(np.arange(len(state.t.pair_job))))
 
 
 def test_edd_prefers_earlier_due():

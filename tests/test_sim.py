@@ -26,8 +26,8 @@ from fafsp.sim import (_ARRIVAL, BLOCKED, DONE, READY, DeadlockError, EventTimeE
                        schedule_to_text, total_tardiness)
 from fafsp.validator import validate_schedule
 
-from helpers import (make_instance, minimal_instance, pick_arc, reference_rank,
-                     tiny_dynamic_instance)
+from helpers import (first_pick, make_instance, minimal_instance, pick_arc, reference_rank,
+                     tiny_dynamic_instance, tree_walk)
 from test_expr import programs
 from test_golden import RULES
 
@@ -424,9 +424,26 @@ def test_a_rollout_caches_one_state_and_builds_no_job_by_machine_index():
 
 # -- the per-epoch kernel against re-enumeration after every arc ---------------
 
+#: the columns a same-clock dispatch of positive length may change for the
+#: arcs it leaves feasible, written out here; the engine's variant set, closed
+#: over what each column derives from, must be these
+VARIANT_COLUMNS = {"queue", "work_rem", "slack"}
+
+
+def _invariant(reads):
+    """Whether a rule reading ``reads`` reads no dispatch-variant column."""
+    return VARIANT_COLUMNS.isdisjoint(reads)
+
+
+#: two rules that read dispatch-variant columns, which a rollout ranks at
+#: every decision, then four that read none, which it ranks once an epoch
+#: (the expression reads every invariant accessor)
 KERNEL_RULES = (RuleSpec.builtin("MWKR+EET"),
                 RuleSpec.expression("slack + 0.5*pt*queue - 0.1*util + ops_rem"
-                                    " + if(wait > et, setup, n_mach)"))
+                                    " + if(wait > et, setup, n_mach)"),
+                EDD, RuleSpec.builtin("FIFO+EET"), RuleSpec.builtin("MOPNR+SPT"),
+                RuleSpec.expression("due + 0.5*pt - 0.1*util + ops_rem"
+                                    " + if(wait > et, setup, n_mach) + 0.01*arrival*avail - now"))
 
 
 def _python_arcs(inst, state):
@@ -551,10 +568,121 @@ SHARED_JOB = make_instance("ppa", [(0.0, 100.0, [([{0: 2.0, 1: 3.0}], {2: 1.0})]
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=st.one_of(hand_built_instances(), generated_instances))
 @example(inst=ZERO_LENGTH)
+@example(inst=SHARED_MACHINE)
+@example(inst=SHARED_JOB)
 def test_epoch_kernel_matches_reenumeration(inst):
     for rule in KERNEL_RULES:
         got = schedule_to_text(run_dispatch(inst, rule))
         assert got == schedule_to_text(_reference_dispatch(inst, rule))
+
+
+@pytest.mark.parametrize("source", sorted(ACCESSORS))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances))
+@example(inst=ZERO_LENGTH)
+@example(inst=SHARED_MACHINE)
+@example(inst=SHARED_JOB)
+def test_a_one_accessor_rule_rolls_out_as_the_reference(source, inst):
+    # eleven of the fourteen rank once an epoch and walk their ranking,
+    # ties in arc order; queue, work_rem and slack rank at every decision
+    rule = RuleSpec.expression(source)
+    got = schedule_to_text(run_dispatch(inst, rule))
+    assert got == schedule_to_text(_reference_dispatch(inst, rule))
+
+
+def test_the_variant_set_closes_to_the_variant_columns():
+    assert {name for name in ACCESSORS
+            if not sim._DISPATCH_VARIANT.isdisjoint(sim._closure(frozenset({name})))
+            } == VARIANT_COLUMNS
+
+
+def test_the_invariant_builtins_rank_once_an_epoch():
+    # at time 0 of SHARED_MACHINE two arcs: a walking rule's chooser returns
+    # its ranking of both, any other rule's the index of one
+    state = SimState(SHARED_MACHINE)
+    k = state._arc_arrays()
+    walking = set()
+    for rid in BUILTIN_IDS:
+        rule = RuleSpec.builtin(rid)
+        pick = rule.chooser(state, rule)(k)
+        if isinstance(pick, np.ndarray):
+            assert sorted(pick.tolist()) == [0, 1], rid
+            walking.add(rid)
+        else:
+            assert pick in (0, 1), rid
+    assert walking == {"EDD", "FIFO+SPT", "FIFO+EET", "MOPNR+SPT", "MOPNR+EET"}
+
+
+def test_a_walking_rollout_skips_enumerations():
+    # EDD walks its ranking through each epoch; the same rule behind the
+    # step API's index chooser takes one arc per enumeration
+    inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                            n_init=2, seed=0))
+    schedules, calls = [], []
+    for walks in (True, False):
+        state = SimState(inst)
+        calls.append(0)
+        enumerate_arcs = state._arc_arrays
+
+        def counting():
+            calls[-1] += 1
+            return enumerate_arcs()
+
+        state._arc_arrays = counting
+        choose = EDD.chooser(state, EDD) if walks else _ranked(state, EDD)
+        with np.errstate(all="ignore"):
+            schedules.append(schedule_to_text(_rollout(state, choose)))
+    assert schedules[0] == schedules[1]
+    # the 67 jobs take 80 enumerations one arc at a time (as pinned in
+    # test_single_arc_step_skips_enumerations) and 70 down EDD's rankings
+    assert calls == [70, 80]
+
+
+# -- the columns a same-clock dispatch changes for the arcs it leaves ------------
+
+def _columns_a_dispatch_changes(inst, seed):
+    """The columns that changed for a surviving arc at some dispatch of a
+    random non-delay rollout that took time and left arcs, through the step
+    API's columns before and after it; asserts that every other column kept
+    its bits and that the arcs left are exactly the survivors."""
+    state, rng, changed = SimState(inst), random.Random(seed), set()
+    view = FeatureView(state)
+    while state.done_count < state.t.J:
+        arcs = feasible_arcs(state)
+        if not arcs:
+            advance_clock(state)
+            continue
+        j, m = arcs[rng.randrange(len(arcs))]
+        before = view.arc_columns(*zip(*arcs))
+        apply_arc(state, (j, m))
+        kept = [i for i, (a, b) in enumerate(arcs) if a != j and b != m]
+        if state.arc_log[-1].ct == state.clock or not kept:
+            continue
+        left = [arcs[i] for i in kept]
+        assert feasible_arcs(state) == left
+        after = view.arc_columns(*zip(*left))
+        for name in ACCESSORS:
+            if before[name][kept].tobytes() != after[name].tobytes():
+                assert name in VARIANT_COLUMNS, name
+                changed.add(name)
+    return changed
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=st.one_of(hand_built_instances(), generated_instances),
+       seed=st.integers(0, 2**16))
+@example(inst=SHARED_MACHINE, seed=0)
+def test_a_dispatch_changes_only_the_variant_columns_of_the_arcs_it_leaves(inst, seed):
+    _columns_a_dispatch_changes(inst, seed)
+
+
+def test_every_variant_column_changes_at_some_dispatch():
+    changed = set()
+    for seed in range(3):
+        inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.7, alpha=3, mu=2.0,
+                                                n_init=2, seed=seed))
+        changed |= _columns_a_dispatch_changes(inst, seed)
+    assert changed == VARIANT_COLUMNS
 
 
 def test_zero_length_dispatch_leaves_machine_idle():
@@ -859,7 +987,13 @@ def test_arc_columns_equal_the_pair_gather(inst, seed, reads):
         for col in got.values():
             assert col.dtype == float and col.shape == (len(k),)
         for choose, capture in zip(choosers, captures):
-            assert choose(k) == 0                   # every score is 0
+            # every score is 0: the first arc, or every arc in arc order
+            # from a rule that reads no dispatch-variant column
+            pick = choose(k)
+            if len(k) > 1 and _invariant(capture.reads):
+                assert pick.tolist() == list(range(len(k)))
+            else:
+                assert pick == 0
             assert len(capture.seen) == (len(k) > 1)    # a single arc is chosen unscored
             for want in capture.seen:
                 assert set(want) == set(capture.names)
@@ -918,8 +1052,14 @@ def test_a_one_accessor_chooser_ranks_as_the_reference(source):
     def checked(k):
         if len(k) > 1:
             jobs, machs = state.t.pair_job[k].tolist(), state.t.pair_mach[k].tolist()
-            want = reference_rank(rule, view.arc_columns(jobs, machs), jobs, machs)
-            assert choose(k) == want
+            columns = view.arc_columns(jobs, machs)
+            want = reference_rank(rule, columns, jobs, machs)
+            pick = choose(k)
+            assert first_pick(pick) == want
+            if _invariant(rule.program.reads):
+                # the whole ranking: the arcs by score, ties in arc order
+                score = tree_walk(rule.program.root, columns, len(k)).astype(float).tolist()
+                assert pick.tolist() == sorted(range(len(k)), key=score.__getitem__)
             ranked.append(want)
         return rng.randrange(len(k))
 
