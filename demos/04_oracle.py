@@ -33,7 +33,7 @@ print("clean rollout violations:", validate_schedule(inst, good))
 arcs = list(good.arcs)
 last = arcs[-1]
 arcs[-1] = ArcRecord(last.job, last.machine, last.setup, last.st - 1.0, last.ct - 1.0)
-broken = Schedule(tuple(arcs), good.ft, good.tt, good.n_jobs, good.n_orders)
+broken = Schedule(tuple(arcs), good.ft, good.tt)
 print("tampered rollout:")
 for v in validate_schedule(inst, broken)[:3]:
     print("  ", v)

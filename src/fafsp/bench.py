@@ -1,8 +1,8 @@
 """Benchmark grids and relative-improvement tables.
 
 A benchmark evaluates a set of rules over replicated instances of each
-scenario and reports per-scenario mean/sd tardiness plus aggregate rows:
-the grand average per rule, its improvement relative to the worst rule's
+scenario and reports per-scenario mean tardiness plus aggregate rows: the
+grand average per rule, its improvement relative to the worst rule's
 average (ARI), and the resulting rank. Exact summation keeps every number
 independent of evaluation order.
 """
@@ -31,7 +31,7 @@ def scenario_label(cfg: ScenarioConfig) -> str:
     return f"{cfg.m1}-{cfg.m2}-{cfg.phi:g}-{cfg.alpha}-{cfg.mu:g}"
 
 
-def default_grid(seed: int = 0, n_init: int = 5) -> list[ScenarioConfig]:
+def default_grid() -> list[ScenarioConfig]:
     """24-scenario sweep over machine configuration, flexibility, order count
     and load factor."""
     grid = []
@@ -39,15 +39,8 @@ def default_grid(seed: int = 0, n_init: int = 5) -> list[ScenarioConfig]:
         for phi in (0.5, 0.7):
             for alpha in (20, 50):
                 for mu in (1.0, 2.0, 4.0):
-                    grid.append(ScenarioConfig(m1=m1, m2=m2, phi=phi, alpha=alpha,
-                                               mu=mu, n_init=n_init, seed=seed))
+                    grid.append(ScenarioConfig(m1=m1, m2=m2, phi=phi, alpha=alpha, mu=mu))
     return grid
-
-
-def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    m = math.fsum(values) / len(values)
-    var = math.fsum((v - m) ** 2 for v in values) / len(values)
-    return m, math.sqrt(var)
 
 
 @dataclass
@@ -55,8 +48,6 @@ class BenchReport:
     scenarios: list[str]
     rules: list[str]
     mean: dict[tuple[str, str], float]          # (scenario, rule) -> mean tardiness
-    sd: dict[tuple[str, str], float]
-    scenario_ari: dict[tuple[str, str], float]  # vs the scenario's worst rule
     avg: dict[str, float]                       # rule -> grand average
     ari: dict[str, float]                       # rule -> ARI on the Avg row
     rank: dict[str, int]                        # 1 = best average
@@ -90,8 +81,6 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
     labels = [scenario_label(s) for s in scenarios]
     rule_names = [r.name for r in rules]
     mean: dict[tuple[str, str], float] = {}
-    sd: dict[tuple[str, str], float] = {}
-    scenario_ari: dict[tuple[str, str], float] = {}
     per_rule_means: dict[str, list[float]] = {r: [] for r in rule_names}
 
     for cfg, label in zip(scenarios, labels):
@@ -99,21 +88,16 @@ def run_benchmark(scenarios: Sequence[ScenarioConfig], rules: Sequence[RuleSpec]
                      for k in range(replications)]
         for rule in rules:
             values = [total_tardiness(run_dispatch(x, rule)) for x in instances]
-            m, s = _mean_sd(values)
+            m = math.fsum(values) / len(values)
             mean[(label, rule.name)] = m
-            sd[(label, rule.name)] = s
             per_rule_means[rule.name].append(m)
-        worst_here = max(mean[(label, r)] for r in rule_names)
-        for r in rule_names:
-            scenario_ari[(label, r)] = (compute_ari(mean[(label, r)], worst_here)
-                                        if worst_here > 0 else 0.0)
 
     avg = {r: math.fsum(per_rule_means[r]) / len(labels) for r in rule_names}
     worst = max(avg.values())
     ari = {r: compute_ari(avg[r], worst) if worst > 0 else 0.0 for r in rule_names}
     order = sorted(rule_names, key=lambda r: (avg[r], rule_names.index(r)))
     rank = {r: i + 1 for i, r in enumerate(order)}
-    return BenchReport(labels, rule_names, mean, sd, scenario_ari, avg, ari, rank)
+    return BenchReport(labels, rule_names, mean, avg, ari, rank)
 
 
 @dataclass

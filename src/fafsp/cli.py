@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
 def _make_transport(kind: str, cassette: str | None):
     if kind == "replay":
         if not cassette:
-            raise TransportError("replay transport needs --cassette")
+            raise ValueError("replay transport needs --cassette")
         return ReplayTransport(cassette)
     return LiveTransport.from_env()
 

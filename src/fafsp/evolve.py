@@ -39,9 +39,7 @@ class RuleIndividual:
     spec: RuleSpec
     fitness: float
     critique: Critique | None = None
-    generation: int = 0
     operator: str = ""
-    parent_uids: tuple[int, ...] = ()
     temperature: float = 0.0
     uid: int = -1
 
@@ -259,15 +257,12 @@ def _fill_slot(run: _Run, operator: str, parents: list[RuleIndividual],
             continue
         run.outcomes.append((index, "ok"))
         run.journal[index]["fitness"] = fitness
-        indiv = RuleIndividual(description, spec, fitness, None,
-                               generation, operator,
-                               tuple(p.uid for p in parents), temperature,
+        indiv = RuleIndividual(description, spec, fitness, None, operator, temperature,
                                uid=next(run.uids))
         break
     else:
         run.outcomes.append((index, "copy_fallback"))
-        indiv = replace(parents[0], generation=generation, operator=fallback[0],
-                        parent_uids=(parents[0].uid,), temperature=fallback[1],
+        indiv = replace(parents[0], operator=fallback[0], temperature=fallback[1],
                         uid=next(run.uids))
     run.admit(indiv)
     return indiv
@@ -279,8 +274,7 @@ def _init_population(run: _Run) -> None:
     elite_fit = evaluate_fitness(elite_spec, run.instances)
     elite = RuleIndividual(
         "Earliest due date first; ties go to the machine that finishes the job soonest.",
-        elite_spec, elite_fit, None, 0, "Elite", (), cfg.u_low,
-        uid=next(run.uids))
+        elite_spec, elite_fit, None, "Elite", cfg.u_low, uid=next(run.uids))
     run.elite = elite
     run.admit(elite)
     elite.critique = _critique_of(run, elite, [elite], generation=0)

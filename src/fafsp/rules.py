@@ -45,11 +45,6 @@ _JOB_TEXT = {"EDD": "due", "FIFO": "arrival", "MOPNR": "-ops_rem",
 _MACHINE_TEXT = {"SPT": "pt", "EET": "max(avail, now) + setup + pt"}  # EET: earliest end time
 
 
-def _builtin_texts(rule_id: str) -> tuple[str, str]:
-    select, _, assign = rule_id.partition("+")
-    return _JOB_TEXT[select], _MACHINE_TEXT[assign or "EET"]
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """Arcs rank by ``program``, lowest first, and arcs tied on it by
@@ -105,15 +100,17 @@ def rank_arc_arrays(rule: RuleSpec, fv, jobs: np.ndarray, machs: np.ndarray) -> 
 def builtin_source(rule_id: str) -> str:
     """Expression encoding the builtin's decisions as a single scalar:
     job score is scaled by SCALE so it dominates the machine score."""
-    if rule_id not in BUILTIN_IDS:
-        raise ValueError(f"unknown builtin rule {rule_id!r}")
-    job, machine = _builtin_texts(rule_id)
-    return f"{job}*{SCALE} + {machine}"
+    return RuleSpec.builtin(rule_id).source
+
+
+def _builtin(rule_id: str) -> RuleSpec:
+    select, _, assign = rule_id.partition("+")
+    job, machine = _JOB_TEXT[select], _MACHINE_TEXT[assign or "EET"]
+    return RuleSpec(rule_id, f"{job}*{SCALE} + {machine}", expr.parse(job), expr.parse(machine))
 
 
 #: builtin id -> its rule, ranked lexicographically by (job, machine) key
-BUILTINS = {rid: RuleSpec(rid, builtin_source(rid), *map(expr.parse, _builtin_texts(rid)))
-            for rid in BUILTIN_IDS}
+BUILTINS = {rid: _builtin(rid) for rid in BUILTIN_IDS}
 
 
 @functools.cache
@@ -152,7 +149,6 @@ def validate_rule(rule) -> bool:
 
 @dataclass
 class RuleFile:
-    name: str
     description: str
     fitness: float | None
     spec: RuleSpec
@@ -199,5 +195,4 @@ def load_rule_file(path) -> RuleFile:
             body.append(stripped)
     if not body:
         raise ValueError(f"{path}: no expression line")
-    return RuleFile(name, description, fitness,
-                    RuleSpec.expression(" ".join(body), name=name))
+    return RuleFile(description, fitness, RuleSpec.expression(" ".join(body), name=name))

@@ -123,15 +123,10 @@ class Schedule:
     arcs: tuple[ArcRecord, ...]
     ft: dict[int, float]                # order id -> completion time
     tt: dict[int, float]                # order id -> tardiness
-    n_jobs: int
-    n_orders: int
 
 
 def total_tardiness(sched: Schedule) -> float:
-    """Sum of order tardiness; raises on schedules that are not complete."""
-    if len(sched.arcs) != sched.n_jobs or len(sched.tt) != sched.n_orders:
-        raise ValueError(f"incomplete schedule: {len(sched.arcs)}/{sched.n_jobs} jobs, "
-                         f"{len(sched.tt)}/{sched.n_orders} orders")
+    """Sum of order tardiness."""
     return math.fsum(sched.tt.values())
 
 
@@ -575,7 +570,7 @@ def extract_schedule(state: SimState) -> Schedule:
     if state.done_count < t.J:
         raise ValueError(f"rollout unfinished: {state.done_count}/{t.J} jobs done")
     return Schedule(tuple(state.arc_log), dict(enumerate(state.order_ft)),
-                    dict(enumerate(state.order_tt)), t.J, t.N)
+                    dict(enumerate(state.order_tt)))
 
 
 def _rollout(state: SimState, choose: Callable[[np.ndarray], int]) -> Schedule:
@@ -683,7 +678,7 @@ def schedule_from_text(text: str) -> Schedule:
         if oid in ft:
             raise ValueError(f"schedule line {ln}: order {oid} is listed twice")
         ft[oid], tt[oid] = times
-    return Schedule(tuple(arcs), ft, tt, len(arcs), len(ft))
+    return Schedule(tuple(arcs), ft, tt)
 
 
 def save_schedule(sched: Schedule, path) -> None:

@@ -52,8 +52,6 @@ def test_run_benchmark_shape_and_aggregates():
     assert sorted(report.rank.values()) == [1, 2]
     for r in report.rules:
         assert report.mean[(label, r)] >= 0
-        assert report.sd[(label, r)] >= 0
-        assert 0.0 <= report.scenario_ari[(label, r)] <= 1.0
 
 
 #: a scenario on which no rule is ever late: one order, a light load
@@ -66,7 +64,6 @@ def test_run_benchmark_with_no_late_rule_has_zero_ari():
     report = run_benchmark([ScenarioConfig(**NEVER_LATE)], rules, replications=2)
     assert report.avg == {"EDD": 0.0, "FIFO+SPT": 0.0}
     assert report.ari == {"EDD": 0.0, "FIFO+SPT": 0.0}
-    assert set(report.scenario_ari.values()) == {0.0}
     assert report.rank == {"EDD": 1, "FIFO+SPT": 2}
 
 
@@ -282,7 +279,7 @@ def test_convergence_starts_from_the_elite_when_no_sample_beats_it(tmp_path):
     run_dir, out_dir = tmp_path / "run", tmp_path / "traces"
     assert _replay(cfg_path, cassette, run_dir) == 0
     best = load_rule_file(run_dir / "best_rule.txt")
-    assert best.name == "EDD"
+    assert best.spec.name == "EDD"
     journal = read_journal(run_dir / "journal.jsonl")
     assert min(e["fitness"] for e in journal if e["fitness"] is not None) > best.fitness
     assert main(["export", "--run", str(run_dir), "--out", str(out_dir)]) == 0
@@ -356,7 +353,8 @@ def test_cli_evolve_missing_training_file_exits_1(tmp_path, capsys):
     assert _run_files(run_dir) == before
 
 
-@pytest.mark.parametrize("case", ["no training instances", "seed in the config", "seed option"])
+@pytest.mark.parametrize("case", ["no training instances", "seed in the config", "seed option",
+                                  "no cassette"])
 def test_cli_evolve_failed_start_leaves_an_earlier_run_byte_identical(tmp_path, capsys, case):
     cfg_path, cassette = _recorded_run(tmp_path)
     run_dir = tmp_path / "r"
@@ -365,18 +363,20 @@ def test_cli_evolve_failed_start_leaves_an_earlier_run_byte_identical(tmp_path, 
     before = _run_files(run_dir)
     assert set(before) >= {"best_rule.txt", "transcripts.jsonl"} and before["transcripts.jsonl"]
     doc = json.loads(cfg_path.read_text(encoding="utf-8"))
-    extra, names = [], ["seed"]
+    extra, names = ["--cassette", str(cassette)], ["seed"]
     if case == "no training instances":
         doc["training_instances"] = []
         names = ["no training instances"]
     elif case == "seed in the config":
         doc["seed"] = -1
-    else:
-        extra = ["--seed", "-3"]
+    elif case == "seed option":
+        extra += ["--seed", "-3"]
+    else:                   # a usage error, not a transport failure (exit 3)
+        extra, names = [], ["replay transport needs --cassette"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["evolve", "--config", str(bad), "--transport", "replay",
-                 "--cassette", str(cassette), "--out", str(run_dir), *extra]) == 1
+                 "--out", str(run_dir), *extra]) == 1
     _assert_one_error_line(capsys, *names)
     assert _run_files(run_dir) == before
 

@@ -85,6 +85,11 @@ def test_summarize_features_permutation_invariant():
     assert summarize_features(insts) == summarize_features(insts[::-1])
 
 
+def test_summarize_features_refuses_an_empty_set():
+    with pytest.raises(ValueError, match="^need at least one instance$"):
+        summarize_features([])
+
+
 def test_summarize_features_hand_values():
     inst = make_instance("pa", [
         (0.0, 8.0, [([{0: 4.0}], {1: 2.0})]),

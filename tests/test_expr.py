@@ -223,6 +223,16 @@ programs = st.recursive(st.sampled_from(sorted(ACCESSORS) + ["0", "1", "2.5", "7
 
 
 @settings(max_examples=200, deadline=None)
+@given(src=programs)
+@example(src="(due + pt) * 2")      # a lower-precedence left operand keeps its parentheses
+def test_printing_round_trips(src):
+    prog = parse(src)
+    printed = to_source(prog)
+    assert parse(printed).root == prog.root
+    assert to_source(parse(printed)) == printed          # printing is idempotent
+
+
+@settings(max_examples=200, deadline=None)
 @given(src=programs, seed=st.integers(0, 2**32 - 1))
 def test_compiled_evaluation_matches_tree_walk(src, seed):
     n = 5

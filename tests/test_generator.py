@@ -136,6 +136,9 @@ def test_config_validation():
         ScenarioConfig(m1=1, m2=1, phi=0.5, alpha=1, mu=0.0).validate()
     with pytest.warns(UserWarning):
         ScenarioConfig(m1=1, m2=1, phi=0.5, alpha=1, mu=1.0, T=0.9, R=0.9).validate()
+    for t, r in ((-0.1, 0.4), (1.5, 0.4), (0.2, -0.1), (0.2, 1.1)):
+        with pytest.raises(ValueError, match=r"^T and R must lie in \[0, 1\]$"):
+            ScenarioConfig(m1=1, m2=1, phi=0.5, alpha=1, mu=1.0, T=t, R=r).validate()
 
 
 @pytest.mark.parametrize("fields, message", [

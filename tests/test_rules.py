@@ -111,6 +111,15 @@ def test_builtin_source_parses_for_all_nine():
     for rid in BUILTIN_IDS:
         prog = parse(builtin_source(rid))
         assert prog.n_nodes >= 3
+    assert builtin_source("EDD") == "due*1000000 + max(avail, now) + setup + pt"
+    assert builtin_source("MWKR+SPT") == "-work_rem*1000000 + pt"
+
+
+@pytest.mark.parametrize("entry", [builtin_source, RuleSpec.builtin],
+                         ids=["builtin_source", "RuleSpec.builtin"])
+def test_an_unknown_builtin_names_the_choices(entry):
+    with pytest.raises(ValueError, match=r"^unknown builtin rule 'X'; choose from \('EDD', "):
+        entry("X")
 
 
 @pytest.mark.parametrize("rid", BUILTIN_IDS)
@@ -165,7 +174,7 @@ def test_rule_file_round_trip(tmp_path):
     spec = RuleSpec.expression("due - now + 2*pt", name="my_rule")
     save_rule_file(path, spec, description="urgency plus speed", fitness=42.5)
     loaded = load_rule_file(path)
-    assert loaded.name == "my_rule"
+    assert loaded.spec.name == "my_rule"
     assert loaded.description == "urgency plus speed"
     assert loaded.fitness == 42.5
     assert loaded.spec.source == "due - now + 2*pt"
@@ -178,7 +187,8 @@ def test_rule_file_keeps_name_and_description_on_their_lines(tmp_path, name, des
     path = tmp_path / "rule.txt"
     save_rule_file(path, RuleSpec.expression("due", name=name), description=description)
     loaded = load_rule_file(path)
-    assert (loaded.name, loaded.description, loaded.spec.source) == ("a b", "fast pt first", "due")
+    assert ((loaded.spec.name, loaded.description, loaded.spec.source)
+            == ("a b", "fast pt first", "due"))
 
 
 def test_extracted_description_with_a_carriage_return_round_trips(tmp_path):
@@ -189,6 +199,13 @@ def test_extracted_description_with_a_carriage_return_round_trips(tmp_path):
     save_rule_file(path, RuleSpec.expression(source, name="g1-3"), description=description)
     loaded = load_rule_file(path)
     assert (loaded.description, loaded.spec.source) == ("fast pt first", "due")
+
+
+def test_rule_file_of_header_lines_only_is_refused(tmp_path):
+    path = tmp_path / "rule.txt"
+    path.write_text("# name: r\n# description: d\n# fitness: -\n\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no expression line$"):
+        load_rule_file(path)
 
 
 def test_rule_file_builtin_saved_as_expression(tmp_path):

@@ -271,12 +271,11 @@ def test_total_tardiness_equals_recomputation():
         assert total_tardiness(sched) == pytest.approx(recomputed, abs=1e-9)
 
 
-def test_total_tardiness_rejects_incomplete():
-    inst = minimal_instance()
-    sched = run_dispatch(inst, EDD)
-    clipped = type(sched)(sched.arcs[:1], sched.ft, sched.tt, 2, 1)
-    with pytest.raises(ValueError, match="incomplete"):
-        total_tardiness(clipped)
+def test_extract_schedule_refuses_an_unfinished_rollout():
+    state = SimState(minimal_instance())
+    apply_arc(state, (0, 0))
+    with pytest.raises(ValueError, match="^rollout unfinished: 0/2 jobs done$"):
+        extract_schedule(state)
 
 
 def test_job_tuple_permutation_is_harmless():

@@ -25,8 +25,8 @@ def _two_stage_instance():
     return make_instance("pa", [(0, 10.0, [([{0: 5.0}], {1: 3.0})])])
 
 
-def _sched(arcs, ft, tt, n_jobs=2, n_orders=1):
-    return Schedule(tuple(arcs), ft, tt, n_jobs, n_orders)
+def _sched(arcs, ft, tt):
+    return Schedule(tuple(arcs), ft, tt)
 
 
 def test_clean_rollout_validates():
@@ -47,7 +47,7 @@ def test_overlap_on_machine_detected():
     inst = make_instance("pa", [(0, 50.0, [([{0: 4.0}, {0: 4.0}], {1: 1.0})])])
     sched = _sched([ArcRecord(0, 0, 0.0, 0.0, 4.0), ArcRecord(1, 0, 0.0, 2.0, 6.0),
                     ArcRecord(2, 1, 0.0, 6.0, 7.0)],
-                   {0: 7.0}, {0: 0.0}, n_jobs=3)
+                   {0: 7.0}, {0: 0.0})
     kinds = {v.kind for v in validate_schedule(inst, sched)}
     assert MACHINE_OVERLAP in kinds
 
@@ -57,7 +57,7 @@ def test_wrong_setup_detected():
                          setup=1.0)
     sched = _sched([ArcRecord(0, 0, 0.0, 0.0, 4.0), ArcRecord(1, 0, 0.0, 4.0, 8.0),
                     ArcRecord(2, 1, 0.0, 8.0, 9.0)],
-                   {0: 9.0}, {0: 0.0}, n_jobs=3)
+                   {0: 9.0}, {0: 0.0})
     kinds = {v.kind for v in validate_schedule(inst, sched)}
     assert SETUP_MISMATCH in kinds           # job 1 should charge 1.0 after job 0
 
@@ -104,8 +104,7 @@ def test_order_unknown_to_the_instance_is_a_delivery_mismatch():
     sched = run_dispatch(inst, RuleSpec.builtin("EDD"))
     assert validate_schedule(inst, sched) == []
     for ft, tt in (({99: 1000.0}, {99: 5000.0}), ({}, {99: 5000.0})):
-        forged = Schedule(sched.arcs, {**sched.ft, **ft}, {**sched.tt, **tt},
-                          sched.n_jobs, sched.n_orders + 1)
+        forged = Schedule(sched.arcs, {**sched.ft, **ft}, {**sched.tt, **tt})
         assert [(v.kind, v.message) for v in validate_schedule(inst, forged)] == [
             (DELIVERY_MISMATCH, "order 99 is not in the instance")]
 
@@ -118,6 +117,18 @@ def test_unassigned_and_unqualified():
                    {0: 8.0}, {0: 0.0})
     assert any(v.kind == UNASSIGNED and "unqualified" in v.message
                for v in validate_schedule(inst, wrong))
+
+
+def test_a_repeated_arc_and_a_missing_delivery_are_reported():
+    inst = _two_stage_instance()
+    arcs = [ArcRecord(0, 0, 0.0, 0.0, 5.0), ArcRecord(1, 1, 0.0, 5.0, 8.0)]
+    twice = _sched([arcs[0], *arcs], {0: 8.0}, {0: 0.0})
+    assert [str(v) for v in validate_schedule(inst, twice)] == [
+        f"{UNASSIGNED}: job 0 dispatched more than once",
+        f"{MACHINE_OVERLAP}: machine 0: job 0 starts at 0.0 before job 0 ends at 5.0"]
+    undelivered = _sched(arcs, {}, {0: 0.0})
+    assert [str(v) for v in validate_schedule(inst, undelivered)] == [
+        f"{DELIVERY_MISMATCH}: order 0 has no delivery time"]
 
 
 @pytest.mark.parametrize("arc", [0, 1])
@@ -210,6 +221,13 @@ def test_oracle_respects_limits():
     inst = generate_instance(ScenarioConfig(m1=2, m2=3, phi=0.8, alpha=5, mu=1.0,
                                             n_init=5, seed=1))
     with pytest.raises(OracleLimitError):
+        brute_force_optimum(inst)
+
+
+def test_oracle_refuses_more_machines_than_its_cap():
+    # two jobs, well under the job cap, on five machines
+    inst = make_instance("ppppa", [(0, 50.0, [([{0: 2.0}], {4: 1.0})])])
+    with pytest.raises(OracleLimitError, match="^5 machines exceeds the limit of 4$"):
         brute_force_optimum(inst)
 
 
